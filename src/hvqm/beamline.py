@@ -13,6 +13,7 @@ analyzer, all counter-based, so event logs replay bit-identically.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Sequence
@@ -20,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SequenceError, ValidationError
+from .logcodec import join_lines, line_ends, longest_line
 from .rng import uniforms
 from .spin import Direction
 
@@ -201,18 +203,120 @@ def event_json(e: TrialEvent) -> str:
     }, separators=(",", ":"))
 
 
+@functools.lru_cache(maxsize=256)
+def _event_suffix(absorbed_at: int, outcome: int) -> str:
+    """What follows '{"trial":N' in an event line; -1 and 0 stand for null."""
+    line = event_json(TrialEvent(0, absorbed_at if absorbed_at >= 0 else None,
+                                 outcome if outcome else None))
+    return line[len('{"trial":0'):] + "\n"
+
+
+def encode_events(start: int, absorbed_at: np.ndarray, outcome: np.ndarray) -> str:
+    """Event lines of trials start, start + 1, ...: byte for byte the
+    event_json lines, each ended by a newline.  absorbed_at is -1 and
+    outcome 0 where the event has none."""
+    codes, k = np.unique((np.asarray(absorbed_at, dtype=np.int64) + 1) * 3
+                         + np.asarray(outcome, dtype=np.int64) + 1, return_inverse=True)
+    return join_lines(start, k.ravel(),
+                      [_event_suffix(int(c) // 3 - 1, int(c) % 3 - 1) for c in codes])
+
+
+_MAX_DIGITS = 18   # an int64 holds every 18-digit number
+
+
+@functools.lru_cache(maxsize=1)
+def _event_offsets() -> tuple[int, int]:
+    """For a line '...absorbed_at":0,"outcome":1}': how far the outcome's
+    digit sits before the line end, and the absorbed_at digit before it."""
+    line = event_json(TrialEvent(0, 0, 1))
+    x_at = line.index('"absorbed_at":') + len('"absorbed_at":')
+    o_at = line.index('"outcome":') + len('"outcome":')
+    return len(line) - o_at, o_at - x_at
+
+
+def decode_events(data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """(absorbed_at, outcome) read by position from canonical event lines.
+
+    Only a canonical line is read correctly; whatever is read from any other
+    line re-encodes to something else, which is how replay finds it.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    o_back, x_gap = _event_offsets()
+    o_last = line_ends(data) - o_back      # the '1' of 1 or -1, the 'l' of null
+    o_null = buf.take(o_last, mode="clip") == ord("l")
+    o_neg = ~o_null & (buf.take(o_last - 1, mode="clip") == ord("-"))
+    pos = o_last - np.where(o_null, 3, o_neg) - x_gap   # absorbed_at's last character
+    x_null = buf.take(pos, mode="clip") == ord("l")
+    value = np.zeros(len(pos), dtype=np.int64)
+    scale = 1
+    digit = buf.take(pos, mode="clip") - ord("0")
+    run = ~x_null & (digit < 10)
+    for _ in range(_MAX_DIGITS):
+        if not run.any():
+            break
+        value += np.where(run, digit.astype(np.int64) * scale, 0)
+        scale *= 10
+        pos = pos - 1
+        digit = buf.take(pos, mode="clip") - ord("0")
+        run &= digit < 10
+    return (np.where(x_null, -1, value),
+            np.where(o_null, 0, np.where(o_neg, -1, 1)).astype(np.int64))
+
+
+def longest_event(last_trial: int, last_stage: int) -> int:
+    """Bytes in the longest event line of a trial numbered up to last_trial
+    in a beamline whose devices are numbered up to last_stage."""
+    return longest_line(last_trial, [_event_suffix(x, o)
+                                     for x, o in ((-1, -1), (last_stage, 0))])
+
+
+@dataclass(frozen=True, eq=False)
+class Events:
+    """Event log of trials start, start + 1, ... as arrays: absorbed_at is
+    -1 and outcome 0 where the event has none.  Iterating gives TrialEvents."""
+
+    start: int
+    absorbed_at: np.ndarray
+    outcome: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.absorbed_at)
+
+    def __getitem__(self, i: int) -> TrialEvent:
+        x, o = int(self.absorbed_at[i]), int(self.outcome[i])
+        return TrialEvent(self.start + i, x if x >= 0 else None, o if o else None)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Events):
+            return NotImplemented
+        return (self.start == other.start
+                and np.array_equal(self.absorbed_at, other.absorbed_at)
+                and np.array_equal(self.outcome, other.outcome))
+
+    __hash__ = None
+
+    def encode(self) -> str:
+        return encode_events(self.start, self.absorbed_at, self.outcome)
+
+
 def monte_carlo_sequence(devices: Sequence[SGDevice], beam: BeamState,
-                         trials: int, seed: int, start: int = 0
-                         ) -> tuple[dict[int, float], float, list[TrialEvent]]:
+                         trials: int, seed: int, start: int = 0,
+                         analytic: SequenceResult | None = None
+                         ) -> tuple[dict[int, float], float, Events]:
     """Per-trial stochastic walk; blocked branches absorb the particle.
 
     Returns (empirical outcome distribution among survivors, survivor
     fraction, event log).  Stage thresholds come from the analytic walk,
-    since the conditional state is deterministic given survival.
+    since the conditional state is deterministic given survival; pass it
+    as `analytic` when it is already known.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    analytic = run_sequence(devices, beam)   # also validates the sequence
+    if analytic is None:
+        analytic = run_sequence(devices, beam)   # also validates the sequence
 
     counters = np.arange(start, start + trials, dtype=np.uint64)
     alive = np.ones(trials, dtype=bool)
@@ -230,10 +334,7 @@ def monte_carlo_sequence(devices: Sequence[SGDevice], beam: BeamState,
         p_plus = analytic.probabilities[1]
         outcome[alive] = np.where(u[alive] < p_plus, 1, -1)
 
-    events = [TrialEvent(int(start + i),
-                         int(absorbed_at[i]) if absorbed_at[i] >= 0 else None,
-                         int(outcome[i]) if alive[i] else None)
-              for i in range(trials)]
+    events = Events(start, absorbed_at, outcome)
     n_alive = int(alive.sum())
     if n_alive == 0:
         return {}, 0.0, events

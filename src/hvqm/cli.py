@@ -1,17 +1,19 @@
 """Command line driver.
 
     hvqm run <config> [--seed N] [--trials N] [--out-dir DIR] [--workers N]
-    hvqm replay <trial log> <config> [--seed N] [--trials N] [--workers N]
+    hvqm replay <trial log> <config> [--seed N] [--trials N]
     hvqm validate <config>
 
-Exit codes: 0 success / replay OK, 1 replay statistics mismatch, 2 config
-parse error, 3 validation error, 4 runtime or solver error, 5 replay hash
-mismatch.  The last stdout line of every command is a single JSON object.
+Exit codes: 0 success / replay OK, 1 replay mismatch, 2 config parse or
+command-line usage error, 3 validation error, 4 runtime or solver error,
+5 replay hash mismatch.  The last stdout line of every command is a single
+JSON object.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -24,13 +26,30 @@ from .runner import replay_run, run_experiment
 EXIT_OK = 0
 EXIT_REPLAY_MISMATCH = 1
 EXIT_PARSE = 2
+EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_RUNTIME = 4
 EXIT_HASH_MISMATCH = 5
 
 
+class _UsageError(Exception):
+    def __init__(self, message: str, usage: str):
+        super().__init__(message)
+        self.usage = usage
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises on a usage error instead of exiting, so that `main` still
+    ends stdout with a JSON line."""
+
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}", self.format_usage())
+
+
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """Built once per process; parsing does not change it."""
+    parser = _Parser(
         prog="hvqm",
         description="Config-driven hidden-variable quantum statistics experiments")
     parser.add_argument("--version", action="version", version=f"hvqm {__version__}")
@@ -48,7 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     replay.add_argument("config")
     replay.add_argument("--seed", type=int)
     replay.add_argument("--trials", type=int)
-    replay.add_argument("--workers", type=int)
 
     validate = sub.add_parser("validate", help="check a config without running")
     validate.add_argument("config")
@@ -95,9 +113,13 @@ def _cmd_replay(args) -> int:
         print("replay verdict: OK")
         _emit({"status": "ok", "verdict": "OK"})
         return EXIT_OK
-    print("replay verdict: MISMATCH in " + ", ".join(verdict.mismatches))
+    if verdict.first_bad_line is not None:
+        print(f"replay verdict: MISMATCH at line {verdict.first_bad_line}: {verdict.reason}")
+    else:
+        print("replay verdict: MISMATCH in " + ", ".join(verdict.mismatches))
     _emit({"status": "mismatch", "verdict": "MISMATCH",
-           "statistics": list(verdict.mismatches)})
+           "statistics": list(verdict.mismatches),
+           "first_bad_line": verdict.first_bad_line})
     return EXIT_REPLAY_MISMATCH
 
 
@@ -113,7 +135,12 @@ def _cmd_validate(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except _UsageError as exc:
+        print(exc.usage + f"usage error: {exc}", file=sys.stderr)
+        _emit({"status": "usage_error", "error": str(exc)})
+        return EXIT_USAGE
     handler = {"run": _cmd_run, "replay": _cmd_replay, "validate": _cmd_validate}
     try:
         return handler[args.command](args)

@@ -23,6 +23,7 @@ bit-identical for any worker count.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -33,6 +34,7 @@ import numpy as np
 
 from . import quasiprob
 from .errors import NotSampleableError, ValidationError
+from .logcodec import join_lines, line_ends, longest_line
 from .rng import categorical, uniforms
 from .spin import Direction, DirectionSet, born_pair_probability, sign_matrix
 
@@ -99,6 +101,66 @@ def trial_record_json(rec: TrialRecord) -> str:
         "b_out": rec.b_out,
         "mode": rec.mode,
     }, separators=(",", ":"))
+
+
+def outcome_index(a_out: np.ndarray, b_out: np.ndarray) -> np.ndarray:
+    """Position of each trial's (a_out, b_out) in OUTCOME_PAIRS, by sign."""
+    return 2 * (np.asarray(a_out) < 0) + (np.asarray(b_out) < 0)
+
+
+def outcome_counts(a_out: np.ndarray, b_out: np.ndarray) -> np.ndarray:
+    """Trials per outcome pair, in OUTCOME_PAIRS order."""
+    a_neg, b_neg = a_out < 0, b_out < 0
+    na, nb = np.count_nonzero(a_neg), np.count_nonzero(b_neg)
+    mm = np.count_nonzero(a_neg & b_neg)
+    return np.array([len(a_neg) - na - nb + mm, nb - mm, na - mm, mm], dtype=np.int64)
+
+
+@functools.lru_cache(maxsize=64)
+def _record_suffixes(a_setting: int, b_setting: int, mode: str) -> tuple[str, ...]:
+    """What follows '{"trial":N' in a log line, per outcome pair."""
+    return tuple(trial_record_json(TrialRecord(0, a_setting, b_setting, a, b, mode))
+                 [len('{"trial":0'):] + "\n" for a, b in OUTCOME_PAIRS)
+
+
+def encode_block(start: int, a_out: np.ndarray, b_out: np.ndarray,
+                 a_setting: int, b_setting: int, mode: str) -> str:
+    """Log lines of trials start, start + 1, ... at one setting pair.
+
+    Byte for byte the trial_record_json lines, each ended by a newline.
+    """
+    return join_lines(start, outcome_index(a_out, b_out),
+                      _record_suffixes(a_setting, b_setting, mode))
+
+
+def longest_record(last_trial: int, a_setting: int, b_setting: int, mode: str) -> int:
+    """Bytes in the longest log line of a trial numbered up to last_trial."""
+    return longest_line(last_trial, _record_suffixes(a_setting, b_setting, mode))
+
+
+@functools.lru_cache(maxsize=8)
+def _outcome_offsets(mode: str) -> tuple[int, int]:
+    """For a line with both outcomes +1: how far b_out's digit sits before
+    the line end, and a_out's digit before b_out's.  The text after b_out
+    is fixed for a mode, so a minus sign only shifts what comes earlier."""
+    line = trial_record_json(TrialRecord(0, 0, 0, 1, 1, mode))
+    a_at = line.index('"a_out":') + len('"a_out":')
+    b_at = line.index('"b_out":') + len('"b_out":')
+    return len(line) - b_at, b_at - a_at
+
+
+def decode_block(data: bytes, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome arrays read by position from canonical log lines.
+
+    Only a canonical line is read correctly; whatever is read from any other
+    line re-encodes to something else, which is how replay finds it.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    b_back, a_gap = _outcome_offsets(mode)
+    b_digit = line_ends(data) - b_back
+    b_neg = buf.take(b_digit - 1, mode="clip") == ord("-")
+    a_neg = buf.take(b_digit - b_neg - a_gap - 1, mode="clip") == ord("-")
+    return 1 - 2 * a_neg.astype(np.int8), 1 - 2 * b_neg.astype(np.int8)
 
 
 def pair_joint_probability(n_a: Direction, n_b: Direction, alpha: int, beta: int) -> float:
@@ -216,9 +278,22 @@ def correlation(e: SingletEnsemble, a_idx: int, b_idx: int,
     if seed is None:
         raise ValidationError("sampling requires a seed")
     a, b = sample_trials(e, a_idx, b_idx, seed, trials, start=start, workers=workers)
-    value = float(np.mean(a.astype(np.float64) * b.astype(np.float64)))
-    stderr = math.sqrt(max(0.0, 1.0 - value * value) / trials)
-    return CorrelationEstimate(value, stderr, trials)
+    value = correlator(outcome_counts(a, b))
+    return CorrelationEstimate(value, correlator_stderr(value, trials), trials)
+
+
+def correlator(counts) -> float:
+    """Mean of a_out * b_out over trials counted in OUTCOME_PAIRS order.
+
+    Exact integer sums make this equal, bit for bit, to the float mean of
+    the products.
+    """
+    pp, pm, mp, mm = (int(c) for c in counts)
+    return (pp - pm - mp + mm) / (pp + pm + mp + mm)
+
+
+def correlator_stderr(value: float, trials: int) -> float:
+    return math.sqrt(max(0.0, 1.0 - value * value) / trials)
 
 
 # CHSH setting-pair order: (alice index, bob index) into a 4-direction set
@@ -261,12 +336,21 @@ def chsh(e: SingletEnsemble, trials: int | None = None, seed: int | None = None,
         correlators[(ai, bi)] = est.value
         if est.stderr is not None:
             stderrs[(ai, bi)] = est.stderr
-    s = (correlators[(0, 2)] + correlators[(0, 3)]
-         + correlators[(1, 2)] - correlators[(1, 3)])
+    s = chsh_s([correlators[pair] for pair in CHSH_PAIRS])
     if stderrs:
-        s_stderr = math.sqrt(sum(v * v for v in stderrs.values()))
-        return CHSHResult(correlators, s, stderrs, s_stderr, trials, e.mode.value)
+        return CHSHResult(correlators, s, stderrs, chsh_s_stderr(stderrs.values()),
+                          trials, e.mode.value)
     return CHSHResult(correlators, s, None, None, None, e.mode.value)
+
+
+def chsh_s(correlators) -> float:
+    """S from the four correlators in CHSH_PAIRS order."""
+    e11, e12, e21, e22 = correlators
+    return e11 + e12 + e21 - e22
+
+
+def chsh_s_stderr(stderrs) -> float:
+    return math.sqrt(sum(v * v for v in stderrs))
 
 
 def tsirelson_settings() -> tuple[Direction, Direction, Direction, Direction]:

@@ -2,8 +2,9 @@
 
 Every Monte Carlo kind writes a JSON-lines log whose first line is a header
 carrying the canonical config hash; rerunning with the same seed produces a
-byte-identical log for any worker count.  `replay` recomputes the summary
-statistics from the log and checks them against the stored report.
+byte-identical log for any worker count.  `replay` checks that every line
+is the canonical record of its trial, recomputes the summary statistics
+from the log and checks them against the stored report.
 """
 
 from __future__ import annotations
@@ -68,10 +69,16 @@ def _seed_of(cfg: ExperimentConfig) -> int:
     return seed
 
 
+# per setting pair: a chsh log of 4 x 10^7 lines takes about 3.6 GB
+MAX_TRIALS = 10_000_000
+
+
 def _trials_of(cfg: ExperimentConfig) -> int:
     trials = cfg.get_int("experiment", "trials")
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ValidationError(f"trials = {trials} is past the cap of {MAX_TRIALS}")
     return trials
 
 
@@ -261,132 +268,193 @@ def _phasespace_setup(cfg: ExperimentConfig) -> phasespace.WaveFunction:
     raise ValidationError(f"unknown [state] kind {kind!r}")
 
 
-def validate_experiment(cfg: ExperimentConfig) -> list[str]:
-    """Full schema and physics validation without running; returns diagnostics."""
+def _setup(cfg: ExperimentConfig) -> tuple[list[str], dict]:
+    """Full schema and physics validation, made once per run or replay.
+
+    Returns the diagnostics `validate` prints and the objects the run is
+    built from.
+    """
     kind = _require_kind(cfg)
     notes = [f"kind: {kind}"]
-    if kind == "chsh":
-        e = _chsh_ensemble(cfg)
+    built: dict = {}
+    if kind in ("chsh", "epr"):
+        e = built["ensemble"] = _chsh_ensemble(cfg) if kind == "chsh" else _epr_ensemble(cfg)
         notes.append(f"mode: {e.mode.value}")
         if e.mode.is_sampling:
-            notes.append(f"seed: {_seed_of(cfg)}")
-            notes.append(f"trials per correlator: {_trials_of(cfg)}")
-    elif kind == "epr":
-        e = _epr_ensemble(cfg)
-        notes.append(f"mode: {e.mode.value}")
-        if e.mode.is_sampling:
-            notes.append(f"seed: {_seed_of(cfg)}")
-            notes.append(f"trials: {_trials_of(cfg)}")
+            built["seed"], built["trials"] = _seed_of(cfg), _trials_of(cfg)
+            notes.append(f"seed: {built['seed']}")
+            notes.append(("trials per correlator: " if kind == "chsh" else "trials: ")
+                         + str(built["trials"]))
     elif kind == "quasiprob":
-        dirs = _quasiprob_directions(cfg)
+        dirs = built["directions"] = _quasiprob_directions(cfg)
         notes.append(f"directions: {len(dirs)} planar angles")
     elif kind == "twoslit":
-        g = _twoslit_geometry(cfg)
+        g = built["geometry"] = _twoslit_geometry(cfg)
         notes.append(f"wavelength: {g.wavelength!r}")
         notes.append(f"fringe spacing lambda*l2/d: {g.fringe_spacing!r}")
         notes.append(
             f"fringes on screen: {2 * g.screen_half_width / g.fringe_spacing:.1f}")
     elif kind == "fourhole":
-        g = _fourhole_geometry(cfg)
+        g = built["geometry"] = _fourhole_geometry(cfg)
         notes.append(f"wavelength: {g.wavelength!r}")
     elif kind == "sterngerlach":
-        devices = _sg_devices(cfg)
-        beamline.run_sequence(devices, _sg_input(cfg))  # raises on malformed sequence
+        devices = built["devices"] = _sg_devices(cfg)
+        beam = built["beam"] = _sg_input(cfg)
+        # the analytic walk raises on a malformed sequence and sets the
+        # Monte Carlo thresholds; it is made here once
+        built["analytic"] = beamline.run_sequence(devices, beam)
+        built["seed"], built["trials"] = _seed_of(cfg), _trials_of(cfg)
         notes.append(f"devices: {len(devices)}")
-        notes.append(f"seed: {_seed_of(cfg)}")
-        notes.append(f"trials: {_trials_of(cfg)}")
+        notes.append(f"seed: {built['seed']}")
+        notes.append(f"trials: {built['trials']}")
     elif kind == "phasespace":
-        wf = _phasespace_setup(cfg)
+        wf = built["wavefunction"] = _phasespace_setup(cfg)
         notes.append(f"grid: M={wf.m}, dr={wf.dr!r}")
-    return notes
+    return notes, built
 
 
-def _correlator_stats(a_out: np.ndarray, b_out: np.ndarray) -> float:
-    """Shared by run and replay so recomputed values match bit for bit."""
-    prod = a_out.astype(np.float64) * b_out.astype(np.float64)
-    return float(np.mean(prod))
+def validate_experiment(cfg: ExperimentConfig) -> list[str]:
+    """Full schema and physics validation without running; returns diagnostics."""
+    return _setup(cfg)[0]
 
 
-def _write_log(path: Path, header: dict, lines) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for line in lines:
-            fh.write(line + "\n")
+# --- trial logs -------------------------------------------------------------
+#
+# A log is a header line, then one canonical JSON line per trial: the line
+# trial_record_json or event_json gives, written in blocks of CHUNK trials.
+# Replay decodes each block, encodes it again and compares the bytes, so a
+# body passes only if it is exactly what a run writes for the outcomes it
+# holds; the statistics are then recomputed from those outcomes by the same
+# functions a run uses.
+
+CHUNK = 16_384
 
 
-def _log_header(kind: str, cfg_hash: str, seed: int) -> dict:
-    return {"kind": kind, "config_hash": cfg_hash, "seed": seed,
-            "version": __version__}
+def _chunks(trials: int):
+    """(offset, size) of each block of a trial range."""
+    for lo in range(0, trials, CHUNK):
+        yield lo, min(CHUNK, trials - lo)
 
 
-def _run_chsh(cfg, out_dir: Path, workers: int, cfg_hash: str):
-    e = _chsh_ensemble(cfg)
-    outputs = []
-    seed = trials = None
+def _header_line(kind: str, cfg_hash: str, seed: int) -> str:
+    return json.dumps({"kind": kind, "config_hash": cfg_hash, "seed": seed,
+                       "version": __version__}, separators=(",", ":")) + "\n"
+
+
+def _chsh_results(counts: list[np.ndarray], trials: int) -> dict:
+    correlators = {_pair_name(ai, bi): epr.correlator(c)
+                   for (ai, bi), c in zip(epr.CHSH_PAIRS, counts)}
+    stderrs = {name: epr.correlator_stderr(v, trials) for name, v in correlators.items()}
+    return {"correlators": correlators, "stderrs": stderrs,
+            "S": epr.chsh_s(correlators.values()),
+            "S_stderr": epr.chsh_s_stderr(stderrs.values()),
+            "trials_per_correlator": trials}
+
+
+def _epr_results(counts: list[np.ndarray], trials: int) -> dict:
+    value = epr.correlator(counts[0])
+    return {"E": value, "stderr": epr.correlator_stderr(value, trials),
+            "counts": {f"{'+' if a > 0 else '-'}{'+' if b > 0 else '-'}": int(c)
+                       for (a, b), c in zip(epr.OUTCOME_PAIRS, counts[0])},
+            "trials": trials}
+
+
+def _sg_results(analytic: beamline.SequenceResult, counts: np.ndarray, trials: int) -> dict:
+    """counts: surviving trials, then those of them with outcome +1 and -1."""
+    n_alive, n_plus, n_minus = (int(c) for c in counts)
+    return {
+        "analytic": {
+            "probabilities": (None if analytic.probabilities is None
+                              else {str(s): p for s, p in analytic.probabilities.items()}),
+            "survival": analytic.survival,
+            "extinguished": analytic.extinguished,
+        },
+        "monte_carlo": {
+            "distribution": ({"1": n_plus / n_alive, "-1": n_minus / n_alive}
+                             if n_alive else {}),
+            "survivor_fraction": n_alive / trials,
+            "trials": trials,
+        },
+    }
+
+
+def _event_counts(absorbed_at: np.ndarray, outcome: np.ndarray) -> np.ndarray:
+    alive = absorbed_at < 0
+    return np.array([np.count_nonzero(alive), np.count_nonzero(alive & (outcome == 1)),
+                     np.count_nonzero(alive & (outcome == -1))])
+
+
+def _pairs_of(kind: str) -> tuple[tuple[int, int], ...]:
+    return epr.CHSH_PAIRS if kind == "chsh" else ((0, 1),)
+
+
+def _write_pairs(fh, kind: str, built: dict, workers: int) -> list[np.ndarray]:
+    """Sample and log each setting pair's block of trials; returns the
+    outcome-pair counts of each block."""
+    e, seed, trials = built["ensemble"], built["seed"], built["trials"]
+    counts = []
+    for block, (ai, bi) in enumerate(_pairs_of(kind)):
+        total = np.zeros(4, dtype=np.int64)
+        for lo, n in _chunks(trials):
+            start = block * trials + lo
+            a_out, b_out = epr.sample_trials(e, ai, bi, seed, n, start=start, workers=workers)
+            total += epr.outcome_counts(a_out, b_out)
+            fh.write(epr.encode_block(start, a_out, b_out, ai, bi, e.mode.value))
+        counts.append(total)
+    return counts
+
+
+def _write_events(fh, built: dict) -> np.ndarray:
+    """Walk and log the beamline trials; returns _event_counts of them all."""
+    counts = np.zeros(3, dtype=np.int64)
+    for lo, n in _chunks(built["trials"]):
+        _, _, events = beamline.monte_carlo_sequence(
+            built["devices"], built["beam"], n, built["seed"], start=lo,
+            analytic=built["analytic"])
+        counts += _event_counts(events.absorbed_at, events.outcome)
+        fh.write(events.encode())
+    return counts
+
+
+def _run_sampling(kind: str, cfg_hash: str, built: dict, out_dir: Path, workers: int):
+    log = out_dir / ("events.jsonl" if kind == "sterngerlach" else "trials.jsonl")
+    with open(log, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(_header_line(kind, cfg_hash, built["seed"]))
+        if kind == "sterngerlach":
+            results = _sg_results(built["analytic"], _write_events(fh, built),
+                                  built["trials"])
+        else:
+            results = _RESULTS[kind](_write_pairs(fh, kind, built, workers), built["trials"])
+    return results, [log.name]
+
+
+_RESULTS = {"chsh": _chsh_results, "epr": _epr_results}
+
+
+def _pair_name(ai: int, bi: int) -> str:
+    return f"E({_SETTING_NAMES[ai]},{_SETTING_NAMES[bi]})"
+
+
+def _run_singlet(cfg, built: dict, out_dir: Path, workers: int, cfg_hash: str):
+    """chsh and epr: a trial log in the sampling modes, exact values otherwise."""
+    e = built["ensemble"]
     if e.mode.is_sampling:
-        seed, trials = _seed_of(cfg), _trials_of(cfg)
-        correlators, stderrs = {}, {}
-        log = out_dir / "trials.jsonl"
-        with open(log, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(_log_header("chsh", cfg_hash, seed),
-                                separators=(",", ":")) + "\n")
-            for block, (ai, bi) in enumerate(epr.CHSH_PAIRS):
-                start = block * trials
-                a_out, b_out = epr.sample_trials(e, ai, bi, seed, trials,
-                                                 start=start, workers=workers)
-                value = _correlator_stats(a_out, b_out)
-                name = f"E({_SETTING_NAMES[ai]},{_SETTING_NAMES[bi]})"
-                correlators[name] = value
-                stderrs[name] = math.sqrt(max(0.0, 1.0 - value * value) / trials)
-                for i in range(trials):
-                    fh.write(epr.trial_record_json(epr.TrialRecord(
-                        start + i, ai, bi, int(a_out[i]), int(b_out[i]),
-                        e.mode.value)) + "\n")
-        s = (correlators["E(a1,b1)"] + correlators["E(a1,b2)"]
-             + correlators["E(a2,b1)"] - correlators["E(a2,b2)"])
-        s_stderr = math.sqrt(sum(v * v for v in stderrs.values()))
-        outputs.append(log.name)
-        results = {"correlators": correlators, "stderrs": stderrs,
-                   "S": s, "S_stderr": s_stderr,
-                   "trials_per_correlator": trials}
-    else:
+        results, outputs = _run_sampling(cfg.kind, cfg_hash, built, out_dir, workers)
+        return results, outputs, built["seed"], built["trials"], e.mode.value
+    if cfg.kind == "chsh":
         res = epr.chsh(e)
-        correlators = {f"E({_SETTING_NAMES[a]},{_SETTING_NAMES[b]})": v
-                       for (a, b), v in res.correlators.items()}
-        results = {"correlators": correlators, "stderrs": None,
-                   "S": res.s, "S_stderr": None, "trials_per_correlator": None}
-    return results, outputs, seed, trials, e.mode.value
-
-
-def _run_epr(cfg, out_dir: Path, workers: int, cfg_hash: str):
-    e = _epr_ensemble(cfg)
-    outputs = []
-    seed = trials = None
-    if e.mode.is_sampling:
-        seed, trials = _seed_of(cfg), _trials_of(cfg)
-        a_out, b_out = epr.sample_trials(e, 0, 1, seed, trials, workers=workers)
-        value = _correlator_stats(a_out, b_out)
-        counts = {"++": int(np.sum((a_out == 1) & (b_out == 1))),
-                  "+-": int(np.sum((a_out == 1) & (b_out == -1))),
-                  "-+": int(np.sum((a_out == -1) & (b_out == 1))),
-                  "--": int(np.sum((a_out == -1) & (b_out == -1)))}
-        log = out_dir / "trials.jsonl"
-        _write_log(log, _log_header("epr", cfg_hash, seed),
-                   (epr.trial_record_json(epr.TrialRecord(
-                       i, 0, 1, int(a_out[i]), int(b_out[i]), e.mode.value))
-                    for i in range(trials)))
-        outputs.append(log.name)
-        results = {"E": value,
-                   "stderr": math.sqrt(max(0.0, 1.0 - value * value) / trials),
-                   "counts": counts, "trials": trials}
+        results = {"correlators": {_pair_name(a, b): v
+                                   for (a, b), v in res.correlators.items()},
+                   "stderrs": None, "S": res.s, "S_stderr": None,
+                   "trials_per_correlator": None}
     else:
-        est = epr.correlation(e, 0, 1)
-        results = {"E": est.value, "stderr": None, "counts": None, "trials": None}
-    return results, outputs, seed, trials, e.mode.value
+        results = {"E": epr.correlation(e, 0, 1).value, "stderr": None, "counts": None,
+                   "trials": None}
+    return results, [], None, None, e.mode.value
 
 
-def _run_quasiprob(cfg, out_dir: Path, workers: int, cfg_hash: str):
-    dirs = _quasiprob_directions(cfg)
+def _run_quasiprob(cfg, built: dict, out_dir: Path, workers: int, cfg_hash: str):
+    dirs = built["directions"]
     table = quasiprob.solve_weights(dirs)
     born = quasiprob.born_table(dirs)
     report = quasiprob.negativity_report(table)
@@ -401,8 +469,8 @@ def _run_quasiprob(cfg, out_dir: Path, workers: int, cfg_hash: str):
     return results, ["weights.csv", "born.csv"], None, None, None
 
 
-def _run_twoslit(cfg, out_dir: Path, workers: int, cfg_hash: str):
-    g = _twoslit_geometry(cfg)
+def _run_twoslit(cfg, built: dict, out_dir: Path, workers: int, cfg_hash: str):
+    g = built["geometry"]
     eps = cfg.get_float("experiment", "dark_eps", 1e-3)
     coherent = pathint.screen_pattern(g, "coherent")
     whichpath = pathint.screen_pattern(g, "which-path")
@@ -425,8 +493,8 @@ def _run_twoslit(cfg, out_dir: Path, workers: int, cfg_hash: str):
     return results, ["coherent.csv", "whichpath.csv", "dark_regions.json"], None, None, None
 
 
-def _run_fourhole(cfg, out_dir: Path, workers: int, cfg_hash: str):
-    g = _fourhole_geometry(cfg)
+def _run_fourhole(cfg, built: dict, out_dir: Path, workers: int, cfg_hash: str):
+    g = built["geometry"]
     coherent = pathint.four_hole_table(g, y_coherent=True)
     whichpath = pathint.four_hole_table(g, y_coherent=False)
     gap = max(abs(coherent[k] - whichpath[k]) for k in coherent)
@@ -442,33 +510,13 @@ def _run_fourhole(cfg, out_dir: Path, workers: int, cfg_hash: str):
     return results, ["fourhole.json"], None, None, None
 
 
-def _run_sterngerlach(cfg, out_dir: Path, workers: int, cfg_hash: str):
-    devices = _sg_devices(cfg)
-    beam = _sg_input(cfg)
-    seed, trials = _seed_of(cfg), _trials_of(cfg)
-    analytic = beamline.run_sequence(devices, beam)
-    dist, fraction, events = beamline.monte_carlo_sequence(devices, beam, trials, seed)
-    log = out_dir / "events.jsonl"
-    _write_log(log, _log_header("sterngerlach", cfg_hash, seed),
-               (beamline.event_json(ev) for ev in events))
-    results = {
-        "analytic": {
-            "probabilities": (None if analytic.probabilities is None
-                              else {str(s): p for s, p in analytic.probabilities.items()}),
-            "survival": analytic.survival,
-            "extinguished": analytic.extinguished,
-        },
-        "monte_carlo": {
-            "distribution": {str(s): p for s, p in dist.items()},
-            "survivor_fraction": fraction,
-            "trials": trials,
-        },
-    }
-    return results, [log.name], seed, trials, None
+def _run_sterngerlach(cfg, built: dict, out_dir: Path, workers: int, cfg_hash: str):
+    results, outputs = _run_sampling("sterngerlach", cfg_hash, built, out_dir, workers)
+    return results, outputs, built["seed"], built["trials"], None
 
 
-def _run_phasespace(cfg, out_dir: Path, workers: int, cfg_hash: str):
-    wf = _phasespace_setup(cfg)
+def _run_phasespace(cfg, built: dict, out_dir: Path, workers: int, cfg_hash: str):
+    wf = built["wavefunction"]
     lifted = phasespace.lift(wf)
     back = phasespace.project_r(lifted)
     xi = phasespace.to_momentum(wf)
@@ -486,8 +534,8 @@ def _run_phasespace(cfg, out_dir: Path, workers: int, cfg_hash: str):
 
 
 _RUNNERS = {
-    "chsh": _run_chsh,
-    "epr": _run_epr,
+    "chsh": _run_singlet,
+    "epr": _run_singlet,
     "quasiprob": _run_quasiprob,
     "twoslit": _run_twoslit,
     "fourhole": _run_fourhole,
@@ -497,12 +545,13 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir, workers: int = 1) -> RunReport:
-    validate_experiment(cfg)
+    _, built = _setup(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg_hash = config_hash(cfg)
     t0 = time.perf_counter()
-    results, outputs, seed, trials, mode = _RUNNERS[cfg.kind](cfg, out, workers, cfg_hash)
+    results, outputs, seed, trials, mode = _RUNNERS[cfg.kind](cfg, built, out, workers,
+                                                              cfg_hash)
     report = RunReport(cfg.kind, cfg_hash, results, time.perf_counter() - t0,
                        tuple(outputs), seed, trials, mode,
                        config={k: dict(v) for k, v in cfg.sections.items()})
@@ -512,19 +561,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir, workers: int = 1) -> RunRepor
 
 # --- replay ---------------------------------------------------------------
 
-def _read_log(path: Path) -> tuple[dict, list[dict]]:
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise ValidationError(f"log {path} is empty")
-    header = json.loads(lines[0])
-    return header, [json.loads(line) for line in lines[1:]]
-
-
 @dataclass(frozen=True)
 class ReplayVerdict:
     ok: bool
     hash_ok: bool
-    mismatches: tuple[str, ...]
+    mismatches: tuple[str, ...]     # reported statistics that diverge
+    first_bad_line: int | None = None   # 1-based; the header is line 1
+    reason: str | None = None
 
     @property
     def verdict(self) -> str:
@@ -533,55 +576,150 @@ class ReplayVerdict:
         return "OK" if self.ok else "MISMATCH"
 
 
-def replay_run(log_path, cfg: ExperimentConfig) -> ReplayVerdict:
-    """Check a trial log against its config hash and stored report."""
-    log = Path(log_path)
-    header, records = _read_log(log)
-    if header.get("config_hash") != config_hash(cfg):
-        return ReplayVerdict(False, False, ("config_hash",))
-    report = json.loads((log.parent / "report.json").read_text(encoding="utf-8"))
-    results = report["results"]
-    mismatches: list[str] = []
+class _BadLine(Exception):
+    def __init__(self, line: int, reason: str):
+        super().__init__(reason)
+        self.line, self.reason = line, reason
 
-    kind = header.get("kind")
+
+class _Body:
+    """A log body after its header, read in blocks of whole lines, so memory
+    stays bounded by the block size whatever the log holds."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self._buf = b""
+        self.lines = 1   # lines verified so far, the header included
+
+    def _take(self, n: int, longest: int) -> bytes:
+        """The next n lines, or fewer if they do not fit in n * longest bytes."""
+        if len(self._buf) < n * longest:
+            self._buf += self._fh.read(n * longest - len(self._buf))
+        ends = np.flatnonzero(np.frombuffer(self._buf, dtype=np.uint8) == ord("\n"))
+        cut = int(ends[n - 1]) + 1 if len(ends) >= n else len(self._buf)
+        block, self._buf = self._buf[:cut], self._buf[cut:]
+        return block
+
+    def verify(self, n: int, longest: int, decode, encode) -> tuple[np.ndarray, ...]:
+        """Decode the next n lines and require them to be exactly what
+        `encode` makes of the decoded arrays; returns those arrays."""
+        block = self._take(n, longest)
+        arrays = decode(block)
+        want = encode(*arrays).encode()
+        if block != want:
+            raise _BadLine(self.lines + 1 + _first_diff_line(want, block),
+                           "not the canonical record of its trial")
+        if len(arrays[0]) < n:
+            raise _BadLine(self.lines + 1 + len(arrays[0]), "missing: the log ends early")
+        self.lines += n
+        return arrays
+
+    def reject(self, bad: np.ndarray, reason: str) -> None:
+        """Fail at the first true entry of `bad`, a mask over the lines just
+        verified."""
+        first = np.flatnonzero(bad)
+        if len(first):
+            raise _BadLine(self.lines - len(bad) + 1 + int(first[0]), reason)
+
+    def finish(self) -> None:
+        if self._buf or self._fh.read(1):
+            raise _BadLine(self.lines + 1, "past the last trial")
+
+
+def _first_diff_line(want: bytes, got: bytes) -> int:
+    """0-based index of the first line where two blocks differ."""
+    m = min(len(want), len(got))
+    diff = np.flatnonzero(np.frombuffer(want, dtype=np.uint8, count=m)
+                          != np.frombuffer(got, dtype=np.uint8, count=m))
+    return want.count(b"\n", 0, int(diff[0]) if len(diff) else m)
+
+
+def _replay_pairs(body: _Body, kind: str, built: dict) -> dict:
+    mode, trials = built["ensemble"].mode.value, built["trials"]
+    counts = []
+    for block, (ai, bi) in enumerate(_pairs_of(kind)):
+        total = np.zeros(4, dtype=np.int64)
+        for lo, n in _chunks(trials):
+            start = block * trials + lo
+            a_out, b_out = body.verify(
+                n, epr.longest_record(start + n - 1, ai, bi, mode),
+                lambda data: epr.decode_block(data, mode),
+                lambda a, b: epr.encode_block(start, a, b, ai, bi, mode))
+            total += epr.outcome_counts(a_out, b_out)
+        counts.append(total)
+    return _RESULTS[kind](counts, trials)
+
+
+def _replay_events(body: _Body, built: dict) -> dict:
+    analytic, trials = built["analytic"], built["trials"]
+    blocking = [idx for idx, _ in analytic.stage_survivals]
+    counts = np.zeros(3, dtype=np.int64)
+    for lo, n in _chunks(trials):
+        absorbed_at, outcome = body.verify(
+            n, beamline.longest_event(lo + n - 1, max(blocking, default=-1)),
+            beamline.decode_events,
+            lambda x, o: beamline.encode_events(lo, x, o))
+        # a survivor has an outcome; an absorbed trial has none, and was
+        # absorbed at a blocking stage
+        body.reject(np.where(absorbed_at < 0, outcome == 0,
+                             (outcome != 0) | ~np.isin(absorbed_at, blocking)),
+                    "an event this beamline cannot produce")
+        counts += _event_counts(absorbed_at, outcome)
+    return _sg_results(analytic, counts, trials)
+
+
+def _diverging(want: dict, got: dict, roots: dict, got_roots: dict) -> list[str]:
+    """Reported statistics that differ from the recomputed ones.  The roots
+    come straight from the outcomes; the rest are derived from them, so they
+    are compared only when the roots agree, and a mismatch names its cause."""
+    bad = [name for name, value in roots.items() if got_roots.get(name) != value]
+    return bad or [key for key, value in want.items() if got.get(key) != value]
+
+
+def _roots(kind: str, results: dict) -> dict:
     if kind == "chsh":
-        groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for rec in records:
-            groups.setdefault((rec["a_setting"], rec["b_setting"]), []).append(
-                (rec["a_out"], rec["b_out"]))
-        for (ai, bi), outs in groups.items():
-            arr = np.array(outs, dtype=np.int8)
-            value = _correlator_stats(arr[:, 0], arr[:, 1])
-            name = f"E({_SETTING_NAMES[ai]},{_SETTING_NAMES[bi]})"
-            if results["correlators"].get(name) != value:
-                mismatches.append(name)
-        s = (results["correlators"]["E(a1,b1)"] + results["correlators"]["E(a1,b2)"]
-             + results["correlators"]["E(a2,b1)"] - results["correlators"]["E(a2,b2)"])
-        if not mismatches and results["S"] != s:
-            mismatches.append("S")
-    elif kind == "epr":
-        arr = np.array([(r["a_out"], r["b_out"]) for r in records], dtype=np.int8)
-        value = _correlator_stats(arr[:, 0], arr[:, 1])
-        if results["E"] != value:
-            mismatches.append("E")
-        counts = {"++": int(np.sum((arr[:, 0] == 1) & (arr[:, 1] == 1))),
-                  "+-": int(np.sum((arr[:, 0] == 1) & (arr[:, 1] == -1))),
-                  "-+": int(np.sum((arr[:, 0] == -1) & (arr[:, 1] == 1))),
-                  "--": int(np.sum((arr[:, 0] == -1) & (arr[:, 1] == -1)))}
-        if results["counts"] != counts:
-            mismatches.append("counts")
-    elif kind == "sterngerlach":
-        alive = [r for r in records if r["absorbed_at"] is None]
-        fraction = len(alive) / len(records) if records else 0.0
-        mc = results["monte_carlo"]
-        if mc["survivor_fraction"] != fraction:
-            mismatches.append("survivor_fraction")
-        if alive:
-            dist = {str(s): sum(1 for r in alive if r["outcome"] == s) / len(alive)
-                    for s in (1, -1)}
-            if mc["distribution"] != dist:
-                mismatches.append("distribution")
-    else:
-        raise ValidationError(f"cannot replay log of kind {kind!r}")
+        return results.get("correlators") or {}
+    if kind == "epr":
+        return {"E": results.get("E"), "counts": results.get("counts")}
+    mc = results.get("monte_carlo") or {}
+    return {"survivor_fraction": mc.get("survivor_fraction"),
+            "distribution": mc.get("distribution")}
 
+
+def replay_run(log_path, cfg: ExperimentConfig) -> ReplayVerdict:
+    """Check a trial log against its config hash and stored report.
+
+    Every line must be the canonical record of its trial, in order, with
+    nothing missing or extra; every reported statistic must equal the one
+    recomputed from the log's outcomes.
+    """
+    log = Path(log_path)
+    with open(log, "rb") as fh:
+        head = fh.readline()
+        if not head:
+            raise ValidationError(f"log {log} is empty")
+        header = json.loads(head)
+        cfg_hash = config_hash(cfg)
+        if not isinstance(header, dict) or header.get("config_hash") != cfg_hash:
+            return ReplayVerdict(False, False, ("config_hash",))
+        kind = _require_kind(cfg)
+        if kind not in ("chsh", "epr", "sterngerlach"):
+            raise ValidationError(f"cannot replay log of kind {kind!r}")
+        _, built = _setup(cfg)
+        if "trials" not in built:
+            raise ValidationError(f"a {kind} config in an analytic mode writes no trial log")
+        report = json.loads((log.parent / "report.json").read_text(encoding="utf-8"))
+        body = _Body(fh)
+        try:
+            if head.decode("utf-8", "replace") != _header_line(kind, cfg_hash, built["seed"]):
+                raise _BadLine(1, "not the canonical header")
+            if kind == "sterngerlach":
+                want = _replay_events(body, built)
+            else:
+                want = _replay_pairs(body, kind, built)
+            body.finish()
+        except _BadLine as bad:
+            return ReplayVerdict(False, True, (), bad.line, bad.reason)
+    got = report["results"]
+    mismatches = _diverging(want, got, _roots(kind, want), _roots(kind, got))
     return ReplayVerdict(not mismatches, True, tuple(mismatches))
