@@ -279,15 +279,10 @@ class Events:
     absorbed_at: np.ndarray
     outcome: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.absorbed_at)
-
-    def __getitem__(self, i: int) -> TrialEvent:
-        x, o = int(self.absorbed_at[i]), int(self.outcome[i])
-        return TrialEvent(self.start + i, x if x >= 0 else None, o if o else None)
-
     def __iter__(self):
-        return (self[i] for i in range(len(self)))
+        return (TrialEvent(self.start + i, x if x >= 0 else None, o if o else None)
+                for i, (x, o) in enumerate(zip(self.absorbed_at.tolist(),
+                                               self.outcome.tolist())))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Events):
@@ -334,9 +329,22 @@ def monte_carlo_sequence(devices: Sequence[SGDevice], beam: BeamState,
         p_plus = analytic.probabilities[1]
         outcome[alive] = np.where(u[alive] < p_plus, 1, -1)
 
-    events = Events(start, absorbed_at, outcome)
-    n_alive = int(alive.sum())
+    dist, fraction = survivor_statistics(event_counts(absorbed_at, outcome))
+    return dist, fraction, Events(start, absorbed_at, outcome)
+
+
+def event_counts(absorbed_at: np.ndarray, outcome: np.ndarray) -> np.ndarray:
+    """Trials, survivors, and survivors with outcome +1 and -1."""
+    alive = absorbed_at < 0
+    return np.array([len(alive), np.count_nonzero(alive),
+                     np.count_nonzero(alive & (outcome == 1)),
+                     np.count_nonzero(alive & (outcome == -1))], dtype=np.int64)
+
+
+def survivor_statistics(counts) -> tuple[dict[int, float], float]:
+    """(outcome distribution among survivors, survivor fraction) from
+    event_counts; the distribution is empty when nothing survives."""
+    trials, n_alive, n_plus, n_minus = (int(c) for c in counts)
     if n_alive == 0:
-        return {}, 0.0, events
-    dist = {s: float(np.sum(outcome[alive] == s)) / n_alive for s in (1, -1)}
-    return dist, n_alive / trials, events
+        return {}, 0.0
+    return {1: n_plus / n_alive, -1: n_minus / n_alive}, n_alive / trials

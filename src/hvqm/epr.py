@@ -103,11 +103,6 @@ def trial_record_json(rec: TrialRecord) -> str:
     }, separators=(",", ":"))
 
 
-def outcome_index(a_out: np.ndarray, b_out: np.ndarray) -> np.ndarray:
-    """Position of each trial's (a_out, b_out) in OUTCOME_PAIRS, by sign."""
-    return 2 * (np.asarray(a_out) < 0) + (np.asarray(b_out) < 0)
-
-
 def outcome_counts(a_out: np.ndarray, b_out: np.ndarray) -> np.ndarray:
     """Trials per outcome pair, in OUTCOME_PAIRS order."""
     a_neg, b_neg = a_out < 0, b_out < 0
@@ -129,8 +124,8 @@ def encode_block(start: int, a_out: np.ndarray, b_out: np.ndarray,
 
     Byte for byte the trial_record_json lines, each ended by a newline.
     """
-    return join_lines(start, outcome_index(a_out, b_out),
-                      _record_suffixes(a_setting, b_setting, mode))
+    k = 2 * (np.asarray(a_out) < 0) + (np.asarray(b_out) < 0)   # OUTCOME_PAIRS position
+    return join_lines(start, k, _record_suffixes(a_setting, b_setting, mode))
 
 
 def longest_record(last_trial: int, a_setting: int, b_setting: int, mode: str) -> int:

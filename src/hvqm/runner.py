@@ -26,6 +26,10 @@ from .spin import Direction, DirectionSet
 _SETTING_NAMES = {0: "a1", 1: "a2", 2: "b1", 3: "b2"}
 
 
+def _pair_name(ai: int, bi: int) -> str:
+    return f"E({_SETTING_NAMES[ai]},{_SETTING_NAMES[bi]})"
+
+
 @dataclass(frozen=True)
 class RunReport:
     kind: str
@@ -359,9 +363,12 @@ def _epr_results(counts: list[np.ndarray], trials: int) -> dict:
             "trials": trials}
 
 
-def _sg_results(analytic: beamline.SequenceResult, counts: np.ndarray, trials: int) -> dict:
-    """counts: surviving trials, then those of them with outcome +1 and -1."""
-    n_alive, n_plus, n_minus = (int(c) for c in counts)
+_RESULTS = {"chsh": _chsh_results, "epr": _epr_results}
+
+
+def _sg_results(analytic: beamline.SequenceResult, counts: np.ndarray) -> dict:
+    """counts: beamline.event_counts of every trial."""
+    dist, fraction = beamline.survivor_statistics(counts)
     return {
         "analytic": {
             "probabilities": (None if analytic.probabilities is None
@@ -370,18 +377,11 @@ def _sg_results(analytic: beamline.SequenceResult, counts: np.ndarray, trials: i
             "extinguished": analytic.extinguished,
         },
         "monte_carlo": {
-            "distribution": ({"1": n_plus / n_alive, "-1": n_minus / n_alive}
-                             if n_alive else {}),
-            "survivor_fraction": n_alive / trials,
-            "trials": trials,
+            "distribution": {str(s): p for s, p in dist.items()},
+            "survivor_fraction": fraction,
+            "trials": int(counts[0]),
         },
     }
-
-
-def _event_counts(absorbed_at: np.ndarray, outcome: np.ndarray) -> np.ndarray:
-    alive = absorbed_at < 0
-    return np.array([np.count_nonzero(alive), np.count_nonzero(alive & (outcome == 1)),
-                     np.count_nonzero(alive & (outcome == -1))])
 
 
 def _pairs_of(kind: str) -> tuple[tuple[int, int], ...]:
@@ -405,13 +405,13 @@ def _write_pairs(fh, kind: str, built: dict, workers: int) -> list[np.ndarray]:
 
 
 def _write_events(fh, built: dict) -> np.ndarray:
-    """Walk and log the beamline trials; returns _event_counts of them all."""
-    counts = np.zeros(3, dtype=np.int64)
+    """Walk and log the beamline trials; returns their event_counts."""
+    counts = np.zeros(4, dtype=np.int64)
     for lo, n in _chunks(built["trials"]):
         _, _, events = beamline.monte_carlo_sequence(
             built["devices"], built["beam"], n, built["seed"], start=lo,
             analytic=built["analytic"])
-        counts += _event_counts(events.absorbed_at, events.outcome)
+        counts += beamline.event_counts(events.absorbed_at, events.outcome)
         fh.write(events.encode())
     return counts
 
@@ -421,18 +421,10 @@ def _run_sampling(kind: str, cfg_hash: str, built: dict, out_dir: Path, workers:
     with open(log, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_header_line(kind, cfg_hash, built["seed"]))
         if kind == "sterngerlach":
-            results = _sg_results(built["analytic"], _write_events(fh, built),
-                                  built["trials"])
+            results = _sg_results(built["analytic"], _write_events(fh, built))
         else:
             results = _RESULTS[kind](_write_pairs(fh, kind, built, workers), built["trials"])
     return results, [log.name]
-
-
-_RESULTS = {"chsh": _chsh_results, "epr": _epr_results}
-
-
-def _pair_name(ai: int, bi: int) -> str:
-    return f"E({_SETTING_NAMES[ai]},{_SETTING_NAMES[bi]})"
 
 
 def _run_singlet(cfg, built: dict, out_dir: Path, workers: int, cfg_hash: str):
@@ -653,7 +645,7 @@ def _replay_pairs(body: _Body, kind: str, built: dict) -> dict:
 def _replay_events(body: _Body, built: dict) -> dict:
     analytic, trials = built["analytic"], built["trials"]
     blocking = [idx for idx, _ in analytic.stage_survivals]
-    counts = np.zeros(3, dtype=np.int64)
+    counts = np.zeros(4, dtype=np.int64)
     for lo, n in _chunks(trials):
         absorbed_at, outcome = body.verify(
             n, beamline.longest_event(lo + n - 1, max(blocking, default=-1)),
@@ -664,8 +656,8 @@ def _replay_events(body: _Body, built: dict) -> dict:
         body.reject(np.where(absorbed_at < 0, outcome == 0,
                              (outcome != 0) | ~np.isin(absorbed_at, blocking)),
                     "an event this beamline cannot produce")
-        counts += _event_counts(absorbed_at, outcome)
-    return _sg_results(analytic, counts, trials)
+        counts += beamline.event_counts(absorbed_at, outcome)
+    return _sg_results(analytic, counts)
 
 
 def _diverging(want: dict, got: dict, roots: dict, got_roots: dict) -> list[str]:
