@@ -33,9 +33,7 @@ EXIT_HASH_MISMATCH = 5
 
 
 class _UsageError(Exception):
-    def __init__(self, message: str, usage: str):
-        super().__init__(message)
-        self.usage = usage
+    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,7 +41,8 @@ class _Parser(argparse.ArgumentParser):
     ends stdout with a JSON line."""
 
     def error(self, message):
-        raise _UsageError(f"{self.prog}: {message}", self.format_usage())
+        self.print_usage(sys.stderr)
+        raise _UsageError(f"{self.prog}: {message}")
 
 
 @functools.lru_cache(maxsize=1)
@@ -138,7 +137,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except _UsageError as exc:
-        print(exc.usage + f"usage error: {exc}", file=sys.stderr)
+        print(f"usage error: {exc}", file=sys.stderr)
         _emit({"status": "usage_error", "error": str(exc)})
         return EXIT_USAGE
     handler = {"run": _cmd_run, "replay": _cmd_replay, "validate": _cmd_validate}
