@@ -3,10 +3,12 @@
 The hashes were taken from the per-record `json.dumps` writer that the
 block encoders replaced; any change to the bytes of a shipped sampling log,
 for any worker count, fails here.  The block codecs are checked against the
-per-record encoders, which stay the definition of a line.
+per-record encoders, which stay the definition of a line.  The data files
+and results of the shipped analytic configs are pinned the same way.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -133,3 +135,58 @@ def test_log_does_not_depend_on_block_size(tmp_path, monkeypatch, name):
     assert (tmp_path / "default" / log_name).read_bytes() == (
         tmp_path / "small" / log_name).read_bytes()
     assert runner.replay_run(tmp_path / "small" / log_name, cfg).verdict == "OK"
+
+
+# --- the analytic configs' outputs ---------------------------------------------
+
+# sha256 of every CSV and JSON data file `run` writes for the shipped
+# analytic configs; report.json is left out (its out_dir and duration vary)
+# and its results are pinned below instead
+ANALYTIC_OUTPUT_SHA256 = {
+    "quasiprob3": {
+        "born.csv": "f307ded7a179cebe6f7014588274571fae94bf0a96bd5d48b160c95aeaf6c420",
+    },
+    "twoslit": {
+        "coherent.csv": "589f625b4e975277e42852894e54194ff2f003cf14c027f52d45b48c48e91732",
+        "whichpath.csv": "92efc9d35a12081c0d32fd43a2fe5806c4eff2ebe513485a2da03e04b8bc2af9",
+        "dark_regions.json":
+            "7be24219577f04ae2b8d8ce7fca08133b38620c2bb80c2a0971eb527a2c17d30",
+    },
+    "fourhole": {
+        "fourhole.json": "d47a40b2c5618d109ce87410b240edb0f7adfffd68e22aa12ea91fde908c7a1a",
+    },
+    "phasespace": {
+        "wavefunction.csv":
+            "a2f70ed660a2271899b91158cb08939a9fa2ddf04b287bd67db42213513a058d",
+        "momentum.csv": "0737766ce820cc1e79fb313b761cc7484d8e96b022ce0407f5ee142fba37528e",
+    },
+}
+
+ANALYTIC_RESULTS = {
+    "twoslit": {"fringe_spacing": 1.0, "wavelength": 0.01, "n_dark_bins": 12,
+                "coherent_max": 0.003999447805748955,
+                "whichpath_max": 0.0019545283427570732},
+    "fourhole": {
+        "coherent": {"(+x0,+A)": 0.2479331363979522, "(+x0,-A)": 0.047504969282595746,
+                     "(-x0,+A)": 0.017133502439216294, "(-x0,-A)": 0.6874283918802357},
+        "whichpath": {"(+x0,+A)": 0.47565791734286705, "(+x0,-A)": 0.031767972016511214,
+                      "(-x0,+A)": 0.0328704997049222, "(-x0,-A)": 0.45970361093569945},
+        "max_cell_gap": 0.22772478094491486},
+    "phasespace": {"m": 256, "dr": 1.0, "roundtrip_error": 2.7104829279648844e-16,
+                   "parseval_gap": 2.220446049250313e-16, "momentum_ray_overlap": 1.0},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYTIC_OUTPUT_SHA256))
+def test_analytic_outputs_sha256(tmp_path, name):
+    report = run_experiment(parse_config(CONFIG_DIR / f"{name}.cfg"), tmp_path)
+    for file_name, want in ANALYTIC_OUTPUT_SHA256[name].items():
+        assert hashlib.sha256((tmp_path / file_name).read_bytes()).hexdigest() == want, file_name
+    written = json.loads((tmp_path / "report.json").read_text())["results"]
+    if name in ANALYTIC_RESULTS:
+        assert written == ANALYTIC_RESULTS[name]
+    else:
+        # the signed weights and their minimum are checked against the closed form
+        assert written["n_directions"] == 3
+        assert written["negative_patterns"] == ["(-,+,-)", "(+,-,+)"]
+    assert report.results == written
