@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -214,30 +213,17 @@ def sample_trials(e: SingletEnsemble, a_idx: int, b_idx: int, seed: int,
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Outcome arrays for trials [start, start + n_trials).
 
-    Worker count only partitions the counter range; results are identical
-    for any value because each trial is a pure function of (seed, index).
+    Each trial is a pure function of (seed, index), so the whole range is
+    drawn in one vectorised call and the worker count cannot change a
+    result.  `workers` is accepted for callers that pass it through; the
+    thread pool it once sized cost more than it saved.
     """
     _check_setting(e, a_idx)
     _check_setting(e, b_idx)
     if n_trials < 1:
         raise ValidationError("n_trials must be >= 1")
-    _sampling_cdf(e, a_idx, b_idx)  # raise early for analytic modes
-    bounds = np.linspace(start, start + n_trials, max(1, workers) + 1, dtype=np.int64)
-    chunks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-
-    def run(lo_hi):
-        lo, hi = lo_hi
-        return _outcomes_for_counters(e, a_idx, b_idx, seed,
-                                      np.arange(lo, hi, dtype=np.uint64))
-
-    if len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(run, chunks))
-    else:
-        parts = [run(chunks[0])]
-    a = np.concatenate([p[0] for p in parts])
-    b = np.concatenate([p[1] for p in parts])
-    return a, b
+    return _outcomes_for_counters(e, a_idx, b_idx, seed,
+                                  np.arange(start, start + n_trials, dtype=np.uint64))
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,14 @@ import numpy as np
 
 from .errors import SolverError, ValidationError
 from .interference import coherent_intensity, incoherent_intensity
-from .spin import (DirectionSet, SignPattern, check_pattern, pattern_from_index,
-                   sign_matrix)
+from .spin import (DirectionSet, SignPattern, check_pattern, pattern_cells,
+                   pattern_from_index, pattern_to_index, signed_sums)
 
 MARGINAL_TOL = 1e-10
+# The closed forms cost O(2^N), so the caps now bound table sizes, not a
+# solver: the signed table is scanned and written row by row in Python
+# (4096 rows at N = 12) and the Born table holds 2^N summed spin vectors
+# (24 MiB at N = 20).  test_caps_and_planarity and test_cap pin both.
 MAX_SOLVE_N = 12
 MAX_BORN_N = 20
 NEGATIVITY_TOL = 1e-12
@@ -48,7 +52,7 @@ class QuasiProbTable:
 
     def weight(self, pattern) -> float:
         p = check_pattern(pattern, len(self.directions))
-        return float(self.weights[_index(p)])
+        return float(self.weights[pattern_to_index(p)])
 
 
 @dataclass(frozen=True)
@@ -67,11 +71,7 @@ class BornTable:
 
     def probability(self, pattern) -> float:
         p = check_pattern(pattern, len(self.directions))
-        return float(self.probabilities[_index(p)])
-
-
-def _index(pattern: SignPattern) -> int:
-    return sum(1 << j for j, s in enumerate(pattern) if s == 1)
+        return float(self.probabilities[pattern_to_index(p)])
 
 
 def pair_marginal_probability(s_i: int, s_j: int, theta_i: float, theta_j: float) -> float:
@@ -80,7 +80,7 @@ def pair_marginal_probability(s_i: int, s_j: int, theta_i: float, theta_j: float
 
 
 def closed_form_w3(pattern, angles) -> float:
-    """Exact 3-direction planar weight.
+    """Exact 3-direction planar weight; the N = 3 case of solve_weights.
 
     W(s1,s2,s3) = [1 + s1 s2 cos(t2-t1) + s1 s3 cos(t3-t1) + s2 s3 cos(t3-t2)] / 8
     """
@@ -94,31 +94,36 @@ def closed_form_w3(pattern, angles) -> float:
             + s2 * s3 * math.cos(t3 - t2)) / 8.0
 
 
-def _constraint_system(dirs: DirectionSet) -> tuple[np.ndarray, np.ndarray]:
-    """Normalization plus all C(N,2) x 4 pairwise-marginal rows."""
+def check_pair_law(dirs: DirectionSet, weights: np.ndarray) -> None:
+    """Raise SolverError unless the weights sum to one and every pairwise
+    marginal matches (1 + s_i s_j cos(theta_j - theta_i)) / 4 within
+    MARGINAL_TOL."""
     n = len(dirs)
-    signs = sign_matrix(n)
-    angles = dirs.angles
-    rows = [np.ones(1 << n)]
-    rhs = [1.0]
+    t = dirs.angles
+    worst = abs(float(weights.sum()) - 1.0)
     for i in range(n):
         for j in range(i + 1, n):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    mask = (signs[:, i] == si) & (signs[:, j] == sj)
-                    rows.append(mask.astype(float))
-                    rhs.append(pair_marginal_probability(si, sj, angles[i], angles[j]))
-    return np.array(rows), np.array(rhs)
+            want = [[pair_marginal_probability(si, sj, t[i], t[j]) for sj in (-1, 1)]
+                    for si in (-1, 1)]
+            got = pattern_cells(weights, n, (i, j))
+            worst = max(worst, float(np.abs(got - want).max()))
+    if worst > MARGINAL_TOL:
+        raise SolverError(
+            "marginal constraints not met: max residual "
+            f"{worst:.3e} over {1 + 2 * n * (n - 1)} rows (tol {MARGINAL_TOL:.0e})")
 
 
 def solve_weights(dirs: DirectionSet) -> QuasiProbTable:
-    """Solve the pairwise-marginal system for a signed weight table.
+    """The minimum-norm signed weight table with the pairwise law.
 
-    N = 2 is exactly determined (the marginals are the table); N = 3 has the
-    unique closed-form solution; for N > 3 the system is underdetermined and
-    the minimum-Euclidean-norm solution is returned.  A residual above
-    MARGINAL_TOL raises SolverError, which cannot happen for marginals that
-    come from a single consistent pairwise law.
+    The pairwise constraints reach only Walsh characters of degree two or
+    less, so the minimum-Euclidean-norm solution is
+    W(s) = 2^-N [1 + sum_{i<j} s_i s_j cos(theta_j - theta_i)]
+         = 2^-N [1 + (|sum_j s_j e^{i theta_j}|^2 - N) / 2],
+    computed from the second form.  N = 2 gives the marginals themselves
+    and N = 3 gives closed_form_w3.  The table is checked against the
+    pairwise law (check_pair_law), which raises SolverError if rounding
+    ever broke it; N is capped at MAX_SOLVE_N.
     """
     n = len(dirs)
     if not dirs.is_planar:
@@ -127,18 +132,15 @@ def solve_weights(dirs: DirectionSet) -> QuasiProbTable:
         raise ValidationError("need at least two directions")
     if n > MAX_SOLVE_N:
         raise ValidationError(f"N={n} exceeds the solver cap of {MAX_SOLVE_N}")
-    a, b = _constraint_system(dirs)
-    w, *_ = np.linalg.lstsq(a, b, rcond=None)
-    residual = np.abs(a @ w - b)
-    if residual.max() > MARGINAL_TOL:
-        raise SolverError(
-            "marginal constraints not met: max residual "
-            f"{residual.max():.3e} over {len(b)} rows (tol {MARGINAL_TOL:.0e})")
+    amps = signed_sums(np.exp(1j * np.array(dirs.angles)))
+    w = (1.0 + (amps.real ** 2 + amps.imag ** 2 - n) / 2.0) / (1 << n)
+    check_pair_law(dirs, w)
     return QuasiProbTable(dirs, w)
 
 
 def marginal(table: QuasiProbTable, indices) -> dict[tuple[int, ...], float]:
-    """Sum the table over every index not listed; keys are sign tuples."""
+    """Sum the table over every index not listed; keys are sign tuples in
+    the order of `indices`."""
     n = len(table.directions)
     idx = list(indices)
     if len(set(idx)) != len(idx):
@@ -146,15 +148,14 @@ def marginal(table: QuasiProbTable, indices) -> dict[tuple[int, ...], float]:
     for i in idx:
         if not 0 <= i < n:
             raise ValidationError(f"index {i} out of range for N={n}")
-    signs = sign_matrix(n)
-    out: dict[tuple[int, ...], float] = {}
-    for k in range(1 << len(idx)):
-        kept = pattern_from_index(k, len(idx))
-        mask = np.ones(1 << n, dtype=bool)
-        for pos, i in enumerate(idx):
-            mask &= signs[:, i] == kept[pos]
-        out[kept] = float(table.weights[mask].sum())
-    return out
+    return _sign_keyed(pattern_cells(table.weights, n, idx))
+
+
+def _sign_keyed(cells: np.ndarray) -> dict[tuple[int, ...], float]:
+    """Cells with position 0 = sign -1 on each axis, keyed by sign tuples in
+    pattern-integer order."""
+    keys = (pattern_from_index(k, cells.ndim) for k in range(1 << cells.ndim))
+    return {p: float(cells[tuple((s + 1) // 2 for s in p)]) for p in keys}
 
 
 def marginal_pair(table: QuasiProbTable, i: int, j: int) -> dict[tuple[int, int], float]:
@@ -177,34 +178,34 @@ def born_table(dirs: DirectionSet) -> BornTable:
     n = len(dirs)
     if n > MAX_BORN_N:
         raise ValidationError(f"N={n} exceeds the Born-table cap of {MAX_BORN_N}")
-    signs = sign_matrix(n)                       # (2^N, N)
-    vec = signs @ dirs.as_matrix()               # (2^N, 3) summed spin vectors
+    vec = signed_sums(dirs.as_matrix())          # (2^N, 3) summed spin vectors
     intensity = np.einsum("ij,ij->i", vec, vec)
     return BornTable(dirs, intensity / intensity.sum())
+
+
+def _pair_cells(dirs: DirectionSet, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sum-then-square and square-then-sum 2x2 pair tables, each normalized."""
+    n = len(dirs)
+    if i == j or not (0 <= i < n and 0 <= j < n):
+        raise ValidationError(f"bad index pair ({i}, {j}) for N={n}")
+    if not dirs.is_planar:
+        raise ValidationError("planar directions required")
+    amps = signed_sums(np.exp(1j * np.array(dirs.angles)))
+    # (s_i, s_j, the completions sharing them)
+    cells = np.moveaxis(amps.reshape((2,) * n), (n - 1 - i, n - 1 - j), (0, 1)).reshape(2, 2, -1)
+    coherent = coherent_intensity(cells)
+    incoherent = incoherent_intensity(cells)
+    return coherent / coherent.sum(), incoherent / incoherent.sum()
 
 
 def born_pair_marginal(dirs: DirectionSet, i: int, j: int) -> dict[tuple[int, int], float]:
     """Born pairwise law via sum-then-square over the unobserved indices.
 
     The amplitudes of all completions sharing (s_i, s_j) are summed before
-    squaring (coherent_intensity); normalizing the four cells reproduces
+    squaring; normalizing the four cells reproduces
     (1 + s_i s_j cos(theta_j - theta_i)) / 4.  Planar backend.
     """
-    n = len(dirs)
-    if i == j or not (0 <= i < n and 0 <= j < n):
-        raise ValidationError(f"bad index pair ({i}, {j}) for N={n}")
-    if not dirs.is_planar:
-        raise ValidationError("planar directions required")
-    phases = np.exp(1j * np.array(dirs.angles))
-    signs = sign_matrix(n)
-    amps = signs @ phases                        # (2^N,) complex amplitudes
-    cells = {}
-    for si in (1, -1):
-        for sj in (1, -1):
-            mask = (signs[:, i] == si) & (signs[:, j] == sj)
-            cells[(si, sj)] = coherent_intensity(amps[mask])
-    total = sum(cells.values())
-    return {k: float(v / total) for k, v in cells.items()}
+    return _sign_keyed(_pair_cells(dirs, i, j)[0])
 
 
 def interference_gap(dirs: DirectionSet, i: int, j: int) -> float:
@@ -213,19 +214,8 @@ def interference_gap(dirs: DirectionSet, i: int, j: int) -> float:
     Nonzero in general: the cross terms in the coherent sum are what let the
     Born route reproduce the pairwise law that forces signed weights.
     """
-    n = len(dirs)
-    phases = np.exp(1j * np.array(dirs.angles))
-    signs = sign_matrix(n)
-    amps = signs @ phases
-    coh, inc = {}, {}
-    for si in (1, -1):
-        for sj in (1, -1):
-            mask = (signs[:, i] == si) & (signs[:, j] == sj)
-            coh[(si, sj)] = coherent_intensity(amps[mask])
-            inc[(si, sj)] = incoherent_intensity(amps[mask])
-    coh_total = sum(coh.values())
-    inc_total = sum(inc.values())
-    return max(abs(coh[k] / coh_total - inc[k] / inc_total) for k in coh)
+    coherent, incoherent = _pair_cells(dirs, i, j)
+    return float(np.abs(coherent - incoherent).max())
 
 
 @dataclass(frozen=True)
@@ -246,16 +236,19 @@ def negativity_report(table: QuasiProbTable, tol: float = NEGATIVITY_TOL) -> Neg
     return NegativityReport(float(table.weights.min()), negatives)
 
 
-def table_csv(table: QuasiProbTable) -> str:
-    """CSV rows in ascending pattern-integer order: s1..sN as +1/-1, weight."""
-    n = len(table.directions)
+def pattern_csv(values: np.ndarray, n: int, column: str) -> str:
+    """CSV rows in ascending pattern-integer order: s1..sN as +1/-1, value."""
     buf = StringIO()
-    buf.write(",".join(f"s{j + 1}" for j in range(n)) + ",weight\n")
+    buf.write(",".join(f"s{j + 1}" for j in range(n)) + f",{column}\n")
     for k in range(1 << n):
         p = pattern_from_index(k, n)
         buf.write(",".join(f"{s:+d}" for s in p))
-        buf.write(f",{float(table.weights[k])!r}\n")
+        buf.write(f",{float(values[k])!r}\n")
     return buf.getvalue()
+
+
+def table_csv(table: QuasiProbTable) -> str:
+    return pattern_csv(table.weights, len(table.directions), "weight")
 
 
 def write_table_csv(table: QuasiProbTable, path) -> None:
@@ -263,11 +256,4 @@ def write_table_csv(table: QuasiProbTable, path) -> None:
 
 
 def born_csv(table: BornTable) -> str:
-    n = len(table.directions)
-    buf = StringIO()
-    buf.write(",".join(f"s{j + 1}" for j in range(n)) + ",probability\n")
-    for k in range(1 << n):
-        p = pattern_from_index(k, n)
-        buf.write(",".join(f"{s:+d}" for s in p))
-        buf.write(f",{float(table.probabilities[k])!r}\n")
-    return buf.getvalue()
+    return pattern_csv(table.probabilities, len(table.directions), "probability")

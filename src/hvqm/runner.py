@@ -536,6 +536,8 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir, workers: int = 1) -> RunReport:
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
     _, built = _setup(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

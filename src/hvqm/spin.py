@@ -28,9 +28,10 @@ UNIT_TOL = 1e-12
 
 SignPattern = tuple[int, ...]
 
-# cap on 2^(free indices) enumeration in marginal_amplitude
+# cap on the free indices of marginal_amplitude: the closed form no longer
+# enumerates completions, but inputs past the cap have always failed with
+# ValidationError and test_free_index_cap pins that limit
 MAX_FREE_INDICES = 24
-_ENUM_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -156,6 +157,43 @@ def sign_matrix(n: int) -> np.ndarray:
     return (2 * bits - 1).astype(np.float64)
 
 
+def signed_sums(v: np.ndarray) -> np.ndarray:
+    """Row k = sum_j s_j v[j] with s = pattern_from_index(k, len(v)).
+
+    Built by doubling, one index at a time: the 2^j rows so far are copied
+    with + v[j] into the next 2^j rows (bit j of k set, s_j = +1) and get
+    - v[j] where they are.  The sums accumulate in index order, as
+    `sign_matrix(n) @ v` does, in one (2^n, ...) array in place of its
+    (2^n, n) sign matrix.
+    """
+    v = np.asarray(v)
+    out = np.zeros((1 << len(v),) + v.shape[1:], dtype=v.dtype)
+    for j, vj in enumerate(v):
+        np.add(out[:1 << j], vj, out=out[1 << j:2 << j])
+        out[:1 << j] -= vj
+    return out
+
+
+def pattern_cells(values: np.ndarray, n: int, idx: Sequence[int]) -> np.ndarray:
+    """Sums of a 2^n table over every index not in `idx`.
+
+    Axis p of the result is index idx[p]; position 0 on it is s = -1 and
+    position 1 is s = +1.  Row k of the table is pattern_from_index(k, n),
+    so the table reshapes to blocks of free indices between the kept ones,
+    most significant first; the free blocks are summed away, the leading
+    one first because it is the largest contiguous reduction.
+    """
+    kept = sorted(idx, reverse=True)
+    shape, edge = [], n
+    for i in kept:
+        shape += [1 << (edge - 1 - i), 2]
+        edge = i
+    shape.append(1 << edge)
+    cells = np.asarray(values).reshape(shape).sum(axis=0)
+    cells = cells.sum(axis=tuple(range(1, len(shape) - 1, 2)))
+    return cells.transpose([kept.index(i) for i in idx])
+
+
 def elementary_amplitude(s: int, n: Direction) -> Quaternion:
     """s * (n_x I + n_y J + n_z K): pure-imaginary, squared norm 1."""
     check_sign(s)
@@ -184,11 +222,11 @@ def complex_total_amplitude(pattern: Sequence[int], dirs: DirectionSet) -> compl
 def marginal_amplitude(fixed: Mapping[int, int], dirs: DirectionSet) -> Quaternion:
     """Sum of total_amplitude over every completion of a partial assignment.
 
-    `fixed` maps direction index -> sign for the constrained subset F; the
-    2^(N-|F|) free completions are enumerated explicitly (chunked, capped at
-    24 free indices).  The result equals 2^(N-|F|) * sum_F s_j q(n_j)
-    because the free signs cancel pairwise; tests cross-check that closed
-    form.
+    `fixed` maps direction index -> sign for the constrained subset; each
+    free sign takes both values equally often across the 2^F completions,
+    so the free terms cancel and the sum is 2^F * sum_fixed s_j q(n_j),
+    returned directly.  The literal enumeration stays in the tests as the
+    oracle.  F is capped at MAX_FREE_INDICES.
     """
     n = len(dirs)
     if not fixed:
@@ -197,27 +235,12 @@ def marginal_amplitude(fixed: Mapping[int, int], dirs: DirectionSet) -> Quaterni
         if not 0 <= i < n:
             raise ValidationError(f"fixed index {i} out of range for N={n}")
         check_sign(s)
-    free = [j for j in range(n) if j not in fixed]
-    if len(free) > MAX_FREE_INDICES:
+    free = n - len(fixed)
+    if free > MAX_FREE_INDICES:
         raise ValidationError(
-            f"{len(free)} free indices would need 2^{len(free)} completions "
-            f"(cap is {MAX_FREE_INDICES})")
+            f"{free} free indices exceed the cap of {MAX_FREE_INDICES}")
 
-    base = np.zeros(3)
-    for i, s in fixed.items():
-        base += s * dirs[i].as_array()
-
-    free_mat = np.array([dirs[j].as_array() for j in free])  # (F, 3)
-    total = np.zeros(3)
-    n_comp = 1 << len(free)
-    for start in range(0, n_comp, _ENUM_CHUNK):
-        k = np.arange(start, min(start + _ENUM_CHUNK, n_comp), dtype=np.int64)
-        if free:
-            bits = (k[:, None] >> np.arange(len(free))[None, :]) & 1
-            signs = (2 * bits - 1).astype(np.float64)
-            total += base * len(k) + signs.T.sum(axis=1) @ free_mat
-        else:
-            total += base * len(k)
+    total = sum(s * dirs[i].as_array() for i, s in fixed.items()) * (1 << free)
     return Quaternion(0.0, float(total[0]), float(total[1]), float(total[2]))
 
 

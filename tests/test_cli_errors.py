@@ -1,4 +1,4 @@
-"""Usage errors, the trials cap and the single analytic walk of a run."""
+"""Usage errors, the trials and workers limits and the single analytic walk of a run."""
 
 import json
 from pathlib import Path
@@ -69,3 +69,13 @@ def test_sterngerlach_run_walks_the_beamline_once(tmp_path, monkeypatch):
     cfg = apply_overrides(parse_config(CONFIG_DIR / "sterngerlach.cfg"), trials=200_000)
     runner.run_experiment(cfg, tmp_path)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_is_exit_3(capsys, tmp_path, workers):
+    code, payload = run_cli(capsys, "run", CONFIG_DIR / "chsh_mc.cfg", "--trials", "100",
+                            "--out-dir", tmp_path / "out", "--workers", workers)
+    assert code == 3
+    assert payload["status"] == "validation_error"
+    assert "workers" in payload["error"]
+    assert not (tmp_path / "out" / "trials.jsonl").exists()

@@ -20,8 +20,9 @@ from hvqm import beamline, epr, runner
 from hvqm.beamline import TrialEvent, event_json
 from hvqm.config import apply_overrides, parse_config
 from hvqm.epr import TrialRecord, trial_record_json
+from hvqm.quasiprob import closed_form_w3
 from hvqm.runner import run_experiment
-from hvqm.spin import Direction
+from hvqm.spin import Direction, pattern_from_index
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -189,4 +190,12 @@ def test_analytic_outputs_sha256(tmp_path, name):
         # the signed weights and their minimum are checked against the closed form
         assert written["n_directions"] == 3
         assert written["negative_patterns"] == ["(-,+,-)", "(+,-,+)"]
+        thetas = [float(v) for v in parse_config(CONFIG_DIR / f"{name}.cfg")
+                  .sections["directions"].values()]
+        rows = (tmp_path / "weights.csv").read_text().splitlines()[1:]
+        want = [closed_form_w3(pattern_from_index(k, 3), thetas) for k in range(8)]
+        assert len(rows) == 8
+        for row, w in zip(rows, want):
+            assert abs(float(row.rsplit(",", 1)[1]) - w) <= 1e-15, row
+        assert abs(written["min_weight"] - min(want)) <= 1e-15
     assert report.results == written

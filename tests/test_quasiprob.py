@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import angles
+from conftest import directions
+from hvqm.errors import SolverError
 from hvqm.errors import ValidationError
 from hvqm.quasiprob import (QuasiProbTable, born_csv,
                             born_pair_marginal, born_table, closed_form_w3,
@@ -14,6 +16,7 @@ from hvqm.quasiprob import (QuasiProbTable, born_csv,
                             marginal_single, negativity_report,
                             pair_marginal_probability, solve_weights, table_csv,
                             write_table_csv)
+from hvqm.quasiprob import check_pair_law
 from hvqm.spin import DirectionSet, pattern_from_index, sign_matrix
 
 GOLDEN = (0.0, math.pi / 3, 2 * math.pi / 3)
@@ -37,6 +40,43 @@ def generalized_closed_form(dirs):
         for j in range(i + 1, n):
             w += signs[:, i] * signs[:, j] * math.cos(ts[j] - ts[i])
     return w / (1 << n)
+
+
+def _constraint_system(dirs):
+    """Normalization plus all C(N,2) x 4 pairwise-marginal rows."""
+    n = len(dirs)
+    signs = sign_matrix(n)
+    angles = dirs.angles
+    rows = [np.ones(1 << n)]
+    rhs = [1.0]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for si in (1, -1):
+                for sj in (1, -1):
+                    mask = (signs[:, i] == si) & (signs[:, j] == sj)
+                    rows.append(mask.astype(float))
+                    rhs.append(pair_marginal_probability(si, sj, angles[i], angles[j]))
+    return np.array(rows), np.array(rhs)
+
+
+def min_norm_oracle(dirs):
+    """In-test oracle: least-squares minimum-norm solution of the system."""
+    a, b = _constraint_system(dirs)
+    w, *_ = np.linalg.lstsq(a, b, rcond=None)
+    return w
+
+
+def mask_loop_marginal(table, idx):
+    """In-test oracle: one boolean mask over the sign matrix per kept pattern."""
+    signs = sign_matrix(len(table.directions))
+    out = {}
+    for k in range(1 << len(idx)):
+        kept = pattern_from_index(k, len(idx))
+        mask = np.ones(len(signs), dtype=bool)
+        for pos, i in enumerate(idx):
+            mask &= signs[:, i] == kept[pos]
+        out[kept] = float(table.weights[mask].sum())
+    return out
 
 
 class TestClosedFormW3:
@@ -109,12 +149,36 @@ class TestSolveWeights:
         assert np.linalg.norm(table.weights) <= np.linalg.norm(particular) + 1e-10
 
     def test_pinv_cross_check(self):
-        from hvqm.quasiprob import _constraint_system
         dirs = DirectionSet.from_planar_angles((0.0, 0.9, 1.7, 2.8))
         a, b = _constraint_system(dirs)
         expected = np.linalg.pinv(a) @ b
         table = solve_weights(dirs)
         assert np.allclose(table.weights, expected, atol=1e-8)
+
+    @given(st.lists(angles, min_size=2, max_size=10))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_lstsq_min_norm(self, ts):
+        dirs = DirectionSet.from_planar_angles(ts)
+        got = solve_weights(dirs).weights
+        assert np.abs(got - min_norm_oracle(dirs)).max() <= 1e-12
+
+    def test_n3_is_closed_form_w3(self):
+        for ts in (GOLDEN, (0.3, -1.2, 2.9), (0.0, 0.0, 0.0)):
+            w = solve_weights(DirectionSet.from_planar_angles(ts)).weights
+            for k in range(8):
+                assert abs(w[k] - closed_form_w3(pattern_from_index(k, 3), ts)) <= 1e-15
+
+    def test_matches_generalized_closed_form(self):
+        dirs = DirectionSet.from_planar_angles([0.4 * j - 1.0 for j in range(12)])
+        assert np.abs(solve_weights(dirs).weights - generalized_closed_form(dirs)).max() <= 1e-15
+
+    def test_broken_pair_law_raises(self):
+        dirs = DirectionSet.from_planar_angles((0.0, 0.9, 1.7, 2.8))
+        w = solve_weights(dirs).weights.copy()
+        check_pair_law(dirs, w)
+        w[5] += 1e-9
+        with pytest.raises(SolverError, match="max residual"):
+            check_pair_law(dirs, w)
 
     def test_caps_and_planarity(self):
         from hvqm.spin import Direction
@@ -157,6 +221,27 @@ class TestMarginals:
             assert m[1] == pytest.approx(0.5, abs=1e-10)
             assert m[-1] == pytest.approx(0.5, abs=1e-10)
 
+    @given(st.lists(angles, min_size=2, max_size=8), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_mask_loop(self, ts, data):
+        table = solve_weights(DirectionSet.from_planar_angles(ts))
+        idx = data.draw(st.permutations(range(len(ts))))
+        idx = idx[:data.draw(st.integers(min_value=1, max_value=len(ts)))]
+        got, want = marginal(table, idx), mask_loop_marginal(table, idx)
+        assert list(got) == list(want)
+        for key, p in want.items():
+            assert got[key] == pytest.approx(p, abs=1e-15)
+
+    def test_unsorted_indices(self):
+        ts = (0.1, 0.8, 1.9, 2.4, 3.3)
+        table = solve_weights(DirectionSet.from_planar_angles(ts))
+        got = marginal(table, (3, 0, 2))
+        for key, p in mask_loop_marginal(table, (3, 0, 2)).items():
+            assert got[key] == pytest.approx(p, abs=1e-15)
+        # (s3, s0) keyed in the caller's order reproduce the pair law
+        for (s3, s0), p in marginal(table, (3, 0)).items():
+            assert p == pytest.approx(pair_marginal_probability(s3, s0, ts[3], ts[0]), abs=1e-12)
+
     def test_bad_indices(self):
         table = solve_weights(golden_set())
         with pytest.raises(ValidationError):
@@ -190,6 +275,14 @@ class TestBornTable:
         table = born_table(DirectionSet.from_planar_angles([0.1, 0.9, 2.2, 4.0]))
         assert np.all(table.probabilities >= 0)
         assert table.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @given(st.lists(directions(), min_size=1, max_size=12))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_sign_matrix_route(self, ds):
+        dirs = DirectionSet(tuple(ds))
+        vec = sign_matrix(len(dirs)) @ dirs.as_matrix()
+        intensity = np.einsum("ij,ij->i", vec, vec)
+        assert np.array_equal(born_table(dirs).probabilities, intensity / intensity.sum())
 
     def test_cap(self):
         with pytest.raises(ValidationError):
