@@ -214,9 +214,8 @@ def sample_trials(e: SingletEnsemble, a_idx: int, b_idx: int, seed: int,
     """Outcome arrays for trials [start, start + n_trials).
 
     Each trial is a pure function of (seed, index), so the whole range is
-    drawn in one vectorised call and the worker count cannot change a
-    result.  `workers` is accepted for callers that pass it through; the
-    thread pool it once sized cost more than it saved.
+    drawn in one vectorised call; `workers` is accepted and does not
+    change how or what is drawn.
     """
     _check_setting(e, a_idx)
     _check_setting(e, b_idx)

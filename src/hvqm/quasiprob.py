@@ -25,10 +25,10 @@ from .spin import (DirectionSet, SignPattern, check_pattern, pattern_cells,
                    pattern_from_index, pattern_to_index, signed_sums)
 
 MARGINAL_TOL = 1e-10
-# The closed forms cost O(2^N), so the caps now bound table sizes, not a
-# solver: the signed table is scanned and written row by row in Python
-# (4096 rows at N = 12) and the Born table holds 2^N summed spin vectors
-# (24 MiB at N = 20).  test_caps_and_planarity and test_cap pin both.
+# The closed forms cost O(2^N), so the caps bound table sizes: the signed
+# table is scanned and written row by row in Python (4096 rows at N = 12)
+# and the Born table holds 2^N summed spin vectors (24 MiB at N = 20).
+# test_caps_and_planarity and test_cap pin both.
 MAX_SOLVE_N = 12
 MAX_BORN_N = 20
 NEGATIVITY_TOL = 1e-12
@@ -236,7 +236,7 @@ def negativity_report(table: QuasiProbTable, tol: float = NEGATIVITY_TOL) -> Neg
     return NegativityReport(float(table.weights.min()), negatives)
 
 
-def pattern_csv(values: np.ndarray, n: int, column: str) -> str:
+def _pattern_csv(values: np.ndarray, n: int, column: str) -> str:
     """CSV rows in ascending pattern-integer order: s1..sN as +1/-1, value."""
     buf = StringIO()
     buf.write(",".join(f"s{j + 1}" for j in range(n)) + f",{column}\n")
@@ -248,7 +248,7 @@ def pattern_csv(values: np.ndarray, n: int, column: str) -> str:
 
 
 def table_csv(table: QuasiProbTable) -> str:
-    return pattern_csv(table.weights, len(table.directions), "weight")
+    return _pattern_csv(table.weights, len(table.directions), "weight")
 
 
 def write_table_csv(table: QuasiProbTable, path) -> None:
@@ -256,4 +256,4 @@ def write_table_csv(table: QuasiProbTable, path) -> None:
 
 
 def born_csv(table: BornTable) -> str:
-    return pattern_csv(table.probabilities, len(table.directions), "probability")
+    return _pattern_csv(table.probabilities, len(table.directions), "probability")

@@ -28,9 +28,9 @@ UNIT_TOL = 1e-12
 
 SignPattern = tuple[int, ...]
 
-# cap on the free indices of marginal_amplitude: the closed form no longer
-# enumerates completions, but inputs past the cap have always failed with
-# ValidationError and test_free_index_cap pins that limit
+# cap on the free indices of marginal_amplitude; the closed form does not
+# need it, but it is a published input limit (ValidationError past it,
+# pinned by test_free_index_cap)
 MAX_FREE_INDICES = 24
 
 
