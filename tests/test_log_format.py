@@ -4,7 +4,9 @@ The hashes were taken from the per-record `json.dumps` writer that the
 block encoders replaced; any change to the bytes of a shipped sampling log,
 for any worker count, fails here.  The block codecs are checked against the
 per-record encoders, which stay the definition of a line.  The data files
-and results of the shipped analytic configs are pinned the same way.
+and results of the shipped analytic configs are pinned the same way, as are
+the results of the sampling configs and what `hvqm validate` prints for
+every shipped config.
 """
 
 import hashlib
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 
 from hvqm import beamline, epr, runner
 from hvqm.beamline import TrialEvent, event_json
+from hvqm.cli import main
 from hvqm.config import apply_overrides, parse_config
 from hvqm.epr import TrialRecord, trial_record_json
 from hvqm.quasiprob import closed_form_w3
@@ -199,3 +202,64 @@ def test_analytic_outputs_sha256(tmp_path, name):
             assert abs(float(row.rsplit(",", 1)[1]) - w) <= 1e-15, row
         assert abs(written["min_weight"] - min(want)) <= 1e-15
     assert report.results == written
+
+
+# --- the sampling configs' results and every config's validate notes ----------
+
+# report.json results at the shipped seed and trials
+SAMPLING_RESULTS = {
+    "chsh_lhv": {
+        "correlators": {"E(a1,b1)": 0.00368, "E(a1,b2)": -0.0033, "E(a2,b1)": -0.00284,
+                        "E(a2,b2)": -0.00028},
+        "stderrs": {"E(a1,b1)": 0.0031622562476813928, "E(a1,b2)": 0.003162260441519642,
+                    "E(a2,b1)": 0.0031622649073093164, "E(a2,b2)": 0.0031622775362070924},
+        "S": -0.00218, "S_stderr": 0.006324529566378832, "trials_per_correlator": 100000},
+    "chsh_mc": {
+        "correlators": {"E(a1,b1)": -0.70662, "E(a1,b2)": -0.70884, "E(a2,b1)": -0.7078,
+                        "E(a2,b2)": 0.70442},
+        "stderrs": {"E(a1,b1)": 0.002237606255801051, "E(a1,b2)": 0.0022305735908057372,
+                    "E(a2,b1)": 0.002233873675927088, "E(a2,b2)": 0.0022445321641714113},
+        "S": -2.82768, "S_stderr": 0.00447330487849867, "trials_per_correlator": 100000},
+    "epr_sampling": {
+        "E": -0.49963, "stderr": 0.001936969105458319,
+        "counts": {"++": 24989, "+-": 75276, "-+": 74687, "--": 25048}, "trials": 200000},
+    "sterngerlach": {
+        "analytic": {"probabilities": {"1": 0.5, "-1": 0.5}, "survival": 0.24999999999999994,
+                     "extinguished": False},
+        "monte_carlo": {"distribution": {"1": 0.5041127615396901, "-1": 0.49588723846030985},
+                        "survivor_fraction": 0.25044, "trials": 100000}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLING_RESULTS))
+def test_sampling_results(tmp_path, name):
+    report = run_experiment(parse_config(CONFIG_DIR / f"{name}.cfg"), tmp_path)
+    written = json.loads((tmp_path / "report.json").read_text())["results"]
+    assert written == SAMPLING_RESULTS[name]
+    assert report.results == written
+
+
+VALIDATE_DIAGNOSTICS = {
+    "chsh_lhv": ["kind: chsh", "mode: classical_lhv", "seed: 7",
+                 "trials per correlator: 100000"],
+    "chsh_mc": ["kind: chsh", "mode: born_sampling", "seed: 42",
+                "trials per correlator: 100000"],
+    "epr_sampling": ["kind: epr", "mode: born_sampling", "seed: 11", "trials: 200000"],
+    "fourhole": ["kind: fourhole", "wavelength: 0.01"],
+    "phasespace": ["kind: phasespace", "grid: M=256, dr=1.0"],
+    "quasiprob3": ["kind: quasiprob", "directions: 3 planar angles"],
+    "sterngerlach": ["kind: sterngerlach", "devices: 4", "seed: 5", "trials: 100000"],
+    "twoslit": ["kind: twoslit", "wavelength: 0.01", "fringe spacing lambda*l2/d: 1.0",
+                "fringes on screen: 5.1"],
+}
+
+
+def test_every_shipped_config_is_pinned():
+    assert sorted(VALIDATE_DIAGNOSTICS) == sorted(p.stem for p in CONFIG_DIR.glob("*.cfg"))
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATE_DIAGNOSTICS))
+def test_validate_diagnostics(capsys, name):
+    assert main(["validate", str(CONFIG_DIR / f"{name}.cfg")]) == 0
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload == {"status": "ok", "diagnostics": VALIDATE_DIAGNOSTICS[name]}
