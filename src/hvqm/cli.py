@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int)
     run.add_argument("--trials", type=int)
     run.add_argument("--out-dir")
-    run.add_argument("--workers", type=int, default=1)
+    run.add_argument("--workers", type=int)
 
     replay = sub.add_parser("replay", help="verify a trial log against its report")
     replay.add_argument("log")

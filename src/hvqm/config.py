@@ -20,13 +20,6 @@ from dataclasses import dataclass, replace
 from .errors import ValidationError
 from .spin import Direction, pattern_from_index
 
-KINDS = ("chsh", "epr", "quasiprob", "twoslit", "fourhole",
-         "sterngerlach", "phasespace")
-
-# kinds that draw per-trial randomness and therefore need seed + trials
-SAMPLING_MODES = ("born_sampling", "classical_lhv")
-
-
 class ConfigParseError(Exception):
     """File unreadable or not valid section/key=value syntax (exit code 2)."""
 
@@ -152,26 +145,29 @@ def parse_direction(raw: str, context: str = "direction") -> Direction:
     raise ValidationError(f"{context}: expected an angle or 'nx,ny,nz', got {raw!r}")
 
 
+def keyed_section(cfg: ExperimentConfig, section: str, prefix: str) -> list[tuple[int, str]]:
+    """(k, key) of each <prefix><k> key of a section, in order of k."""
+    keyed = []
+    for key in cfg.sections.get(section, {}):
+        try:
+            if not key.startswith(prefix):
+                raise ValueError
+            keyed.append((int(key[len(prefix):]), key))
+        except ValueError:
+            raise ValidationError(f"[{section}] keys look like {prefix}<k>, got {key!r}")
+    return sorted(keyed)
+
+
 def parse_lhv_weights(cfg: ExperimentConfig, n_directions: int) -> list[float]:
     """[lhv] section: one w<k> entry per pattern integer, nonnegative, sum 1."""
-    section = cfg.sections.get("lhv")
-    if not section:
+    if not cfg.sections.get("lhv"):
         raise ValidationError("classical_lhv mode needs an [lhv] section")
     size = 1 << n_directions
     weights = [0.0] * size
-    for key, raw in section.items():
-        if not key.startswith("w"):
-            raise ValidationError(f"[lhv] keys look like w<k>, got {key!r}")
-        try:
-            k = int(key[1:])
-        except ValueError:
-            raise ValidationError(f"[lhv] keys look like w<k>, got {key!r}")
+    for k, key in keyed_section(cfg, "lhv", "w"):
         if not 0 <= k < size:
             raise ValidationError(f"[lhv] {key} is out of range for N={n_directions}")
-        try:
-            w = float(raw)
-        except ValueError:
-            raise ValidationError(f"[lhv] {key} = {raw!r} is not a number")
+        w = cfg.get_float("lhv", key)
         if w < 0:
             pattern = pattern_from_index(k, n_directions)
             label = "(" + ",".join("+" if s > 0 else "-" for s in pattern) + ")"

@@ -35,7 +35,7 @@ from . import quasiprob
 from .errors import NotSampleableError, ValidationError
 from .logcodec import join_lines, line_ends, longest_line
 from .rng import categorical, uniforms
-from .spin import Direction, DirectionSet, born_pair_probability, sign_matrix
+from .spin import Direction, DirectionSet, born_pair_probability
 
 LHV_SUM_TOL = 1e-12
 
@@ -232,32 +232,35 @@ class CorrelationEstimate:
     trials: int | None = None
 
 
-def _analytic_correlation(e: SingletEnsemble, a_idx: int, b_idx: int) -> float:
-    n_a, n_b = e.directions[a_idx], e.directions[b_idx]
+def _analytic_correlators(e: SingletEnsemble, pairs) -> list[float]:
+    """Exact E(a, b) of each setting pair; a signed or classical table is
+    solved or read once for all of them."""
     if e.mode is Mode.BORN_ANALYTIC:
-        return sum(a * b * pair_joint_probability(n_a, n_b, a, b)
-                   for a, b in OUTCOME_PAIRS)
+        return [sum(a * b * pair_joint_probability(e.directions[ai], e.directions[bi], a, b)
+                    for a, b in OUTCOME_PAIRS) for ai, bi in pairs]
     if e.mode is Mode.QUASIPROB_ANALYTIC:
-        table = quasiprob.solve_weights(e.directions)
-        signs = sign_matrix(len(e.directions))
-        return float(-(signs[:, a_idx] * signs[:, b_idx]) @ table.weights)
-    if e.mode is Mode.CLASSICAL_LHV:
-        signs = sign_matrix(len(e.directions))
-        return float(-(signs[:, a_idx] * signs[:, b_idx]) @ e.lhv_weights)
-    raise ValidationError(f"no analytic correlator for mode {e.mode.value}")
+        weights = quasiprob.solve_weights(e.directions).weights
+    elif e.mode is Mode.CLASSICAL_LHV:
+        weights = e.lhv_weights
+    else:
+        raise ValidationError(f"no analytic correlator for mode {e.mode.value}")
+    # row k of a table is pattern_from_index(k, N): -s_a s_b is +1 where
+    # bits a and b of k differ
+    k = np.arange(len(weights))
+    return [float((2.0 * (((k >> ai) ^ (k >> bi)) & 1) - 1.0) @ weights) for ai, bi in pairs]
 
 
 def correlation(e: SingletEnsemble, a_idx: int, b_idx: int,
                 trials: int | None = None, seed: int | None = None,
-                start: int = 0, workers: int = 1) -> CorrelationEstimate:
+                start: int = 0) -> CorrelationEstimate:
     """E(a, b).  Analytic modes are exact; sampling modes need trials+seed."""
     _check_setting(e, a_idx)
     _check_setting(e, b_idx)
     if trials is None:
-        return CorrelationEstimate(_analytic_correlation(e, a_idx, b_idx))
+        return CorrelationEstimate(_analytic_correlators(e, [(a_idx, b_idx)])[0])
     if seed is None:
         raise ValidationError("sampling requires a seed")
-    a, b = sample_trials(e, a_idx, b_idx, seed, trials, start=start, workers=workers)
+    a, b = sample_trials(e, a_idx, b_idx, seed, trials, start=start)
     value = correlator(outcome_counts(a, b))
     return CorrelationEstimate(value, correlator_stderr(value, trials), trials)
 
@@ -299,8 +302,8 @@ def chsh_ensemble(mode: Mode, a1: Direction, a2: Direction,
     return SingletEnsemble(DirectionSet.of(a1, a2, b1, b2), mode, lhv_weights)
 
 
-def chsh(e: SingletEnsemble, trials: int | None = None, seed: int | None = None,
-         workers: int = 1) -> CHSHResult:
+def chsh(e: SingletEnsemble, trials: int | None = None,
+         seed: int | None = None) -> CHSHResult:
     """Combine the four correlators of a 4-direction ensemble into S.
 
     Monte Carlo blocks use disjoint global trial-counter ranges so a full
@@ -308,19 +311,16 @@ def chsh(e: SingletEnsemble, trials: int | None = None, seed: int | None = None,
     """
     if len(e.directions) != 4:
         raise ValidationError("CHSH needs exactly four directions [a1, a2, b1, b2]")
-    correlators: dict[tuple[int, int], float] = {}
-    stderrs: dict[tuple[int, int], float] = {}
-    for block, (ai, bi) in enumerate(CHSH_PAIRS):
-        est = correlation(e, ai, bi, trials=trials, seed=seed,
-                          start=(block * trials if trials else 0), workers=workers)
-        correlators[(ai, bi)] = est.value
-        if est.stderr is not None:
-            stderrs[(ai, bi)] = est.stderr
-    s = chsh_s([correlators[pair] for pair in CHSH_PAIRS])
-    if stderrs:
-        return CHSHResult(correlators, s, stderrs, chsh_s_stderr(stderrs.values()),
-                          trials, e.mode.value)
-    return CHSHResult(correlators, s, None, None, None, e.mode.value)
+    if trials is None:
+        correlators = dict(zip(CHSH_PAIRS, _analytic_correlators(e, CHSH_PAIRS)))
+        return CHSHResult(correlators, chsh_s(correlators.values()), None, None, None,
+                          e.mode.value)
+    estimates = [correlation(e, ai, bi, trials=trials, seed=seed, start=block * trials)
+                 for block, (ai, bi) in enumerate(CHSH_PAIRS)]
+    return CHSHResult({pair: est.value for pair, est in zip(CHSH_PAIRS, estimates)},
+                      chsh_s(est.value for est in estimates),
+                      {pair: est.stderr for pair, est in zip(CHSH_PAIRS, estimates)},
+                      chsh_s_stderr(est.stderr for est in estimates), trials, e.mode.value)
 
 
 def chsh_s(correlators) -> float:

@@ -48,8 +48,10 @@ def path_amplitude(points: Sequence[Sequence[float]], times: Sequence[float],
     return complex(np.exp(1j * action / hbar))
 
 
-def _speed_from(v: float | None, wavelength: float | None,
-                mass: float, hbar: float) -> float:
+def speed_from(v: float | None, wavelength: float | None,
+               mass: float, hbar: float) -> float:
+    """The speed given as itself or as a de Broglie wavelength: exactly one
+    of the two."""
     if (v is None) == (wavelength is None):
         raise ValidationError("give exactly one of speed v or wavelength")
     if v is None:
@@ -92,7 +94,7 @@ class Geometry2Slit:
     def from_wavelength(cls, wavelength: float, **kw) -> "Geometry2Slit":
         mass = kw.get("mass", 1.0)
         hbar = kw.get("hbar", 1.0)
-        return cls(v=_speed_from(None, wavelength, mass, hbar), **kw)
+        return cls(v=speed_from(None, wavelength, mass, hbar), **kw)
 
     @property
     def wavelength(self) -> float:

@@ -5,20 +5,25 @@ carrying the canonical config hash; rerunning with the same seed produces a
 byte-identical log for any worker count.  `replay` checks that every line
 is the canonical record of its trial, recomputes the summary statistics
 from the log and checks them against the stored report.
+
+What each experiment kind does is one `Kind` entry in `KINDS`: a run and a
+replay walk its trial log through the same block walker and summarise it
+with the same function.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import __version__, beamline, epr, pathint, phasespace, quasiprob
-from .config import (ExperimentConfig, KINDS, config_hash, parse_direction,
+from .config import (ExperimentConfig, config_hash, keyed_section, parse_direction,
                      parse_lhv_weights)
 from .errors import ValidationError
 from .spin import Direction, DirectionSet
@@ -57,36 +62,25 @@ class RunReport:
         }, indent=2)
 
 
-def _require_kind(cfg: ExperimentConfig) -> str:
-    if not cfg.kind:
-        raise ValidationError("missing required field [experiment] kind")
-    if cfg.kind not in KINDS:
-        raise ValidationError(
-            f"unknown experiment kind {cfg.kind!r}; expected one of {', '.join(KINDS)}")
-    return cfg.kind
-
-
-def _seed_of(cfg: ExperimentConfig) -> int:
-    seed = cfg.get_int("experiment", "seed")
-    if not 0 <= seed < 2 ** 64:
-        raise ValidationError(f"seed {seed} outside the 64-bit unsigned range")
-    return seed
-
-
 # per setting pair: a chsh log of 4 x 10^7 lines takes about 3.6 GB
 MAX_TRIALS = 10_000_000
 
 
-def _trials_of(cfg: ExperimentConfig) -> int:
+def _seed_and_trials(cfg: ExperimentConfig, notes: list[str], label: str = "trials") -> dict:
+    """The seed and trial count of a kind that logs trials, with their notes."""
+    seed = cfg.get_int("experiment", "seed")
+    if not 0 <= seed < 2 ** 64:
+        raise ValidationError(f"seed {seed} outside the 64-bit unsigned range")
     trials = cfg.get_int("experiment", "trials")
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     if trials > MAX_TRIALS:
         raise ValidationError(f"trials = {trials} is past the cap of {MAX_TRIALS}")
-    return trials
+    notes += [f"seed: {seed}", f"{label}: {trials}"]
+    return {"seed": seed, "trials": trials}
 
 
-def _mode_of(cfg: ExperimentConfig, default: str = "born_analytic") -> epr.Mode:
+def _mode_of(cfg: ExperimentConfig, default: str) -> epr.Mode:
     raw = cfg.get("experiment", "mode", default)
     try:
         return epr.Mode(raw)
@@ -96,240 +90,21 @@ def _mode_of(cfg: ExperimentConfig, default: str = "born_analytic") -> epr.Mode:
             + ", ".join(m.value for m in epr.Mode))
 
 
-def _chsh_ensemble(cfg: ExperimentConfig) -> epr.SingletEnsemble:
-    mode = _mode_of(cfg)
-    dirs = [parse_direction(cfg.require("directions", k), f"[directions] {k}")
-            for k in ("a1", "a2", "b1", "b2")]
-    lhv = None
-    if mode is epr.Mode.CLASSICAL_LHV:
-        lhv = np.array(parse_lhv_weights(cfg, 4))
-    return epr.chsh_ensemble(mode, *dirs, lhv_weights=lhv)
-
-
-def _epr_ensemble(cfg: ExperimentConfig) -> epr.SingletEnsemble:
-    mode = _mode_of(cfg, default="born_sampling")
-    dirs = DirectionSet.of(
-        parse_direction(cfg.require("directions", "a"), "[directions] a"),
-        parse_direction(cfg.require("directions", "b"), "[directions] b"))
-    lhv = None
-    if mode is epr.Mode.CLASSICAL_LHV:
-        lhv = np.array(parse_lhv_weights(cfg, 2))
-    return epr.SingletEnsemble(dirs, mode, lhv)
-
-
-def _quasiprob_directions(cfg: ExperimentConfig) -> DirectionSet:
-    section = cfg.sections.get("directions", {})
-    keyed = []
-    for key, raw in section.items():
-        if not key.startswith("theta"):
-            raise ValidationError(f"[directions] keys look like theta<k>, got {key!r}")
-        try:
-            keyed.append((int(key[5:]), raw))
-        except ValueError:
-            raise ValidationError(f"[directions] keys look like theta<k>, got {key!r}")
-    if len(keyed) < 2:
-        raise ValidationError("quasiprob needs at least [directions] theta1, theta2")
-    angles = []
-    for k, raw in sorted(keyed):
-        try:
-            angles.append(float(raw))
-        except ValueError:
-            raise ValidationError(f"[directions] theta{k} = {raw!r} is not a number")
-    return DirectionSet.from_planar_angles(angles)
-
-
-def _twoslit_geometry(cfg: ExperimentConfig) -> pathint.Geometry2Slit:
-    g = cfg.sections.get("geometry", {})
-    default = pathint.Geometry2Slit()
-    kwargs = dict(
-        slit_separation=cfg.get_float("geometry", "d", default.slit_separation),
-        slit_width=cfg.get_float("geometry", "w", default.slit_width),
-        l1=cfg.get_float("geometry", "l1", default.l1),
-        l2=cfg.get_float("geometry", "l2", default.l2),
-        mass=cfg.get_float("geometry", "mass", default.mass),
-        hbar=cfg.get_float("geometry", "hbar", default.hbar),
-        screen_half_width=cfg.get_float("geometry", "screen_half_width",
-                                        default.screen_half_width),
-        bins=cfg.get_int("geometry", "bins", default.bins),
-        quadrature_points=cfg.get_int("geometry", "quadrature_points",
-                                      default.quadrature_points),
-    )
-    if "wavelength" in g and "v" in g:
-        raise ValidationError("give either [geometry] v or wavelength, not both")
-    if "wavelength" in g:
-        wavelength = cfg.get_float("geometry", "wavelength")
-        if wavelength <= 0:
-            raise ValidationError("wavelength must be positive")
-        kwargs["v"] = 2.0 * math.pi * kwargs["hbar"] / (kwargs["mass"] * wavelength)
-    elif "v" in g:
-        kwargs["v"] = cfg.get_float("geometry", "v")
-    return pathint.Geometry2Slit(**kwargs)
-
-
-def _region_of(cfg: ExperimentConfig, key: str, default: pathint.Region) -> pathint.Region:
-    raw = cfg.get("geometry", key)
-    if raw is None:
-        return default
-    parts = raw.split(",")
-    if len(parts) != 4:
-        raise ValidationError(f"[geometry] {key} needs 'x_min,x_max,y_min,y_max'")
-    try:
-        return pathint.Region(*(float(p) for p in parts))
-    except ValueError:
-        raise ValidationError(f"[geometry] {key} = {raw!r} is not four numbers")
-
-
-def _fourhole_geometry(cfg: ExperimentConfig) -> pathint.GeometryFourHole:
-    default = pathint.GeometryFourHole()
-    kwargs = dict(
-        x0=cfg.get_float("geometry", "x0", default.x0),
-        y0=cfg.get_float("geometry", "y0", default.y0),
-        l1=cfg.get_float("geometry", "l1", default.l1),
-        l2=cfg.get_float("geometry", "l2", default.l2),
-        mass=cfg.get_float("geometry", "mass", default.mass),
-        hbar=cfg.get_float("geometry", "hbar", default.hbar),
-        region_grid=cfg.get_int("geometry", "region_grid", default.region_grid),
-        region_plus=_region_of(cfg, "region_plus", default.region_plus),
-        region_minus=_region_of(cfg, "region_minus", default.region_minus),
-    )
-    if "wavelength" in cfg.sections.get("geometry", {}):
-        wavelength = cfg.get_float("geometry", "wavelength")
-        if wavelength <= 0:
-            raise ValidationError("wavelength must be positive")
-        kwargs["v"] = 2.0 * math.pi * kwargs["hbar"] / (kwargs["mass"] * wavelength)
-    else:
-        kwargs["v"] = cfg.get_float("geometry", "v", default.v)
-    return pathint.GeometryFourHole(**kwargs)
-
-
-_INPUT_STATES = {
-    "+x": ((1.0, 0.0, 0.0), 1), "-x": ((1.0, 0.0, 0.0), -1),
-    "+y": ((0.0, 1.0, 0.0), 1), "-y": ((0.0, 1.0, 0.0), -1),
-    "+z": ((0.0, 0.0, 1.0), 1), "-z": ((0.0, 0.0, 1.0), -1),
-}
-
-
-def _sg_input(cfg: ExperimentConfig) -> beamline.BeamState:
-    raw = cfg.get("experiment", "input", "+z").strip().lower()
-    if raw not in _INPUT_STATES:
-        raise ValidationError(
-            f"unknown input state {raw!r}; expected one of {', '.join(_INPUT_STATES)}")
-    (nx, ny, nz), s = _INPUT_STATES[raw]
-    return beamline.BeamState.eigenstate(Direction(nx, ny, nz), s)
-
-
-def _sg_devices(cfg: ExperimentConfig) -> list[beamline.SGDevice]:
-    section = cfg.sections.get("sequence")
-    if not section:
-        raise ValidationError("sterngerlach needs a [sequence] section")
-    keyed = []
-    for key, raw in section.items():
-        if not key.startswith("stage"):
-            raise ValidationError(f"[sequence] keys look like stage<k>, got {key!r}")
-        try:
-            keyed.append((int(key[5:]), raw))
-        except ValueError:
-            raise ValidationError(f"[sequence] keys look like stage<k>, got {key!r}")
-    devices = []
-    for k, raw in sorted(keyed):
-        tokens = raw.split()
-        if not tokens:
-            raise ValidationError(f"[sequence] stage{k} is empty")
-        role = tokens[0]
-        if role not in ("split", "recombine", "analyze"):
-            raise ValidationError(
-                f"[sequence] stage{k}: unknown role {role!r}")
-        if len(tokens) < 2:
-            raise ValidationError(f"[sequence] stage{k}: missing axis")
-        axis = parse_direction(tokens[1], f"[sequence] stage{k} axis")
-        block = None
-        rest = tokens[2:]
-        if rest:
-            if role != "split" or len(rest) != 2 or rest[0] != "block" or rest[1] not in ("+", "-"):
-                raise ValidationError(
-                    f"[sequence] stage{k}: trailing tokens {' '.join(rest)!r} "
-                    "(only 'block +' or 'block -' on split stages)")
-            block = 1 if rest[1] == "+" else -1
-        devices.append(beamline.SGDevice(axis, role, block))
-    return devices
-
-
-def _phasespace_setup(cfg: ExperimentConfig) -> phasespace.WaveFunction:
-    m = cfg.get_int("grid", "m", 256)
-    dr = cfg.get_float("grid", "dr", 1.0)
-    hbar = cfg.get_float("grid", "hbar", 1.0)
-    kind = cfg.get("state", "kind", "gaussian")
-    if kind == "gaussian":
-        return phasespace.gaussian_wavefunction(
-            m, dr,
-            center=cfg.get_float("state", "center", 0.0),
-            width=cfg.get_float("state", "width", 8.0),
-            momentum=cfg.get_float("state", "momentum", 0.0),
-            hbar=hbar)
-    if kind == "plane_wave":
-        return phasespace.plane_wave(
-            m, dr, cfg.get_int("state", "mode_index", 4), hbar=hbar)
-    raise ValidationError(f"unknown [state] kind {kind!r}")
-
-
-def _setup(cfg: ExperimentConfig) -> tuple[list[str], dict]:
-    """Full schema and physics validation, made once per run or replay.
-
-    Returns the diagnostics `validate` prints and the objects the run is
-    built from.
-    """
-    kind = _require_kind(cfg)
-    notes = [f"kind: {kind}"]
-    built: dict = {}
-    if kind in ("chsh", "epr"):
-        e = built["ensemble"] = _chsh_ensemble(cfg) if kind == "chsh" else _epr_ensemble(cfg)
-        notes.append(f"mode: {e.mode.value}")
-        if e.mode.is_sampling:
-            built["seed"], built["trials"] = _seed_of(cfg), _trials_of(cfg)
-            notes.append(f"seed: {built['seed']}")
-            notes.append(("trials per correlator: " if kind == "chsh" else "trials: ")
-                         + str(built["trials"]))
-    elif kind == "quasiprob":
-        dirs = built["directions"] = _quasiprob_directions(cfg)
-        notes.append(f"directions: {len(dirs)} planar angles")
-    elif kind == "twoslit":
-        g = built["geometry"] = _twoslit_geometry(cfg)
-        notes.append(f"wavelength: {g.wavelength!r}")
-        notes.append(f"fringe spacing lambda*l2/d: {g.fringe_spacing!r}")
-        notes.append(
-            f"fringes on screen: {2 * g.screen_half_width / g.fringe_spacing:.1f}")
-    elif kind == "fourhole":
-        g = built["geometry"] = _fourhole_geometry(cfg)
-        notes.append(f"wavelength: {g.wavelength!r}")
-    elif kind == "sterngerlach":
-        devices = built["devices"] = _sg_devices(cfg)
-        beam = built["beam"] = _sg_input(cfg)
-        # the analytic walk raises on a malformed sequence and sets the
-        # Monte Carlo thresholds; it is made here once
-        built["analytic"] = beamline.run_sequence(devices, beam)
-        built["seed"], built["trials"] = _seed_of(cfg), _trials_of(cfg)
-        notes.append(f"devices: {len(devices)}")
-        notes.append(f"seed: {built['seed']}")
-        notes.append(f"trials: {built['trials']}")
-    elif kind == "phasespace":
-        wf = built["wavefunction"] = _phasespace_setup(cfg)
-        notes.append(f"grid: M={wf.m}, dr={wf.dr!r}")
-    return notes, built
-
-
-def validate_experiment(cfg: ExperimentConfig) -> list[str]:
-    """Full schema and physics validation without running; returns diagnostics."""
-    return _setup(cfg)[0]
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
 
 
 # --- trial logs -------------------------------------------------------------
 #
 # A log is a header line, then one canonical JSON line per trial: the line
 # trial_record_json or event_json gives, written in blocks of CHUNK trials.
-# Replay decodes each block, encodes it again and compares the bytes, so a
-# body passes only if it is exactly what a run writes for the outcomes it
-# holds; the statistics are then recomputed from those outcomes by the same
-# functions a run uses.
+# A kind's walker goes through the blocks in order and calls `log.block`
+# for each: a run samples the block and writes its lines (_Writer); a
+# replay decodes the lines, encodes them again and compares the bytes
+# (_Body), so a body passes only if it is exactly what a run writes for the
+# outcomes it holds.  Either way the walker counts the outcomes, and the
+# kind's `summarize` turns the counts into the reported statistics.
 
 CHUNK = 16_384
 
@@ -345,7 +120,65 @@ def _header_line(kind: str, cfg_hash: str, seed: int) -> str:
                        "version": __version__}, separators=(",", ":")) + "\n"
 
 
-def _chsh_results(counts: np.ndarray, trials: int) -> dict:
+class _Writer:
+    """A log being written: each block is sampled, encoded and written."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def block(self, n, longest, sample, decode, encode, check=None):
+        arrays = sample()
+        self._fh.write(encode(*arrays))
+        return arrays
+
+
+def _pair_walker(pairs):
+    """Walker of a chsh or epr log: one block of trials per setting pair;
+    returns the outcome-pair counts of each."""
+
+    def walk(log, built: dict) -> np.ndarray:
+        e, seed, trials, mode = built["ensemble"], built["seed"], built["trials"], built["mode"]
+        counts = np.zeros((len(pairs), 4), dtype=np.int64)
+        for block, (ai, bi) in enumerate(pairs):
+            for lo, n in _chunks(trials):
+                start = block * trials + lo
+                a_out, b_out = log.block(
+                    n, epr.longest_record(start + n - 1, ai, bi, mode),
+                    lambda: epr.sample_trials(e, ai, bi, seed, n, start=start),
+                    lambda data: epr.decode_block(data, mode),
+                    lambda a, b: epr.encode_block(start, a, b, ai, bi, mode))
+                counts[block] += epr.outcome_counts(a_out, b_out)
+        return counts
+
+    return walk
+
+
+def _sample_events(built: dict, n: int, lo: int) -> tuple[np.ndarray, np.ndarray]:
+    events = beamline.monte_carlo_sequence(built["devices"], built["beam"], n, built["seed"],
+                                           start=lo, analytic=built["analytic"])[2]
+    return events.absorbed_at, events.outcome
+
+
+def _walk_events(log, built: dict) -> np.ndarray:
+    """Walker of a Stern-Gerlach log; returns the event_counts of every trial."""
+    blocking = [idx for idx, _ in built["analytic"].stage_survivals]
+    counts = np.zeros(4, dtype=np.int64)
+    for lo, n in _chunks(built["trials"]):
+        absorbed_at, outcome = log.block(
+            n, beamline.longest_event(lo + n - 1, max(blocking, default=-1)),
+            lambda: _sample_events(built, n, lo),
+            beamline.decode_events,
+            lambda x, o: beamline.encode_events(lo, x, o),
+            # a survivor has an outcome; an absorbed trial has none, and was
+            # absorbed at a blocking stage
+            lambda x, o: (np.where(x < 0, o == 0, (o != 0) | ~np.isin(x, blocking)),
+                          "an event this beamline cannot produce"))
+        counts += beamline.event_counts(absorbed_at, outcome)
+    return counts
+
+
+def _chsh_results(built: dict, counts: np.ndarray) -> dict:
+    trials = built["trials"]
     correlators = {_pair_name(ai, bi): epr.correlator(c)
                    for (ai, bi), c in zip(epr.CHSH_PAIRS, counts)}
     stderrs = {name: epr.correlator_stderr(v, trials) for name, v in correlators.items()}
@@ -355,19 +188,17 @@ def _chsh_results(counts: np.ndarray, trials: int) -> dict:
             "trials_per_correlator": trials}
 
 
-def _epr_results(counts: np.ndarray, trials: int) -> dict:
-    value = epr.correlator(counts[0])
+def _epr_results(built: dict, counts: np.ndarray) -> dict:
+    trials, value = built["trials"], epr.correlator(counts[0])
     return {"E": value, "stderr": epr.correlator_stderr(value, trials),
             "counts": {f"{'+' if a > 0 else '-'}{'+' if b > 0 else '-'}": int(c)
                        for (a, b), c in zip(epr.OUTCOME_PAIRS, counts[0])},
             "trials": trials}
 
 
-_RESULTS = {"chsh": _chsh_results, "epr": _epr_results}
-
-
-def _sg_results(analytic: beamline.SequenceResult, counts: np.ndarray) -> dict:
+def _sg_results(built: dict, counts: np.ndarray) -> dict:
     """counts: beamline.event_counts of every trial."""
+    analytic = built["analytic"]
     dist, fraction = beamline.survivor_statistics(counts)
     return {
         "analytic": {
@@ -384,67 +215,63 @@ def _sg_results(analytic: beamline.SequenceResult, counts: np.ndarray) -> dict:
     }
 
 
-def _pair_chunks(kind: str, trials: int):
-    """(block, a setting, b setting, first trial, size) of each chunk of a
-    chsh or epr log: one block of trials per setting pair."""
-    for block, (ai, bi) in enumerate(epr.CHSH_PAIRS if kind == "chsh" else ((0, 1),)):
-        for lo, n in _chunks(trials):
-            yield block, ai, bi, block * trials + lo, n
+@dataclass(frozen=True)
+class TrialLog:
+    """A kind's trial log: its file name, the walker a run and a replay
+    share, the summary of the walker's counts, and `roots`, the reported
+    statistics read straight from the outcomes (the rest derive from them)."""
+
+    name: str
+    walk: Callable
+    summarize: Callable[[dict, np.ndarray], dict]
+    roots: Callable[[dict], dict]
 
 
-def _write_pairs(fh, kind: str, built: dict, workers: int) -> np.ndarray:
-    """Sample and log the trials; returns the outcome-pair counts per block."""
-    e, seed, trials = built["ensemble"], built["seed"], built["trials"]
-    counts = np.zeros((4 if kind == "chsh" else 1, 4), dtype=np.int64)
-    for block, ai, bi, start, n in _pair_chunks(kind, trials):
-        a_out, b_out = epr.sample_trials(e, ai, bi, seed, n, start=start, workers=workers)
-        counts[block] += epr.outcome_counts(a_out, b_out)
-        fh.write(epr.encode_block(start, a_out, b_out, ai, bi, e.mode.value))
-    return counts
+# --- experiment kinds ---------------------------------------------------------
+
+def _singlet_setup(keys: tuple[str, ...], default_mode: str, trials_label: str):
+    """chsh and epr: an ensemble over the [directions] keys; a seed and a
+    trial count in the sampling modes."""
+
+    def setup(cfg: ExperimentConfig, notes: list[str]) -> dict:
+        mode = _mode_of(cfg, default_mode)
+        dirs = DirectionSet.of(*(parse_direction(cfg.require("directions", k),
+                                                 f"[directions] {k}") for k in keys))
+        lhv = None
+        if mode is epr.Mode.CLASSICAL_LHV:
+            lhv = np.array(parse_lhv_weights(cfg, len(keys)))
+        built = {"ensemble": epr.SingletEnsemble(dirs, mode, lhv), "mode": mode.value}
+        notes.append(f"mode: {mode.value}")
+        if mode.is_sampling:
+            built.update(_seed_and_trials(cfg, notes, trials_label))
+        return built
+
+    return setup
 
 
-def _write_events(fh, built: dict) -> np.ndarray:
-    """Walk and log the beamline trials; returns their event_counts."""
-    counts = np.zeros(4, dtype=np.int64)
-    for lo, n in _chunks(built["trials"]):
-        _, _, events = beamline.monte_carlo_sequence(
-            built["devices"], built["beam"], n, built["seed"], start=lo,
-            analytic=built["analytic"])
-        counts += beamline.event_counts(events.absorbed_at, events.outcome)
-        fh.write(events.encode())
-    return counts
+def _run_chsh(cfg, built: dict, out_dir: Path):
+    res = epr.chsh(built["ensemble"])
+    return {"correlators": {_pair_name(a, b): v for (a, b), v in res.correlators.items()},
+            "stderrs": None, "S": res.s, "S_stderr": None,
+            "trials_per_correlator": None}, []
 
 
-def _run_sampling(kind: str, cfg_hash: str, built: dict, out_dir: Path, workers: int):
-    log = out_dir / ("events.jsonl" if kind == "sterngerlach" else "trials.jsonl")
-    with open(log, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_header_line(kind, cfg_hash, built["seed"]))
-        if kind == "sterngerlach":
-            results = _sg_results(built["analytic"], _write_events(fh, built))
-        else:
-            results = _RESULTS[kind](_write_pairs(fh, kind, built, workers), built["trials"])
-    return results, [log.name]
+def _run_epr(cfg, built: dict, out_dir: Path):
+    return {"E": epr.correlation(built["ensemble"], 0, 1).value, "stderr": None,
+            "counts": None, "trials": None}, []
 
 
-def _run_singlet(cfg, built: dict, out_dir: Path, workers: int, cfg_hash: str):
-    """chsh and epr: a trial log in the sampling modes, exact values otherwise."""
-    e = built["ensemble"]
-    if e.mode.is_sampling:
-        results, outputs = _run_sampling(cfg.kind, cfg_hash, built, out_dir, workers)
-        return results, outputs, built["seed"], built["trials"], e.mode.value
-    if cfg.kind == "chsh":
-        res = epr.chsh(e)
-        results = {"correlators": {_pair_name(a, b): v
-                                   for (a, b), v in res.correlators.items()},
-                   "stderrs": None, "S": res.s, "S_stderr": None,
-                   "trials_per_correlator": None}
-    else:
-        results = {"E": epr.correlation(e, 0, 1).value, "stderr": None, "counts": None,
-                   "trials": None}
-    return results, [], None, None, e.mode.value
+def _quasiprob_setup(cfg: ExperimentConfig, notes: list[str]) -> dict:
+    keyed = keyed_section(cfg, "directions", "theta")
+    if len(keyed) < 2:
+        raise ValidationError("quasiprob needs at least [directions] theta1, theta2")
+    dirs = DirectionSet.from_planar_angles(cfg.get_float("directions", key)
+                                           for _, key in keyed)
+    notes.append(f"directions: {len(dirs)} planar angles")
+    return {"directions": dirs}
 
 
-def _run_quasiprob(cfg, built: dict, out_dir: Path, workers: int, cfg_hash: str):
+def _run_quasiprob(cfg, built: dict, out_dir: Path):
     dirs = built["directions"]
     table = quasiprob.solve_weights(dirs)
     born = quasiprob.born_table(dirs)
@@ -457,10 +284,54 @@ def _run_quasiprob(cfg, built: dict, out_dir: Path, workers: int, cfg_hash: str)
         "negative_patterns": ["(" + ",".join("+" if s > 0 else "-" for s in p) + ")"
                               for p in report.negative_patterns],
     }
-    return results, ["weights.csv", "born.csv"], None, None, None
+    return results, ["weights.csv", "born.csv"]
 
 
-def _run_twoslit(cfg, built: dict, out_dir: Path, workers: int, cfg_hash: str):
+def _region_of(cfg: ExperimentConfig, key: str, default: pathint.Region) -> pathint.Region:
+    raw = cfg.get("geometry", key)
+    if raw is None:
+        return default
+    parts = raw.split(",")
+    if len(parts) != 4:
+        raise ValidationError(f"[geometry] {key} needs 'x_min,x_max,y_min,y_max'")
+    try:
+        return pathint.Region(*(float(p) for p in parts))
+    except ValueError:
+        raise ValidationError(f"[geometry] {key} = {raw!r} is not four numbers")
+
+
+# [geometry] key of each geometry field not named as it is; a field's default
+# gives its type, and v comes from v or wavelength by pathint.speed_from
+_GEOMETRY_KEYS = {"slit_separation": "d", "slit_width": "w"}
+
+
+def _geometry(cfg: ExperimentConfig, cls):
+    default = cls()
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        key, value = _GEOMETRY_KEYS.get(f.name, f.name), getattr(default, f.name)
+        if isinstance(value, pathint.Region):
+            kwargs[f.name] = _region_of(cfg, key, value)
+        elif isinstance(value, int):
+            kwargs[f.name] = cfg.get_int("geometry", key, value)
+        elif f.name != "v":
+            kwargs[f.name] = cfg.get_float("geometry", key, value)
+    given = {key: cfg.get_float("geometry", key)
+             for key in ("v", "wavelength") if key in cfg.sections.get("geometry", {})}
+    kwargs["v"] = pathint.speed_from(given.get("v"), given.get("wavelength"), kwargs["mass"],
+                                     kwargs["hbar"]) if given else default.v
+    return cls(**kwargs)
+
+
+def _twoslit_setup(cfg: ExperimentConfig, notes: list[str]) -> dict:
+    g = _geometry(cfg, pathint.Geometry2Slit)
+    notes += [f"wavelength: {g.wavelength!r}",
+              f"fringe spacing lambda*l2/d: {g.fringe_spacing!r}",
+              f"fringes on screen: {2 * g.screen_half_width / g.fringe_spacing:.1f}"]
+    return {"geometry": g}
+
+
+def _run_twoslit(cfg, built: dict, out_dir: Path):
     g = built["geometry"]
     eps = cfg.get_float("experiment", "dark_eps", 1e-3)
     coherent = pathint.screen_pattern(g, "coherent")
@@ -481,10 +352,16 @@ def _run_twoslit(cfg, built: dict, out_dir: Path, workers: int, cfg_hash: str):
         "coherent_max": float(coherent.probabilities.max()),
         "whichpath_max": float(whichpath.probabilities.max()),
     }
-    return results, ["coherent.csv", "whichpath.csv", "dark_regions.json"], None, None, None
+    return results, ["coherent.csv", "whichpath.csv", "dark_regions.json"]
 
 
-def _run_fourhole(cfg, built: dict, out_dir: Path, workers: int, cfg_hash: str):
+def _fourhole_setup(cfg: ExperimentConfig, notes: list[str]) -> dict:
+    g = _geometry(cfg, pathint.GeometryFourHole)
+    notes.append(f"wavelength: {g.wavelength!r}")
+    return {"geometry": g}
+
+
+def _run_fourhole(cfg, built: dict, out_dir: Path):
     g = built["geometry"]
     coherent = pathint.four_hole_table(g, y_coherent=True)
     whichpath = pathint.four_hole_table(g, y_coherent=False)
@@ -498,15 +375,78 @@ def _run_fourhole(cfg, built: dict, out_dir: Path, workers: int, cfg_hash: str):
                "max_cell_gap": gap}
     (out_dir / "fourhole.json").write_text(json.dumps(results, indent=2),
                                            encoding="utf-8")
-    return results, ["fourhole.json"], None, None, None
+    return results, ["fourhole.json"]
 
 
-def _run_sterngerlach(cfg, built: dict, out_dir: Path, workers: int, cfg_hash: str):
-    results, outputs = _run_sampling("sterngerlach", cfg_hash, built, out_dir, workers)
-    return results, outputs, built["seed"], built["trials"], None
+_INPUT_STATES = {
+    "+x": ((1.0, 0.0, 0.0), 1), "-x": ((1.0, 0.0, 0.0), -1),
+    "+y": ((0.0, 1.0, 0.0), 1), "-y": ((0.0, 1.0, 0.0), -1),
+    "+z": ((0.0, 0.0, 1.0), 1), "-z": ((0.0, 0.0, 1.0), -1),
+}
 
 
-def _run_phasespace(cfg, built: dict, out_dir: Path, workers: int, cfg_hash: str):
+def _sg_device(k: int, raw: str) -> beamline.SGDevice:
+    tokens = raw.split()
+    if not tokens:
+        raise ValidationError(f"[sequence] stage{k} is empty")
+    role = tokens[0]
+    if role not in ("split", "recombine", "analyze"):
+        raise ValidationError(
+            f"[sequence] stage{k}: unknown role {role!r}")
+    if len(tokens) < 2:
+        raise ValidationError(f"[sequence] stage{k}: missing axis")
+    axis = parse_direction(tokens[1], f"[sequence] stage{k} axis")
+    block = None
+    rest = tokens[2:]
+    if rest:
+        if role != "split" or len(rest) != 2 or rest[0] != "block" or rest[1] not in ("+", "-"):
+            raise ValidationError(
+                f"[sequence] stage{k}: trailing tokens {' '.join(rest)!r} "
+                "(only 'block +' or 'block -' on split stages)")
+        block = 1 if rest[1] == "+" else -1
+    return beamline.SGDevice(axis, role, block)
+
+
+def _sg_setup(cfg: ExperimentConfig, notes: list[str]) -> dict:
+    if not cfg.sections.get("sequence"):
+        raise ValidationError("sterngerlach needs a [sequence] section")
+    devices = [_sg_device(k, cfg.get("sequence", key))
+               for k, key in keyed_section(cfg, "sequence", "stage")]
+    raw = cfg.get("experiment", "input", "+z").strip().lower()
+    if raw not in _INPUT_STATES:
+        raise ValidationError(
+            f"unknown input state {raw!r}; expected one of {', '.join(_INPUT_STATES)}")
+    (nx, ny, nz), s = _INPUT_STATES[raw]
+    beam = beamline.BeamState.eigenstate(Direction(nx, ny, nz), s)
+    # the analytic walk raises on a malformed sequence and sets the
+    # Monte Carlo thresholds; it is made here once
+    built = {"devices": devices, "beam": beam,
+             "analytic": beamline.run_sequence(devices, beam)}
+    notes.append(f"devices: {len(devices)}")
+    return {**built, **_seed_and_trials(cfg, notes)}
+
+
+def _phasespace_setup(cfg: ExperimentConfig, notes: list[str]) -> dict:
+    m = cfg.get_int("grid", "m", 256)
+    dr = cfg.get_float("grid", "dr", 1.0)
+    hbar = cfg.get_float("grid", "hbar", 1.0)
+    kind = cfg.get("state", "kind", "gaussian")
+    if kind == "gaussian":
+        wf = phasespace.gaussian_wavefunction(
+            m, dr,
+            center=cfg.get_float("state", "center", 0.0),
+            width=cfg.get_float("state", "width", 8.0),
+            momentum=cfg.get_float("state", "momentum", 0.0),
+            hbar=hbar)
+    elif kind == "plane_wave":
+        wf = phasespace.plane_wave(m, dr, cfg.get_int("state", "mode_index", 4), hbar=hbar)
+    else:
+        raise ValidationError(f"unknown [state] kind {kind!r}")
+    notes.append(f"grid: M={wf.m}, dr={wf.dr!r}")
+    return {"wavefunction": wf}
+
+
+def _run_phasespace(cfg, built: dict, out_dir: Path):
     wf = built["wavefunction"]
     lifted = phasespace.lift(wf)
     back = phasespace.project_r(lifted)
@@ -521,33 +461,80 @@ def _run_phasespace(cfg, built: dict, out_dir: Path, workers: int, cfg_hash: str
                "roundtrip_error": roundtrip,
                "parseval_gap": parseval,
                "momentum_ray_overlap": overlap}
-    return results, ["wavefunction.csv", "momentum.csv"], None, None, None
+    return results, ["wavefunction.csv", "momentum.csv"]
 
 
-_RUNNERS = {
-    "chsh": _run_singlet,
-    "epr": _run_singlet,
-    "quasiprob": _run_quasiprob,
-    "twoslit": _run_twoslit,
-    "fourhole": _run_fourhole,
-    "sterngerlach": _run_sterngerlach,
-    "phasespace": _run_phasespace,
+@dataclass(frozen=True)
+class Kind:
+    """One experiment kind.  `setup(cfg, notes)` reads and checks the config,
+    appends what `validate` prints and returns what the run is built from,
+    with "seed" and "trials" when the run logs trials; `run(cfg, built,
+    out_dir)` computes an analytic run and returns (results, output names);
+    `log` writes and verifies the trial log of a sampling run."""
+
+    setup: Callable[[ExperimentConfig, list[str]], dict]
+    run: Callable | None = None
+    log: TrialLog | None = None
+
+
+KINDS = {
+    "chsh": Kind(_singlet_setup(("a1", "a2", "b1", "b2"), "born_analytic",
+                                "trials per correlator"), _run_chsh,
+                 TrialLog("trials.jsonl", _pair_walker(epr.CHSH_PAIRS), _chsh_results,
+                          lambda r: r.get("correlators") or {})),
+    "epr": Kind(_singlet_setup(("a", "b"), "born_sampling", "trials"), _run_epr,
+                TrialLog("trials.jsonl", _pair_walker(((0, 1),)), _epr_results,
+                         lambda r: {"E": r.get("E"), "counts": r.get("counts")})),
+    "quasiprob": Kind(_quasiprob_setup, _run_quasiprob),
+    "twoslit": Kind(_twoslit_setup, _run_twoslit),
+    "fourhole": Kind(_fourhole_setup, _run_fourhole),
+    "sterngerlach": Kind(_sg_setup, log=TrialLog(
+        "events.jsonl", _walk_events, _sg_results,
+        lambda r: {key: (r.get("monte_carlo") or {}).get(key)
+                   for key in ("survivor_fraction", "distribution")})),
+    "phasespace": Kind(_phasespace_setup, _run_phasespace),
 }
 
 
+def _setup(cfg: ExperimentConfig) -> tuple[Kind, list[str], dict]:
+    """Full schema and physics validation, made once per run or replay.
+
+    Returns the kind, the diagnostics `validate` prints and the objects the
+    run is built from.
+    """
+    if not cfg.kind:
+        raise ValidationError("missing required field [experiment] kind")
+    if cfg.kind not in KINDS:
+        raise ValidationError(
+            f"unknown experiment kind {cfg.kind!r}; expected one of {', '.join(KINDS)}")
+    _check_workers(cfg.get_int("experiment", "workers", 1))
+    notes = [f"kind: {cfg.kind}"]
+    spec = KINDS[cfg.kind]
+    return spec, notes, spec.setup(cfg, notes)
+
+
+def validate_experiment(cfg: ExperimentConfig) -> list[str]:
+    """Full schema and physics validation without running; returns diagnostics."""
+    return _setup(cfg)[1]
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir, workers: int = 1) -> RunReport:
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
-    _, built = _setup(cfg)
+    _check_workers(workers)
+    spec, _, built = _setup(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg_hash = config_hash(cfg)
     t0 = time.perf_counter()
-    results, outputs, seed, trials, mode = _RUNNERS[cfg.kind](cfg, built, out, workers,
-                                                              cfg_hash)
+    if "trials" in built:
+        with open(out / spec.log.name, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(_header_line(cfg.kind, cfg_hash, built["seed"]))
+            results = spec.log.summarize(built, spec.log.walk(_Writer(fh), built))
+        outputs = [spec.log.name]
+    else:
+        results, outputs = spec.run(cfg, built, out)
     report = RunReport(cfg.kind, cfg_hash, results, time.perf_counter() - t0,
-                       tuple(outputs), seed, trials, mode,
-                       config={k: dict(v) for k, v in cfg.sections.items()})
+                       tuple(outputs), built.get("seed"), built.get("trials"),
+                       built.get("mode"), config={k: dict(v) for k, v in cfg.sections.items()})
     (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
     return report
 
@@ -593,9 +580,10 @@ class _Body:
         block, self._buf = self._buf[:cut], self._buf[cut:]
         return block
 
-    def verify(self, n: int, longest: int, decode, encode) -> tuple[np.ndarray, ...]:
+    def block(self, n, longest, sample, decode, encode, check=None):
         """Decode the next n lines and require them to be exactly what
-        `encode` makes of the decoded arrays; returns those arrays."""
+        `encode` makes of the decoded arrays, and `check`, if given, to
+        flag none of them; returns those arrays."""
         block = self._take(n, longest)
         arrays = decode(block)
         want = encode(*arrays).encode()
@@ -604,15 +592,13 @@ class _Body:
                            "not the canonical record of its trial")
         if len(arrays[0]) < n:
             raise _BadLine(self.lines + 1 + len(arrays[0]), "missing: the log ends early")
+        if check is not None:
+            bad, reason = check(*arrays)
+            first = np.flatnonzero(bad)
+            if len(first):
+                raise _BadLine(self.lines + 1 + int(first[0]), reason)
         self.lines += n
         return arrays
-
-    def reject(self, bad: np.ndarray, reason: str) -> None:
-        """Fail at the first true entry of `bad`, a mask over the lines just
-        verified."""
-        first = np.flatnonzero(bad)
-        if len(first):
-            raise _BadLine(self.lines - len(bad) + 1 + int(first[0]), reason)
 
     def finish(self) -> None:
         if self._buf or self._fh.read(1):
@@ -627,53 +613,13 @@ def _first_diff_line(want: bytes, got: bytes) -> int:
     return want.count(b"\n", 0, int(diff[0]) if len(diff) else m)
 
 
-def _replay_pairs(body: _Body, kind: str, built: dict) -> dict:
-    mode, trials = built["ensemble"].mode.value, built["trials"]
-    counts = np.zeros((4 if kind == "chsh" else 1, 4), dtype=np.int64)
-    for block, ai, bi, start, n in _pair_chunks(kind, trials):
-        a_out, b_out = body.verify(
-            n, epr.longest_record(start + n - 1, ai, bi, mode),
-            lambda data: epr.decode_block(data, mode),
-            lambda a, b: epr.encode_block(start, a, b, ai, bi, mode))
-        counts[block] += epr.outcome_counts(a_out, b_out)
-    return _RESULTS[kind](counts, trials)
-
-
-def _replay_events(body: _Body, built: dict) -> dict:
-    analytic, trials = built["analytic"], built["trials"]
-    blocking = [idx for idx, _ in analytic.stage_survivals]
-    counts = np.zeros(4, dtype=np.int64)
-    for lo, n in _chunks(trials):
-        absorbed_at, outcome = body.verify(
-            n, beamline.longest_event(lo + n - 1, max(blocking, default=-1)),
-            beamline.decode_events,
-            lambda x, o: beamline.encode_events(lo, x, o))
-        # a survivor has an outcome; an absorbed trial has none, and was
-        # absorbed at a blocking stage
-        body.reject(np.where(absorbed_at < 0, outcome == 0,
-                             (outcome != 0) | ~np.isin(absorbed_at, blocking)),
-                    "an event this beamline cannot produce")
-        counts += beamline.event_counts(absorbed_at, outcome)
-    return _sg_results(analytic, counts)
-
-
-def _diverging(kind: str, want: dict, got: dict) -> list[str]:
+def _diverging(roots, want: dict, got: dict) -> list[str]:
     """Reported statistics that differ from the recomputed ones.  The roots
     come straight from the outcomes; the rest are derived from them, so they
     are compared only when the roots agree, and a mismatch names its cause."""
-    got_roots = _roots(kind, got)
-    bad = [name for name, value in _roots(kind, want).items() if got_roots.get(name) != value]
+    got_roots = roots(got)
+    bad = [name for name, value in roots(want).items() if got_roots.get(name) != value]
     return bad or [key for key, value in want.items() if got.get(key) != value]
-
-
-def _roots(kind: str, results: dict) -> dict:
-    if kind == "chsh":
-        return results.get("correlators") or {}
-    if kind == "epr":
-        return {"E": results.get("E"), "counts": results.get("counts")}
-    mc = results.get("monte_carlo") or {}
-    return {"survivor_fraction": mc.get("survivor_fraction"),
-            "distribution": mc.get("distribution")}
 
 
 def replay_run(log_path, cfg: ExperimentConfig) -> ReplayVerdict:
@@ -692,21 +638,17 @@ def replay_run(log_path, cfg: ExperimentConfig) -> ReplayVerdict:
         cfg_hash = config_hash(cfg)
         if not isinstance(header, dict) or header.get("config_hash") != cfg_hash:
             return ReplayVerdict(False, False, ("config_hash",))
-        _, built = _setup(cfg)
-        kind = cfg.kind
+        spec, _, built = _setup(cfg)
         if "trials" not in built:
-            raise ValidationError(f"cannot replay: this {kind} config writes no trial log")
+            raise ValidationError(f"cannot replay: this {cfg.kind} config writes no trial log")
         report = json.loads((log.parent / "report.json").read_text(encoding="utf-8"))
         body = _Body(fh)
         try:
-            if head.decode("utf-8", "replace") != _header_line(kind, cfg_hash, built["seed"]):
+            if head.decode("utf-8", "replace") != _header_line(cfg.kind, cfg_hash, built["seed"]):
                 raise _BadLine(1, "not the canonical header")
-            if kind == "sterngerlach":
-                want = _replay_events(body, built)
-            else:
-                want = _replay_pairs(body, kind, built)
+            want = spec.log.summarize(built, spec.log.walk(body, built))
             body.finish()
         except _BadLine as bad:
             return ReplayVerdict(False, True, (), bad.line, bad.reason)
-    mismatches = _diverging(kind, want, report["results"])
+    mismatches = _diverging(spec.log.roots, want, report["results"])
     return ReplayVerdict(not mismatches, True, tuple(mismatches))

@@ -1,6 +1,8 @@
-"""Usage errors, the trials and workers limits and the single analytic walk of a run."""
+"""Usage errors, the trials and workers limits, the v/wavelength rule and the
+single analytic walk of a run."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -79,3 +81,54 @@ def test_workers_below_one_is_exit_3(capsys, tmp_path, workers):
     assert payload["status"] == "validation_error"
     assert "workers" in payload["error"]
     assert not (tmp_path / "out" / "trials.jsonl").exists()
+
+
+def _with_experiment_key(tmp_path, name, line):
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text((CONFIG_DIR / f"{name}.cfg").read_text(encoding="utf-8").replace(
+        "[experiment]\n", f"[experiment]\n{line}\n"), encoding="utf-8")
+    return cfg
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_config_workers_below_one_is_exit_3(capsys, tmp_path, command, workers):
+    """`[experiment] workers` in the file applies when no flag is given."""
+    argv = [command, _with_experiment_key(tmp_path, "twoslit", f"workers = {workers}")]
+    if command == "run":
+        argv += ["--out-dir", tmp_path / "out"]
+    code, payload = run_cli(capsys, *argv)
+    assert code == 3
+    assert payload["status"] == "validation_error"
+    assert "workers" in payload["error"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_workers_flag_overrides_config(capsys, tmp_path):
+    cfg = _with_experiment_key(tmp_path, "chsh_mc", "workers = 0")
+    code, payload = run_cli(capsys, "run", cfg, "--trials", "100",
+                            "--out-dir", tmp_path / "out", "--workers", "2")
+    assert code == 0
+    assert payload["status"] == "ok"
+
+
+@pytest.mark.parametrize("name", ["twoslit", "fourhole"])
+def test_both_v_and_wavelength_is_exit_3(capsys, tmp_path, name):
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text((CONFIG_DIR / f"{name}.cfg").read_text(encoding="utf-8").replace(
+        "wavelength = 0.01", "wavelength = 0.01\nv = 5.0"), encoding="utf-8")
+    for argv in (["validate", cfg], ["run", cfg, "--out-dir", tmp_path / "out"]):
+        code, payload = run_cli(capsys, *argv)
+        assert code == 3
+        assert payload["status"] == "validation_error"
+        assert "wavelength" in payload["error"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["twoslit", "fourhole"])
+def test_v_alone_sets_the_speed(tmp_path, name):
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text((CONFIG_DIR / f"{name}.cfg").read_text(encoding="utf-8").replace(
+        "wavelength = 0.01", "v = 5.0"), encoding="utf-8")
+    notes = runner.validate_experiment(parse_config(cfg))
+    assert f"wavelength: {2 * math.pi / 5.0!r}" in notes

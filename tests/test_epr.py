@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import angles, directions
-from hvqm import epr
+from hvqm import epr, quasiprob, spin
 from hvqm.epr import (CHSH_PAIRS, Mode, SingletEnsemble, bob_marginal, chsh,
                       chsh_ensemble, conditional_update, correlation,
                       pair_joint_probability, sample_trial,
@@ -220,6 +220,61 @@ class TestChsh:
 
     def test_chsh_pairs_layout(self):
         assert CHSH_PAIRS == ((0, 2), (0, 3), (1, 2), (1, 3))
+
+
+class TestAnalyticChshTable:
+    """An analytic CHSH reads its four correlators from one table."""
+
+    def _counted(self, monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @staticmethod
+    def _sign_matrix_correlator(weights, ai, bi):
+        """The per-correlator route: -(s_a s_b) summed over a sign matrix."""
+        signs = spin.sign_matrix(4)
+        return float(-(signs[:, ai] * signs[:, bi]) @ weights)
+
+    @given(st.lists(angles, min_size=4, max_size=4))
+    @settings(max_examples=50, deadline=None)
+    def test_quasiprob_solves_once(self, thetas):
+        with pytest.MonkeyPatch.context() as mp:
+            solves = self._counted(mp, quasiprob, "solve_weights")
+            signs = self._counted(mp, spin, "sign_matrix")
+            dirs = [Direction.from_planar_angle(t) for t in thetas]
+            res = chsh(chsh_ensemble(Mode.QUASIPROB_ANALYTIC, *dirs))
+            assert len(solves) == 1
+            assert not signs
+        weights = quasiprob.solve_weights(DirectionSet.of(*dirs)).weights
+        for ai, bi in CHSH_PAIRS:
+            assert abs(res.correlators[(ai, bi)]
+                       - self._sign_matrix_correlator(weights, ai, bi)) <= 1e-15
+
+    def test_classical_reads_the_weights_without_a_sign_matrix(self, monkeypatch):
+        signs = self._counted(monkeypatch, spin, "sign_matrix")
+        w = np.random.default_rng(4).random(16)
+        w /= w.sum()
+        res = chsh(chsh_ensemble(Mode.CLASSICAL_LHV, *tsirelson_settings(), lhv_weights=w))
+        assert not signs
+        for ai, bi in CHSH_PAIRS:
+            assert abs(res.correlators[(ai, bi)]
+                       - self._sign_matrix_correlator(w, ai, bi)) <= 1e-15
+
+    @given(st.lists(directions(), min_size=4, max_size=4))
+    @settings(max_examples=50, deadline=None)
+    def test_born_analytic_is_the_pair_law_sum(self, dirs):
+        res = chsh(chsh_ensemble(Mode.BORN_ANALYTIC, *dirs))
+        for ai, bi in CHSH_PAIRS:
+            assert res.correlators[(ai, bi)] == sum(
+                a * b * pair_joint_probability(dirs[ai], dirs[bi], a, b)
+                for a, b in epr.OUTCOME_PAIRS)
 
 
 class TestConditionalUpdate:
