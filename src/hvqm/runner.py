@@ -249,14 +249,14 @@ def _singlet_setup(keys: tuple[str, ...], default_mode: str, trials_label: str):
     return setup
 
 
-def _run_chsh(cfg, built: dict, out_dir: Path):
+def _run_chsh(built: dict, out_dir: Path):
     res = epr.chsh(built["ensemble"])
     return {"correlators": {_pair_name(a, b): v for (a, b), v in res.correlators.items()},
             "stderrs": None, "S": res.s, "S_stderr": None,
             "trials_per_correlator": None}, []
 
 
-def _run_epr(cfg, built: dict, out_dir: Path):
+def _run_epr(built: dict, out_dir: Path):
     return {"E": epr.correlation(built["ensemble"], 0, 1).value, "stderr": None,
             "counts": None, "trials": None}, []
 
@@ -271,7 +271,7 @@ def _quasiprob_setup(cfg: ExperimentConfig, notes: list[str]) -> dict:
     return {"directions": dirs}
 
 
-def _run_quasiprob(cfg, built: dict, out_dir: Path):
+def _run_quasiprob(built: dict, out_dir: Path):
     dirs = built["directions"]
     table = quasiprob.solve_weights(dirs)
     born = quasiprob.born_table(dirs)
@@ -328,12 +328,11 @@ def _twoslit_setup(cfg: ExperimentConfig, notes: list[str]) -> dict:
     notes += [f"wavelength: {g.wavelength!r}",
               f"fringe spacing lambda*l2/d: {g.fringe_spacing!r}",
               f"fringes on screen: {2 * g.screen_half_width / g.fringe_spacing:.1f}"]
-    return {"geometry": g}
+    return {"geometry": g, "dark_eps": cfg.get_float("experiment", "dark_eps", 1e-3)}
 
 
-def _run_twoslit(cfg, built: dict, out_dir: Path):
-    g = built["geometry"]
-    eps = cfg.get_float("experiment", "dark_eps", 1e-3)
+def _run_twoslit(built: dict, out_dir: Path):
+    g, eps = built["geometry"], built["dark_eps"]
     coherent = pathint.screen_pattern(g, "coherent")
     whichpath = pathint.screen_pattern(g, "which-path")
     dark = pathint.dark_region_finder(coherent, whichpath, eps)
@@ -361,7 +360,7 @@ def _fourhole_setup(cfg: ExperimentConfig, notes: list[str]) -> dict:
     return {"geometry": g}
 
 
-def _run_fourhole(cfg, built: dict, out_dir: Path):
+def _run_fourhole(built: dict, out_dir: Path):
     g = built["geometry"]
     coherent = pathint.four_hole_table(g, y_coherent=True)
     whichpath = pathint.four_hole_table(g, y_coherent=False)
@@ -446,7 +445,7 @@ def _phasespace_setup(cfg: ExperimentConfig, notes: list[str]) -> dict:
     return {"wavefunction": wf}
 
 
-def _run_phasespace(cfg, built: dict, out_dir: Path):
+def _run_phasespace(built: dict, out_dir: Path):
     wf = built["wavefunction"]
     lifted = phasespace.lift(wf)
     back = phasespace.project_r(lifted)
@@ -468,8 +467,8 @@ def _run_phasespace(cfg, built: dict, out_dir: Path):
 class Kind:
     """One experiment kind.  `setup(cfg, notes)` reads and checks the config,
     appends what `validate` prints and returns what the run is built from,
-    with "seed" and "trials" when the run logs trials; `run(cfg, built,
-    out_dir)` computes an analytic run and returns (results, output names);
+    with "seed" and "trials" when the run logs trials; `run(built, out_dir)`
+    computes an analytic run and returns (results, output names);
     `log` writes and verifies the trial log of a sampling run."""
 
     setup: Callable[[ExperimentConfig, list[str]], dict]
@@ -531,7 +530,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, workers: int = 1) -> RunRepor
             results = spec.log.summarize(built, spec.log.walk(_Writer(fh), built))
         outputs = [spec.log.name]
     else:
-        results, outputs = spec.run(cfg, built, out)
+        results, outputs = spec.run(built, out)
     report = RunReport(cfg.kind, cfg_hash, results, time.perf_counter() - t0,
                        tuple(outputs), built.get("seed"), built.get("trials"),
                        built.get("mode"), config={k: dict(v) for k, v in cfg.sections.items()})

@@ -132,3 +132,13 @@ def test_v_alone_sets_the_speed(tmp_path, name):
         "wavelength = 0.01", "v = 5.0"), encoding="utf-8")
     notes = runner.validate_experiment(parse_config(cfg))
     assert f"wavelength: {2 * math.pi / 5.0!r}" in notes
+
+
+def test_validate_reads_dark_eps(capsys, tmp_path):
+    """validate reads dark_eps, so it does not pass a config that run rejects for it."""
+    cfg = tmp_path / "twoslit.cfg"
+    cfg.write_text((CONFIG_DIR / "twoslit.cfg").read_text(encoding="utf-8").replace(
+        "dark_eps = 0.001", "dark_eps = abc"), encoding="utf-8")
+    code, payload = run_cli(capsys, "validate", cfg)
+    assert code == 3
+    assert "dark_eps" in payload["error"]
