@@ -7,8 +7,9 @@ multiplying the survival weight by the kept branch's norm and renormalizing
 the conditional state.  The final device is an analyzer returning Born
 probabilities on whatever survived.
 
-Monte Carlo trials draw one uniform per blocked stage plus one for the
-analyzer, all counter-based, so event logs replay bit-identically.
+Monte Carlo trials draw one uniform per blocked stage they reach plus one
+for the analyzer if they survive, all counter-based, so event logs replay
+bit-identically.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
+from . import rng
 from .errors import SequenceError, ValidationError
 from .logcodec import join_lines, line_ends, longest_line
-from .rng import uniforms
 from .spin import Direction
 
 AXIS_MATCH_TOL = 1e-9
@@ -313,21 +314,20 @@ def monte_carlo_sequence(devices: Sequence[SGDevice], beam: BeamState,
     if analytic is None:
         analytic = run_sequence(devices, beam)   # also validates the sequence
 
-    counters = np.arange(start, start + trials, dtype=np.uint64)
-    alive = np.ones(trials, dtype=bool)
+    # each stage draws only for the trials still alive at it: a draw is a pure
+    # function of (seed, counter, substream), so skipping the others changes
+    # no event
+    live = np.arange(trials)
     absorbed_at = np.full(trials, -1, dtype=np.int64)
-
     for idx, p_keep in analytic.stage_survivals:
-        u = uniforms(seed, counters, substream=idx)
-        hit = alive & (u >= p_keep)
-        absorbed_at[hit] = idx
-        alive &= ~hit
+        hit = rng.uniforms(seed, live + start, substream=idx) >= p_keep
+        absorbed_at[live[hit]] = idx
+        live = live[~hit]
 
     outcome = np.zeros(trials, dtype=np.int64)
-    if analytic.probabilities is not None and alive.any():
-        u = uniforms(seed, counters, substream=len(devices) - 1)
-        p_plus = analytic.probabilities[1]
-        outcome[alive] = np.where(u[alive] < p_plus, 1, -1)
+    if analytic.probabilities is not None and live.size:
+        u = rng.uniforms(seed, live + start, substream=len(devices) - 1)
+        outcome[live] = np.where(u < analytic.probabilities[1], 1, -1)
 
     dist, fraction = survivor_statistics(event_counts(absorbed_at, outcome))
     return dist, fraction, Events(start, absorbed_at, outcome)

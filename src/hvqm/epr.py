@@ -31,18 +31,18 @@ from enum import Enum
 
 import numpy as np
 
-from . import quasiprob
+from . import quasiprob, rng
 from .errors import NotSampleableError, ValidationError
 from .logcodec import join_lines, line_ends, longest_line
-from .rng import categorical, uniforms
+from .rng import categorical
 from .spin import Direction, DirectionSet, born_pair_probability
 
 LHV_SUM_TOL = 1e-12
 
 # fixed outcome-pair order used by the inverse-CDF sampler and the logs
 OUTCOME_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-_A_OUT = np.array([1, 1, -1, -1], dtype=np.int8)
-_B_OUT = np.array([1, -1, 1, -1], dtype=np.int8)
+_TILE_STEP = np.uint64(rng.TILE)
+_ONE = np.array(1, dtype=np.int8)
 
 
 class Mode(Enum):
@@ -163,8 +163,13 @@ def pair_joint_probability(n_a: Direction, n_b: Direction, alpha: int, beta: int
 
 
 def joint_outcome_probs(n_a: Direction, n_b: Direction) -> np.ndarray:
-    """The four joint probabilities in OUTCOME_PAIRS order."""
-    return np.array([pair_joint_probability(n_a, n_b, a, b) for a, b in OUTCOME_PAIRS])
+    """The four joint probabilities in OUTCOME_PAIRS order.
+
+    Negating both signs negates the pair amplitude exactly, so
+    P(-alpha, -beta) is P(alpha, beta) to the bit and is not recomputed.
+    """
+    same, opposite = (pair_joint_probability(n_a, n_b, 1, beta) for beta in (1, -1))
+    return np.array([same, opposite, opposite, same])
 
 
 def _check_setting(e: SingletEnsemble, idx: int) -> Direction:
@@ -186,15 +191,57 @@ def _sampling_cdf(e: SingletEnsemble, a_idx: int, b_idx: int) -> np.ndarray:
     return cum
 
 
-def _outcomes_for_counters(e: SingletEnsemble, a_idx: int, b_idx: int,
-                           seed: int, counters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    cum = _sampling_cdf(e, a_idx, b_idx)
-    u = uniforms(seed, counters, substream=0)
+def _born_outcomes(u: np.ndarray, cum: np.ndarray, a_out: np.ndarray, b_out: np.ndarray,
+                   above: np.ndarray) -> None:
+    """Born outcomes of uniforms u into the int8 arrays a_out and b_out.
+
+    Pair k of OUTCOME_PAIRS has a_out = -1 for k >= 2 and b_out = -1 for odd
+    k.  cum[:3] sums nonnegative probabilities, so it is nondecreasing, and
+    every u is below cum[3] = 1 (and below cum[2] where rounding put it past
+    1).  The inverse-CDF index k = searchsorted(cum, u, side="right") is
+    then the count of [u >= cum[0]], [u >= cum[1]] and [u >= cum[2]], so
+    a_out is 1 - 2 [u >= cum[1]] and b_out is 1 - 2 (k mod 2), the parity
+    being the xor of the three.  `above` is bool scratch of u's length.
+    """
+    c0, c1, c2 = cum[:3].tolist()
+    a_neg, b_neg = a_out.view(np.bool_), b_out.view(np.bool_)
+    np.greater_equal(u, c1, a_neg)
+    np.greater_equal(u, c0, b_neg)
+    np.greater_equal(u, c2, above)
+    np.not_equal(b_neg, a_neg, b_neg)
+    np.not_equal(b_neg, above, b_neg)
+    for out in (a_out, b_out):   # 1 - 2 g as (-g) | 1
+        np.negative(out, out)
+        np.bitwise_or(out, _ONE, out)
+
+
+def _lhv_outcomes(u: np.ndarray, cum: np.ndarray, a_idx: int, b_idx: int,
+                  a_out: np.ndarray, b_out: np.ndarray) -> None:
+    """Outcomes read off the sign pattern each uniform draws: bit i of the
+    pattern index is s_i = +1, and Bob carries the negated sign."""
     k = categorical(cum, u)
-    if e.mode is Mode.BORN_SAMPLING:
-        return _A_OUT[k], _B_OUT[k]
-    a_out = (2 * ((k >> a_idx) & 1) - 1).astype(np.int8)
-    b_out = (-(2 * ((k >> b_idx) & 1) - 1)).astype(np.int8)
+    a_out[:] = 2 * ((k >> a_idx) & 1) - 1
+    b_out[:] = 1 - 2 * ((k >> b_idx) & 1)
+
+
+def _outcomes_for_trials(e: SingletEnsemble, a_idx: int, b_idx: int,
+                           seed: int, start: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome arrays of trials start .. start + n - 1, drawn TILE at a time."""
+    cum = _sampling_cdf(e, a_idx, b_idx)
+    a_out = np.empty(n, dtype=np.int8)
+    b_out = np.empty(n, dtype=np.int8)
+    size = min(n, rng.TILE)
+    u = np.empty(size)
+    counters = np.arange(start, start + size, dtype=np.uint64)
+    above = np.empty(size, dtype=np.bool_)
+    for lo in range(0, n, rng.TILE):
+        m = min(rng.TILE, n - lo)
+        rng.uniforms(seed, counters[:m], out=u[:m])
+        if e.mode is Mode.BORN_SAMPLING:
+            _born_outcomes(u[:m], cum, a_out[lo:lo + m], b_out[lo:lo + m], above[:m])
+        else:
+            _lhv_outcomes(u[:m], cum, a_idx, b_idx, a_out[lo:lo + m], b_out[lo:lo + m])
+        counters += _TILE_STEP
     return a_out, b_out
 
 
@@ -203,8 +250,7 @@ def sample_trial(e: SingletEnsemble, a_idx: int, b_idx: int,
     """Draw a single trial; bit-identical to the batched path."""
     _check_setting(e, a_idx)
     _check_setting(e, b_idx)
-    a, b = _outcomes_for_counters(e, a_idx, b_idx, seed,
-                                  np.array([trial], dtype=np.uint64))
+    a, b = _outcomes_for_trials(e, a_idx, b_idx, seed, trial, 1)
     return TrialRecord(trial, a_idx, b_idx, int(a[0]), int(b[0]), e.mode.value)
 
 
@@ -213,16 +259,16 @@ def sample_trials(e: SingletEnsemble, a_idx: int, b_idx: int, seed: int,
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Outcome arrays for trials [start, start + n_trials).
 
-    Each trial is a pure function of (seed, index), so the whole range is
-    drawn in one vectorised call; `workers` is accepted and does not
-    change how or what is drawn.
+    Each trial is a pure function of (seed, index), so the range is drawn
+    rng.TILE trials at a time, uniforms and outcomes of a tile together,
+    with every bit as a whole-range draw gives it; `workers` is accepted
+    and does not change how or what is drawn.
     """
     _check_setting(e, a_idx)
     _check_setting(e, b_idx)
     if n_trials < 1:
         raise ValidationError("n_trials must be >= 1")
-    return _outcomes_for_counters(e, a_idx, b_idx, seed,
-                                  np.arange(start, start + n_trials, dtype=np.uint64))
+    return _outcomes_for_trials(e, a_idx, b_idx, seed, start, n_trials)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ K = 64 midpoint rule to be converged to ~1e-7.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from io import StringIO
@@ -315,10 +314,3 @@ def pattern_csv(p: ScreenPattern) -> str:
 def write_pattern_csv(p: ScreenPattern, path) -> None:
     Path(path).write_text(pattern_csv(p), encoding="utf-8")
 
-
-def pattern_json(p: ScreenPattern) -> str:
-    return json.dumps({
-        "mode": p.mode,
-        "bin_centers": [float(c) for c in p.bin_centers],
-        "probabilities": [float(v) for v in p.probabilities],
-    })

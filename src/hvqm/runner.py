@@ -64,6 +64,18 @@ class RunReport:
 
 # per setting pair: a chsh log of 4 x 10^7 lines takes about 3.6 GB
 MAX_TRIALS = 10_000_000
+# grid sizes: lift's M x M complex grids (a run at M = 2048 peaks near
+# 230 MiB), a slit's bins x quadrature_points phases, and a four-hole
+# region's region_grid^2 points (near 100 MiB at 1000)
+MAX_GRID_M = 2048
+MAX_SLIT_PHASES = 1 << 22
+MAX_REGION_GRID = 1024
+
+
+def _check_cap(what: str, value: int, cap: int) -> None:
+    """Fail before anything of the run is allocated."""
+    if value > cap:
+        raise ValidationError(f"{what} = {value} is past the cap of {cap}")
 
 
 def _seed_and_trials(cfg: ExperimentConfig, notes: list[str], label: str = "trials") -> dict:
@@ -74,8 +86,7 @@ def _seed_and_trials(cfg: ExperimentConfig, notes: list[str], label: str = "tria
     trials = cfg.get_int("experiment", "trials")
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
-    if trials > MAX_TRIALS:
-        raise ValidationError(f"trials = {trials} is past the cap of {MAX_TRIALS}")
+    _check_cap("trials", trials, MAX_TRIALS)
     notes += [f"seed: {seed}", f"{label}: {trials}"]
     return {"seed": seed, "trials": trials}
 
@@ -325,6 +336,8 @@ def _geometry(cfg: ExperimentConfig, cls):
 
 def _twoslit_setup(cfg: ExperimentConfig, notes: list[str]) -> dict:
     g = _geometry(cfg, pathint.Geometry2Slit)
+    _check_cap("[geometry] bins x quadrature_points", g.bins * g.quadrature_points,
+               MAX_SLIT_PHASES)
     notes += [f"wavelength: {g.wavelength!r}",
               f"fringe spacing lambda*l2/d: {g.fringe_spacing!r}",
               f"fringes on screen: {2 * g.screen_half_width / g.fringe_spacing:.1f}"]
@@ -356,6 +369,7 @@ def _run_twoslit(built: dict, out_dir: Path):
 
 def _fourhole_setup(cfg: ExperimentConfig, notes: list[str]) -> dict:
     g = _geometry(cfg, pathint.GeometryFourHole)
+    _check_cap("[geometry] region_grid", g.region_grid, MAX_REGION_GRID)
     notes.append(f"wavelength: {g.wavelength!r}")
     return {"geometry": g}
 
@@ -427,6 +441,7 @@ def _sg_setup(cfg: ExperimentConfig, notes: list[str]) -> dict:
 
 def _phasespace_setup(cfg: ExperimentConfig, notes: list[str]) -> dict:
     m = cfg.get_int("grid", "m", 256)
+    _check_cap("[grid] m", m, MAX_GRID_M)
     dr = cfg.get_float("grid", "dr", 1.0)
     hbar = cfg.get_float("grid", "hbar", 1.0)
     kind = cfg.get("state", "kind", "gaussian")

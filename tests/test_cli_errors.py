@@ -1,5 +1,5 @@
-"""Usage errors, the trials and workers limits, the v/wavelength rule and the
-single analytic walk of a run."""
+"""Usage errors, the trials, grid and workers limits, the v/wavelength rule
+and the single analytic walk of a run."""
 
 import json
 import math
@@ -48,6 +48,25 @@ def test_trials_past_cap_is_exit_3(capsys, tmp_path, command):
     assert payload["status"] == "validation_error"
     assert str(runner.MAX_TRIALS) in payload["error"]
     assert not (tmp_path / "out" / "trials.jsonl").exists()
+
+
+@pytest.mark.parametrize("name, shipped, past", [
+    ("phasespace", "m = 256", "m = 1048576"),
+    ("twoslit", "bins = 512", "bins = 1000000000"),
+    ("fourhole", "region_grid = 24", "region_grid = 1000000"),
+])
+def test_grid_past_cap_is_exit_3(capsys, tmp_path, name, shipped, past):
+    """validate is asked first: it allocates nothing, whatever the size."""
+    cfg = tmp_path / f"{name}.cfg"
+    text = (CONFIG_DIR / f"{name}.cfg").read_text(encoding="utf-8")
+    assert shipped in text
+    cfg.write_text(text.replace(shipped, past), encoding="utf-8")
+    for argv in (["validate", cfg], ["run", cfg, "--out-dir", tmp_path / "out"]):
+        code, payload = run_cli(capsys, *argv)
+        assert code == 3
+        assert payload["status"] == "validation_error"
+        assert "past the cap" in payload["error"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_trials_at_cap_validate(tmp_path):

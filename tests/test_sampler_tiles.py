@@ -9,6 +9,7 @@ trials), its values and dtypes must equal these exactly.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -218,3 +219,32 @@ class TestSternGerlach:
         assert events == want
         assert events.absorbed_at.dtype == want.absorbed_at.dtype
         assert events.outcome.dtype == want.outcome.dtype
+
+
+class TestBornBoundaries:
+    """The fused Born comparison on uniforms on and beside every boundary."""
+
+    @pytest.mark.parametrize("probs", [
+        (0.25, 0.25, 0.25, 0.25),
+        (0.0, 0.5, 0.5, 0.0),              # zero-width first and last intervals
+        (0.5, 0.0, 0.0, 0.5),              # zero-width middle intervals
+        (0.0, 0.0, 1.0, 0.0),
+        (1e-17, 0.5000000000000001, 0.5000000000000001, 1e-17),   # cum[2] past 1
+    ])
+    def test_matches_searchsorted_and_gather(self, probs):
+        cum = np.cumsum(probs)
+        cum[-1] = 1.0
+        edges = np.concatenate([cum[:3], np.nextafter(cum[:3], 0), np.nextafter(cum[:3], 1)])
+        u = np.unique(np.concatenate([[0.0, np.nextafter(1.0, 0)], edges]))
+        u = u[(u >= 0) & (u < 1)]
+        a, b = np.empty(len(u), dtype=np.int8), np.empty(len(u), dtype=np.int8)
+        epr._born_outcomes(u, cum, a, b, np.empty(len(u), dtype=np.bool_))
+        k = np.searchsorted(cum, u, side="right")
+        assert_bits_equal(a, _A_OUT[k])
+        assert_bits_equal(b, _B_OUT[k])
+
+    def test_uniforms_write_into_out(self):
+        out = np.empty((3, 5))
+        got = rng.uniforms(9, np.arange(15).reshape(3, 5), 2, out=out)
+        assert got is out
+        assert_bits_equal(out, reference_uniforms(9, np.arange(15).reshape(3, 5), 2))
