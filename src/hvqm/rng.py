@@ -71,6 +71,8 @@ def uniforms(seed: int, counters, substream: int = 0, out: np.ndarray | None = N
     c = np.asarray(counters, dtype=np.uint64)
     if out is None:
         out = np.empty(c.shape)
+    elif out.shape != c.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous float64 array of the counters' shape")
     # scalar part in Python ints: wrapping uint64 scalars would warn in numpy;
     # (c + 1) M1 + base is computed as c M1 + (base + M1)
     offset = np.array((seed * _GOLDEN + (substream + 1) * _SUBSTREAM_SALT + _M1) & _MASK,

@@ -248,3 +248,9 @@ class TestBornBoundaries:
         got = rng.uniforms(9, np.arange(15).reshape(3, 5), 2, out=out)
         assert got is out
         assert_bits_equal(out, reference_uniforms(9, np.arange(15).reshape(3, 5), 2))
+
+    @pytest.mark.parametrize("out", [np.empty(14), np.empty((3, 5), dtype=np.float32),
+                                     np.empty((5, 3)).T])
+    def test_unusable_out_is_refused(self, out):
+        with pytest.raises(ValueError):
+            rng.uniforms(9, np.arange(15).reshape(3, 5), out=out)
