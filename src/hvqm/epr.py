@@ -34,7 +34,6 @@ import numpy as np
 from . import quasiprob, rng
 from .errors import NotSampleableError, ValidationError
 from .logcodec import join_lines, line_ends, longest_line
-from .rng import categorical
 from .spin import Direction, DirectionSet, born_pair_probability
 
 LHV_SUM_TOL = 1e-12
@@ -219,7 +218,7 @@ def _lhv_outcomes(u: np.ndarray, cum: np.ndarray, a_idx: int, b_idx: int,
                   a_out: np.ndarray, b_out: np.ndarray) -> None:
     """Outcomes read off the sign pattern each uniform draws: bit i of the
     pattern index is s_i = +1, and Bob carries the negated sign."""
-    k = categorical(cum, u)
+    k = rng.categorical(cum, u)
     a_out[:] = 2 * ((k >> a_idx) & 1) - 1
     b_out[:] = 1 - 2 * ((k >> b_idx) & 1)
 

@@ -18,8 +18,8 @@ _SUBSTREAM_SALT = 0xD1B54A32D192ED03
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 
-# ufunc operands as 0-d arrays, which numpy takes with less set-up per call
-# than scalars; it is most of the cost of a call on a few hundred counters
+# ufunc operands as 0-d arrays: numpy sets up a call on them faster than on
+# scalars, and that set-up is most of the cost of a few hundred draws
 _M1_U, _M2_U, _S11, _S27, _S30, _S31 = (np.array(v, dtype=np.uint64)
                                         for v in (_M1, _M2, 11, 27, 30, 31))
 _ULP = np.array(2.0 ** -53)

@@ -64,9 +64,9 @@ class RunReport:
 
 # per setting pair: a chsh log of 4 x 10^7 lines takes about 3.6 GB
 MAX_TRIALS = 10_000_000
-# grid sizes: lift's M x M complex grids (a run at M = 2048 peaks near
-# 230 MiB), a slit's bins x quadrature_points phases, and a four-hole
-# region's region_grid^2 points (near 100 MiB at 1000)
+# grid sizes: lift's M x M complex grids, a slit's bins x quadrature_points
+# phases and a four-hole region's region_grid^2 points; a run at each cap
+# peaks at 227, 197 and 106 MiB and takes 0.7-1.6 s
 MAX_GRID_M = 2048
 MAX_SLIT_PHASES = 1 << 22
 MAX_REGION_GRID = 1024

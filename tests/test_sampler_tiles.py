@@ -254,3 +254,10 @@ class TestBornBoundaries:
     def test_unusable_out_is_refused(self, out):
         with pytest.raises(ValueError):
             rng.uniforms(9, np.arange(15).reshape(3, 5), out=out)
+
+
+@given(directions(), directions())
+@settings(max_examples=200)
+def test_joint_outcome_probs_equal_the_four_pair_laws(n_a, n_b):
+    want = np.array([epr.pair_joint_probability(n_a, n_b, a, b) for a, b in epr.OUTCOME_PAIRS])
+    assert_bits_equal(epr.joint_outcome_probs(n_a, n_b), want)
