@@ -224,7 +224,7 @@ def _lhv_outcomes(u: np.ndarray, cum: np.ndarray, a_idx: int, b_idx: int,
 
 
 def _outcomes_for_trials(e: SingletEnsemble, a_idx: int, b_idx: int,
-                           seed: int, start: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+                         seed: int, start: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Outcome arrays of trials start .. start + n - 1, drawn TILE at a time."""
     cum = _sampling_cdf(e, a_idx, b_idx)
     a_out = np.empty(n, dtype=np.int8)
