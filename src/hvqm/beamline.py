@@ -23,7 +23,7 @@ import numpy as np
 
 from . import rng
 from .errors import SequenceError, ValidationError
-from .logcodec import join_lines, line_ends, longest_line
+from .logcodec import join_lines
 from .spin import Direction
 
 AXIS_MATCH_TOL = 1e-9
@@ -205,14 +205,14 @@ def event_json(e: TrialEvent) -> str:
 
 
 @functools.lru_cache(maxsize=256)
-def _event_suffix(absorbed_at: int, outcome: int) -> str:
+def _event_suffix(absorbed_at: int, outcome: int) -> bytes:
     """What follows '{"trial":N' in an event line; -1 and 0 stand for null."""
     line = event_json(TrialEvent(0, absorbed_at if absorbed_at >= 0 else None,
                                  outcome if outcome else None))
-    return line[len('{"trial":0'):] + "\n"
+    return (line[len('{"trial":0'):] + "\n").encode("ascii")
 
 
-def encode_events(start: int, absorbed_at: np.ndarray, outcome: np.ndarray) -> str:
+def encode_events(start: int, absorbed_at: np.ndarray, outcome: np.ndarray) -> bytes:
     """Event lines of trials start, start + 1, ...: byte for byte the
     event_json lines, each ended by a newline.  absorbed_at is -1 and
     outcome 0 where the event has none."""
@@ -220,55 +220,6 @@ def encode_events(start: int, absorbed_at: np.ndarray, outcome: np.ndarray) -> s
                          + np.asarray(outcome, dtype=np.int64) + 1, return_inverse=True)
     return join_lines(start, k.ravel(),
                       [_event_suffix(int(c) // 3 - 1, int(c) % 3 - 1) for c in codes])
-
-
-_MAX_DIGITS = 18   # an int64 holds every 18-digit number
-
-
-@functools.lru_cache(maxsize=1)
-def _event_offsets() -> tuple[int, int]:
-    """For a line '...absorbed_at":0,"outcome":1}': how far the outcome's
-    digit sits before the line end, and the absorbed_at digit before it."""
-    line = event_json(TrialEvent(0, 0, 1))
-    x_at = line.index('"absorbed_at":') + len('"absorbed_at":')
-    o_at = line.index('"outcome":') + len('"outcome":')
-    return len(line) - o_at, o_at - x_at
-
-
-def decode_events(data: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """(absorbed_at, outcome) read by position from canonical event lines.
-
-    Only a canonical line is read correctly; whatever is read from any other
-    line re-encodes to something else, which is how replay finds it.
-    """
-    buf = np.frombuffer(data, dtype=np.uint8)
-    o_back, x_gap = _event_offsets()
-    o_last = line_ends(data) - o_back      # the '1' of 1 or -1, the 'l' of null
-    o_null = buf.take(o_last, mode="clip") == ord("l")
-    o_neg = ~o_null & (buf.take(o_last - 1, mode="clip") == ord("-"))
-    pos = o_last - np.where(o_null, 3, o_neg) - x_gap   # absorbed_at's last character
-    x_null = buf.take(pos, mode="clip") == ord("l")
-    value = np.zeros(len(pos), dtype=np.int64)
-    scale = 1
-    digit = buf.take(pos, mode="clip") - ord("0")
-    run = ~x_null & (digit < 10)
-    for _ in range(_MAX_DIGITS):
-        if not run.any():
-            break
-        value += np.where(run, digit.astype(np.int64) * scale, 0)
-        scale *= 10
-        pos = pos - 1
-        digit = buf.take(pos, mode="clip") - ord("0")
-        run &= digit < 10
-    return (np.where(x_null, -1, value),
-            np.where(o_null, 0, np.where(o_neg, -1, 1)).astype(np.int64))
-
-
-def longest_event(last_trial: int, last_stage: int) -> int:
-    """Bytes in the longest event line of a trial numbered up to last_trial
-    in a beamline whose devices are numbered up to last_stage."""
-    return longest_line(last_trial, [_event_suffix(x, o)
-                                     for x, o in ((-1, -1), (last_stage, 0))])
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,7 +245,7 @@ class Events:
 
     __hash__ = None
 
-    def encode(self) -> str:
+    def encode(self) -> bytes:
         return encode_events(self.start, self.absorbed_at, self.outcome)
 
 

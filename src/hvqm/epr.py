@@ -33,7 +33,7 @@ import numpy as np
 
 from . import quasiprob, rng
 from .errors import NotSampleableError, ValidationError
-from .logcodec import join_lines, line_ends, longest_line
+from .logcodec import join_lines
 from .spin import Direction, DirectionSet, born_pair_probability
 
 LHV_SUM_TOL = 1e-12
@@ -110,50 +110,20 @@ def outcome_counts(a_out: np.ndarray, b_out: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _record_suffixes(a_setting: int, b_setting: int, mode: str) -> tuple[str, ...]:
+def _record_suffixes(a_setting: int, b_setting: int, mode: str) -> tuple[bytes, ...]:
     """What follows '{"trial":N' in a log line, per outcome pair."""
-    return tuple(trial_record_json(TrialRecord(0, a_setting, b_setting, a, b, mode))
-                 [len('{"trial":0'):] + "\n" for a, b in OUTCOME_PAIRS)
+    return tuple((trial_record_json(TrialRecord(0, a_setting, b_setting, a, b, mode))
+                  [len('{"trial":0'):] + "\n").encode("ascii") for a, b in OUTCOME_PAIRS)
 
 
 def encode_block(start: int, a_out: np.ndarray, b_out: np.ndarray,
-                 a_setting: int, b_setting: int, mode: str) -> str:
+                 a_setting: int, b_setting: int, mode: str) -> bytes:
     """Log lines of trials start, start + 1, ... at one setting pair.
 
     Byte for byte the trial_record_json lines, each ended by a newline.
     """
     k = 2 * (np.asarray(a_out) < 0) + (np.asarray(b_out) < 0)   # OUTCOME_PAIRS position
     return join_lines(start, k, _record_suffixes(a_setting, b_setting, mode))
-
-
-def longest_record(last_trial: int, a_setting: int, b_setting: int, mode: str) -> int:
-    """Bytes in the longest log line of a trial numbered up to last_trial."""
-    return longest_line(last_trial, _record_suffixes(a_setting, b_setting, mode))
-
-
-@functools.lru_cache(maxsize=8)
-def _outcome_offsets(mode: str) -> tuple[int, int]:
-    """For a line with both outcomes +1: how far b_out's digit sits before
-    the line end, and a_out's digit before b_out's.  The text after b_out
-    is fixed for a mode, so a minus sign only shifts what comes earlier."""
-    line = trial_record_json(TrialRecord(0, 0, 0, 1, 1, mode))
-    a_at = line.index('"a_out":') + len('"a_out":')
-    b_at = line.index('"b_out":') + len('"b_out":')
-    return len(line) - b_at, b_at - a_at
-
-
-def decode_block(data: bytes, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Outcome arrays read by position from canonical log lines.
-
-    Only a canonical line is read correctly; whatever is read from any other
-    line re-encodes to something else, which is how replay finds it.
-    """
-    buf = np.frombuffer(data, dtype=np.uint8)
-    b_back, a_gap = _outcome_offsets(mode)
-    b_digit = line_ends(data) - b_back
-    b_neg = buf.take(b_digit - 1, mode="clip") == ord("-")
-    a_neg = buf.take(b_digit - b_neg - a_gap - 1, mode="clip") == ord("-")
-    return 1 - 2 * a_neg.astype(np.int8), 1 - 2 * b_neg.astype(np.int8)
 
 
 def pair_joint_probability(n_a: Direction, n_b: Direction, alpha: int, beta: int) -> float:
@@ -177,17 +147,35 @@ def _check_setting(e: SingletEnsemble, idx: int) -> Direction:
     return e.directions[idx]
 
 
+@functools.lru_cache(maxsize=256)
+def _born_cdf(n_a: Direction, n_b: Direction) -> np.ndarray:
+    """Cumulative pair Born probabilities of one setting pair, in
+    OUTCOME_PAIRS order.  Shared by every block drawn at the pair, so
+    read-only."""
+    cum = np.cumsum(joint_outcome_probs(n_a, n_b))
+    cum[-1] = 1.0  # guard the last inverse-CDF boundary against rounding
+    cum.flags.writeable = False
+    return cum
+
+
 def _sampling_cdf(e: SingletEnsemble, a_idx: int, b_idx: int) -> np.ndarray:
     if e.mode is Mode.BORN_SAMPLING:
-        cum = np.cumsum(joint_outcome_probs(e.directions[a_idx], e.directions[b_idx]))
-    elif e.mode is Mode.CLASSICAL_LHV:
-        cum = np.cumsum(e.lhv_weights)
-    else:
+        return _born_cdf(e.directions[a_idx], e.directions[b_idx])
+    if e.mode is not Mode.CLASSICAL_LHV:
         raise NotSampleableError(
             f"mode {e.mode.value} is analytic only; signed or implicit weights "
             "cannot be drawn from")
-    cum[-1] = 1.0  # guard the last inverse-CDF boundary against rounding
+    cum = np.cumsum(e.lhv_weights)
+    cum[-1] = 1.0
     return cum
+
+
+def _signs(a_out: np.ndarray, b_out: np.ndarray) -> None:
+    """Turn int8 arrays holding 1 where the outcome is -1, and 0 where it is
+    +1, into the outcomes: 1 - 2 g as (-g) | 1."""
+    for out in (a_out, b_out):
+        np.negative(out, out)
+        np.bitwise_or(out, _ONE, out)
 
 
 def _born_outcomes(u: np.ndarray, cum: np.ndarray, a_out: np.ndarray, b_out: np.ndarray,
@@ -209,18 +197,26 @@ def _born_outcomes(u: np.ndarray, cum: np.ndarray, a_out: np.ndarray, b_out: np.
     np.greater_equal(u, c2, above)
     np.not_equal(b_neg, a_neg, b_neg)
     np.not_equal(b_neg, above, b_neg)
-    for out in (a_out, b_out):   # 1 - 2 g as (-g) | 1
-        np.negative(out, out)
-        np.bitwise_or(out, _ONE, out)
+    _signs(a_out, b_out)
 
 
 def _lhv_outcomes(u: np.ndarray, cum: np.ndarray, a_idx: int, b_idx: int,
-                  a_out: np.ndarray, b_out: np.ndarray) -> None:
+                  a_out: np.ndarray, b_out: np.ndarray, above: np.ndarray) -> None:
     """Outcomes read off the sign pattern each uniform draws: bit i of the
-    pattern index is s_i = +1, and Bob carries the negated sign."""
-    k = rng.categorical(cum, u)
-    a_out[:] = 2 * ((k >> a_idx) & 1) - 1
-    b_out[:] = 1 - 2 * ((k >> b_idx) & 1)
+    pattern index is s_i = +1, and Bob carries the negated sign.
+
+    The weights are nonnegative, so cum is nondecreasing and the pattern
+    index searchsorted(cum, u, side="right") is the count of the boundaries
+    cum[:-1] at or below u (u < 1 = cum[-1]).  `above` is bool scratch of
+    u's length.
+    """
+    k = np.zeros(len(u), dtype=np.min_scalar_type(len(cum) - 1))
+    for c in cum[:-1].tolist():
+        np.greater_equal(u, c, above)
+        k += above
+    np.equal((k >> a_idx) & 1, 0, a_out.view(np.bool_))
+    np.equal((k >> b_idx) & 1, 1, b_out.view(np.bool_))
+    _signs(a_out, b_out)
 
 
 def _outcomes_for_trials(e: SingletEnsemble, a_idx: int, b_idx: int,
@@ -239,7 +235,8 @@ def _outcomes_for_trials(e: SingletEnsemble, a_idx: int, b_idx: int,
         if e.mode is Mode.BORN_SAMPLING:
             _born_outcomes(u[:m], cum, a_out[lo:lo + m], b_out[lo:lo + m], above[:m])
         else:
-            _lhv_outcomes(u[:m], cum, a_idx, b_idx, a_out[lo:lo + m], b_out[lo:lo + m])
+            _lhv_outcomes(u[:m], cum, a_idx, b_idx, a_out[lo:lo + m], b_out[lo:lo + m],
+                          above[:m])
         counters += _TILE_STEP
     return a_out, b_out
 

@@ -96,5 +96,7 @@ def categorical(cum_probs: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     `cum_probs` is the cumulative sum of the category probabilities.
     Zero-probability categories occupy empty intervals and are never hit.
+    The classical sampler in `epr` counts thresholds instead, with the same
+    result; this is the reference its tests compare against.
     """
     return np.searchsorted(cum_probs, u, side="right")

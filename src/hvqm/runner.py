@@ -2,9 +2,9 @@
 
 Every Monte Carlo kind writes a JSON-lines log whose first line is a header
 carrying the canonical config hash; rerunning with the same seed produces a
-byte-identical log for any worker count.  `replay` checks that every line
-is the canonical record of its trial, recomputes the summary statistics
-from the log and checks them against the stored report.
+byte-identical log for any worker count.  `replay` samples the log again
+from the config, requires the file to hold exactly those bytes, and checks
+the summary statistics recomputed from them against the stored report.
 
 What each experiment kind does is one `Kind` entry in `KINDS`: a run and a
 replay walk its trial log through the same block walker and summarise it
@@ -110,12 +110,12 @@ def _check_workers(workers: int) -> None:
 #
 # A log is a header line, then one canonical JSON line per trial: the line
 # trial_record_json or event_json gives, written in blocks of CHUNK trials.
-# A kind's walker goes through the blocks in order and calls `log.block`
-# for each: a run samples the block and writes its lines (_Writer); a
-# replay decodes the lines, encodes them again and compares the bytes
-# (_Body), so a body passes only if it is exactly what a run writes for the
-# outcomes it holds.  Either way the walker counts the outcomes, and the
-# kind's `summarize` turns the counts into the reported statistics.
+# Every trial is a pure function of the config's seed and its own index, so
+# a kind's walker samples and encodes each block in order whether it runs or
+# replays, and hands the bytes to `log.block`: a run writes them (_Writer),
+# a replay requires the log to hold exactly them (_Body).  Either way the
+# walker counts the outcomes, and the kind's `summarize` turns the counts
+# into the reported statistics.
 
 CHUNK = 16_384
 
@@ -126,21 +126,19 @@ def _chunks(trials: int):
         yield lo, min(CHUNK, trials - lo)
 
 
-def _header_line(kind: str, cfg_hash: str, seed: int) -> str:
+def _header_line(kind: str, cfg_hash: str, seed: int) -> bytes:
     return json.dumps({"kind": kind, "config_hash": cfg_hash, "seed": seed,
-                       "version": __version__}, separators=(",", ":")) + "\n"
+                       "version": __version__}, separators=(",", ":")).encode() + b"\n"
 
 
 class _Writer:
-    """A log being written: each block is sampled, encoded and written."""
+    """A log being written: each block's lines go to the file."""
 
     def __init__(self, fh):
         self._fh = fh
 
-    def block(self, n, longest, sample, decode, encode, check=None):
-        arrays = sample()
-        self._fh.write(encode(*arrays))
-        return arrays
+    def block(self, data: bytes, lines: int) -> None:
+        self._fh.write(data)
 
 
 def _pair_walker(pairs):
@@ -153,38 +151,23 @@ def _pair_walker(pairs):
         for block, (ai, bi) in enumerate(pairs):
             for lo, n in _chunks(trials):
                 start = block * trials + lo
-                a_out, b_out = log.block(
-                    n, epr.longest_record(start + n - 1, ai, bi, mode),
-                    lambda: epr.sample_trials(e, ai, bi, seed, n, start=start),
-                    lambda data: epr.decode_block(data, mode),
-                    lambda a, b: epr.encode_block(start, a, b, ai, bi, mode))
+                a_out, b_out = epr.sample_trials(e, ai, bi, seed, n, start=start)
+                log.block(epr.encode_block(start, a_out, b_out, ai, bi, mode), n)
                 counts[block] += epr.outcome_counts(a_out, b_out)
         return counts
 
     return walk
 
 
-def _sample_events(built: dict, n: int, lo: int) -> tuple[np.ndarray, np.ndarray]:
-    events = beamline.monte_carlo_sequence(built["devices"], built["beam"], n, built["seed"],
-                                           start=lo, analytic=built["analytic"])[2]
-    return events.absorbed_at, events.outcome
-
-
 def _walk_events(log, built: dict) -> np.ndarray:
     """Walker of a Stern-Gerlach log; returns the event_counts of every trial."""
-    blocking = [idx for idx, _ in built["analytic"].stage_survivals]
     counts = np.zeros(4, dtype=np.int64)
     for lo, n in _chunks(built["trials"]):
-        absorbed_at, outcome = log.block(
-            n, beamline.longest_event(lo + n - 1, max(blocking, default=-1)),
-            lambda: _sample_events(built, n, lo),
-            beamline.decode_events,
-            lambda x, o: beamline.encode_events(lo, x, o),
-            # a survivor has an outcome; an absorbed trial has none, and was
-            # absorbed at a blocking stage
-            lambda x, o: (np.where(x < 0, o == 0, (o != 0) | ~np.isin(x, blocking)),
-                          "an event this beamline cannot produce"))
-        counts += beamline.event_counts(absorbed_at, outcome)
+        events = beamline.monte_carlo_sequence(built["devices"], built["beam"], n,
+                                               built["seed"], start=lo,
+                                               analytic=built["analytic"])[2]
+        log.block(events.encode(), n)
+        counts += beamline.event_counts(events.absorbed_at, events.outcome)
     return counts
 
 
@@ -540,7 +523,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, workers: int = 1) -> RunRepor
     cfg_hash = config_hash(cfg)
     t0 = time.perf_counter()
     if "trials" in built:
-        with open(out / spec.log.name, "w", encoding="utf-8", newline="\n") as fh:
+        with open(out / spec.log.name, "wb") as fh:
             fh.write(_header_line(cfg.kind, cfg_hash, built["seed"]))
             results = spec.log.summarize(built, spec.log.walk(_Writer(fh), built))
         outputs = [spec.log.name]
@@ -577,45 +560,26 @@ class _BadLine(Exception):
 
 
 class _Body:
-    """A log body after its header, read in blocks of whole lines, so memory
+    """A log body after its header, read one block at a time, so memory
     stays bounded by the block size whatever the log holds."""
 
     def __init__(self, fh):
         self._fh = fh
-        self._buf = b""
         self.lines = 1   # lines verified so far, the header included
 
-    def _take(self, n: int, longest: int) -> bytes:
-        """The next n lines, or fewer if they do not fit in n * longest bytes."""
-        if len(self._buf) < n * longest:
-            self._buf += self._fh.read(n * longest - len(self._buf))
-        ends = np.flatnonzero(np.frombuffer(self._buf, dtype=np.uint8) == ord("\n"))
-        cut = int(ends[n - 1]) + 1 if len(ends) >= n else len(self._buf)
-        block, self._buf = self._buf[:cut], self._buf[cut:]
-        return block
-
-    def block(self, n, longest, sample, decode, encode, check=None):
-        """Decode the next n lines and require them to be exactly what
-        `encode` makes of the decoded arrays, and `check`, if given, to
-        flag none of them; returns those arrays."""
-        block = self._take(n, longest)
-        arrays = decode(block)
-        want = encode(*arrays).encode()
-        if block != want:
-            raise _BadLine(self.lines + 1 + _first_diff_line(want, block),
-                           "not the canonical record of its trial")
-        if len(arrays[0]) < n:
-            raise _BadLine(self.lines + 1 + len(arrays[0]), "missing: the log ends early")
-        if check is not None:
-            bad, reason = check(*arrays)
-            first = np.flatnonzero(bad)
-            if len(first):
-                raise _BadLine(self.lines + 1 + int(first[0]), reason)
-        self.lines += n
-        return arrays
+    def block(self, want: bytes, lines: int) -> None:
+        """Require the next bytes of the log to be `want`, its next `lines`
+        lines."""
+        got = self._fh.read(len(want))
+        if got != want:
+            bad = self.lines + 1 + _first_diff_line(want, got)
+            if want.startswith(got) and got[-1:] in (b"", b"\n"):
+                raise _BadLine(bad, "missing: the log ends early")
+            raise _BadLine(bad, "not the canonical record of its trial")
+        self.lines += lines
 
     def finish(self) -> None:
-        if self._buf or self._fh.read(1):
+        if self._fh.read(1):
             raise _BadLine(self.lines + 1, "past the last trial")
 
 
@@ -639,9 +603,9 @@ def _diverging(roots, want: dict, got: dict) -> list[str]:
 def replay_run(log_path, cfg: ExperimentConfig) -> ReplayVerdict:
     """Check a trial log against its config hash and stored report.
 
-    Every line must be the canonical record of its trial, in order, with
+    The body must be byte for byte what a run of the config writes, with
     nothing missing or extra; every reported statistic must equal the one
-    recomputed from the log's outcomes.
+    recomputed from those outcomes.
     """
     log = Path(log_path)
     with open(log, "rb") as fh:
@@ -658,7 +622,7 @@ def replay_run(log_path, cfg: ExperimentConfig) -> ReplayVerdict:
         report = json.loads((log.parent / "report.json").read_text(encoding="utf-8"))
         body = _Body(fh)
         try:
-            if head.decode("utf-8", "replace") != _header_line(cfg.kind, cfg_hash, built["seed"]):
+            if head != _header_line(cfg.kind, cfg_hash, built["seed"]):
                 raise _BadLine(1, "not the canonical header")
             want = spec.log.summarize(built, spec.log.walk(body, built))
             body.finish()

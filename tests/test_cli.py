@@ -189,7 +189,10 @@ class TestReplayCommand:
         code, out, payload = run_cli(capsys, "replay", log, chsh_cfg)
         assert code == 1
         assert payload["verdict"] == "MISMATCH"
-        assert payload["statistics"] == ["E(a1,b1)"]
+        # the line is not what the config writes, so it is named before any
+        # statistic is compared
+        assert payload["first_bad_line"] == 4
+        assert payload["statistics"] == []
 
     def test_wrong_seed_is_hash_mismatch_exit_5(self, capsys, chsh_cfg, tmp_path):
         run_cli(capsys, "run", chsh_cfg, "--out-dir", tmp_path / "out")

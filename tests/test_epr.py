@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import angles, directions
-from hvqm import epr, quasiprob, spin
+from hvqm import epr, quasiprob, runner, spin
+from hvqm.config import parse_config
 from hvqm.epr import (CHSH_PAIRS, Mode, SingletEnsemble, bob_marginal, chsh,
                       chsh_ensemble, conditional_update, correlation,
                       pair_joint_probability, sample_trial,
@@ -275,6 +277,30 @@ class TestAnalyticChshTable:
             assert res.correlators[(ai, bi)] == sum(
                 a * b * pair_joint_probability(dirs[ai], dirs[bi], a, b)
                 for a, b in epr.OUTCOME_PAIRS)
+
+
+def test_pair_table_is_made_once_per_setting_pair(monkeypatch, tmp_path):
+    """A run and its replay, in blocks of 7 trials, share one Born table per
+    setting pair."""
+    calls = []
+    original = epr.pair_joint_probability
+
+    def counted(n_a, n_b, alpha, beta):
+        calls.append((n_a, n_b))
+        return original(n_a, n_b, alpha, beta)
+
+    monkeypatch.setattr(epr, "pair_joint_probability", counted)
+    monkeypatch.setattr(runner, "CHUNK", 7)
+    epr._born_cdf.cache_clear()
+    cfg_path = tmp_path / "chsh.cfg"
+    cfg_path.write_text("[experiment]\nkind = chsh\nmode = born_sampling\nseed = 3\n"
+                        "trials = 100\n[directions]\na1 = 0.1\na2 = 1.3\nb1 = 2.2\nb2 = 2.9\n",
+                        encoding="utf-8")
+    cfg = parse_config(cfg_path)
+    runner.run_experiment(cfg, tmp_path / "out")
+    assert runner.replay_run(tmp_path / "out" / "trials.jsonl", cfg).verdict == "OK"
+    dirs = [Direction.from_planar_angle(t) for t in (0.1, 1.3, 2.2, 2.9)]
+    assert Counter(calls) == {(dirs[ai], dirs[bi]): 2 for ai, bi in CHSH_PAIRS}
 
 
 class TestConditionalUpdate:

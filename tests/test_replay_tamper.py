@@ -120,21 +120,46 @@ def test_changed_header_is_line_1(capsys, tmp_path):
     assert payload["first_bad_line"] == 1
 
 
-@pytest.mark.parametrize("kind,statistics", [("epr", ["E", "counts"]),
-                                             ("sterngerlach", ["distribution"])])
-def test_flipped_outcome_names_statistics(capsys, tmp_path, kind, statistics):
-    """A canonical outcome flip passes the line check; the statistics that
-    come straight from the outcomes diverge and are named."""
+def _first_with(body, text):
+    return next(i for i, line in enumerate(body) if text in line)
+
+
+def _flip_pair(line):
+    rec = json.loads(line)
+    rec["a_out"], rec["b_out"] = -rec["a_out"], -rec["b_out"]
+    return json.dumps(rec, separators=(",", ":"))
+
+
+# canonical lines that are not the ones the config draws for their trials:
+# edit -> (kind, index in the body of the line edited, the edit)
+CANONICAL_EDITS = {
+    # every statistic stays: the product a_out * b_out is unchanged
+    "chsh: both outcomes flipped": ("chsh", lambda b: 2, _flip_pair),
+    # survivors, outcomes and counts stay
+    "sterngerlach: absorption moved to the other blocking stage": (
+        "sterngerlach", lambda b: _first_with(b, '"absorbed_at":0,'),
+        lambda x: x.replace('"absorbed_at":0,', '"absorbed_at":1,')),
+    "epr: b_out flipped": ("epr", lambda b: _first_with(b, '"b_out":1'),
+                           lambda x: x.replace('"b_out":1', '"b_out":-1')),
+    "sterngerlach: outcome flipped": ("sterngerlach", lambda b: _first_with(b, '"outcome":1'),
+                                      lambda x: x.replace('"outcome":1', '"outcome":-1')),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(CANONICAL_EDITS))
+def test_canonical_edit_names_its_line(capsys, tmp_path, edit):
+    """A canonical line that is not the one the config draws for its trial
+    is named, whether or not a reported statistic changes with it."""
+    kind, where, change = CANONICAL_EDITS[edit]
     log, cfg = _run(tmp_path, kind)
     header, *body = log.read_text(encoding="utf-8").splitlines()
-    key = '"outcome":' if kind == "sterngerlach" else '"b_out":'
-    k = next(i for i, line in enumerate(body) if key + "1" in line)
-    body[k] = body[k].replace(key + "1", key + "-1")
+    k = where(body)
+    body[k] = change(body[k])
     log.write_text(header + "\n" + "".join(line + "\n" for line in body), encoding="utf-8")
     code, payload = _replay(capsys, log, cfg)
     assert code == 1
-    assert payload["first_bad_line"] is None
-    assert payload["statistics"] == statistics
+    assert payload["first_bad_line"] == k + 2
+    assert payload["statistics"] == []
 
 
 def test_edited_report_names_derived_statistic(capsys, tmp_path):

@@ -256,6 +256,35 @@ class TestBornBoundaries:
             rng.uniforms(9, np.arange(15).reshape(3, 5), out=out)
 
 
+class TestLhvBoundaries:
+    """The classical pattern index by threshold counts, on and beside every
+    boundary, against `rng.categorical`."""
+
+    @pytest.mark.parametrize("weights", [
+        np.full(4, 0.25),
+        np.array([0.0, 0.5, 0.5, 0.0]),    # zero-width first and last intervals
+        np.array([0.5, 0.0, 0.0, 0.5]),    # zero-width middle intervals
+        np.array([0.0, 0.0, 1.0, 0.0]),
+        np.array([0.125, 0.0, 0.0, 0.25, 0.0, 0.0, 0.125, 0.0,
+                  0.0, 0.25, 0.0, 0.0, 0.25, 0.0, 0.0, 0.0]),
+    ])
+    def test_matches_categorical(self, weights):
+        cum = np.cumsum(weights)
+        cum[-1] = 1.0
+        inner = cum[:-1]
+        edges = np.concatenate([inner, np.nextafter(inner, 0), np.nextafter(inner, 1)])
+        u = np.unique(np.concatenate([[0.0, np.nextafter(1.0, 0)], edges]))
+        u = u[(u >= 0) & (u < 1)]
+        k = rng.categorical(cum, u)
+        bits = len(weights).bit_length() - 1
+        for ai in range(bits):
+            for bi in range(bits):
+                a, b = np.empty(len(u), dtype=np.int8), np.empty(len(u), dtype=np.int8)
+                epr._lhv_outcomes(u, cum, ai, bi, a, b, np.empty(len(u), dtype=np.bool_))
+                assert_bits_equal(a, (2 * ((k >> ai) & 1) - 1).astype(np.int8))
+                assert_bits_equal(b, (1 - 2 * ((k >> bi) & 1)).astype(np.int8))
+
+
 @given(directions(), directions())
 @settings(max_examples=200)
 def test_joint_outcome_probs_equal_the_four_pair_laws(n_a, n_b):
