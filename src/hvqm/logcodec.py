@@ -55,10 +55,9 @@ def join_lines(start: int, k: np.ndarray, suffixes: Sequence[bytes]) -> bytes:
     """'{"trial":N' + suffixes[k[i]] for N = start + i, joined.
 
     Each suffix is ASCII and ends with its newline.  Rows are laid out at
-    the longest suffix's width, then the padding, if any, is dropped.
+    the longest suffix's width, then the padding is dropped.
     """
     suffixes = tuple(suffixes)
-    padded = len(set(map(len, suffixes))) > 1
     k = np.asarray(k, dtype=np.intp)
     parts = []
     lo, end = start, start + len(k)
@@ -72,6 +71,6 @@ def join_lines(start: int, k: np.ndarray, suffixes: Sequence[bytes]) -> bytes:
         # memory instead of faulting in fresh pages: a full-size chsh_mc run
         # is about a fifth faster for it
         del rows
-        parts.append(data.replace(_PAD, b"") if padded else data)
+        parts.append(data.replace(_PAD, b""))
         lo = hi
     return b"".join(parts)
