@@ -216,16 +216,22 @@ def encode_events(start: int, absorbed_at: np.ndarray, outcome: np.ndarray) -> b
     """Event lines of trials start, start + 1, ...: byte for byte the
     event_json lines, each ended by a newline.  absorbed_at is -1 and
     outcome 0 where the event has none."""
-    codes, k = np.unique((np.asarray(absorbed_at, dtype=np.int64) + 1) * 3
-                         + np.asarray(outcome, dtype=np.int64) + 1, return_inverse=True)
-    return join_lines(start, k.ravel(),
-                      [_event_suffix(int(c) // 3 - 1, int(c) % 3 - 1) for c in codes])
+    codes = ((np.asarray(absorbed_at, dtype=np.int64) + 1) * 3
+             + np.asarray(outcome, dtype=np.int64) + 1)
+    # the codes are small: a count of each ranks the ones present in
+    # ascending order without sorting the block
+    present = np.bincount(codes) > 0
+    rank = np.cumsum(present) - 1
+    return join_lines(start, rank[codes],
+                      [_event_suffix(int(c) // 3 - 1, int(c) % 3 - 1)
+                       for c in np.flatnonzero(present)])
 
 
 @dataclass(frozen=True, eq=False)
 class Events:
     """Event log of trials start, start + 1, ... as arrays: absorbed_at is
-    -1 and outcome 0 where the event has none.  Iterating gives TrialEvents."""
+    -1 and outcome 0 where the event has none.  Iterating gives TrialEvents;
+    `counts` is their event_counts, computed on first use."""
 
     start: int
     absorbed_at: np.ndarray
@@ -247,6 +253,10 @@ class Events:
 
     def encode(self) -> bytes:
         return encode_events(self.start, self.absorbed_at, self.outcome)
+
+    @functools.cached_property
+    def counts(self) -> np.ndarray:
+        return event_counts(self.absorbed_at, self.outcome)
 
 
 def monte_carlo_sequence(devices: Sequence[SGDevice], beam: BeamState,
@@ -280,8 +290,9 @@ def monte_carlo_sequence(devices: Sequence[SGDevice], beam: BeamState,
         u = rng.uniforms(seed, live + start, substream=len(devices) - 1)
         outcome[live] = np.where(u < analytic.probabilities[1], 1, -1)
 
-    dist, fraction = survivor_statistics(event_counts(absorbed_at, outcome))
-    return dist, fraction, Events(start, absorbed_at, outcome)
+    events = Events(start, absorbed_at, outcome)
+    dist, fraction = survivor_statistics(events.counts)
+    return dist, fraction, events
 
 
 def event_counts(absorbed_at: np.ndarray, outcome: np.ndarray) -> np.ndarray:

@@ -5,7 +5,11 @@ S = sum_segments m (dx)^2 / (2 dt); segment times are fixed by a constant
 longitudinal speed v, so the transverse displacements carry all the phase
 variation.  Screen patterns are built from two-segment paths
 source -> aperture point -> screen bin, with midpoint quadrature across the
-aperture.
+aperture.  A slit's bins x quadrature-points phases are built as real
+arrays a chunk of bins at a time and turned into exp(i phase) by
+`interference.cis`, so memory stays bounded as the screen grows.  The
+four-hole phase separates in x and y, so each hole-to-region amplitude is
+a product of two 1-D midpoint sums.
 
 Internal units hbar = m = 1; the de Broglie wavelength is
 lambda = 2 pi hbar / (m v).  Default geometries put well over five fringes
@@ -15,6 +19,7 @@ K = 64 midpoint rule to be converged to ~1e-7.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from io import StringIO
@@ -24,9 +29,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .interference import coherent_intensity, incoherent_intensity
+from .interference import cis, coherent_intensity, incoherent_intensity
 
 PATTERN_NORM_TOL = 1e-9
+# phases per chunk of slit_wave's bins x quadrature_points grid
+_SLIT_CELLS = 1 << 16
 
 
 def path_amplitude(points: Sequence[Sequence[float]], times: Sequence[float],
@@ -126,7 +133,9 @@ def slit_wave(g: Geometry2Slit, slit: str, quadrature_points: int | None = None
 
     Midpoint quadrature across the slit width; two-segment paths with
     times l1/v and l2/v.  The returned array carries the quadrature weight
-    w/K so doubling K converges to the width integral.
+    w/K so doubling K converges to the width integral.  Bins are taken in
+    chunks of about _SLIT_CELLS phases, so memory does not grow with bins;
+    each bin's sum over K is the same sum however the bins are chunked.
     """
     k = quadrature_points or g.quadrature_points
     c = _slit_center(g, slit)
@@ -134,9 +143,19 @@ def slit_wave(g: Geometry2Slit, slit: str, quadrature_points: int | None = None
     x = g.bin_centers()
     # free action of source->(l1, y) and (l1, y)->(l1+l2, x) at speed v
     s1 = g.mass * (g.l1 ** 2 + y ** 2) * (g.v / (2.0 * g.l1))
-    s2 = g.mass * (g.l2 ** 2 + (x[:, None] - y[None, :]) ** 2) * (g.v / (2.0 * g.l2))
-    phases = np.exp(1j * (s1[None, :] + s2) / g.hbar)
-    return (g.slit_width / k) * phases.sum(axis=1)
+    rows = max(1, _SLIT_CELLS // k)
+    sums = np.empty(len(x), dtype=complex)
+    for lo in range(0, len(x), rows):
+        phase = np.subtract.outer(x[lo:lo + rows], y)
+        np.square(phase, out=phase)
+        phase += g.l2 ** 2
+        phase *= g.mass
+        phase *= g.v / (2.0 * g.l2)
+        phase += s1
+        # times the reciprocal: the bits of complex division by a real hbar
+        phase *= 1.0 / g.hbar
+        sums[lo:lo + rows] = cis(phase).sum(axis=1)
+    return (g.slit_width / k) * sums
 
 
 @dataclass(frozen=True)
@@ -205,24 +224,25 @@ class Region:
         return (self.x_min < other.x_max and other.x_min < self.x_max
                 and self.y_min < other.y_max and other.y_min < self.y_max)
 
-    def grid(self, n: int) -> tuple[np.ndarray, np.ndarray, float]:
-        """Midpoint quadrature nodes (X, Y flattened) and the cell area."""
+    def nodes(self, n: int) -> tuple[np.ndarray, np.ndarray, float]:
+        """Midpoint quadrature nodes along x and along y (n each) and the
+        area of one of the n x n cells."""
         hx = (self.x_max - self.x_min) / n
         hy = (self.y_max - self.y_min) / n
         xs = self.x_min + (np.arange(n) + 0.5) * hx
         ys = self.y_min + (np.arange(n) + 0.5) * hy
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        return gx.ravel(), gy.ravel(), hx * hy
+        return xs, ys, hx * hy
 
 
 @dataclass(frozen=True)
 class GeometryFourHole:
     """Four point holes at (+/-x0, +/-y0) and two detector regions +/-A.
 
-    For product rectangles the path phase separates in x and y, so regions
-    that share a y-range (or are y-mirrors) give every cell the same
-    unobserved-hole interference factor, which then cancels under
-    normalization.  The default -A region is therefore shifted in y rather
+    For product rectangles the path phase separates in x and y: each
+    hole-to-region amplitude is a product of an x sum and a y sum over the
+    region's region_grid midpoints.  So regions that share a y-range (or
+    are y-mirrors) give every cell the same unobserved-hole interference
+    factor, which then cancels under normalization.  The default -A region is therefore shifted in y rather
     than mirrored: generic geometry, visibly different coherent and
     which-path tables.
     """
@@ -253,13 +273,20 @@ class GeometryFourHole:
 
 
 def _hole_region_amplitude(g: GeometryFourHole, sx: int, sy: int, region: Region) -> complex:
-    """Coherent endpoint integral of the path amplitude through one hole."""
-    hole = np.array([sx * g.x0, sy * g.y0])
-    gx, gy, cell = region.grid(g.region_grid)
-    s1 = g.mass * (g.l1 ** 2 + hole @ hole) * (g.v / (2.0 * g.l1))
-    d2 = (gx - hole[0]) ** 2 + (gy - hole[1]) ** 2
-    s2 = g.mass * (g.l2 ** 2 + d2) * (g.v / (2.0 * g.l2))
-    return cell * complex(np.exp(1j * (s1 + s2) / g.hbar).sum())
+    """Coherent endpoint integral of the path amplitude through one hole.
+
+    The phase of the path through hole (hx, hy) to (x, y) is a constant
+    plus c (x - hx)^2 plus c (y - hy)^2, so the midpoint sum over the
+    region's n x n cells is a product of two n-point sums.
+    """
+    hx, hy = sx * g.x0, sy * g.y0
+    xs, ys, cell = region.nodes(g.region_grid)
+    s1 = g.mass * (g.l1 ** 2 + hx ** 2 + hy ** 2) * (g.v / (2.0 * g.l1))
+    speed = g.v / (2.0 * g.l2)
+    const = (s1 + g.mass * g.l2 ** 2 * speed) / g.hbar
+    c = g.mass * speed / g.hbar
+    return (cmath.rect(cell, const) * complex(cis(c * (xs - hx) ** 2).sum())
+            * complex(cis(c * (ys - hy) ** 2).sum()))
 
 
 def four_hole_amplitudes(g: GeometryFourHole) -> dict[tuple[int, int, int], complex]:

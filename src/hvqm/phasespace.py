@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
+from .interference import cis
 
 NORMALIZATION_TOL = 1e-8
 
@@ -166,8 +167,10 @@ def lift(wf: WaveFunction) -> ExtendedState:
         raise ValidationError(
             f"lift needs a normalized wavefunction, norm^2 = {wf.norm_sq()!r}")
     xi = to_momentum(wf)
-    phase = np.exp(1j * np.outer(wf.r_values, xi.p_values) / wf.hbar)
-    coeffs = phase * (xi.values[None, :] / math.sqrt(2.0 * math.pi * wf.hbar))
+    phase = np.outer(wf.r_values, xi.p_values)
+    phase *= 1.0 / wf.hbar
+    coeffs = cis(phase)
+    coeffs *= xi.values / math.sqrt(2.0 * math.pi * wf.hbar)
     return ExtendedState(coeffs, wf.dr, wf.hbar)
 
 
@@ -184,8 +187,12 @@ def project_p(state: ExtendedState) -> MomentumFunction:
     the lattice factor M regularizes the divergent continuum prefactor and
     is removed by the ray normalization.
     """
-    phase = np.exp(-1j * np.outer(state.r_values, state.p_values) / state.hbar)
-    raw = (state.coefficients * phase).sum(axis=0)
+    phase = np.outer(state.r_values, state.p_values)
+    phase *= -1.0 / state.hbar
+    cells = cis(phase)
+    # coefficients first: complex multiply need not commute bit for bit
+    np.multiply(state.coefficients, cells, out=cells)
+    raw = cells.sum(axis=0)
     norm = math.sqrt(float(np.sum(np.abs(raw) ** 2) * state.dp))
     if norm == 0:
         return MomentumFunction(raw, state.dp, state.hbar)

@@ -97,6 +97,9 @@ def test_encode_block_is_the_joined_records(start, pair, ai, bi, mode):
 @example(99_990, (np.array([-1, 2, 13, -1] * 5), np.array([1, 0, 0, -1] * 5)))
 @example(9_990_000 - 7, (np.array([-1, 0] * 10), np.array([1, 0] * 10)))
 @example(39_999_990, (np.full(10, -1), np.ones(10, dtype=np.int64)))
+# one event code; every code of a three-stage sequence without an analyzer
+@example(5, (np.full(12, 3), np.zeros(12, dtype=np.int64)))
+@example(0, (np.array([-1, -1, -1, 0, 1, 2]), np.array([1, -1, 0, 0, 0, 0])))
 @settings(max_examples=200, deadline=None)
 def test_encode_events_is_the_joined_events(start, events):
     absorbed_at, outcome = events
@@ -126,6 +129,20 @@ def test_log_does_not_depend_on_block_size(tmp_path, monkeypatch, name):
     assert (tmp_path / "default" / log_name).read_bytes() == (
         tmp_path / "small" / log_name).read_bytes()
     assert runner.replay_run(tmp_path / "small" / log_name, cfg).verdict == "OK"
+
+
+def test_sterngerlach_counts_each_block_once(tmp_path, monkeypatch):
+    calls = []
+    counts = beamline.event_counts
+    monkeypatch.setattr(beamline, "event_counts",
+                        lambda *a: calls.append(1) or counts(*a))
+    monkeypatch.setattr(runner, "CHUNK", 7)
+    cfg = apply_overrides(parse_config(CONFIG_DIR / "sterngerlach.cfg"), trials=100)
+    run_experiment(cfg, tmp_path)
+    assert len(calls) == 15   # blocks of 7 in 100 trials
+    calls.clear()
+    assert runner.replay_run(tmp_path / "events.jsonl", cfg).verdict == "OK"
+    assert len(calls) == 15
 
 
 # --- the analytic configs' outputs ---------------------------------------------
