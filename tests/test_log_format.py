@@ -161,7 +161,7 @@ ANALYTIC_OUTPUT_SHA256 = {
             "7be24219577f04ae2b8d8ce7fca08133b38620c2bb80c2a0971eb527a2c17d30",
     },
     "fourhole": {
-        "fourhole.json": "d47a40b2c5618d109ce87410b240edb0f7adfffd68e22aa12ea91fde908c7a1a",
+        "fourhole.json": "144cc2f09c7264d9f030439e60cff0d9c1738ba4fecb8e7497e0075c14f34728",
     },
     "phasespace": {
         "wavefunction.csv":
@@ -175,11 +175,11 @@ ANALYTIC_RESULTS = {
                 "coherent_max": 0.003999447805748955,
                 "whichpath_max": 0.0019545283427570732},
     "fourhole": {
-        "coherent": {"(+x0,+A)": 0.2479331363979522, "(+x0,-A)": 0.047504969282595746,
-                     "(-x0,+A)": 0.017133502439216294, "(-x0,-A)": 0.6874283918802357},
-        "whichpath": {"(+x0,+A)": 0.47565791734286705, "(+x0,-A)": 0.031767972016511214,
-                      "(-x0,+A)": 0.0328704997049222, "(-x0,-A)": 0.45970361093569945},
-        "max_cell_gap": 0.22772478094491486},
+        "coherent": {"(+x0,+A)": 0.24793313639704553, "(+x0,-A)": 0.04750496928319566,
+                     "(-x0,+A)": 0.01713350243885227, "(-x0,-A)": 0.6874283918809065},
+        "whichpath": {"(+x0,+A)": 0.4756579173406078, "(+x0,-A)": 0.031767972016983594,
+                      "(-x0,+A)": 0.03287049970506407, "(-x0,-A)": 0.45970361093734446},
+        "max_cell_gap": 0.22772478094356227},
     "phasespace": {"m": 256, "dr": 1.0, "roundtrip_error": 2.7104829279648844e-16,
                    "parseval_gap": 2.220446049250313e-16, "momentum_ray_overlap": 1.0},
 }
