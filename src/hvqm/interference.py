@@ -26,7 +26,6 @@ def cis(phase: np.ndarray) -> np.ndarray:
     """exp(i phase) for a real array, written as cos and sin into the real
     and imaginary parts of one complex array: the same bits as complex
     np.exp of i phase, without building the complex argument."""
-    phase = np.asarray(phase, dtype=float)
     out = np.empty(phase.shape, dtype=complex)
     np.cos(phase, out=out.real)
     np.sin(phase, out=out.imag)

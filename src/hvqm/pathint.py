@@ -242,9 +242,9 @@ class GeometryFourHole:
     hole-to-region amplitude is a product of an x sum and a y sum over the
     region's region_grid midpoints.  So regions that share a y-range (or
     are y-mirrors) give every cell the same unobserved-hole interference
-    factor, which then cancels under normalization.  The default -A region is therefore shifted in y rather
-    than mirrored: generic geometry, visibly different coherent and
-    which-path tables.
+    factor, which then cancels under normalization.  The default -A region
+    is therefore shifted in y rather than mirrored: generic geometry,
+    visibly different coherent and which-path tables.
     """
 
     x0: float = 0.5
@@ -282,9 +282,9 @@ def _hole_region_amplitude(g: GeometryFourHole, sx: int, sy: int, region: Region
     hx, hy = sx * g.x0, sy * g.y0
     xs, ys, cell = region.nodes(g.region_grid)
     s1 = g.mass * (g.l1 ** 2 + hx ** 2 + hy ** 2) * (g.v / (2.0 * g.l1))
-    speed = g.v / (2.0 * g.l2)
-    const = (s1 + g.mass * g.l2 ** 2 * speed) / g.hbar
-    c = g.mass * speed / g.hbar
+    half_rate = g.v / (2.0 * g.l2)   # 1 / (2 dt) of the second segment
+    const = (s1 + g.mass * g.l2 ** 2 * half_rate) / g.hbar
+    c = g.mass * half_rate / g.hbar
     return (cmath.rect(cell, const) * complex(cis(c * (xs - hx) ** 2).sum())
             * complex(cis(c * (ys - hy) ** 2).sum()))
 
