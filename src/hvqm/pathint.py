@@ -5,11 +5,13 @@ S = sum_segments m (dx)^2 / (2 dt); segment times are fixed by a constant
 longitudinal speed v, so the transverse displacements carry all the phase
 variation.  Screen patterns are built from two-segment paths
 source -> aperture point -> screen bin, with midpoint quadrature across the
-aperture.  A slit's bins x quadrature-points phases are built as real
-arrays a chunk of bins at a time and turned into exp(i phase) by
-`interference.cis`, so memory stays bounded as the screen grows.  The
-four-hole phase separates in x and y, so each hole-to-region amplitude is
-a product of two 1-D midpoint sums.
+aperture.  Screen bins and quadrature points are uniform grids and the
+phase is quadratic, so a slit's sum over its quadrature points is a
+chirp-z transform, evaluated by Bluestein's identity as one FFT
+convolution of about bins + quadrature-points terms: time and memory are
+O((bins + K) log) instead of bins x K phases.  The four-hole phase
+separates in x and y, so each hole-to-region amplitude is a product of two
+1-D midpoint sums.
 
 Internal units hbar = m = 1; the de Broglie wavelength is
 lambda = 2 pi hbar / (m v).  Default geometries put well over five fringes
@@ -32,8 +34,6 @@ from .errors import ValidationError
 from .interference import cis, coherent_intensity, incoherent_intensity
 
 PATTERN_NORM_TOL = 1e-9
-# phases per chunk of slit_wave's bins x quadrature_points grid
-_SLIT_CELLS = 1 << 16
 
 
 def path_amplitude(points: Sequence[Sequence[float]], times: Sequence[float],
@@ -127,35 +127,91 @@ def _slit_center(g: Geometry2Slit, slit: str) -> float:
     raise ValidationError(f"slit must be 'L' or 'R', got {slit!r}")
 
 
+def _fft_size(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n: a length numpy's FFT takes quickly and
+    that, unlike the next power of two, stays close to n."""
+    best = 1 << (n - 1).bit_length()
+    odd = 1
+    while odd < best:
+        factor = odd
+        while factor < best:
+            best = min(best, factor << (-(-n // factor) - 1).bit_length())
+            factor *= 3
+        odd *= 5
+    return best
+
+
+def _slit_waves(g: Geometry2Slit, slits: Sequence[str], k: int) -> np.ndarray:
+    """(len(slits), bins) amplitudes, one row per slit, by a chirp-z sum.
+
+    With bins x_p = x_c + p dx and quadrature points y_q = y_c + q dy, both
+    indexed about their centres to keep the chirp phases small, the phase
+    over hbar of the path through y_q to x_p is r_p + c_q - beta p q, where
+    beta = 2 a dx dy and a = m v / (2 l2 hbar).  Bluestein's
+    p q = (p^2 + q^2 - (p - q)^2) / 2 turns each bin's sum over q into one
+    FFT convolution with the chirp exp(i beta n^2 / 2).  beta does not
+    depend on the slit, so the chirp's FFT is built once for all slits.
+    """
+    a = g.mass * g.v / (2.0 * g.l2 * g.hbar)
+    b = g.mass * g.v / (2.0 * g.l1 * g.hbar)
+    dx, dy = g.bin_width, g.slit_width / k
+    half_beta = a * dx * dy
+    p0, q0 = g.bins // 2, k // 2
+    x_c = -g.screen_half_width + (p0 + 0.5) * dx
+    y_cs = [_slit_center(g, slit) - g.slit_width / 2.0 + (q0 + 0.5) * dy for slit in slits]
+    # the chirp at every n = p - q, from the lowest up
+    size = _fft_size(g.bins + k - 1)
+    chirp = np.arange(-p0 - (k - 1 - q0), g.bins - p0 + q0, dtype=float)
+    chirp *= chirp
+    chirp *= half_beta
+    kernel = np.fft.fft(cis(chirp), size)
+    del chirp
+    q = np.arange(k) - q0
+    out = np.empty((len(slits), g.bins), dtype=complex)
+    for wave, y_c in zip(out, y_cs):
+        # c_q: the free action over hbar of source->(l1, y) and the part of
+        # (l1, y)->(l1 + l2, x) that does not depend on p, less Bluestein's
+        # beta q^2 / 2
+        y = y_c + q * dy
+        col = b * (g.l1 ** 2 + y ** 2) + a * g.l2 ** 2
+        col += a * (q * dy) * (q * dy + 2.0 * (y_c - x_c))
+        col -= half_beta * q * q
+        spectrum = np.fft.fft(cis(col), size)
+        spectrum *= kernel
+        wave[:] = np.fft.ifft(spectrum)[k - 1:k - 1 + g.bins]
+    # the kernel and spectra are freed before the bins' factors are built,
+    # so the peak stays at a few bins-long arrays
+    del kernel, spectrum
+    p = np.arange(-p0, g.bins - p0, dtype=float)
+    half_beta_p2 = half_beta * p * p
+    for wave, y_c in zip(out, y_cs):
+        # r_p = a (x_p - y_c)^2, less Bluestein's beta p^2 / 2
+        row = dx * p
+        row += x_c - y_c
+        row *= row
+        row *= a
+        row -= half_beta_p2
+        wave *= cis(row)
+    out *= g.slit_width / k
+    return out
+
+
 def slit_wave(g: Geometry2Slit, slit: str, quadrature_points: int | None = None
               ) -> np.ndarray:
     """Complex amplitude per screen bin from one slit.
 
     Midpoint quadrature across the slit width; two-segment paths with
     times l1/v and l2/v.  The returned array carries the quadrature weight
-    w/K so doubling K converges to the width integral.  Bins are taken in
-    chunks of about _SLIT_CELLS phases, so memory does not grow with bins;
-    each bin's sum over K is the same sum however the bins are chunked.
+    w/K so doubling K converges to the width integral.  Each bin's sum over
+    the K points is a chirp-z transform (see `_slit_waves`), so time and
+    memory grow as (bins + K) log(bins + K), not as bins x K.
     """
-    k = quadrature_points or g.quadrature_points
-    c = _slit_center(g, slit)
-    y = c - g.slit_width / 2.0 + (np.arange(k) + 0.5) * (g.slit_width / k)
-    x = g.bin_centers()
-    # free action of source->(l1, y) and (l1, y)->(l1+l2, x) at speed v
-    s1 = g.mass * (g.l1 ** 2 + y ** 2) * (g.v / (2.0 * g.l1))
-    rows = max(1, _SLIT_CELLS // k)
-    sums = np.empty(len(x), dtype=complex)
-    for lo in range(0, len(x), rows):
-        phase = np.subtract.outer(x[lo:lo + rows], y)
-        np.square(phase, out=phase)
-        phase += g.l2 ** 2
-        phase *= g.mass
-        phase *= g.v / (2.0 * g.l2)
-        phase += s1
-        # times the reciprocal: the bits of complex division by a real hbar
-        phase *= 1.0 / g.hbar
-        sums[lo:lo + rows] = cis(phase).sum(axis=1)
-    return (g.slit_width / k) * sums
+    return _slit_waves(g, (slit,), quadrature_points or g.quadrature_points)[0]
+
+
+def slit_pair(g: Geometry2Slit) -> np.ndarray:
+    """(2, bins) amplitudes of the L and R slits, built with one chirp."""
+    return _slit_waves(g, ("L", "R"), g.quadrature_points)
 
 
 @dataclass(frozen=True)
@@ -176,18 +232,21 @@ class ScreenPattern:
             raise ValidationError(f"pattern sums to {total!r}, expected 1")
 
 
-def screen_pattern(g: Geometry2Slit, mode: str) -> ScreenPattern:
-    """Coherent |L + R|^2 or which-path |L|^2 + |R|^2, normalized per bin."""
-    amp_l = slit_wave(g, "L")
-    amp_r = slit_wave(g, "R")
-    stacked = np.stack([amp_l, amp_r], axis=-1)
+def pair_pattern(g: Geometry2Slit, pair: np.ndarray, mode: str) -> ScreenPattern:
+    """Coherent |L + R|^2 or which-path |L|^2 + |R|^2 of a `slit_pair`,
+    normalized per bin."""
     if mode == "coherent":
-        intensity = coherent_intensity(stacked)
+        intensity = coherent_intensity(pair, axis=0)
     elif mode == "which-path":
-        intensity = incoherent_intensity(stacked)
+        intensity = incoherent_intensity(pair, axis=0)
     else:
         raise ValidationError(f"mode must be 'coherent' or 'which-path', got {mode!r}")
     return ScreenPattern(g.bin_centers(), intensity / intensity.sum(), mode)
+
+
+def screen_pattern(g: Geometry2Slit, mode: str) -> ScreenPattern:
+    """Coherent |L + R|^2 or which-path |L|^2 + |R|^2, normalized per bin."""
+    return pair_pattern(g, slit_pair(g), mode)
 
 
 def dark_region_finder(p_coherent: ScreenPattern, p_whichpath: ScreenPattern,

@@ -329,8 +329,10 @@ def _twoslit_setup(cfg: ExperimentConfig, notes: list[str]) -> dict:
 
 def _run_twoslit(built: dict, out_dir: Path):
     g, eps = built["geometry"], built["dark_eps"]
-    coherent = pathint.screen_pattern(g, "coherent")
-    whichpath = pathint.screen_pattern(g, "which-path")
+    pair = pathint.slit_pair(g)
+    coherent = pathint.pair_pattern(g, pair, "coherent")
+    whichpath = pathint.pair_pattern(g, pair, "which-path")
+    del pair   # 128 MiB at the cap: not held while the CSVs are formatted
     dark = pathint.dark_region_finder(coherent, whichpath, eps)
     pathint.write_pattern_csv(coherent, out_dir / "coherent.csv")
     pathint.write_pattern_csv(whichpath, out_dir / "whichpath.csv")

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hvqm import beamline, epr, runner
+from hvqm import beamline, epr, pathint, runner
 from hvqm.beamline import TrialEvent, event_json
 from hvqm.cli import main
 from hvqm.config import apply_overrides, parse_config
@@ -143,6 +143,15 @@ def test_sterngerlach_counts_each_block_once(tmp_path, monkeypatch):
     calls.clear()
     assert runner.replay_run(tmp_path / "events.jsonl", cfg).verdict == "OK"
     assert len(calls) == 15
+
+
+def test_twoslit_builds_the_slit_pair_once(tmp_path, monkeypatch):
+    calls = []
+    waves = pathint._slit_waves
+    monkeypatch.setattr(pathint, "_slit_waves",
+                        lambda g, slits, k: calls.append(tuple(slits)) or waves(g, slits, k))
+    run_experiment(parse_config(CONFIG_DIR / "twoslit.cfg"), tmp_path)
+    assert calls == [("L", "R")]
 
 
 # --- the analytic configs' outputs ---------------------------------------------
