@@ -10,16 +10,22 @@ bins x K and n x n midpoint sums, which round differently, so they are
 compared within a tolerance.
 """
 
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hvqm import pathint
-from hvqm.interference import cis
+from hvqm import pathint, runner
+from hvqm.config import parse_config
+from hvqm.interference import cis, coherent_intensity, incoherent_intensity
 from hvqm.pathint import Geometry2Slit, GeometryFourHole, four_hole_table, slit_wave
 from hvqm.phasespace import ExtendedState, WaveFunction, lift, project_p, to_momentum
+from hvqm.runner import run_experiment
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def reference_slit_wave(g: Geometry2Slit, slit: str) -> np.ndarray:
@@ -75,6 +81,27 @@ def test_slit_wave_is_the_complex_exp_sum(bins, k, mass, hbar):
     for slit in ("L", "R"):
         want = reference_slit_wave(g, slit)
         assert np.abs(slit_wave(g, slit) - want).max() <= 1e-9 * np.abs(want).max()
+
+
+def test_shipped_twoslit_outputs_are_the_oracle_patterns(tmp_path):
+    """The shipped config's CSVs and dark bins against patterns built from
+    the explicit sums: unlike the sha256 pins, this does not depend on how
+    numpy's FFT rounds."""
+    cfg = parse_config(CONFIG_DIR / "twoslit.cfg")
+    run_experiment(cfg, tmp_path)
+    g = runner._geometry(cfg, Geometry2Slit)
+    pair = np.stack([reference_slit_wave(g, slit) for slit in ("L", "R")])
+    want = {mode: pathint.ScreenPattern(g.bin_centers(), raw / raw.sum(), mode)
+            for mode, raw in (("coherent", coherent_intensity(pair, axis=0)),
+                              ("which-path", incoherent_intensity(pair, axis=0)))}
+    for file_name, mode in (("coherent.csv", "coherent"), ("whichpath.csv", "which-path")):
+        rows = np.loadtxt(tmp_path / file_name, delimiter=",", skiprows=1)
+        assert np.array_equal(rows[:, 0], g.bin_centers())
+        probabilities = want[mode].probabilities
+        assert np.abs(rows[:, 1] - probabilities).max() <= 1e-9 * probabilities.max()
+    dark = json.loads((tmp_path / "dark_regions.json").read_text())
+    assert dark["bins"] == pathint.dark_region_finder(
+        want["coherent"], want["which-path"], cfg.get_float("experiment", "dark_eps"))
 
 
 def test_slit_wave_memory_does_not_grow_with_bins():

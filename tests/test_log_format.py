@@ -164,8 +164,10 @@ ANALYTIC_OUTPUT_SHA256 = {
         "born.csv": "f307ded7a179cebe6f7014588274571fae94bf0a96bd5d48b160c95aeaf6c420",
     },
     "twoslit": {
-        "coherent.csv": "589f625b4e975277e42852894e54194ff2f003cf14c027f52d45b48c48e91732",
-        "whichpath.csv": "92efc9d35a12081c0d32fd43a2fe5806c4eff2ebe513485a2da03e04b8bc2af9",
+        # the CSVs carry numpy's FFT rounding; test_grid_kernels checks them
+        # against the explicit sums whatever numpy version runs
+        "coherent.csv": "a7fb93204364744c9b9034a709738e5f43be8bf0cd61abc93eeb25720514f0ae",
+        "whichpath.csv": "af68c932bbd24cc28681fe31d3e4fe56919493598d9c2f981ba576358c4bd4de",
         "dark_regions.json":
             "7be24219577f04ae2b8d8ce7fca08133b38620c2bb80c2a0971eb527a2c17d30",
     },
@@ -181,8 +183,8 @@ ANALYTIC_OUTPUT_SHA256 = {
 
 ANALYTIC_RESULTS = {
     "twoslit": {"fringe_spacing": 1.0, "wavelength": 0.01, "n_dark_bins": 12,
-                "coherent_max": 0.003999447805748955,
-                "whichpath_max": 0.0019545283427570732},
+                "coherent_max": 0.00399944780574902,
+                "whichpath_max": 0.0019545283427570555},
     "fourhole": {
         "coherent": {"(+x0,+A)": 0.24793313639704553, "(+x0,-A)": 0.04750496928319566,
                      "(-x0,+A)": 0.01713350243885227, "(-x0,-A)": 0.6874283918809065},
