@@ -6,12 +6,13 @@ longitudinal speed v, so the transverse displacements carry all the phase
 variation.  Screen patterns are built from two-segment paths
 source -> aperture point -> screen bin, with midpoint quadrature across the
 aperture.  Screen bins and quadrature points are uniform grids and the
-phase is quadratic, so a slit's sum over its quadrature points is a
-chirp-z transform, evaluated by Bluestein's identity as one FFT
-convolution of about bins + quadrature-points terms: time and memory are
-O((bins + K) log) instead of bins x K phases.  The four-hole phase
-separates in x and y, so each hole-to-region amplitude is a product of two
-1-D midpoint sums.
+phase is quadratic, so a slit's sum over its K quadrature points is a
+chirp-z transform, evaluated by Bluestein's identity as FFT convolutions
+over blocks of bins a few times K long: time grows as bins log K and
+memory as bins + K, instead of bins x K phases.  The FFT is written out
+in real arithmetic, so the waves' bits do not depend on numpy's FFT or
+SIMD loops.  The four-hole phase separates in x and y, so each
+hole-to-region amplitude is a product of two 1-D midpoint sums.
 
 Internal units hbar = m = 1; the de Broglie wavelength is
 lambda = 2 pi hbar / (m v).  Default geometries put well over five fringes
@@ -127,72 +128,131 @@ def _slit_center(g: Geometry2Slit, slit: str) -> float:
     raise ValidationError(f"slit must be 'L' or 'R', got {slit!r}")
 
 
-def _fft_size(n: int) -> int:
-    """The least 2^a 3^b 5^c >= n: a length numpy's FFT takes quickly and
-    that, unlike the next power of two, stays close to n."""
-    best = 1 << (n - 1).bit_length()
-    odd = 1
-    while odd < best:
-        factor = odd
-        while factor < best:
-            best = min(best, factor << (-(-n // factor) - 1).bit_length())
-            factor *= 3
-        odd *= 5
-    return best
+def _rotate(z: np.ndarray, w: np.ndarray) -> None:
+    """z *= w for complex numbers held as (real, imaginary) planes along
+    the first axis, w broadcast to z.  Every product and sum is rounded on
+    its own; numpy's complex product fuses a multiply and an add on CPUs
+    that have FMA, so its last bits depend on the machine."""
+    re = z[0] * w[0]
+    re -= z[1] * w[1]
+    z[1] *= w[0]
+    z[1] += z[0] * w[1]
+    z[0] = re
+
+
+def _cis_planes(phase: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(i phase) as (cos, sin) planes: the bits of `cis`."""
+    if out is None:
+        out = np.empty((2,) + phase.shape)
+    np.cos(phase, out=out[0])
+    np.sin(phase, out=out[1])
+    return out
+
+
+def _fft(x: np.ndarray, sign: float) -> np.ndarray:
+    """Unnormalized DFT, sum_t x_t exp(sign 2 pi i j t / size), along the
+    last axis of (real, imaginary) planes whose length is a power of two.
+
+    Radix-2 Stockham passes: after each, row k1 of the (n, c) view holds
+    the n-point DFTs of the c strided subsequences.  x is overwritten.
+    Written out instead of taken from np.fft so that the bits follow from
+    cos, sin and rounded sums and products alone: numpy 1.x and 2.x ship
+    different pocketfft implementations, which round differently.
+    """
+    *lead, size = x.shape
+    src, dst = x.reshape(*lead, 1, size), None
+    n = 1
+    while n < size:
+        c = size // (2 * n)
+        src = src.reshape(*lead, n, 2 * c)
+        even, odd = src[..., :c], src[..., c:]
+        if n > 1:
+            _rotate(odd, _cis_planes(sign * math.pi / n * np.arange(n))[..., None])
+        if dst is None:
+            dst = np.empty_like(src)
+        out = dst.reshape(*lead, 2, n, c)
+        np.add(even, odd, out=out[..., 0, :, :])
+        np.subtract(even, odd, out=out[..., 1, :, :])
+        src, dst = out, src
+        n *= 2
+    return src.reshape(x.shape)
+
+
+def _block_size(bins: int, k: int) -> int:
+    """The FFT length of one block of bins: the least power of two in
+    which the k - 1 points that each block's convolution spends on its
+    edge take at most a quarter, or one block for the whole screen if
+    that is shorter."""
+    return min(1 << max(4 * k - 5, 0).bit_length(), 1 << (bins + k - 2).bit_length())
 
 
 def _slit_waves(g: Geometry2Slit, slits: Sequence[str], k: int) -> np.ndarray:
-    """(len(slits), bins) amplitudes, one row per slit, by a chirp-z sum.
+    """(len(slits), bins) amplitudes, one row per slit, by chirp-z sums.
 
-    With bins x_p = x_c + p dx and quadrature points y_q = y_c + q dy, both
-    indexed about their centres to keep the chirp phases small, the phase
-    over hbar of the path through y_q to x_p is r_p + c_q - beta p q, where
-    beta = 2 a dx dy and a = m v / (2 l2 hbar).  Bluestein's
-    p q = (p^2 + q^2 - (p - q)^2) / 2 turns each bin's sum over q into one
-    FFT convolution with the chirp exp(i beta n^2 / 2).  beta does not
-    depend on the slit, so the chirp's FFT is built once for all slits.
+    The bins are cut into blocks.  With bin x = X + t dx about its block's
+    centre X and quadrature point y_q = y_c + q dy about the slit's centre,
+    the phase over hbar of the path through y_q to x is
+    a (x - y_c)^2 + c_q - 2 a dy X q - beta t q, where c_q holds the terms
+    in q alone, a = m v / (2 l2 hbar) and beta = 2 a dx dy.  Bluestein's
+    t q = (t^2 + q^2 - (t - q)^2) / 2 turns each block's sum over q into
+    one FFT convolution with the chirp exp(i beta n^2 / 2), which depends
+    on neither the block nor the slit, so its FFT is built once.  All
+    blocks of all slits go through one batched forward and one inverse
+    FFT.  Every step is a cos, a sin or a rounded real sum or product, so
+    the bits depend neither on numpy's FFT nor on whether the CPU fuses
+    multiply-adds.
     """
     a = g.mass * g.v / (2.0 * g.l2 * g.hbar)
     b = g.mass * g.v / (2.0 * g.l1 * g.hbar)
     dx, dy = g.bin_width, g.slit_width / k
     half_beta = a * dx * dy
-    p0, q0 = g.bins // 2, k // 2
-    x_c = -g.screen_half_width + (p0 + 0.5) * dx
-    y_cs = [_slit_center(g, slit) - g.slit_width / 2.0 + (q0 + 0.5) * dy for slit in slits]
-    # the chirp at every n = p - q, from the lowest up
-    size = _fft_size(g.bins + k - 1)
-    chirp = np.arange(-p0 - (k - 1 - q0), g.bins - p0 + q0, dtype=float)
+    size = _block_size(g.bins, k)
+    block = size - k + 1
+    blocks = -(-g.bins // block)
+    t0, q0 = block // 2, k // 2
+    # the chirp at every n = t - q, from the lowest up, carrying the
+    # inverse FFT's 1/size (a power of two, so the scaling is exact)
+    chirp = np.arange(-t0 - (k - 1 - q0), block - t0 + q0, dtype=float)
     chirp *= chirp
     chirp *= half_beta
-    kernel = np.fft.fft(cis(chirp), size)
-    del chirp
+    kernel = _cis_planes(chirp)
+    kernel *= 1.0 / size
+    kernel = _fft(kernel, -1.0)
     q = np.arange(k) - q0
-    out = np.empty((len(slits), g.bins), dtype=complex)
-    for wave, y_c in zip(out, y_cs):
+    centres = -g.screen_half_width + (np.arange(blocks) * block + t0 + 0.5) * dx
+    y_cs = [_slit_center(g, slit) - g.slit_width / 2.0 + (q0 + 0.5) * dy for slit in slits]
+    waves = np.zeros((2, len(slits), blocks, size))
+    for i, y_c in enumerate(y_cs):
         # c_q: the free action over hbar of source->(l1, y) and the part of
-        # (l1, y)->(l1 + l2, x) that does not depend on p, less Bluestein's
-        # beta q^2 / 2
+        # (l1, y)->(l1 + l2, x) that depends on q alone, less Bluestein's
+        # beta q^2 / 2; then each block's -2 a dy X q
         y = y_c + q * dy
         col = b * (g.l1 ** 2 + y ** 2) + a * g.l2 ** 2
-        col += a * (q * dy) * (q * dy + 2.0 * (y_c - x_c))
+        col += a * (q * dy) * (q * dy + 2.0 * y_c)
         col -= half_beta * q * q
-        spectrum = np.fft.fft(cis(col), size)
-        spectrum *= kernel
-        wave[:] = np.fft.ifft(spectrum)[k - 1:k - 1 + g.bins]
-    # the kernel and spectra are freed before the bins' factors are built,
-    # so the peak stays at a few bins-long arrays
-    del kernel, spectrum
-    p = np.arange(-p0, g.bins - p0, dtype=float)
-    half_beta_p2 = half_beta * p * p
-    for wave, y_c in zip(out, y_cs):
-        # r_p = a (x_p - y_c)^2, less Bluestein's beta p^2 / 2
-        row = dx * p
-        row += x_c - y_c
+        phase = np.multiply.outer(centres, -2.0 * a * dy * q)
+        phase += col
+        _cis_planes(phase, out=waves[:, i, :, :k])
+    del centres, phase
+    waves = _fft(waves, -1.0)
+    _rotate(waves, kernel[:, None, None, :])
+    waves = _fft(waves, 1.0)[..., k - 1:k - 1 + block]
+    # a (x - y_c)^2, less Bluestein's beta t^2 / 2, at every bin of every
+    # block, the last block's overhang too
+    x = -g.screen_half_width + (np.arange(blocks * block) + 0.5) * dx
+    t = np.arange(block) - t0
+    for i, y_c in enumerate(y_cs):
+        row = x - y_c
         row *= row
         row *= a
-        row -= half_beta_p2
-        wave *= cis(row)
-    out *= g.slit_width / k
+        row = row.reshape(blocks, block)
+        row -= half_beta * t * t
+        _rotate(waves[:, i], _cis_planes(row))
+    del x, row
+    waves *= g.slit_width / k
+    out = np.empty((len(slits), g.bins), dtype=complex)
+    out.real = waves[0].reshape(len(slits), -1)[:, :g.bins]
+    out.imag = waves[1].reshape(len(slits), -1)[:, :g.bins]
     return out
 
 
@@ -203,8 +263,8 @@ def slit_wave(g: Geometry2Slit, slit: str, quadrature_points: int | None = None
     Midpoint quadrature across the slit width; two-segment paths with
     times l1/v and l2/v.  The returned array carries the quadrature weight
     w/K so doubling K converges to the width integral.  Each bin's sum over
-    the K points is a chirp-z transform (see `_slit_waves`), so time and
-    memory grow as (bins + K) log(bins + K), not as bins x K.
+    the K points is a chirp-z transform (see `_slit_waves`), so time grows
+    as bins log K and memory as bins + K, not as bins x K.
     """
     return _slit_waves(g, (slit,), quadrature_points or g.quadrature_points)[0]
 

@@ -12,6 +12,9 @@ compared within a tolerance.
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -25,7 +28,8 @@ from hvqm.pathint import Geometry2Slit, GeometryFourHole, four_hole_table, slit_
 from hvqm.phasespace import ExtendedState, WaveFunction, lift, project_p, to_momentum
 from hvqm.runner import run_experiment
 
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG_DIR = ROOT / "configs"
 
 
 def reference_slit_wave(g: Geometry2Slit, slit: str) -> np.ndarray:
@@ -85,8 +89,8 @@ def test_slit_wave_is_the_complex_exp_sum(bins, k, mass, hbar):
 
 def test_shipped_twoslit_outputs_are_the_oracle_patterns(tmp_path):
     """The shipped config's CSVs and dark bins against patterns built from
-    the explicit sums: unlike the sha256 pins, this does not depend on how
-    numpy's FFT rounds."""
+    the explicit sums: unlike the sha256 pins, this does not depend on the
+    last bits of numpy's arithmetic."""
     cfg = parse_config(CONFIG_DIR / "twoslit.cfg")
     run_experiment(cfg, tmp_path)
     g = runner._geometry(cfg, Geometry2Slit)
@@ -102,6 +106,30 @@ def test_shipped_twoslit_outputs_are_the_oracle_patterns(tmp_path):
     dark = json.loads((tmp_path / "dark_regions.json").read_text())
     assert dark["bins"] == pathint.dark_region_finder(
         want["coherent"], want["which-path"], cfg.get_float("experiment", "dark_eps"))
+
+
+def test_slit_pair_bits_do_not_depend_on_numpy_simd():
+    """numpy's SIMD loops round complex products differently with and
+    without fused multiply-adds.  The slit waves use no complex product
+    and no FFT library, only cos, sin and real sums and products, so with
+    every optional CPU feature of numpy's dispatch turned off their bits
+    must not move."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:   # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    features = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    env = {k: v for k, v in os.environ.items() if k != "NPY_ENABLE_CPU_FEATURES"}
+    env["NPY_DISABLE_CPU_FEATURES"] = " ".join(features)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    shape = dict(bins=1000, quadrature_points=77)
+    script = ("import sys; from hvqm.pathint import Geometry2Slit, slit_pair; "
+              f"sys.stdout.write(slit_pair(Geometry2Slit(**{shape!r})).tobytes().hex())")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert bytes.fromhex(proc.stdout) == pathint.slit_pair(Geometry2Slit(**shape)).tobytes()
 
 
 def test_slit_wave_memory_does_not_grow_with_bins():
