@@ -153,8 +153,9 @@ def _fft(x: np.ndarray, sign: float) -> np.ndarray:
     """Unnormalized DFT, sum_t x_t exp(sign 2 pi i j t / size), along the
     last axis of (real, imaginary) planes whose length is a power of two.
 
-    Radix-2 Stockham passes: after each, row k1 of the (n, c) view holds
-    the n-point DFTs of the c strided subsequences.  x is overwritten.
+    Radix-2 Stockham passes: after the pass that reaches length n,
+    column t of the (n, c) view holds the n-point DFT of x[t::c].  x is
+    overwritten.
     Written out instead of taken from np.fft so that the bits follow from
     cos, sin and rounded sums and products alone: numpy 1.x and 2.x ship
     different pocketfft implementations, which round differently.
