@@ -10,7 +10,7 @@ import argparse
 import csv
 import sys
 
-from hvqm.pathint import Geometry2Slit, dark_region_finder, screen_pattern
+from hvqm.pathint import Geometry2Slit, dark_region_finder, screen_patterns
 
 
 def main():
@@ -22,8 +22,7 @@ def main():
     args = ap.parse_args()
 
     g = Geometry2Slit.from_wavelength(args.wavelength, bins=args.bins)
-    coherent = screen_pattern(g, "coherent")
-    whichpath = screen_pattern(g, "which-path")
+    coherent, whichpath = screen_patterns(g)
     dark = dark_region_finder(coherent, whichpath, eps=args.eps)
 
     x = g.bin_centers()

@@ -1,9 +1,9 @@
 """Sum-then-square vs square-then-sum.
 
 The single distinction that separates coherent from which-path statistics,
-shared verbatim by the spin-table and slit-experiment code paths: summing
-amplitudes over indistinguishable alternatives before squaring produces the
-interference term; squaring first removes it.
+made once for the spin pair tables, the four-hole tables and the two-slit
+screen patterns: summing amplitudes over indistinguishable alternatives
+before squaring produces the interference term; squaring first removes it.
 """
 
 from __future__ import annotations
@@ -11,15 +11,18 @@ from __future__ import annotations
 import numpy as np
 
 
-def coherent_intensity(amplitudes: np.ndarray, axis: int = -1) -> np.ndarray:
-    """|sum over alternatives|^2 (alternatives not distinguished)."""
-    total = np.sum(amplitudes, axis=axis)
-    return np.abs(total) ** 2
+def pair_tables(amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The coherent |sum|^2 and which-path sum |.|^2 tables of `amplitudes`,
+    each normalized over the observed cells.
 
-
-def incoherent_intensity(amplitudes: np.ndarray, axis: int = -1) -> np.ndarray:
-    """sum over alternatives of |.|^2 (alternatives distinguished)."""
-    return np.sum(np.abs(amplitudes) ** 2, axis=axis)
+    The last axis holds the unobserved alternatives; every other axis is an
+    observed cell.
+    """
+    coherent = np.abs(amplitudes.sum(axis=-1)) ** 2
+    coherent /= coherent.sum()
+    which_path = np.sum(np.abs(amplitudes) ** 2, axis=-1)
+    which_path /= which_path.sum()
+    return coherent, which_path
 
 
 def cis(phase: np.ndarray) -> np.ndarray:

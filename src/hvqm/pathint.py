@@ -14,6 +14,11 @@ in real arithmetic, so the waves' bits do not depend on numpy's FFT or
 SIMD loops.  The four-hole phase separates in x and y, so each
 hole-to-region amplitude is a product of two 1-D midpoint sums.
 
+The coherent and which-path screen patterns, and the y-coherent and
+which-path four-hole tables, are the two tables of `interference.pair_tables`,
+as the spin pair tables are: the two slits, or the two unobserved +/-y0
+holes, are the alternatives summed over before or after squaring.
+
 Internal units hbar = m = 1; the de Broglie wavelength is
 lambda = 2 pi hbar / (m v).  Default geometries put well over five fringes
 on the screen while keeping the slit-width phase span small enough for the
@@ -32,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .interference import cis, coherent_intensity, incoherent_intensity
+from .interference import cis, pair_tables
 
 PATTERN_NORM_TOL = 1e-9
 
@@ -293,21 +298,20 @@ class ScreenPattern:
             raise ValidationError(f"pattern sums to {total!r}, expected 1")
 
 
-def pair_pattern(g: Geometry2Slit, pair: np.ndarray, mode: str) -> ScreenPattern:
-    """Coherent |L + R|^2 or which-path |L|^2 + |R|^2 of a `slit_pair`,
-    normalized per bin."""
-    if mode == "coherent":
-        intensity = coherent_intensity(pair, axis=0)
-    elif mode == "which-path":
-        intensity = incoherent_intensity(pair, axis=0)
-    else:
-        raise ValidationError(f"mode must be 'coherent' or 'which-path', got {mode!r}")
-    return ScreenPattern(g.bin_centers(), intensity / intensity.sum(), mode)
+def screen_patterns(g: Geometry2Slit) -> tuple[ScreenPattern, ScreenPattern]:
+    """Coherent |L + R|^2 and which-path |L|^2 + |R|^2 of one `slit_pair`:
+    the slits are the unobserved alternatives of each bin."""
+    coherent, which_path = pair_tables(slit_pair(g).T)
+    centers = g.bin_centers()
+    return (ScreenPattern(centers, coherent, "coherent"),
+            ScreenPattern(centers, which_path, "which-path"))
 
 
 def screen_pattern(g: Geometry2Slit, mode: str) -> ScreenPattern:
     """Coherent |L + R|^2 or which-path |L|^2 + |R|^2, normalized per bin."""
-    return pair_pattern(g, slit_pair(g), mode)
+    if mode not in ("coherent", "which-path"):
+        raise ValidationError(f"mode must be 'coherent' or 'which-path', got {mode!r}")
+    return screen_patterns(g)[mode == "which-path"]
 
 
 def dark_region_finder(p_coherent: ScreenPattern, p_whichpath: ScreenPattern,
@@ -409,45 +413,23 @@ def _hole_region_amplitude(g: GeometryFourHole, sx: int, sy: int, region: Region
             * complex(cis(c * (ys - hy) ** 2).sum()))
 
 
-def four_hole_amplitudes(g: GeometryFourHole) -> dict[tuple[int, int, int], complex]:
-    """Amplitude table over (s_x, s_y, s_A): hole (s_x x0, s_y y0) into region s_A."""
-    out = {}
-    for sx in (1, -1):
-        for sy in (1, -1):
-            for sa, region in ((1, g.region_plus), (-1, g.region_minus)):
-                out[(sx, sy, sa)] = _hole_region_amplitude(g, sx, sy, region)
-    return out
+def four_hole_amplitudes(g: GeometryFourHole) -> np.ndarray:
+    """(s_x, s_A, s_y) amplitudes, sign +1 at index 0: hole (s_x x0, s_y y0)
+    into region s_A."""
+    return np.array([[[_hole_region_amplitude(g, sx, sy, region) for sy in (1, -1)]
+                      for region in (g.region_plus, g.region_minus)] for sx in (1, -1)])
 
 
 def four_hole_table(g: GeometryFourHole, y_coherent: bool) -> dict[tuple[int, int], float]:
     """Joint table P(s_x, s_A), normalized over the four cells.
 
     With y-coherence on, the amplitudes through the unobserved +/-y0 holes
-    are summed before squaring; off, they are squared first.  Same
-    distinction as the two-slit coherent/which-path patterns, via the same
-    helper functions.
+    are summed before squaring; off, they are squared first: the two-slit
+    coherent/which-path distinction, from the same `pair_tables`.
     """
-    amps = four_hole_amplitudes(g)
-    combine = coherent_intensity if y_coherent else incoherent_intensity
-    raw = {}
-    for sx in (1, -1):
-        for sa in (1, -1):
-            pair = np.array([amps[(sx, 1, sa)], amps[(sx, -1, sa)]])
-            raw[(sx, sa)] = float(combine(pair))
-    total = sum(raw.values())
-    return {k: v / total for k, v in raw.items()}
-
-
-def four_hole_x_marginal(g: GeometryFourHole, y_coherent: bool) -> dict[int, float]:
-    """P(s_x) recomputed from scratch, aggregating over both regions."""
-    amps = four_hole_amplitudes(g)
-    combine = coherent_intensity if y_coherent else incoherent_intensity
-    raw = {}
-    for sx in (1, -1):
-        raw[sx] = sum(float(combine(np.array([amps[(sx, 1, sa)], amps[(sx, -1, sa)]])))
-                      for sa in (1, -1))
-    total = raw[1] + raw[-1]
-    return {sx: v / total for sx, v in raw.items()}
+    table = pair_tables(four_hole_amplitudes(g))[0 if y_coherent else 1]
+    return {(sx, sa): float(table[i, j])
+            for i, sx in enumerate((1, -1)) for j, sa in enumerate((1, -1))}
 
 
 def pattern_csv(p: ScreenPattern) -> str:

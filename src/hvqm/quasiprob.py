@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .interference import coherent_intensity, incoherent_intensity
+from .interference import pair_tables
 from .spin import (DirectionSet, SignPattern, check_pattern, pattern_cells,
                    pattern_from_index, pattern_to_index, signed_sums)
 
@@ -193,9 +193,7 @@ def _pair_cells(dirs: DirectionSet, i: int, j: int) -> tuple[np.ndarray, np.ndar
     amps = signed_sums(np.exp(1j * np.array(dirs.angles)))
     # (s_i, s_j, the completions sharing them)
     cells = np.moveaxis(amps.reshape((2,) * n), (n - 1 - i, n - 1 - j), (0, 1)).reshape(2, 2, -1)
-    coherent = coherent_intensity(cells)
-    incoherent = incoherent_intensity(cells)
-    return coherent / coherent.sum(), incoherent / incoherent.sum()
+    return pair_tables(cells)
 
 
 def born_pair_marginal(dirs: DirectionSet, i: int, j: int) -> dict[tuple[int, int], float]:

@@ -332,10 +332,7 @@ def _twoslit_setup(cfg: ExperimentConfig, notes: list[str]) -> dict:
 
 def _run_twoslit(built: dict, out_dir: Path):
     g, eps = built["geometry"], built["dark_eps"]
-    pair = pathint.slit_pair(g)
-    coherent = pathint.pair_pattern(g, pair, "coherent")
-    whichpath = pathint.pair_pattern(g, pair, "which-path")
-    del pair   # 128 MiB at the cap: not held while the CSVs are formatted
+    coherent, whichpath = pathint.screen_patterns(g)
     dark = pathint.dark_region_finder(coherent, whichpath, eps)
     pathint.write_pattern_csv(coherent, out_dir / "coherent.csv")
     pathint.write_pattern_csv(whichpath, out_dir / "whichpath.csv")

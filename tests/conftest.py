@@ -2,6 +2,7 @@ import math
 
 from hypothesis import strategies as st
 
+from hvqm.pathint import _hole_region_amplitude
 from hvqm.quaternion import Quaternion
 from hvqm.spin import Direction
 
@@ -28,3 +29,18 @@ def directions(draw):
     phi = draw(angles)
     s = math.sqrt(max(0.0, 1.0 - u * u))
     return Direction.normalized(s * math.cos(phi), s * math.sin(phi), u)
+
+
+def four_hole_x_marginal(g, y_coherent):
+    """P(s_x) from the hole-to-region amplitudes, cell by cell: the two
+    y-holes' amplitudes summed then squared (y-coherent) or squared then
+    summed, added over both regions and normalized over s_x."""
+    raw = {}
+    for sx in (1, -1):
+        raw[sx] = 0.0
+        for region in (g.region_plus, g.region_minus):
+            up = _hole_region_amplitude(g, sx, 1, region)
+            down = _hole_region_amplitude(g, sx, -1, region)
+            raw[sx] += abs(up + down) ** 2 if y_coherent else abs(up) ** 2 + abs(down) ** 2
+    total = raw[1] + raw[-1]
+    return {sx: value / total for sx, value in raw.items()}

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+from conftest import four_hole_x_marginal
 from hvqm import beamline, epr, pathint, phasespace, quasiprob
 from hvqm.config import apply_overrides, parse_config
 from hvqm.runner import run_experiment
@@ -174,7 +175,7 @@ def test_08_four_hole_analogy():
         gap = max(abs(coherent[k] - whichpath[k]) for k in coherent)
         assert gap > 10 * 1e-9
         for mode_flag, table in ((True, coherent), (False, whichpath)):
-            xm = pathint.four_hole_x_marginal(g, y_coherent=mode_flag)
+            xm = four_hole_x_marginal(g, y_coherent=mode_flag)
             for sx in (1, -1):
                 assert abs(table[(sx, 1)] + table[(sx, -1)] - xm[sx]) < 1e-9
     report(8, f"y-coherent and which-path tables differ (gap {gap:.3f}); "

@@ -23,7 +23,7 @@ import pytest
 
 from hvqm import pathint, runner
 from hvqm.config import parse_config
-from hvqm.interference import cis, coherent_intensity, incoherent_intensity
+from hvqm.interference import cis
 from hvqm.pathint import Geometry2Slit, GeometryFourHole, four_hole_table, slit_wave
 from hvqm.phasespace import ExtendedState, WaveFunction, lift, project_p, to_momentum
 from hvqm.runner import run_experiment
@@ -94,10 +94,10 @@ def test_shipped_twoslit_outputs_are_the_oracle_patterns(tmp_path):
     cfg = parse_config(CONFIG_DIR / "twoslit.cfg")
     run_experiment(cfg, tmp_path)
     g = runner._geometry(cfg, Geometry2Slit)
-    pair = np.stack([reference_slit_wave(g, slit) for slit in ("L", "R")])
+    left, right = (reference_slit_wave(g, slit) for slit in ("L", "R"))
     want = {mode: pathint.ScreenPattern(g.bin_centers(), raw / raw.sum(), mode)
-            for mode, raw in (("coherent", coherent_intensity(pair, axis=0)),
-                              ("which-path", incoherent_intensity(pair, axis=0)))}
+            for mode, raw in (("coherent", np.abs(left + right) ** 2),
+                              ("which-path", np.abs(left) ** 2 + np.abs(right) ** 2))}
     for file_name, mode in (("coherent.csv", "coherent"), ("whichpath.csv", "which-path")):
         rows = np.loadtxt(tmp_path / file_name, delimiter=",", skiprows=1)
         assert np.array_equal(rows[:, 0], g.bin_centers())
@@ -159,14 +159,18 @@ def test_lift_and_project_p_are_the_complex_exp_grids(m, hbar):
 @pytest.mark.parametrize("n", [2, 24, 400, 1024])
 def test_four_hole_separable_sum_is_the_grid_sum(monkeypatch, n):
     g = GeometryFourHole(region_grid=n)
-    regions = {1: g.region_plus, -1: g.region_minus}
-    grid_amps = {(sx, sy, sa): grid_hole_region_amplitude(g, sx, sy, region)
-                 for sx in (1, -1) for sy in (1, -1) for sa, region in regions.items()}
-    for (sx, sy, sa), want in grid_amps.items():
-        region = regions[sa]
-        # no amplitude exceeds the region's area: each cell has modulus cell
-        area = (region.x_max - region.x_min) * (region.y_max - region.y_min)
-        assert abs(pathint._hole_region_amplitude(g, sx, sy, region) - want) <= 1e-10 * area
+    signs, regions = (1, -1), (g.region_plus, g.region_minus)
+    amps = pathint.four_hole_amplitudes(g)
+    # axes (s_x, s_A, s_y), sign +1 at index 0
+    grid_amps = np.empty_like(amps)
+    for i, sx in enumerate(signs):
+        for j, region in enumerate(regions):
+            # no amplitude exceeds the region's area: each cell has modulus cell
+            area = (region.x_max - region.x_min) * (region.y_max - region.y_min)
+            for k, sy in enumerate(signs):
+                assert amps[i, j, k] == pathint._hole_region_amplitude(g, sx, sy, region)
+                grid_amps[i, j, k] = grid_hole_region_amplitude(g, sx, sy, region)
+                assert abs(amps[i, j, k] - grid_amps[i, j, k]) <= 1e-10 * area
     tables = [four_hole_table(g, coherent) for coherent in (True, False)]
     monkeypatch.setattr(pathint, "four_hole_amplitudes", lambda _: grid_amps)
     for coherent, got in zip((True, False), tables):

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import four_hole_x_marginal
 from hvqm import interference
 from hvqm.errors import ValidationError
 from hvqm.pathint import (Geometry2Slit, GeometryFourHole, Region,
                           ScreenPattern, dark_region_finder, four_hole_table,
-                          four_hole_x_marginal, path_amplitude, pattern_csv,
-                          screen_pattern, slit_wave)
+                          path_amplitude, pattern_csv, screen_pattern, slit_wave)
 
 
 def fraunhofer_dark_positions(g: Geometry2Slit):
@@ -236,19 +236,20 @@ class TestFourHole:
 
 class TestSharedInterferenceHelpers:
     def test_same_functions_power_both_code_paths(self):
-        # the slit patterns and the spin-table marginals must share the
-        # sum-then-square / square-then-sum pair, not reimplement it
+        # the slit patterns, the four-hole tables and the spin-table
+        # marginals must share the sum-then-square / square-then-sum
+        # primitive, not reimplement it
         import hvqm.pathint as pathint_mod
         import hvqm.quasiprob as quasiprob_mod
-        assert pathint_mod.coherent_intensity is interference.coherent_intensity
-        assert quasiprob_mod.coherent_intensity is interference.coherent_intensity
-        assert pathint_mod.incoherent_intensity is interference.incoherent_intensity
-        assert quasiprob_mod.incoherent_intensity is interference.incoherent_intensity
+        assert pathint_mod.pair_tables is interference.pair_tables
+        assert quasiprob_mod.pair_tables is interference.pair_tables
 
     def test_helpers_disagree_on_interfering_input(self):
-        amps = np.array([1.0 + 0.0j, -0.8 + 0.3j])
-        assert abs(interference.coherent_intensity(amps)
-                   - interference.incoherent_intensity(amps)) > 1.0
+        # raw coherent |1 -/+ (0.8 - 0.3i)|^2 = 0.13, 3.33; which-path 1.73 each
+        amps = np.array([[1.0 + 0.0j, -0.8 + 0.3j], [1.0 + 0.0j, 0.8 - 0.3j]])
+        coherent, which_path = interference.pair_tables(amps)
+        assert coherent == pytest.approx(np.array([0.13, 3.33]) / 3.46, abs=1e-15)
+        assert which_path == pytest.approx([0.5, 0.5], abs=1e-15)
 
 
 class TestGeometryValidation:
