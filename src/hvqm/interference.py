@@ -11,6 +11,14 @@ from __future__ import annotations
 import numpy as np
 
 
+def _squared_modulus(z: np.ndarray) -> np.ndarray:
+    """|z|^2 as re^2 + im^2, each product and the sum rounded on their own:
+    complex np.abs rounds differently in each of numpy's SIMD loops."""
+    out = np.square(z.real)
+    out += np.square(z.imag)
+    return out
+
+
 def pair_tables(amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The coherent |sum|^2 and which-path sum |.|^2 tables of `amplitudes`,
     each normalized over the observed cells.
@@ -18,9 +26,9 @@ def pair_tables(amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The last axis holds the unobserved alternatives; every other axis is an
     observed cell.
     """
-    coherent = np.abs(amplitudes.sum(axis=-1)) ** 2
+    coherent = _squared_modulus(amplitudes.sum(axis=-1))
     coherent /= coherent.sum()
-    which_path = np.sum(np.abs(amplitudes) ** 2, axis=-1)
+    which_path = _squared_modulus(amplitudes).sum(axis=-1)
     which_path /= which_path.sum()
     return coherent, which_path
 

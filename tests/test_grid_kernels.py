@@ -108,12 +108,30 @@ def test_shipped_twoslit_outputs_are_the_oracle_patterns(tmp_path):
         want["coherent"], want["which-path"], cfg.get_float("experiment", "dark_eps"))
 
 
+# the bytes of the slit waves and of the tables squared from them and from
+# the four-hole amplitudes, as hex by name
+SIMD_PROBE = """
+import json, sys
+import numpy as np
+from hvqm.pathint import (Geometry2Slit, GeometryFourHole, four_hole_table,
+                          screen_patterns, slit_pair)
+arrays = {"slit_pair": slit_pair(Geometry2Slit(bins=1000, quadrature_points=77))}
+for p in screen_patterns(Geometry2Slit()):
+    arrays[p.mode] = p.probabilities
+for coherent in (True, False):
+    arrays[f"four_hole_table {coherent}"] = np.array(
+        list(four_hole_table(GeometryFourHole(), coherent).values()))
+json.dump({name: a.tobytes().hex() for name, a in arrays.items()}, sys.stdout)
+"""
+
+
 def test_slit_pair_bits_do_not_depend_on_numpy_simd():
-    """numpy's SIMD loops round complex products differently with and
-    without fused multiply-adds.  The slit waves use no complex product
-    and no FFT library, only cos, sin and real sums and products, so with
-    every optional CPU feature of numpy's dispatch turned off their bits
-    must not move."""
+    """numpy's SIMD loops round complex products and complex abs
+    differently with and without fused multiply-adds.  The slit waves use
+    no complex product and no FFT library, only cos, sin and real sums and
+    products, and the Born rule squares as re^2 + im^2, so with every
+    optional CPU feature of numpy's dispatch turned off neither the waves'
+    bits nor the screen patterns' and four-hole tables' must move."""
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:   # numpy 1.x
@@ -123,13 +141,14 @@ def test_slit_pair_bits_do_not_depend_on_numpy_simd():
     env["NPY_DISABLE_CPU_FEATURES"] = " ".join(features)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
-    shape = dict(bins=1000, quadrature_points=77)
-    script = ("import sys; from hvqm.pathint import Geometry2Slit, slit_pair; "
-              f"sys.stdout.write(slit_pair(Geometry2Slit(**{shape!r})).tobytes().hex())")
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert bytes.fromhex(proc.stdout) == pathint.slit_pair(Geometry2Slit(**shape)).tobytes()
+    runs = [subprocess.run([sys.executable, "-c", SIMD_PROBE], env=child_env,
+                           capture_output=True, text=True, timeout=120)
+            for child_env in (env, {**env, "NPY_DISABLE_CPU_FEATURES": ""})]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    simd_off, simd_on = (json.loads(proc.stdout) for proc in runs)
+    for name, bits in simd_on.items():
+        assert simd_off[name] == bits, name
 
 
 def test_slit_wave_memory_does_not_grow_with_bins():
