@@ -164,17 +164,18 @@ ANALYTIC_OUTPUT_SHA256 = {
         "born.csv": "f307ded7a179cebe6f7014588274571fae94bf0a96bd5d48b160c95aeaf6c420",
     },
     "twoslit": {
-        # the slit waves' bits follow from cos, sin and real sums and
-        # products; the patterns' also from numpy's complex absolute value,
-        # whose SIMD loops round differently.  test_grid_kernels checks the
-        # CSVs against the explicit sums whatever numpy runs
-        "coherent.csv": "e26faa63e49d5eeb0d6fe090651f8104d7426f18db2fe3163f60a3a05de826fb",
-        "whichpath.csv": "6f5942985638db020180e29b03b4748f88ade1834bc53afdb4a7fbba94ffaf1b",
+        # the slit waves' and the patterns' bits follow from cos, sin and
+        # real sums and products alone: the patterns square as re^2 + im^2,
+        # not through numpy's complex absolute value, whose SIMD loops
+        # round differently.  test_grid_kernels checks the CSVs against the
+        # explicit sums whatever numpy runs
+        "coherent.csv": "48dd9caa8c1f7f2fc4315716833b3d6ab0c24b3399e9bec6e173807973919d43",
+        "whichpath.csv": "f933d6eb6f8e6fbd000c0f72f44383c3ace62c36d71ce1b2f3d9df064426e780",
         "dark_regions.json":
             "7be24219577f04ae2b8d8ce7fca08133b38620c2bb80c2a0971eb527a2c17d30",
     },
     "fourhole": {
-        "fourhole.json": "144cc2f09c7264d9f030439e60cff0d9c1738ba4fecb8e7497e0075c14f34728",
+        "fourhole.json": "abadc56ba77d2d275d449eeb46675a2daeac8a2032aa97cdfb96092fc7bf468e",
     },
     "phasespace": {
         "wavefunction.csv":
@@ -188,11 +189,11 @@ ANALYTIC_RESULTS = {
                 "coherent_max": 0.003999447805748933,
                 "whichpath_max": 0.0019545283427569848},
     "fourhole": {
-        "coherent": {"(+x0,+A)": 0.24793313639704553, "(+x0,-A)": 0.04750496928319566,
-                     "(-x0,+A)": 0.01713350243885227, "(-x0,-A)": 0.6874283918809065},
-        "whichpath": {"(+x0,+A)": 0.4756579173406078, "(+x0,-A)": 0.031767972016983594,
-                      "(-x0,+A)": 0.03287049970506407, "(-x0,-A)": 0.45970361093734446},
-        "max_cell_gap": 0.22772478094356227},
+        "coherent": {"(+x0,+A)": 0.24793313639704545, "(+x0,-A)": 0.047504969283195655,
+                     "(-x0,+A)": 0.017133502438852265, "(-x0,-A)": 0.6874283918809067},
+        "whichpath": {"(+x0,+A)": 0.4756579173406078, "(+x0,-A)": 0.03176797201698361,
+                      "(-x0,+A)": 0.03287049970506407, "(-x0,-A)": 0.4597036109373445},
+        "max_cell_gap": 0.22772478094356235},
     "phasespace": {"m": 256, "dr": 1.0, "roundtrip_error": 2.7104829279648844e-16,
                    "parseval_gap": 2.220446049250313e-16, "momentum_ray_overlap": 1.0},
 }
