@@ -311,7 +311,8 @@ def screen_pattern(g: Geometry2Slit, mode: str) -> ScreenPattern:
     """Coherent |L + R|^2 or which-path |L|^2 + |R|^2, normalized per bin."""
     if mode not in ("coherent", "which-path"):
         raise ValidationError(f"mode must be 'coherent' or 'which-path', got {mode!r}")
-    return screen_patterns(g)[mode == "which-path"]
+    coherent, which_path = screen_patterns(g)
+    return coherent if mode == "coherent" else which_path
 
 
 def dark_region_finder(p_coherent: ScreenPattern, p_whichpath: ScreenPattern,
@@ -427,7 +428,8 @@ def four_hole_table(g: GeometryFourHole, y_coherent: bool) -> dict[tuple[int, in
     are summed before squaring; off, they are squared first: the two-slit
     coherent/which-path distinction, from the same `pair_tables`.
     """
-    table = pair_tables(four_hole_amplitudes(g))[0 if y_coherent else 1]
+    coherent, which_path = pair_tables(four_hole_amplitudes(g))
+    table = coherent if y_coherent else which_path
     return {(sx, sa): float(table[i, j])
             for i, sx in enumerate((1, -1)) for j, sa in enumerate((1, -1))}
 

@@ -68,8 +68,8 @@ MAX_TRIALS = 10_000_000
 # phases and a four-hole region's region_grid^2 points.  On a 2-vCPU host a
 # run at each cap peaks at 195, 51 and 34 MiB of RSS and takes 0.42,
 # 0.6-0.9 and 0.003 s; the slit figures are for 65536 x 64.  At the other
-# slit shape, 2^22 x 1, a run peaks at 514 MiB and takes 26 s, almost all
-# of it in formatting the two CSVs
+# slit shape, 2^22 x 1, a run peaks at 481 MiB and takes 24-29 s, almost
+# all of it in formatting the two CSVs
 MAX_GRID_M = 2048
 MAX_SLIT_PHASES = 1 << 22
 MAX_REGION_GRID = 1024
