@@ -131,7 +131,7 @@ def test_slit_pair_bits_do_not_depend_on_numpy_simd():
     no complex product and no FFT library, only cos, sin and real sums and
     products, and the Born rule squares as re^2 + im^2, so with every
     optional CPU feature of numpy's dispatch turned off neither the waves'
-    bits nor the screen patterns' and four-hole tables' must move."""
+    bits nor those of the screen patterns and four-hole tables may move."""
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:   # numpy 1.x
