@@ -15,6 +15,9 @@ divergent volume integral) that is discarded by returning a normalized ray.
 Position and momentum operators act by pointwise multiplication on the
 grid; through lift/project they correspond to multiplication by r and to
 the spectral derivative -i hbar d/dr on band-limited wavefunctions.
+
+On the lattice p_k r_j / hbar = 2 pi (j - M/2)(k - M/2) / M exactly, so the
+M x M plane-wave factors are M roots of unity, indexed by integer residue.
 """
 
 from __future__ import annotations
@@ -161,15 +164,28 @@ class ExtendedState:
         return (np.arange(self.m) - self.m // 2) * self.dp
 
 
+def _plane_wave_grid(m: int, sign: float) -> np.ndarray:
+    """exp(sign i p_k r_j / hbar) on the M x M lattice, rows j, columns k.
+
+    p_k r_j / hbar = 2 pi (j - M/2)(k - M/2) / M whatever dr and hbar, since
+    dp = 2 pi hbar / (M dr); so each cell is one of the M roots of unity
+    cis(sign 2 pi n / M), picked by the residue n = (j - M/2)(k - M/2) mod M
+    (M a power of two: the residue is the low bits).
+    """
+    roots = cis((sign * 2.0 * math.pi / m) * np.arange(m))
+    offsets = np.arange(m) - m // 2
+    residues = np.outer(offsets, offsets)
+    residues &= m - 1
+    return roots[residues]
+
+
 def lift(wf: WaveFunction) -> ExtendedState:
     """Fill the (r, p) grid from a normalized wavefunction."""
     if abs(wf.norm_sq() - 1.0) > NORMALIZATION_TOL:
         raise ValidationError(
             f"lift needs a normalized wavefunction, norm^2 = {wf.norm_sq()!r}")
     xi = to_momentum(wf)
-    phase = np.outer(wf.r_values, xi.p_values)
-    phase *= 1.0 / wf.hbar
-    coeffs = cis(phase)
+    coeffs = _plane_wave_grid(wf.m, 1.0)
     coeffs *= xi.values / math.sqrt(2.0 * math.pi * wf.hbar)
     return ExtendedState(coeffs, wf.dr, wf.hbar)
 
@@ -187,9 +203,7 @@ def project_p(state: ExtendedState) -> MomentumFunction:
     the lattice factor M regularizes the divergent continuum prefactor and
     is removed by the ray normalization.
     """
-    phase = np.outer(state.r_values, state.p_values)
-    phase *= -1.0 / state.hbar
-    cells = cis(phase)
+    cells = _plane_wave_grid(state.m, -1.0)
     # coefficients first: complex multiply need not commute bit for bit
     np.multiply(state.coefficients, cells, out=cells)
     raw = cells.sum(axis=0)

@@ -178,8 +178,13 @@ def born_table(dirs: DirectionSet) -> BornTable:
     n = len(dirs)
     if n > MAX_BORN_N:
         raise ValidationError(f"N={n} exceeds the Born-table cap of {MAX_BORN_N}")
-    vec = signed_sums(dirs.as_matrix())          # (2^N, 3) summed spin vectors
-    intensity = np.einsum("ij,ij->i", vec, vec)
+    # one contiguous (2^N,) plane of summed spin vectors per coordinate
+    x, y, z = (signed_sums(column) for column in dirs.as_matrix().T)
+    # |sum|^2 as (x^2 + z^2) + y^2: the order np.einsum("ij,ij->i") takes
+    # over the (2^N, 3) stack, so the table keeps the bits it had from that
+    intensity = np.square(x, out=x)
+    intensity += np.square(z, out=z)
+    intensity += np.square(y, out=y)
     return BornTable(dirs, intensity / intensity.sum())
 
 

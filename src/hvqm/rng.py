@@ -90,13 +90,3 @@ def uniform(seed: int, counter: int, substream: int = 0) -> float:
     """Scalar convenience wrapper; bit-identical to the vector path."""
     return float(uniforms(seed, np.array([counter], dtype=np.uint64), substream)[0])
 
-
-def categorical(cum_probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Map uniforms to category indices via the inverse CDF.
-
-    `cum_probs` is the cumulative sum of the category probabilities.
-    Zero-probability categories occupy empty intervals and are never hit.
-    The classical sampler in `epr` counts thresholds instead, with the same
-    result; this is the reference its tests compare against.
-    """
-    return np.searchsorted(cum_probs, u, side="right")

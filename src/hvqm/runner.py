@@ -26,6 +26,7 @@ from . import __version__, beamline, epr, pathint, phasespace, quasiprob
 from .config import (ExperimentConfig, config_hash, keyed_section, parse_direction,
                      parse_lhv_weights)
 from .errors import ValidationError
+from .interference import pair_tables
 from .spin import Direction, DirectionSet
 
 _SETTING_NAMES = {0: "a1", 1: "a2", 2: "b1", 3: "b2"}
@@ -66,7 +67,7 @@ class RunReport:
 MAX_TRIALS = 10_000_000
 # grid sizes: lift's M x M complex grids, a slit's bins x quadrature_points
 # phases and a four-hole region's region_grid^2 points.  On a 2-vCPU host a
-# run at each cap peaks at 195, 51 and 34 MiB of RSS and takes 0.42,
+# run at each cap peaks at 195, 51 and 34 MiB of RSS and takes 0.16,
 # 0.6-0.9 and 0.003 s; the slit figures are for 65536 x 64.  At the other
 # slit shape, 2^22 x 1, a run peaks at 481 MiB and takes 24-29 s, almost
 # all of it in formatting the two CSVs
@@ -360,14 +361,13 @@ def _fourhole_setup(cfg: ExperimentConfig, notes: list[str]) -> dict:
 
 
 def _run_fourhole(built: dict, out_dir: Path):
-    g = built["geometry"]
-    coherent = pathint.four_hole_table(g, y_coherent=True)
-    whichpath = pathint.four_hole_table(g, y_coherent=False)
-    gap = max(abs(coherent[k] - whichpath[k]) for k in coherent)
+    # both tables from one set of amplitudes; axes (s_x, s_A), sign + first
+    coherent, whichpath = pair_tables(pathint.four_hole_amplitudes(built["geometry"]))
+    gap = float(np.abs(coherent - whichpath).max())
 
     def cells(t):
-        return {f"({'+' if sx > 0 else '-'}x0,{'+' if sa > 0 else '-'}A)": v
-                for (sx, sa), v in t.items()}
+        return {f"({sx}x0,{sa}A)": float(t[i, j])
+                for i, sx in enumerate("+-") for j, sa in enumerate("+-")}
 
     results = {"coherent": cells(coherent), "whichpath": cells(whichpath),
                "max_cell_gap": gap}

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 from hypothesis import strategies as st
 
 from hvqm.pathint import _hole_region_amplitude
@@ -44,3 +45,14 @@ def four_hole_x_marginal(g, y_coherent):
             raw[sx] += abs(up + down) ** 2 if y_coherent else abs(up) ** 2 + abs(down) ** 2
     total = raw[1] + raw[-1]
     return {sx: value / total for sx, value in raw.items()}
+
+
+def categorical(cum_probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Map uniforms to category indices via the inverse CDF.
+
+    `cum_probs` is the cumulative sum of the category probabilities.
+    Zero-probability categories occupy empty intervals and are never hit.
+    The classical sampler in `epr` counts thresholds instead, with the same
+    result; this is the reference its tests compare against.
+    """
+    return np.searchsorted(cum_probs, u, side="right")

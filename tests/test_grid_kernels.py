@@ -1,9 +1,10 @@
 """The grid kernels against their complex-exp and full-grid oracles.
 
-`lift` and `project_p` build each phase as a real array and turn it into
-exp(i phase) with `interference.cis`.  The oracles below are the direct
-forms: the whole phase grid at once, divided by hbar as a complex array
-and passed to complex `np.exp`.  Those results must be equal bit for bit.
+`lift` and `project_p` take each cell's plane-wave factor from the M roots
+of unity, by the cell's integer residue (j - M/2)(k - M/2) mod M.  Their
+oracles apply complex `np.exp(2 pi i n / M)` at each residue n and must
+agree bit for bit; against the old route, complex `np.exp` of the rounded
+phase r_j p_k / hbar, they agree within a bound set by the largest phase.
 `slit_wave` sums each bin by a chirp-z transform and the four-hole
 amplitude is a product of two 1-D sums; their oracles are the explicit
 bins x K and n x n midpoint sums, which round differently, so they are
@@ -43,16 +44,32 @@ def reference_slit_wave(g: Geometry2Slit, slit: str) -> np.ndarray:
     return (g.slit_width / k) * phases.sum(axis=1)
 
 
-def reference_lift(wf: WaveFunction) -> np.ndarray:
+def root_of_unity_grid(m: int, sign: int) -> np.ndarray:
+    """exp(sign 2 pi i n / M) at each cell's residue n = (j - M/2)(k - M/2) mod M."""
+    offsets = np.arange(m) - m // 2
+    n = np.outer(offsets, offsets) % m
+    return np.exp(sign * 2j * np.pi * n / m)
+
+
+def rounded_phase_grid(m: int, dr: float, hbar: float, sign: int) -> np.ndarray:
+    """exp(sign i r_j p_k / hbar), each phase rounded from the rounded
+    r_j and p_k."""
+    r = (np.arange(m) - m // 2) * dr
+    p = (np.arange(m) - m // 2) * (2.0 * math.pi * hbar / (m * dr))
+    return np.exp(sign * 1j * np.outer(r, p) / hbar)
+
+
+def reference_lift(wf: WaveFunction, grid: np.ndarray) -> np.ndarray:
     xi = to_momentum(wf)
-    phase = np.exp(1j * np.outer(wf.r_values, xi.p_values) / wf.hbar)
-    return phase * (xi.values[None, :] / math.sqrt(2.0 * math.pi * wf.hbar))
+    return grid * (xi.values[None, :] / math.sqrt(2.0 * math.pi * wf.hbar))
 
 
-def reference_project_p(state: ExtendedState) -> np.ndarray:
-    phase = np.exp(-1j * np.outer(state.r_values, state.p_values) / state.hbar)
-    raw = (state.coefficients * phase).sum(axis=0)
-    return raw / math.sqrt(float(np.sum(np.abs(raw) ** 2) * state.dp))
+def column_sums(state: ExtendedState, grid: np.ndarray) -> np.ndarray:
+    return (state.coefficients * grid).sum(axis=0)
+
+
+def ray(raw: np.ndarray, dp: float) -> np.ndarray:
+    return raw / math.sqrt(float(np.sum(np.abs(raw) ** 2) * dp))
 
 
 def grid_hole_region_amplitude(g: GeometryFourHole, sx: int, sy: int, region) -> complex:
@@ -162,17 +179,46 @@ def test_slit_wave_memory_does_not_grow_with_bins():
     assert peak < 8 << 20
 
 
+def lifted_and_other(m: int, hbar: float):
+    """A wavefunction, its lifted state and a grid that is not a lifted state."""
+    rng = np.random.default_rng(m)
+    wf = WaveFunction(rng.normal(size=m) + 1j * rng.normal(size=m), 0.5, hbar).normalized()
+    other = ExtendedState(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)), 0.5, hbar)
+    return wf, lift(wf), other
+
+
 @pytest.mark.parametrize("m", [2, 64, 1024])
 @pytest.mark.parametrize("hbar", [1.0, 0.7])
 def test_lift_and_project_p_are_the_complex_exp_grids(m, hbar):
-    rng = np.random.default_rng(m)
-    wf = WaveFunction(rng.normal(size=m) + 1j * rng.normal(size=m), 0.5, hbar).normalized()
-    state = lift(wf)
-    assert np.array_equal(state.coefficients, reference_lift(wf))
-    assert np.array_equal(project_p(state).values, reference_project_p(state))
-    # a grid that is not a lifted state
-    other = ExtendedState(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)), 0.5, hbar)
-    assert np.array_equal(project_p(other).values, reference_project_p(other))
+    """Bit for bit: complex np.exp of 2 pi i n / M at each integer residue."""
+    wf, state, other = lifted_and_other(m, hbar)
+    assert np.array_equal(state.coefficients, reference_lift(wf, root_of_unity_grid(m, 1)))
+    for s in (state, other):
+        want = ray(column_sums(s, root_of_unity_grid(m, -1)), s.dp)
+        assert np.array_equal(project_p(s).values, want)
+
+
+@pytest.mark.parametrize("m", [2, 64, 1024])
+@pytest.mark.parametrize("hbar", [1.0, 0.7])
+def test_lift_and_project_p_are_near_the_rounded_phase_grids(m, hbar):
+    """The rounded route rounds r_j, dp, p_k, their product and the
+    division by hbar, each within eps/2 relative, so its phase is off by at
+    most 4 eps relative: 4 eps pi M / 2 at the largest phase, |r_j p_k| / hbar
+    = 2 pi (M/2)^2 / M.  cos, sin, the roots of unity and the products add a
+    few eps more."""
+    eps = np.finfo(float).eps
+    tol = 4 * eps * (math.pi * m / 2) + 4 * eps
+    wf, state, other = lifted_and_other(m, hbar)
+    scale = np.abs(to_momentum(wf).values) / math.sqrt(2.0 * math.pi * hbar)
+    old = reference_lift(wf, rounded_phase_grid(m, 0.5, hbar, 1))
+    assert np.all(np.abs(state.coefficients - old) <= tol * scale[None, :])
+    for s in (state, other):
+        # each column sum moves by at most tol sum_j |c_jk|, plus M eps of
+        # that for its own rounding; normalizing at most doubles the shift
+        raw = column_sums(s, rounded_phase_grid(m, 0.5, hbar, -1))
+        norm = math.sqrt(float(np.sum(np.abs(raw) ** 2) * s.dp))
+        bound = 2 * (tol + m * eps) * np.abs(s.coefficients).sum(axis=0).max() / norm
+        assert np.abs(project_p(s).values - raw / norm).max() <= bound
 
 
 @pytest.mark.parametrize("n", [2, 24, 400, 1024])

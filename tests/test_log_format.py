@@ -194,8 +194,9 @@ ANALYTIC_RESULTS = {
         "whichpath": {"(+x0,+A)": 0.4756579173406078, "(+x0,-A)": 0.03176797201698361,
                       "(-x0,+A)": 0.03287049970506407, "(-x0,-A)": 0.4597036109373445},
         "max_cell_gap": 0.22772478094356235},
-    "phasespace": {"m": 256, "dr": 1.0, "roundtrip_error": 2.7104829279648844e-16,
-                   "parseval_gap": 2.220446049250313e-16, "momentum_ray_overlap": 1.0},
+    "phasespace": {"m": 256, "dr": 1.0, "roundtrip_error": 7.666372934760685e-17,
+                   "parseval_gap": 2.220446049250313e-16,
+                   "momentum_ray_overlap": 1.0000000000000002},
 }
 
 

@@ -17,7 +17,7 @@ from hvqm.quasiprob import (QuasiProbTable, born_csv,
                             pair_marginal_probability, solve_weights, table_csv,
                             write_table_csv)
 from hvqm.quasiprob import check_pair_law
-from hvqm.spin import DirectionSet, pattern_from_index, sign_matrix
+from hvqm.spin import Direction, DirectionSet, pattern_from_index, sign_matrix, signed_sums
 
 GOLDEN = (0.0, math.pi / 3, 2 * math.pi / 3)
 
@@ -281,6 +281,18 @@ class TestBornTable:
     def test_equals_sign_matrix_route(self, ds):
         dirs = DirectionSet(tuple(ds))
         vec = sign_matrix(len(dirs)) @ dirs.as_matrix()
+        intensity = np.einsum("ij,ij->i", vec, vec)
+        assert np.array_equal(born_table(dirs).probabilities, intensity / intensity.sum())
+
+    @pytest.mark.parametrize("n", [1, 3, 12, 20])
+    def test_bits_of_the_einsum_over_the_stacked_sums(self, n):
+        """born_table squares one coordinate plane at a time; the Born bits
+        are those of np.einsum over the (2^N, 3) stack of signed sums."""
+        rng = np.random.default_rng(n)
+        dirs = DirectionSet(tuple(Direction.normalized(*rng.normal(size=3))
+                                  for _ in range(n)))
+        assert not dirs.is_planar
+        vec = signed_sums(dirs.as_matrix())
         intensity = np.einsum("ij,ij->i", vec, vec)
         assert np.array_equal(born_table(dirs).probabilities, intensity / intensity.sum())
 

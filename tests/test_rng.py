@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hvqm.rng import categorical, uniform, uniforms
+from conftest import categorical
+from hvqm.rng import uniform, uniforms
 
 
 def test_deterministic():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import directions
+from conftest import categorical, directions
 from hvqm import beamline, epr, rng
 from hvqm.beamline import BeamState, analyze, recombine, split
 from hvqm.spin import DirectionSet
@@ -106,14 +106,14 @@ class TestCategorical:
     def test_u_exactly_on_a_boundary(self):
         cum = np.array([0.25, 0.5, 0.75, 1.0])
         u = np.array([0.0, 0.25, 0.5, 0.75, np.nextafter(0.25, 0), np.nextafter(0.75, 1)])
-        k = rng.categorical(cum, u)
+        k = categorical(cum, u)
         assert np.array_equal(k, np.searchsorted(cum, u, side="right"))
         assert k.tolist() == [0, 1, 2, 3, 0, 3]
 
     def test_zero_width_intervals(self):
         cum = np.array([0.0, 0.5, 0.5, 1.0, 1.0])
         u = np.array([0.0, 0.1, 0.5, np.nextafter(0.5, 0), 0.9, np.nextafter(1.0, 0)])
-        k = rng.categorical(cum, u)
+        k = categorical(cum, u)
         assert np.array_equal(k, np.searchsorted(cum, u, side="right"))
         # the empty categories 0, 2 and 4 are never returned
         assert set(k.tolist()) <= {1, 3}
@@ -258,7 +258,7 @@ class TestBornBoundaries:
 
 class TestLhvBoundaries:
     """The classical pattern index by threshold counts, on and beside every
-    boundary, against `rng.categorical`."""
+    boundary, against `categorical`."""
 
     @pytest.mark.parametrize("weights", [
         np.full(4, 0.25),
@@ -275,7 +275,7 @@ class TestLhvBoundaries:
         edges = np.concatenate([inner, np.nextafter(inner, 0), np.nextafter(inner, 1)])
         u = np.unique(np.concatenate([[0.0, np.nextafter(1.0, 0)], edges]))
         u = u[(u >= 0) & (u < 1)]
-        k = rng.categorical(cum, u)
+        k = categorical(cum, u)
         bits = len(weights).bit_length() - 1
         for ai in range(bits):
             for bi in range(bits):
