@@ -3,7 +3,9 @@
 Within one block of a log every line is '{"trial":N' followed by one of a
 few suffixes, picked per trial.  `join_lines` builds a whole block from the
 suffixes with numpy instead of formatting one record at a time; the
-suffixes come from the per-record encoders, so the bytes are theirs.
+suffixes come from the per-record encoders, so the bytes are theirs.  The
+module holds the byte formats of the files a run writes: `write_csv`
+writes every CSV.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ _LOW = 10_000
 # row i holds the four ASCII digits of i, zero-padded
 _LOW_DIGITS = (np.arange(_LOW)[:, None] // np.array([1000, 100, 10, 1]) % 10
                + ord("0")).astype(np.uint8)
+_CSV_BLOCK = 16_384   # CSV rows formatted and written at a time
 
 
 @functools.lru_cache(maxsize=256)
@@ -74,3 +77,19 @@ def join_lines(start: int, k: np.ndarray, suffixes: Sequence[bytes]) -> bytes:
         parts.append(data.replace(_PAD, b""))
         lo = hi
     return b"".join(parts)
+
+
+def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """The header line, then row i: cell i of each column, comma-joined.
+
+    A float column's cells are the repr of each value as a Python float
+    (`tolist`); an int or str column's are its values as str.  Rows are
+    formatted and written in blocks of _CSV_BLOCK, so no file-sized string
+    is built.
+    """
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(",".join(header) + "\n")
+        for lo in range(0, len(columns[0]), _CSV_BLOCK):
+            cells = [map(repr if column.dtype.kind == "f" else str,
+                         column[lo:lo + _CSV_BLOCK].tolist()) for column in columns]
+            f.write("\n".join(map(",".join, zip(*cells))) + "\n")

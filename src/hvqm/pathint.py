@@ -30,14 +30,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from io import StringIO
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .interference import cis, pair_tables
+from .logcodec import write_csv
 
 PATTERN_NORM_TOL = 1e-9
 
@@ -125,14 +124,6 @@ class Geometry2Slit:
         return 2.0 * self.screen_half_width / self.bins
 
 
-def _slit_center(g: Geometry2Slit, slit: str) -> float:
-    if slit == "L":
-        return -g.slit_separation / 2.0
-    if slit == "R":
-        return +g.slit_separation / 2.0
-    raise ValidationError(f"slit must be 'L' or 'R', got {slit!r}")
-
-
 def _rotate(z: np.ndarray, w: np.ndarray) -> None:
     """z *= w for complex numbers held as (real, imaginary) planes along
     the first axis, w broadcast to z.  Every product and sum is rounded on
@@ -192,8 +183,15 @@ def _block_size(bins: int, k: int) -> int:
     return min(1 << max(4 * k - 5, 0).bit_length(), 1 << (bins + k - 2).bit_length())
 
 
-def _slit_waves(g: Geometry2Slit, slits: Sequence[str], k: int) -> np.ndarray:
-    """(len(slits), bins) amplitudes, one row per slit, by chirp-z sums.
+def slit_pair(g: Geometry2Slit) -> np.ndarray:
+    """(2, bins) complex amplitudes per screen bin of the L and R slits,
+    centred at -d/2 and +d/2.
+
+    Midpoint quadrature across the slit width; two-segment paths with
+    times l1/v and l2/v.  Each row carries the quadrature weight w/K, so
+    doubling K converges to the width integral.  Each bin's sum over the K
+    points is a chirp-z transform, so time grows as bins log K and memory
+    as bins + K, not as bins x K.
 
     The bins are cut into blocks.  With bin x = X + t dx about its block's
     centre X and quadrature point y_q = y_c + q dy about the slit's centre,
@@ -208,6 +206,7 @@ def _slit_waves(g: Geometry2Slit, slits: Sequence[str], k: int) -> np.ndarray:
     the bits depend neither on numpy's FFT nor on whether the CPU fuses
     multiply-adds.
     """
+    k = g.quadrature_points
     a = g.mass * g.v / (2.0 * g.l2 * g.hbar)
     b = g.mass * g.v / (2.0 * g.l1 * g.hbar)
     dx, dy = g.bin_width, g.slit_width / k
@@ -226,8 +225,9 @@ def _slit_waves(g: Geometry2Slit, slits: Sequence[str], k: int) -> np.ndarray:
     kernel = _fft(kernel, -1.0)
     q = np.arange(k) - q0
     centres = -g.screen_half_width + (np.arange(blocks) * block + t0 + 0.5) * dx
-    y_cs = [_slit_center(g, slit) - g.slit_width / 2.0 + (q0 + 0.5) * dy for slit in slits]
-    waves = np.zeros((2, len(slits), blocks, size))
+    y_cs = [c - g.slit_width / 2.0 + (q0 + 0.5) * dy
+            for c in (-g.slit_separation / 2.0, g.slit_separation / 2.0)]
+    waves = np.zeros((2, 2, blocks, size))
     for i, y_c in enumerate(y_cs):
         # c_q: the free action over hbar of source->(l1, y) and the part of
         # (l1, y)->(l1 + l2, x) that depends on q alone, less Bluestein's
@@ -256,28 +256,10 @@ def _slit_waves(g: Geometry2Slit, slits: Sequence[str], k: int) -> np.ndarray:
         _rotate(waves[:, i], _cis_planes(row))
     del x, row
     waves *= g.slit_width / k
-    out = np.empty((len(slits), g.bins), dtype=complex)
-    out.real = waves[0].reshape(len(slits), -1)[:, :g.bins]
-    out.imag = waves[1].reshape(len(slits), -1)[:, :g.bins]
+    out = np.empty((2, g.bins), dtype=complex)
+    out.real = waves[0].reshape(2, -1)[:, :g.bins]
+    out.imag = waves[1].reshape(2, -1)[:, :g.bins]
     return out
-
-
-def slit_wave(g: Geometry2Slit, slit: str, quadrature_points: int | None = None
-              ) -> np.ndarray:
-    """Complex amplitude per screen bin from one slit.
-
-    Midpoint quadrature across the slit width; two-segment paths with
-    times l1/v and l2/v.  The returned array carries the quadrature weight
-    w/K so doubling K converges to the width integral.  Each bin's sum over
-    the K points is a chirp-z transform (see `_slit_waves`), so time grows
-    as bins log K and memory as bins + K, not as bins x K.
-    """
-    return _slit_waves(g, (slit,), quadrature_points or g.quadrature_points)[0]
-
-
-def slit_pair(g: Geometry2Slit) -> np.ndarray:
-    """(2, bins) amplitudes of the L and R slits, built with one chirp."""
-    return _slit_waves(g, ("L", "R"), g.quadrature_points)
 
 
 @dataclass(frozen=True)
@@ -434,14 +416,6 @@ def four_hole_table(g: GeometryFourHole, y_coherent: bool) -> dict[tuple[int, in
             for i, sx in enumerate((1, -1)) for j, sa in enumerate((1, -1))}
 
 
-def pattern_csv(p: ScreenPattern) -> str:
-    buf = StringIO()
-    buf.write("bin_center,probability\n")
-    for c, v in zip(p.bin_centers, p.probabilities):
-        buf.write(f"{float(c)!r},{float(v)!r}\n")
-    return buf.getvalue()
-
-
 def write_pattern_csv(p: ScreenPattern, path) -> None:
-    Path(path).write_text(pattern_csv(p), encoding="utf-8")
+    write_csv(path, ("bin_center", "probability"), (p.bin_centers, p.probabilities))
 

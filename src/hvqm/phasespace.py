@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
 from .interference import cis
+from .logcodec import write_csv
 
 NORMALIZATION_TOL = 1e-8
 
@@ -255,16 +255,6 @@ def plane_wave(m: int, dr: float, mode_index: int, hbar: float = 1.0) -> WaveFun
 
 def write_grid_csv(values: np.ndarray, path) -> None:
     """index, real, imag rows; the plain-text exchange format for grids."""
-    lines = ["index,real,imag"]
-    for i, v in enumerate(np.asarray(values, dtype=complex)):
-        lines.append(f"{i},{float(v.real)!r},{float(v.imag)!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_grid_csv(path) -> np.ndarray:
-    rows = Path(path).read_text(encoding="utf-8").strip().splitlines()[1:]
-    out = np.empty(len(rows), dtype=complex)
-    for row in rows:
-        i, re, im = row.split(",")
-        out[int(i)] = float(re) + 1j * float(im)
-    return out
+    values = np.asarray(values, dtype=complex)
+    write_csv(path, ("index", "real", "imag"),
+              (np.arange(len(values)), values.real, values.imag))

@@ -14,20 +14,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from io import StringIO
-from pathlib import Path
 
 import numpy as np
 
 from .errors import SolverError, ValidationError
 from .interference import pair_tables
+from .logcodec import write_csv
 from .spin import (DirectionSet, SignPattern, check_pattern, pattern_cells,
-                   pattern_from_index, pattern_to_index, signed_sums)
+                   pattern_from_index, pattern_to_index, sign_matrix, signed_sums)
 
 MARGINAL_TOL = 1e-10
 # The closed forms cost O(2^N), so the caps bound table sizes: the signed
-# table is scanned and written row by row in Python (4096 rows at N = 12)
-# and the Born table holds 2^N summed spin vectors (24 MiB at N = 20).
+# table is scanned for negative weights in a Python loop over its patterns
+# and written as 2^N CSV rows (4096 at N = 12), and the Born table holds
+# 2^N summed spin vectors (24 MiB at N = 20).
 # test_caps_and_planarity and test_cap pin both.
 MAX_SOLVE_N = 12
 MAX_BORN_N = 20
@@ -239,24 +239,15 @@ def negativity_report(table: QuasiProbTable, tol: float = NEGATIVITY_TOL) -> Neg
     return NegativityReport(float(table.weights.min()), negatives)
 
 
-def _pattern_csv(values: np.ndarray, n: int, column: str) -> str:
-    """CSV rows in ascending pattern-integer order: s1..sN as +1/-1, value."""
-    buf = StringIO()
-    buf.write(",".join(f"s{j + 1}" for j in range(n)) + f",{column}\n")
-    for k in range(1 << n):
-        p = pattern_from_index(k, n)
-        buf.write(",".join(f"{s:+d}" for s in p))
-        buf.write(f",{float(values[k])!r}\n")
-    return buf.getvalue()
-
-
-def table_csv(table: QuasiProbTable) -> str:
-    return _pattern_csv(table.weights, len(table.directions), "weight")
+def _write_pattern_csv(path, values: np.ndarray, n: int, column: str) -> None:
+    """Rows in ascending pattern-integer order: s1..sN as +1/-1, value."""
+    signs = np.where(sign_matrix(n) > 0, "+1", "-1").T
+    write_csv(path, [f"s{j + 1}" for j in range(n)] + [column], [*signs, values])
 
 
 def write_table_csv(table: QuasiProbTable, path) -> None:
-    Path(path).write_text(table_csv(table), encoding="utf-8")
+    _write_pattern_csv(path, table.weights, len(table.directions), "weight")
 
 
-def born_csv(table: BornTable) -> str:
-    return _pattern_csv(table.probabilities, len(table.directions), "probability")
+def write_born_csv(table: BornTable, path) -> None:
+    _write_pattern_csv(path, table.probabilities, len(table.directions), "probability")

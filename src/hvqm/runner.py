@@ -69,8 +69,9 @@ MAX_TRIALS = 10_000_000
 # phases and a four-hole region's region_grid^2 points.  On a 2-vCPU host a
 # run at each cap peaks at 195, 51 and 34 MiB of RSS and takes 0.16,
 # 0.6-0.9 and 0.003 s; the slit figures are for 65536 x 64.  At the other
-# slit shape, 2^22 x 1, a run peaks at 481 MiB and takes 24-29 s, almost
-# all of it in formatting the two CSVs
+# slit shape, 2^22 x 1, a run peaks at 354 MiB, set by the slit pair's
+# planes, and takes 21-23 s, almost all of it in the repr of the two CSVs'
+# 16.8 million floats
 MAX_GRID_M = 2048
 MAX_SLIT_PHASES = 1 << 22
 MAX_REGION_GRID = 1024
@@ -275,7 +276,7 @@ def _run_quasiprob(built: dict, out_dir: Path):
     born = quasiprob.born_table(dirs)
     report = quasiprob.negativity_report(table)
     quasiprob.write_table_csv(table, out_dir / "weights.csv")
-    (out_dir / "born.csv").write_text(quasiprob.born_csv(born), encoding="utf-8")
+    quasiprob.write_born_csv(born, out_dir / "born.csv")
     results = {
         "n_directions": len(dirs),
         "min_weight": report.min_weight,

@@ -3,7 +3,8 @@
 The hashes were taken from the per-record `json.dumps` writer that the
 block encoders replaced; any change to the bytes of a shipped sampling log,
 for any worker count, fails here.  The block codecs are checked against the
-per-record encoders, which stay the definition of a line.  The data files
+per-record encoders, which stay the definition of a line, and the CSV
+writer against the per-row loop it replaced.  The data files
 and results of the shipped analytic configs are pinned the same way, as are
 the results of the sampling configs and what `hvqm validate` prints for
 every shipped config.
@@ -11,6 +12,7 @@ every shipped config.
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,7 @@ from hvqm.beamline import TrialEvent, event_json
 from hvqm.cli import main
 from hvqm.config import apply_overrides, parse_config
 from hvqm.epr import TrialRecord, trial_record_json
+from hvqm.logcodec import write_csv
 from hvqm.quasiprob import closed_form_w3
 from hvqm.runner import run_experiment
 from hvqm.spin import Direction, pattern_from_index
@@ -147,11 +150,10 @@ def test_sterngerlach_counts_each_block_once(tmp_path, monkeypatch):
 
 def test_twoslit_builds_the_slit_pair_once(tmp_path, monkeypatch):
     calls = []
-    waves = pathint._slit_waves
-    monkeypatch.setattr(pathint, "_slit_waves",
-                        lambda g, slits, k: calls.append(tuple(slits)) or waves(g, slits, k))
+    pair = pathint.slit_pair
+    monkeypatch.setattr(pathint, "slit_pair", lambda g: calls.append(g) or pair(g))
     run_experiment(parse_config(CONFIG_DIR / "twoslit.cfg"), tmp_path)
-    assert calls == [("L", "R")]
+    assert len(calls) == 1
 
 
 # --- the analytic configs' outputs ---------------------------------------------
@@ -221,6 +223,28 @@ def test_analytic_outputs_sha256(tmp_path, name):
             assert abs(float(row.rsplit(",", 1)[1]) - w) <= 1e-15, row
         assert abs(written["min_weight"] - min(want)) <= 1e-15
     assert report.results == written
+
+
+def per_row_csv(header, labels, floats) -> str:
+    """The per-row f-string loop the CSV writers used before `write_csv`."""
+    out = ",".join(header) + "\n"
+    for i, label in enumerate(labels):
+        out += label + "".join(f",{float(column[i])!r}" for column in floats) + "\n"
+    return out
+
+
+# one row, and rows on either side of one and two blocks of 16 384
+@pytest.mark.parametrize("rows", [1, 16_383, 16_384, 16_385, 2 * 16_384 + 3])
+def test_write_csv_is_the_per_row_loop_across_blocks(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    labels = np.where(rng.random(rows) < 0.5, "+1", "-1")
+    floats = rng.normal(size=(5, rows)) * 10.0 ** rng.integers(-300, 301, size=(5, rows))
+    special = [-0.0, 5e-324, 1e300, math.inf, math.nan]
+    floats[:, 0], floats[:, -1] = special, special[::-1]
+    header = ["label"] + [f"x{j}" for j in range(5)]
+    write_csv(tmp_path / "t.csv", header, [labels, *floats])
+    want = per_row_csv(header, labels.tolist(), floats)
+    assert (tmp_path / "t.csv").read_bytes() == want.encode()
 
 
 # --- the sampling configs' results and every config's validate notes ----------

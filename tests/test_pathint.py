@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hvqm import interference
 from hvqm.errors import ValidationError
 from hvqm.pathint import (Geometry2Slit, GeometryFourHole, Region,
                           ScreenPattern, dark_region_finder, four_hole_table,
-                          path_amplitude, pattern_csv, screen_pattern, slit_wave)
+                          path_amplitude, screen_pattern, slit_pair, write_pattern_csv)
 
 
 def fraunhofer_dark_positions(g: Geometry2Slit):
@@ -60,8 +61,7 @@ class TestPathAmplitude:
 class TestSlitWave:
     def test_mirror_symmetry_of_moduli(self):
         g = Geometry2Slit()
-        amp_l = slit_wave(g, "L")
-        amp_r = slit_wave(g, "R")
+        amp_l, amp_r = slit_pair(g)
         # |psi_L(x)| = |psi_R(-x)| and the two agree at the symmetric center
         assert np.allclose(np.abs(amp_l), np.abs(amp_r[::-1]), atol=1e-12)
         mid = g.bins // 2
@@ -71,28 +71,25 @@ class TestSlitWave:
         # d(arg R - arg L)/dx = -2 pi d / (lambda l2) from the first-order
         # action expansion; compare against the numerical slope
         g = Geometry2Slit(slit_width=1e-6, quadrature_points=1)
-        phase = np.unwrap(np.angle(slit_wave(g, "R")) - np.angle(slit_wave(g, "L")))
+        amp_l, amp_r = slit_pair(g)
+        phase = np.unwrap(np.angle(amp_r) - np.angle(amp_l))
         slopes = np.diff(phase) / g.bin_width
         expected = -2 * math.pi * g.slit_separation / (g.wavelength * g.l2)
         assert np.allclose(slopes, expected, rtol=0.01)
 
     def test_quadrature_self_convergence(self):
         g = Geometry2Slit()
-        a64 = slit_wave(g, "L", quadrature_points=64)
-        a128 = slit_wave(g, "L", quadrature_points=128)
+        a64 = slit_pair(dataclasses.replace(g, quadrature_points=64))[0]
+        a128 = slit_pair(dataclasses.replace(g, quadrature_points=128))[0]
         rel = np.abs(a128 - a64) / np.abs(a128)
         assert rel.max() < 1e-6
-
-    def test_bad_slit_label(self):
-        with pytest.raises(ValidationError):
-            slit_wave(Geometry2Slit(), "M")
 
 
 class TestScreenPattern:
     def test_center_intensity_ratio_is_two(self):
         # raw intensities at the symmetric center: |L+R|^2 = 2 (|L|^2+|R|^2)
         g = Geometry2Slit()
-        amp_l, amp_r = slit_wave(g, "L"), slit_wave(g, "R")
+        amp_l, amp_r = slit_pair(g)
         mid = g.bins // 2
         coh = abs(amp_l[mid] + amp_r[mid]) ** 2
         inc = abs(amp_l[mid]) ** 2 + abs(amp_r[mid]) ** 2
@@ -174,7 +171,7 @@ class TestDarkRegionFinder:
 
     def test_single_slit_has_no_dark_regions(self):
         g = Geometry2Slit()
-        single = np.abs(slit_wave(g, "L")) ** 2
+        single = np.abs(slit_pair(g)[0]) ** 2
         p = ScreenPattern(g.bin_centers(), single / single.sum(), "coherent")
         assert dark_region_finder(p, p, eps=0.01) == []
 
@@ -267,10 +264,10 @@ class TestGeometryValidation:
         g2 = Geometry2Slit.from_wavelength(0.02)
         assert g2.wavelength == pytest.approx(0.02)
 
-    def test_csv_export(self):
+    def test_csv_export(self, tmp_path):
         g = Geometry2Slit(bins=16)
         p = screen_pattern(g, "coherent")
-        out = pattern_csv(p)
-        lines = out.splitlines()
+        write_pattern_csv(p, tmp_path / "coherent.csv")
+        lines = (tmp_path / "coherent.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "bin_center,probability"
         assert len(lines) == 17

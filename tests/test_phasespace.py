@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +8,19 @@ from hvqm.errors import ValidationError
 from hvqm.phasespace import (ExtendedState, MomentumFunction, WaveFunction,
                              apply_px, apply_x, from_momentum,
                              gaussian_wavefunction, lift, plane_wave, project_p,
-                             project_r, ray_overlap, read_grid_csv, to_momentum,
-                             write_grid_csv)
+                             project_r, ray_overlap, to_momentum, write_grid_csv)
 
 M = 256
 DR = 1.0
+
+
+def read_grid_csv(path) -> np.ndarray:
+    rows = Path(path).read_text(encoding="utf-8").strip().splitlines()[1:]
+    out = np.empty(len(rows), dtype=complex)
+    for row in rows:
+        i, re, im = row.split(",")
+        out[int(i)] = float(re) + 1j * float(im)
+    return out
 
 
 def direct_dft(wf: WaveFunction) -> np.ndarray:

@@ -10,12 +10,11 @@ from conftest import angles
 from conftest import directions
 from hvqm.errors import SolverError
 from hvqm.errors import ValidationError
-from hvqm.quasiprob import (QuasiProbTable, born_csv,
-                            born_pair_marginal, born_table, closed_form_w3,
-                            interference_gap, marginal, marginal_pair,
-                            marginal_single, negativity_report,
-                            pair_marginal_probability, solve_weights, table_csv,
-                            write_table_csv)
+from hvqm.quasiprob import (QuasiProbTable, born_pair_marginal, born_table,
+                            closed_form_w3, interference_gap, marginal,
+                            marginal_pair, marginal_single, negativity_report,
+                            pair_marginal_probability, solve_weights,
+                            write_born_csv, write_table_csv)
 from hvqm.quasiprob import check_pair_law
 from hvqm.spin import Direction, DirectionSet, pattern_from_index, sign_matrix, signed_sums
 
@@ -365,12 +364,13 @@ class TestCsvExport:
         "+1,+1,+1,0.18750000000000006\n"
     )
 
-    def test_golden_bytes_and_row_order(self):
+    def test_golden_bytes_and_row_order(self, tmp_path):
         # rows ascend by pattern integer (bit j set <=> s_{j+1} = +1)
         dirs = golden_set()
         w = np.array([closed_form_w3(pattern_from_index(k, 3), GOLDEN)
                       for k in range(8)])
-        assert table_csv(QuasiProbTable(dirs, w)) == self.GOLDEN_CSV
+        write_table_csv(QuasiProbTable(dirs, w), tmp_path / "weights.csv")
+        assert (tmp_path / "weights.csv").read_bytes() == self.GOLDEN_CSV.encode()
 
     def test_write_roundtrip(self, tmp_path):
         table = solve_weights(golden_set())
@@ -384,6 +384,7 @@ class TestCsvExport:
             assert tuple(int(c) for c in cells[:3]) == pattern_from_index(k, 3)
             assert float(cells[3]) == table.weights[k]
 
-    def test_born_csv_header(self):
-        out = born_csv(born_table(golden_set()))
+    def test_born_csv_header(self, tmp_path):
+        write_born_csv(born_table(golden_set()), tmp_path / "born.csv")
+        out = (tmp_path / "born.csv").read_text(encoding="utf-8")
         assert out.splitlines()[0] == "s1,s2,s3,probability"
