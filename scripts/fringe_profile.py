@@ -24,6 +24,7 @@ def main():
     g = Geometry2Slit.from_wavelength(args.wavelength, bins=args.bins)
     coherent, whichpath = screen_patterns(g)
     dark = dark_region_finder(coherent, whichpath, eps=args.eps)
+    dark_set = set(dark)
 
     x = g.bin_centers()
     with open(args.out, "w", newline="") as fh:
@@ -31,7 +32,7 @@ def main():
         writer.writerow(["bin_center", "coherent", "whichpath", "dark"])
         for i in range(g.bins):
             writer.writerow([float(x[i]), float(coherent.probabilities[i]),
-                             float(whichpath.probabilities[i]), int(i in set(dark))])
+                             float(whichpath.probabilities[i]), int(i in dark_set)])
 
     print(f"wrote {args.out}")
     print(f"fringe spacing lambda*l2/d = {g.fringe_spacing}")

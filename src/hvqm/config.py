@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import ValidationError
-from .spin import Direction, pattern_from_index
+from .spin import Direction, pattern_from_index, pattern_label
 
 class ConfigParseError(Exception):
     """File unreadable or not valid section/key=value syntax (exit code 2)."""
@@ -169,8 +169,7 @@ def parse_lhv_weights(cfg: ExperimentConfig, n_directions: int) -> list[float]:
             raise ValidationError(f"[lhv] {key} is out of range for N={n_directions}")
         w = cfg.get_float("lhv", key)
         if w < 0:
-            pattern = pattern_from_index(k, n_directions)
-            label = "(" + ",".join("+" if s > 0 else "-" for s in pattern) + ")"
+            label = pattern_label(pattern_from_index(k, n_directions))
             raise ValidationError(
                 f"[lhv] {key} = {w} is negative: pattern {label} cannot carry "
                 "a negative classical probability")

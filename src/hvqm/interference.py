@@ -1,4 +1,4 @@
-"""Sum-then-square vs square-then-sum.
+"""Sum-then-square vs square-then-sum, and the complex arithmetic under it.
 
 The single distinction that separates coherent from which-path statistics,
 made once for the spin pair tables, the four-hole tables and the two-slit
@@ -7,6 +7,8 @@ before squaring produces the interference term; squaring first removes it.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -38,6 +40,56 @@ def cis(phase: np.ndarray) -> np.ndarray:
     and imaginary parts of one complex array: the same bits as complex
     np.exp of i phase, without building the complex argument."""
     out = np.empty(phase.shape, dtype=complex)
-    np.cos(phase, out=out.real)
-    np.sin(phase, out=out.imag)
+    _cis_planes(phase, (out.real, out.imag))
     return out
+
+
+def _cis_planes(phase: np.ndarray, out=None) -> np.ndarray:
+    """exp(i phase) as (cos, sin) planes, into `out` if given: the bits of `cis`."""
+    if out is None:
+        out = np.empty((2,) + phase.shape)
+    np.cos(phase, out=out[0])
+    np.sin(phase, out=out[1])
+    return out
+
+
+def _rotate(z: np.ndarray, w: np.ndarray) -> None:
+    """z *= w for complex numbers held as (real, imaginary) planes along
+    the first axis, w broadcast to z.  Every product and sum is rounded on
+    its own; numpy's complex product fuses a multiply and an add on CPUs
+    that have FMA, so its last bits depend on the machine."""
+    re = z[0] * w[0]
+    re -= z[1] * w[1]
+    z[1] *= w[0]
+    z[1] += z[0] * w[1]
+    z[0] = re
+
+
+def _fft(x: np.ndarray, sign: float) -> np.ndarray:
+    """Unnormalized DFT, sum_t x_t exp(sign 2 pi i j t / size), along the
+    last axis of (real, imaginary) planes whose length is a power of two.
+
+    Radix-2 Stockham passes: after the pass that reaches length n,
+    column t of the (n, c) view holds the n-point DFT of x[t::c].  x is
+    overwritten.
+    Written out instead of taken from np.fft so that the bits follow from
+    cos, sin and rounded sums and products alone: numpy 1.x and 2.x ship
+    different pocketfft implementations, which round differently.
+    """
+    *lead, size = x.shape
+    src, dst = x.reshape(*lead, 1, size), None
+    n = 1
+    while n < size:
+        c = size // (2 * n)
+        src = src.reshape(*lead, n, 2 * c)
+        even, odd = src[..., :c], src[..., c:]
+        if n > 1:
+            _rotate(odd, _cis_planes(sign * math.pi / n * np.arange(n))[..., None])
+        if dst is None:
+            dst = np.empty_like(src)
+        out = dst.reshape(*lead, 2, n, c)
+        np.add(even, odd, out=out[..., 0, :, :])
+        np.subtract(even, odd, out=out[..., 1, :, :])
+        src, dst = out, src
+        n *= 2
+    return src.reshape(x.shape)

@@ -9,9 +9,9 @@ aperture.  Screen bins and quadrature points are uniform grids and the
 phase is quadratic, so a slit's sum over its K quadrature points is a
 chirp-z transform, evaluated by Bluestein's identity as FFT convolutions
 over blocks of bins a few times K long: time grows as bins log K and
-memory as bins + K, instead of bins x K phases.  The FFT is written out
-in real arithmetic, so the waves' bits do not depend on numpy's FFT or
-SIMD loops.  The four-hole phase separates in x and y, so each
+memory as bins + K, instead of bins x K phases.  The FFT is the
+real-arithmetic `interference._fft`, so the waves' bits do not depend on
+numpy's FFT or SIMD loops.  The four-hole phase separates in x and y, so each
 hole-to-region amplitude is a product of two 1-D midpoint sums.
 
 The coherent and which-path screen patterns, and the y-coherent and
@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .interference import cis, pair_tables
+from .interference import _cis_planes, _fft, _rotate, cis, pair_tables
 from .logcodec import write_csv
 
 PATTERN_NORM_TOL = 1e-9
@@ -116,63 +116,11 @@ class Geometry2Slit:
         return self.wavelength * self.l2 / self.slit_separation
 
     def bin_centers(self) -> np.ndarray:
-        width = 2.0 * self.screen_half_width / self.bins
-        return -self.screen_half_width + (np.arange(self.bins) + 0.5) * width
+        return -self.screen_half_width + (np.arange(self.bins) + 0.5) * self.bin_width
 
     @property
     def bin_width(self) -> float:
         return 2.0 * self.screen_half_width / self.bins
-
-
-def _rotate(z: np.ndarray, w: np.ndarray) -> None:
-    """z *= w for complex numbers held as (real, imaginary) planes along
-    the first axis, w broadcast to z.  Every product and sum is rounded on
-    its own; numpy's complex product fuses a multiply and an add on CPUs
-    that have FMA, so its last bits depend on the machine."""
-    re = z[0] * w[0]
-    re -= z[1] * w[1]
-    z[1] *= w[0]
-    z[1] += z[0] * w[1]
-    z[0] = re
-
-
-def _cis_planes(phase: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """exp(i phase) as (cos, sin) planes: the bits of `cis`."""
-    if out is None:
-        out = np.empty((2,) + phase.shape)
-    np.cos(phase, out=out[0])
-    np.sin(phase, out=out[1])
-    return out
-
-
-def _fft(x: np.ndarray, sign: float) -> np.ndarray:
-    """Unnormalized DFT, sum_t x_t exp(sign 2 pi i j t / size), along the
-    last axis of (real, imaginary) planes whose length is a power of two.
-
-    Radix-2 Stockham passes: after the pass that reaches length n,
-    column t of the (n, c) view holds the n-point DFT of x[t::c].  x is
-    overwritten.
-    Written out instead of taken from np.fft so that the bits follow from
-    cos, sin and rounded sums and products alone: numpy 1.x and 2.x ship
-    different pocketfft implementations, which round differently.
-    """
-    *lead, size = x.shape
-    src, dst = x.reshape(*lead, 1, size), None
-    n = 1
-    while n < size:
-        c = size // (2 * n)
-        src = src.reshape(*lead, n, 2 * c)
-        even, odd = src[..., :c], src[..., c:]
-        if n > 1:
-            _rotate(odd, _cis_planes(sign * math.pi / n * np.arange(n))[..., None])
-        if dst is None:
-            dst = np.empty_like(src)
-        out = dst.reshape(*lead, 2, n, c)
-        np.add(even, odd, out=out[..., 0, :, :])
-        np.subtract(even, odd, out=out[..., 1, :, :])
-        src, dst = out, src
-        n *= 2
-    return src.reshape(x.shape)
 
 
 def _block_size(bins: int, k: int) -> int:

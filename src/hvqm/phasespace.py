@@ -105,28 +105,29 @@ class MomentumFunction:
         return float(np.sum(np.abs(self.values) ** 2) * self.dp)
 
 
+def _centred(transform, values: np.ndarray, scale: float) -> np.ndarray:
+    """np.fft.fft or ifft between the centred grids, index j - M/2 on both:
+    (-1)^j before, (-1)^k exp(-+ i pi M/2) and `scale` after."""
+    m = len(values)
+    half_phase = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)  # (-1)^j, exact
+    const = -1.0 if (m // 2) % 2 else 1.0   # exp(-+ i pi M/2), real for even M
+    return scale * const * half_phase * transform(values * half_phase)
+
+
 def to_momentum(wf: WaveFunction) -> MomentumFunction:
     """xi(p_k) = dr / sqrt(2 pi hbar) * sum_j psi_j exp(-i p_k r_j / hbar).
 
     FFT with the phase bookkeeping for both grids being centered; Parseval
     holds: sum |xi|^2 dp = sum |psi|^2 dr.
     """
-    m = wf.m
-    half_phase = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)  # (-1)^j, exact
-    const = -1.0 if (m // 2) % 2 else 1.0                     # exp(-i pi M/2)
-    spectrum = np.fft.fft(wf.values * half_phase)
-    xi = wf.dr / math.sqrt(2.0 * math.pi * wf.hbar) * const * half_phase * spectrum
+    xi = _centred(np.fft.fft, wf.values, wf.dr / math.sqrt(2.0 * math.pi * wf.hbar))
     return MomentumFunction(xi, wf.dp, wf.hbar)
 
 
 def from_momentum(mf: MomentumFunction) -> WaveFunction:
     """Inverse of to_momentum on the matching position grid."""
-    m = mf.m
-    dr = 2.0 * math.pi * mf.hbar / (m * mf.dp)
-    half_phase = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
-    const = -1.0 if (m // 2) % 2 else 1.0
-    values = np.fft.ifft(mf.values * half_phase)
-    psi = (mf.dp * m / math.sqrt(2.0 * math.pi * mf.hbar)) * const * half_phase * values
+    dr = 2.0 * math.pi * mf.hbar / (mf.m * mf.dp)
+    psi = _centred(np.fft.ifft, mf.values, mf.dp * mf.m / math.sqrt(2.0 * math.pi * mf.hbar))
     return WaveFunction(psi, dr, mf.hbar)
 
 

@@ -18,16 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .interference import pair_tables
+from .interference import _squared_modulus, cis, pair_tables
 from .logcodec import write_csv
 from .spin import (DirectionSet, SignPattern, check_pattern, pattern_cells,
                    pattern_from_index, pattern_to_index, sign_matrix, signed_sums)
 
 MARGINAL_TOL = 1e-10
 # The closed forms cost O(2^N), so the caps bound table sizes: the signed
-# table is scanned for negative weights in a Python loop over its patterns
-# and written as 2^N CSV rows (4096 at N = 12), and the Born table holds
-# 2^N summed spin vectors (24 MiB at N = 20).
+# table is written as 2^N CSV rows (4096 at N = 12), and the Born table
+# holds 2^N summed spin vectors (24 MiB at N = 20).
 # test_caps_and_planarity and test_cap pin both.
 MAX_SOLVE_N = 12
 MAX_BORN_N = 20
@@ -132,8 +131,7 @@ def solve_weights(dirs: DirectionSet) -> QuasiProbTable:
         raise ValidationError("need at least two directions")
     if n > MAX_SOLVE_N:
         raise ValidationError(f"N={n} exceeds the solver cap of {MAX_SOLVE_N}")
-    amps = signed_sums(np.exp(1j * np.array(dirs.angles)))
-    w = (1.0 + (amps.real ** 2 + amps.imag ** 2 - n) / 2.0) / (1 << n)
+    w = (1.0 + (_squared_modulus(_planar_amplitudes(dirs)) - n) / 2.0) / (1 << n)
     check_pair_law(dirs, w)
     return QuasiProbTable(dirs, w)
 
@@ -188,6 +186,11 @@ def born_table(dirs: DirectionSet) -> BornTable:
     return BornTable(dirs, intensity / intensity.sum())
 
 
+def _planar_amplitudes(dirs: DirectionSet) -> np.ndarray:
+    """Row k = sum_j s_j e^{i theta_j}, s = pattern_from_index(k, N)."""
+    return signed_sums(cis(np.array(dirs.angles)))
+
+
 def _pair_cells(dirs: DirectionSet, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
     """Sum-then-square and square-then-sum 2x2 pair tables, each normalized."""
     n = len(dirs)
@@ -195,7 +198,7 @@ def _pair_cells(dirs: DirectionSet, i: int, j: int) -> tuple[np.ndarray, np.ndar
         raise ValidationError(f"bad index pair ({i}, {j}) for N={n}")
     if not dirs.is_planar:
         raise ValidationError("planar directions required")
-    amps = signed_sums(np.exp(1j * np.array(dirs.angles)))
+    amps = _planar_amplitudes(dirs)
     # (s_i, s_j, the completions sharing them)
     cells = np.moveaxis(amps.reshape((2,) * n), (n - 1 - i, n - 1 - j), (0, 1)).reshape(2, 2, -1)
     return pair_tables(cells)
@@ -234,8 +237,8 @@ class NegativityReport:
 def negativity_report(table: QuasiProbTable, tol: float = NEGATIVITY_TOL) -> NegativityReport:
     """Exact scan: minimum weight and every pattern with weight < -tol."""
     n = len(table.directions)
-    negatives = tuple(pattern_from_index(k, n)
-                      for k in range(1 << n) if table.weights[k] < -tol)
+    negatives = tuple(pattern_from_index(int(k), n)
+                      for k in np.flatnonzero(table.weights < -tol))
     return NegativityReport(float(table.weights.min()), negatives)
 
 

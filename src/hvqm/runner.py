@@ -27,7 +27,7 @@ from .config import (ExperimentConfig, config_hash, keyed_section, parse_directi
                      parse_lhv_weights)
 from .errors import ValidationError
 from .interference import pair_tables
-from .spin import Direction, DirectionSet
+from .spin import DirectionSet, pattern_label
 
 _SETTING_NAMES = {0: "a1", 1: "a2", 2: "b1", 3: "b2"}
 
@@ -280,8 +280,7 @@ def _run_quasiprob(built: dict, out_dir: Path):
     results = {
         "n_directions": len(dirs),
         "min_weight": report.min_weight,
-        "negative_patterns": ["(" + ",".join("+" if s > 0 else "-" for s in p) + ")"
-                              for p in report.negative_patterns],
+        "negative_patterns": [pattern_label(p) for p in report.negative_patterns],
     }
     return results, ["weights.csv", "born.csv"]
 
@@ -377,11 +376,7 @@ def _run_fourhole(built: dict, out_dir: Path):
     return results, ["fourhole.json"]
 
 
-_INPUT_STATES = {
-    "+x": ((1.0, 0.0, 0.0), 1), "-x": ((1.0, 0.0, 0.0), -1),
-    "+y": ((0.0, 1.0, 0.0), 1), "-y": ((0.0, 1.0, 0.0), -1),
-    "+z": ((0.0, 0.0, 1.0), 1), "-z": ((0.0, 0.0, 1.0), -1),
-}
+_INPUT_STATES = ("+x", "-x", "+y", "-y", "+z", "-z")
 
 
 def _sg_device(k: int, raw: str) -> beamline.SGDevice:
@@ -415,8 +410,7 @@ def _sg_setup(cfg: ExperimentConfig, notes: list[str]) -> dict:
     if raw not in _INPUT_STATES:
         raise ValidationError(
             f"unknown input state {raw!r}; expected one of {', '.join(_INPUT_STATES)}")
-    (nx, ny, nz), s = _INPUT_STATES[raw]
-    beam = beamline.BeamState.eigenstate(Direction(nx, ny, nz), s)
+    beam = beamline.BeamState.eigenstate(parse_direction(raw[1:]), 1 if raw[0] == "+" else -1)
     # the analytic walk raises on a malformed sequence and sets the
     # Monte Carlo thresholds; it is made here once
     built = {"devices": devices, "beam": beam,

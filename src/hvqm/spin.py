@@ -146,6 +146,11 @@ def pattern_from_index(k: int, n: int) -> SignPattern:
     return tuple(1 if (k >> j) & 1 else -1 for j in range(n))
 
 
+def pattern_label(pattern: Sequence[int]) -> str:
+    """A sign pattern as written in messages and reports, e.g. "(+,-,+)"."""
+    return "(" + ",".join("+" if s > 0 else "-" for s in pattern) + ")"
+
+
 def pattern_to_index(pattern: Sequence[int]) -> int:
     return sum(1 << j for j, s in enumerate(pattern) if s == 1)
 

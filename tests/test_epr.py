@@ -99,14 +99,6 @@ class TestSampling:
             rec = sample_trial(e, 0, 1, seed=21, trial=i)
             assert (rec.a_out, rec.b_out) == (int(a[i]), int(b[i]))
 
-    def test_worker_count_irrelevant(self):
-        e = born_pair()
-        a1, b1 = sample_trials(e, 0, 1, seed=9, n_trials=5000, workers=1)
-        a4, b4 = sample_trials(e, 0, 1, seed=9, n_trials=5000, workers=4)
-        a7, b7 = sample_trials(e, 0, 1, seed=9, n_trials=5000, workers=7)
-        assert np.array_equal(a1, a4) and np.array_equal(b1, b4)
-        assert np.array_equal(a1, a7) and np.array_equal(b1, b7)
-
     def test_lhv_validation(self):
         dirs = DirectionSet.from_planar_angles([0.0, 1.0])
         with pytest.raises(ValidationError):

@@ -24,7 +24,7 @@ import pytest
 
 from hvqm import pathint, runner
 from hvqm.config import parse_config
-from hvqm.interference import cis
+from hvqm.interference import _fft, cis
 from hvqm.pathint import Geometry2Slit, GeometryFourHole, four_hole_table, slit_pair
 from hvqm.phasespace import ExtendedState, WaveFunction, lift, project_p, to_momentum
 from hvqm.runner import run_experiment
@@ -92,6 +92,30 @@ def test_cis_is_complex_exp():
     assert np.array_equal(cis(edge), np.exp(1j * edge))
 
 
+def explicit_dft(x: np.ndarray, sign: float) -> np.ndarray:
+    """sum_t x_t exp(sign 2 pi i j t / n) along the last axis, the phase of
+    each term taken at its residue j t mod n, a few rows of j at a time."""
+    n = x.shape[-1]
+    roots = np.exp(sign * 2j * np.pi * np.arange(n) / n)
+    t = np.arange(n)
+    return np.concatenate([x @ roots[np.outer(t, rows) % n]
+                           for rows in np.array_split(t, max(1, n // 128))], axis=-1)
+
+
+@pytest.mark.parametrize("size", [1 << p for p in range(12)])
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_fft_is_the_explicit_dft(size, sign):
+    """Both signs, sizes 1 to 2048, and a leading batch axis of three rows
+    behind the (real, imaginary) plane axis."""
+    rng = np.random.default_rng(size)
+    x = rng.normal(size=(3, size)) + 1j * rng.normal(size=(3, size))
+    got = _fft(np.stack([x.real, x.imag]), sign)
+    want = explicit_dft(x, sign)
+    # each output is a sum of size terms of modulus at most max |x|
+    tol = 8 * np.finfo(float).eps * size * np.abs(x).max()
+    assert np.abs((got[0] + 1j * got[1]) - want).max() <= tol
+
+
 # odd and even sizes, K far above bins, and the two shapes at the cap of
 # bins x K phases: the most points per bin and the most bins
 @pytest.mark.parametrize("bins,k", [(16, 1), (512, 64), (1000, 77), (3000, 64),
@@ -132,12 +156,17 @@ import json, sys
 import numpy as np
 from hvqm.pathint import (Geometry2Slit, GeometryFourHole, four_hole_table,
                           screen_patterns, slit_pair)
+from hvqm.quasiprob import born_pair_marginal, solve_weights
+from hvqm.spin import DirectionSet
 arrays = {"slit_pair": slit_pair(Geometry2Slit(bins=1000, quadrature_points=77))}
 for p in screen_patterns(Geometry2Slit()):
     arrays[p.mode] = p.probabilities
 for coherent in (True, False):
     arrays[f"four_hole_table {coherent}"] = np.array(
         list(four_hole_table(GeometryFourHole(), coherent).values()))
+dirs = DirectionSet.from_planar_angles(0.37 * j + 0.1 * j * j for j in range(12))
+arrays["solve_weights"] = solve_weights(dirs).weights
+arrays["born_pair_marginal"] = np.array(list(born_pair_marginal(dirs, 2, 9).values()))
 json.dump({name: a.tobytes().hex() for name, a in arrays.items()}, sys.stdout)
 """
 
@@ -148,7 +177,8 @@ def test_slit_pair_bits_do_not_depend_on_numpy_simd():
     no complex product and no FFT library, only cos, sin and real sums and
     products, and the Born rule squares as re^2 + im^2, so with every
     optional CPU feature of numpy's dispatch turned off neither the waves'
-    bits nor those of the screen patterns and four-hole tables may move."""
+    bits nor those of the screen patterns, four-hole tables, signed weights
+    and Born pair cells may move."""
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:   # numpy 1.x
