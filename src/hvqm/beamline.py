@@ -1,10 +1,12 @@
 """Sequential Stern-Gerlach beamlines with optional branch blocking.
 
-A split device separates the beam into the two eigenbranches of its axis;
-an unblocked split followed by a matching recombine restores the input
-state exactly (no projection happens), while a block absorbs one branch,
-multiplying the survival weight by the kept branch's norm and renormalizing
-the conditional state.  The final device is an analyzer returning Born
+A pure spin-1/2 beam is carried as its Bloch vector r, the direction its
+spin points along; the branch s of axis n holds the share (1 + s n.r)/2 of
+it.  A split device separates the beam into the two branches of its axis;
+an unblocked split followed by a matching recombine leaves r as it was (no
+projection happens), while a block absorbs one branch, multiplying the
+survival weight by the kept branch's share and turning r into the kept
+branch's axis.  The final device is an analyzer returning Born
 probabilities on whatever survived.
 
 Monte Carlo trials draw one uniform per blocked stage they reach plus one
@@ -24,25 +26,9 @@ import numpy as np
 from . import rng
 from .errors import SequenceError, ValidationError
 from .logcodec import join_lines
-from .spin import Direction
+from .spin import Direction, check_sign
 
 AXIS_MATCH_TOL = 1e-9
-
-_SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_ID = np.eye(2, dtype=complex)
-
-
-def pauli_dot(n: Direction) -> np.ndarray:
-    return n.nx * _SIGMA_X + n.ny * _SIGMA_Y + n.nz * _SIGMA_Z
-
-
-def projector(n: Direction, s: int) -> np.ndarray:
-    """(1 + s n.sigma) / 2 projects onto the s branch of axis n."""
-    if s not in (1, -1):
-        raise ValidationError("branch sign must be +1 or -1")
-    return 0.5 * (_ID + s * pauli_dot(n))
 
 
 @dataclass(frozen=True)
@@ -73,38 +59,29 @@ def analyze(axis: Direction) -> SGDevice:
     return SGDevice(axis, "analyze")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class BeamState:
-    """Two complex amplitudes in the z reference basis plus a survival weight."""
+    """A pure spin state as its Bloch vector, plus a survival weight."""
 
-    amplitudes: np.ndarray
+    bloch: Direction
     survival: float = 1.0
 
     def __post_init__(self):
-        a = np.asarray(self.amplitudes, dtype=complex)
-        if a.shape != (2,):
-            raise ValidationError("beam state needs exactly two amplitudes")
-        object.__setattr__(self, "amplitudes", a)
         if not 0.0 <= self.survival <= 1.0 + 1e-12:
             raise ValidationError("survival weight must lie in [0, 1]")
 
     @classmethod
     def eigenstate(cls, axis: Direction, s: int) -> "BeamState":
-        """Normalized s eigenvector of axis.sigma, built from the projector."""
-        p = projector(axis, s)
-        col = p[:, 0] if abs(p[0, 0]) >= abs(p[1, 1]) else p[:, 1]
-        return cls(col / np.linalg.norm(col))
+        """The s eigenstate of axis.sigma: Bloch vector s * axis."""
+        return cls(axis if check_sign(s) == 1 else -axis)
 
     @classmethod
     def plus_x(cls) -> "BeamState":
-        return cls.eigenstate(Direction(1.0, 0.0, 0.0), +1)
+        return cls(Direction(1.0, 0.0, 0.0))
 
     @classmethod
     def plus_z(cls) -> "BeamState":
-        return cls.eigenstate(Direction(0.0, 0.0, 1.0), +1)
-
-    def norm_sq(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
+        return cls(Direction(0.0, 0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -115,13 +92,11 @@ class SequenceResult:
     stage_survivals: tuple[tuple[int, float], ...]  # (device index, conditional p)
 
 
-def _born_probs(psi: np.ndarray, axis: Direction) -> dict[int, float]:
-    probs = {}
-    for s in (1, -1):
-        p = float(np.vdot(psi, projector(axis, s) @ psi).real)
-        probs[s] = max(0.0, p)
-    total = probs[1] + probs[-1]
-    return {s: p / total for s, p in probs.items()}
+def _share(c: float) -> float:
+    """(1 + c)/2, the share of the branch whose axis has cosine c with the
+    Bloch vector; two unit vectors' cosine can pass +/-1 by rounding, so
+    the share is kept in [0, 1]."""
+    return min(1.0, max(0.0, (1.0 + c) / 2))
 
 
 def _axes_aligned(a: Direction, b: Direction) -> bool:
@@ -142,50 +117,39 @@ def run_sequence(devices: Sequence[SGDevice], beam: BeamState) -> SequenceResult
     if any(d.role == "analyze" for d in devices[:-1]):
         raise SequenceError("analyzer before the end of the sequence")
 
-    psi = beam.amplitudes / np.sqrt(beam.norm_sq())
+    r = beam.bloch
     survival = beam.survival
-    extinguished = False
     stage_survivals: list[tuple[int, float]] = []
-
-    branches: tuple[np.ndarray, np.ndarray] | None = None
+    separated = False                    # inside an unblocked split
     open_axis: Direction | None = None   # most recent split not yet recombined
 
     for idx, dev in enumerate(devices[:-1]):
-        if extinguished:
-            break
         if dev.role == "split":
-            if branches is not None:
+            if separated:
                 raise SequenceError("split while the beam is already separated")
+            open_axis = dev.axis
             if dev.block is None:
-                branches = (projector(dev.axis, +1) @ psi,
-                            projector(dev.axis, -1) @ psi)
-                open_axis = dev.axis
-            else:
-                kept = projector(dev.axis, -dev.block) @ psi
-                p_keep = float(np.vdot(kept, kept).real)
-                stage_survivals.append((idx, p_keep))
-                survival *= p_keep
-                if p_keep <= 0.0:
-                    extinguished = True
-                else:
-                    psi = kept / np.sqrt(p_keep)
-                open_axis = dev.axis
+                separated = True
+                continue
+            p_keep = _share(-dev.block * dev.axis.dot(r))
+            stage_survivals.append((idx, p_keep))
+            survival *= p_keep
+            if p_keep <= 0.0:
+                return SequenceResult(None, 0.0, True, tuple(stage_survivals))
+            r = -dev.axis if dev.block == 1 else dev.axis
         elif dev.role == "recombine":
             if open_axis is None:
                 raise SequenceError("recombine without a matching split")
             if not _axes_aligned(dev.axis, open_axis):
                 raise SequenceError(
                     "recombine axis does not match the open split axis")
-            if branches is not None:
-                psi = branches[0] + branches[1]
-                branches = None
+            separated = False
             open_axis = None
 
-    if extinguished:
-        return SequenceResult(None, 0.0, True, tuple(stage_survivals))
-    if branches is not None:
+    if separated:
         raise SequenceError("cannot analyze a beam that is still separated")
-    return SequenceResult(_born_probs(psi, devices[-1].axis), survival,
+    c = devices[-1].axis.dot(r)
+    return SequenceResult({1: _share(c), -1: _share(-c)}, survival,
                           False, tuple(stage_survivals))
 
 

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import directions
+from conftest import directions, signs
 from hvqm.beamline import (BeamState, SGDevice, TrialEvent, analyze, event_json,
-                           monte_carlo_sequence, projector, recombine,
-                           run_sequence, split)
+                           monte_carlo_sequence, recombine, run_sequence, split)
 from hvqm.errors import SequenceError, ValidationError
 from hvqm.spin import Direction
 
@@ -21,19 +21,105 @@ def reconstruction_sequence(block=None):
     return [split(X, block=-1), split(Y, block=block), recombine(-Y), analyze(X)]
 
 
+# --- the 2x2 amplitude walk: the oracle of the closed-form stages -----------
+
+_PAULI = (np.array([[0, 1], [1, 0]], dtype=complex),
+          np.array([[0, -1j], [1j, 0]], dtype=complex),
+          np.array([[1, 0], [0, -1]], dtype=complex))
+
+
+def projector(n, s):
+    """(1 + s n.sigma) / 2 projects onto the s branch of axis n."""
+    return 0.5 * (np.eye(2) + s * sum(c * p for c, p in zip(n.as_array(), _PAULI)))
+
+
+def spinor(axis, s):
+    """Normalized s eigenvector of axis.sigma, built from the projector."""
+    p = projector(axis, s)
+    col = p[:, 0] if abs(p[0, 0]) >= abs(p[1, 1]) else p[:, 1]
+    return col / np.linalg.norm(col)
+
+
+def oracle_walk(devices, axis, s):
+    """(survival, P(+1) or None once extinguished) of a well-formed
+    sequence, with two complex amplitudes through 2x2 projectors: a blocked
+    split projects and renormalizes, an unblocked one keeps both branches
+    until the recombine adds them."""
+    psi, survival, branches = spinor(axis, s), 1.0, None
+    for dev in devices[:-1]:
+        if dev.role == "split" and dev.block is None:
+            branches = (projector(dev.axis, 1) @ psi, projector(dev.axis, -1) @ psi)
+        elif dev.role == "split":
+            kept = projector(dev.axis, -dev.block) @ psi
+            p_keep = float(np.vdot(kept, kept).real)
+            survival *= p_keep
+            if p_keep <= 0.0:
+                return 0.0, None
+            psi = kept / math.sqrt(p_keep)
+        elif branches is not None:
+            psi, branches = branches[0] + branches[1], None
+    born = {b: max(0.0, float(np.vdot(psi, projector(devices[-1].axis, b) @ psi).real))
+            for b in (1, -1)}
+    return survival, born[1] / (born[1] + born[-1])
+
+
+@st.composite
+def beamlines(draw):
+    """Zero to three blocked splits, each on a fresh axis or on the axis of
+    the split before it (either branch, so some block both), an unblocked
+    split and recombine pair at any place or none, then an analyzer."""
+    devices, axis = [], None
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        if axis is None or draw(st.booleans()):
+            axis = draw(directions())
+        devices.append(split(axis, block=draw(signs)))
+    if draw(st.booleans()):
+        open_axis = draw(directions())
+        at = draw(st.integers(0, len(devices)))
+        devices[at:at] = [split(open_axis), recombine(open_axis)]
+    return devices + [analyze(draw(directions()))]
+
+
+class TestClosedFormAgainstAmplitudes:
+    @given(beamlines(), directions(), signs)
+    @settings(max_examples=300)
+    def test_closed_form_is_the_2x2_walk(self, devices, axis, s):
+        res = run_sequence(devices, BeamState.eigenstate(axis, s))
+        survival, p_plus = oracle_walk(devices, axis, s)
+        assert abs(res.survival - survival) <= 1e-12
+        # a nearly extinguished oracle beam keeps only rounding noise of its
+        # direction, so P(+1) is compared where a tenth of a percent survives
+        if survival > 1e-3:
+            assert abs(res.probabilities[1] - p_plus) <= 1e-12
+            assert abs(res.probabilities[-1] - (1.0 - p_plus)) <= 1e-12
+
+    def test_blocking_both_branches_agrees(self):
+        for axis in (X, Y, Z, Direction.normalized(1.0, -2.0, 3.0)):
+            for s in (1, -1):
+                devices = [split(axis, block=-1), split(axis, block=1), analyze(X)]
+                res = run_sequence(devices, BeamState.eigenstate(Y, s))
+                assert abs(res.survival - oracle_walk(devices, Y, s)[0]) <= 1e-12
+
+
 class TestEigenstates:
     @given(directions())
-    def test_eigenstate_projects_onto_itself(self, axis):
+    def test_eigenstate_is_the_spinor_bloch_vector(self, axis):
         for s in (1, -1):
             beam = BeamState.eigenstate(axis, s)
-            p = float(np.vdot(beam.amplitudes,
-                              projector(axis, s) @ beam.amplitudes).real)
-            assert p == pytest.approx(1.0, abs=1e-12)
+            assert beam.bloch == (axis if s == 1 else -axis)
+            psi = spinor(axis, s)
+            bloch = [float(np.vdot(psi, p @ psi).real) for p in _PAULI]
+            assert bloch == pytest.approx(beam.bloch.as_array().tolist(), abs=1e-12)
+            assert run_sequence([analyze(axis)], beam).probabilities[s] == pytest.approx(
+                1.0, abs=1e-12)
 
-    def test_plus_x_components(self):
-        beam = BeamState.plus_x()
-        assert abs(beam.amplitudes[0]) == pytest.approx(1 / math.sqrt(2))
-        assert abs(beam.amplitudes[1]) == pytest.approx(1 / math.sqrt(2))
+    def test_plus_x_and_plus_z_bloch_vectors(self):
+        assert BeamState.plus_x().bloch == X
+        assert BeamState.plus_z().bloch == Z
+
+    def test_eigenstate_sign_is_checked(self):
+        with pytest.raises(ValidationError):
+            BeamState.eigenstate(X, 0)
 
 
 class TestRunSequence:
@@ -67,13 +153,10 @@ class TestRunSequence:
     @given(directions(), directions())
     @settings(max_examples=40)
     def test_unblocked_split_recombine_is_identity(self, axis, final):
+        # no projection happens, so the result is the direct analysis, exactly
         seq = [split(axis), recombine(axis), analyze(final)]
         beam = BeamState.plus_z()
-        res = run_sequence(seq, beam)
-        direct = run_sequence([analyze(final)], beam)
-        assert res.probabilities[1] == pytest.approx(direct.probabilities[1],
-                                                     abs=1e-12)
-        assert res.survival == pytest.approx(1.0, abs=1e-12)
+        assert run_sequence(seq, beam) == run_sequence([analyze(final)], beam)
 
     def test_recombine_accepts_antiparallel_axis(self):
         seq = [split(Y), recombine(-Y), analyze(X)]
