@@ -267,7 +267,7 @@ SAMPLING_RESULTS = {
         "E": -0.49963, "stderr": 0.001936969105458319,
         "counts": {"++": 24989, "+-": 75276, "-+": 74687, "--": 25048}, "trials": 200000},
     "sterngerlach": {
-        "analytic": {"probabilities": {"1": 0.5, "-1": 0.5}, "survival": 0.24999999999999994,
+        "analytic": {"probabilities": {"1": 0.5, "-1": 0.5}, "survival": 0.25,
                      "extinguished": False},
         "monte_carlo": {"distribution": {"1": 0.5041127615396901, "-1": 0.49588723846030985},
                         "survivor_fraction": 0.25044, "trials": 100000}},
