@@ -5,8 +5,9 @@
     hvqm validate <config>
 
 Exit codes: 0 success / replay OK, 1 replay mismatch, 2 config parse or
-command-line usage error, 3 validation error, 4 runtime or solver error,
-5 replay hash mismatch.  The last stdout line of every command is a single
+command-line usage error, 3 validation error (a config number that is NaN
+or infinite included), 4 runtime or solver error (an arithmetic overflow
+included), 5 replay hash mismatch.  The last stdout line of every command is a single
 JSON object.
 """
 
@@ -155,7 +156,9 @@ def main(argv=None) -> int:
         print(f"runtime error: {exc}", file=sys.stderr)
         _emit({"status": "runtime_error", "error": str(exc)})
         return EXIT_RUNTIME
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    # ValueError also covers a JSONDecodeError and math's "math domain
+    # error" on an infinite argument; ArithmeticError a float overflow
+    except (OSError, ArithmeticError, ValueError, KeyError) as exc:
         print(f"runtime error: {exc!r}", file=sys.stderr)
         _emit({"status": "runtime_error", "error": repr(exc)})
         return EXIT_RUNTIME

@@ -46,10 +46,7 @@ class ExperimentConfig:
             if default is None:
                 raise ValidationError(f"missing required field [{section}] {key}")
             return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise ValidationError(f"[{section}] {key} = {raw!r} is not a number")
+        return parse_float(raw, f"[{section}] {key}")
 
     def get_int(self, section: str, key: str, default: int | None = None) -> int:
         raw = self.get(section, key)
@@ -61,6 +58,18 @@ class ExperimentConfig:
             return int(raw)
         except ValueError:
             raise ValidationError(f"[{section}] {key} = {raw!r} is not an integer")
+
+
+def parse_float(raw: str, name: str) -> float:
+    """The finite number that config text `raw` of key `name` spells; NaN,
+    +/-inf and anything float() rejects are ValidationErrors naming the key."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ValidationError(f"{name} = {raw!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} = {raw!r} is not a finite number")
+    return value
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -127,22 +136,17 @@ def parse_direction(raw: str, context: str = "direction") -> Direction:
     if token in _NAMED_AXES:
         return Direction(*_NAMED_AXES[token])
     parts = [p for p in raw.split(",") if p.strip()]
-    if len(parts) == 1:
-        try:
-            return Direction.from_planar_angle(float(parts[0]))
-        except ValueError:
-            raise ValidationError(f"{context}: cannot parse {raw!r}")
-    if len(parts) == 3:
-        try:
-            nx, ny, nz = (float(p) for p in parts)
-        except ValueError:
-            raise ValidationError(f"{context}: cannot parse {raw!r}")
-        norm = math.sqrt(nx * nx + ny * ny + nz * nz)
-        if abs(norm - 1.0) > 1e-12:
-            raise ValidationError(
-                f"{context}: ({nx}, {ny}, {nz}) has norm {norm!r}, expected a unit vector")
-        return Direction(nx, ny, nz)
-    raise ValidationError(f"{context}: expected an angle or 'nx,ny,nz', got {raw!r}")
+    if len(parts) not in (1, 3):
+        raise ValidationError(f"{context}: expected an angle or 'nx,ny,nz', got {raw!r}")
+    values = [parse_float(p, context) for p in parts]
+    if len(values) == 1:
+        return Direction.from_planar_angle(values[0])
+    nx, ny, nz = values
+    norm = math.sqrt(nx * nx + ny * ny + nz * nz)
+    if abs(norm - 1.0) > 1e-12:
+        raise ValidationError(
+            f"{context}: ({nx}, {ny}, {nz}) has norm {norm!r}, expected a unit vector")
+    return Direction(nx, ny, nz)
 
 
 def keyed_section(cfg: ExperimentConfig, section: str, prefix: str) -> list[tuple[int, str]]:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, beamline, epr, pathint, phasespace, quasiprob
 from .config import (ExperimentConfig, config_hash, keyed_section, parse_direction,
-                     parse_lhv_weights)
+                     parse_float, parse_lhv_weights)
 from .errors import ValidationError
 from .interference import pair_tables
 from .spin import DirectionSet, pattern_label
@@ -292,10 +292,7 @@ def _region_of(cfg: ExperimentConfig, key: str, default: pathint.Region) -> path
     parts = raw.split(",")
     if len(parts) != 4:
         raise ValidationError(f"[geometry] {key} needs 'x_min,x_max,y_min,y_max'")
-    try:
-        return pathint.Region(*(float(p) for p in parts))
-    except ValueError:
-        raise ValidationError(f"[geometry] {key} = {raw!r} is not four numbers")
+    return pathint.Region(*(parse_float(p, f"[geometry] {key}") for p in parts))
 
 
 # [geometry] key of each geometry field not named as it is; a field's default

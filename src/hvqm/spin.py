@@ -44,7 +44,7 @@ class Direction:
 
     def __post_init__(self):
         norm = math.sqrt(self.nx ** 2 + self.ny ** 2 + self.nz ** 2)
-        if abs(norm - 1.0) > UNIT_TOL:
+        if not abs(norm - 1.0) <= UNIT_TOL:   # a NaN norm fails too
             raise ValidationError(
                 f"direction ({self.nx}, {self.ny}, {self.nz}) has norm {norm!r}, "
                 "expected a unit vector")

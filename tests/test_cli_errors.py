@@ -1,5 +1,6 @@
-"""Usage errors, the trials, grid and workers limits, the v/wavelength rule
-and the single analytic walk of a run."""
+"""Usage errors, the trials, grid and workers limits, the v/wavelength rule,
+non-finite config numbers, arithmetic errors and the single analytic walk
+of a run."""
 
 import json
 import math
@@ -161,3 +162,45 @@ def test_validate_reads_dark_eps(capsys, tmp_path):
     code, payload = run_cli(capsys, "validate", cfg)
     assert code == 3
     assert "dark_eps" in payload["error"]
+
+
+def _edited(tmp_path, name, shipped, edit):
+    cfg = tmp_path / f"{name}.cfg"
+    text = (CONFIG_DIR / f"{name}.cfg").read_text(encoding="utf-8")
+    assert shipped in text
+    cfg.write_text(text.replace(shipped, edit), encoding="utf-8")
+    return cfg
+
+
+@pytest.mark.parametrize("name, shipped, edit, key", [
+    ("chsh_mc", "a1 = 1.5707963267948966", "a1 = nan", "[directions] a1"),
+    ("epr_sampling", "a = 0.0", "a = nan,0,0", "[directions] a"),
+    ("twoslit", "l1 = 400.0", "l1 = nan", "[geometry] l1"),
+    ("chsh_lhv", "w0 = 0.0625", "w0 = nan", "[lhv] w0"),
+    ("fourhole", "x0 = 0.5", "x0 = inf", "[geometry] x0"),
+    ("fourhole", "region_plus = 1.0,2.0", "region_plus = 1.0,-inf", "[geometry] region_plus"),
+    ("phasespace", "dr = 1.0", "dr = -inf", "[grid] dr"),
+])
+def test_non_finite_number_is_exit_3(capsys, tmp_path, name, shipped, edit, key):
+    cfg = _edited(tmp_path, name, shipped, edit)
+    for argv in (["validate", cfg], ["run", cfg, "--out-dir", tmp_path / "out"]):
+        code, payload = run_cli(capsys, *argv)
+        assert code == 3
+        assert payload["status"] == "validation_error"
+        assert payload["error"].startswith(key + " = ")
+        assert "not a finite number" in payload["error"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, shipped, edit, error", [
+    ("fourhole", "x0 = 0.5", "x0 = 1e200", "OverflowError"),      # x0 ** 2
+    ("twoslit", "l1 = 400.0", "l1 = 1e300", "OverflowError"),     # l1 ** 2
+    # the phase constant overflows to inf, which cmath.rect rejects
+    ("fourhole", "wavelength = 0.01", "v = 1e300\nhbar = 1e-10", "math domain error"),
+])
+def test_arithmetic_error_is_exit_4(capsys, tmp_path, name, shipped, edit, error):
+    cfg = _edited(tmp_path, name, shipped, edit)
+    code, payload = run_cli(capsys, "run", cfg, "--out-dir", tmp_path / "out")
+    assert code == 4
+    assert payload["status"] == "runtime_error"
+    assert error in payload["error"]

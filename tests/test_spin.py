@@ -27,6 +27,11 @@ class TestDirection:
             Direction(0.5, 0.5, 0.0)
         assert "norm" in str(err.value)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_component_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            Direction(bad, 0.0, 0.0)
+
     def test_normalized_constructor(self):
         d = Direction.normalized(3.0, 4.0, 0.0)
         assert d.nx == pytest.approx(0.6)
