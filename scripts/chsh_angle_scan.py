@@ -7,13 +7,13 @@ stays pinned at |S| = 2.  Writes plot-ready CSV.
 """
 
 import argparse
-import csv
 import math
 import sys
 
 import numpy as np
 
 from hvqm import epr
+from hvqm.logcodec import write_csv
 from hvqm.spin import Direction
 
 
@@ -33,20 +33,17 @@ def main():
         b1 = Direction.from_planar_angle(math.pi / 4 + phi)
         b2 = Direction.from_planar_angle(3 * math.pi / 4 + phi)
         analytic = epr.chsh(epr.chsh_ensemble(epr.Mode.BORN_ANALYTIC, a1, a2, b1, b2))
-        row = {"phi": float(phi), "s_analytic": analytic.s}
+        row = [phi, analytic.s]
         if args.trials:
             mc = epr.chsh(epr.chsh_ensemble(epr.Mode.BORN_SAMPLING, a1, a2, b1, b2),
                           trials=args.trials, seed=args.seed)
-            row["s_mc"] = mc.s
-            row["s_mc_stderr"] = mc.s_stderr
+            row += [mc.s, mc.s_stderr]
         rows.append(row)
 
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+    header = ["phi", "s_analytic"] + (["s_mc", "s_mc_stderr"] if args.trials else [])
+    write_csv(args.out, header, np.array(rows, dtype=float).T)
 
-    peak = max(abs(r["s_analytic"]) for r in rows)
+    peak = max(abs(r[1]) for r in rows)
     print(f"wrote {args.out} ({len(rows)} points)")
     print(f"peak |S| = {peak:.6f} (classical bound 2, quantum bound {2 * math.sqrt(2):.6f})")
     return 0

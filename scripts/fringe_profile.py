@@ -7,9 +7,11 @@ certify a change of state).
 """
 
 import argparse
-import csv
 import sys
 
+import numpy as np
+
+from hvqm.logcodec import write_csv
 from hvqm.pathint import Geometry2Slit, dark_region_finder, screen_patterns
 
 
@@ -24,15 +26,12 @@ def main():
     g = Geometry2Slit.from_wavelength(args.wavelength, bins=args.bins)
     coherent, whichpath = screen_patterns(g)
     dark = dark_region_finder(coherent, whichpath, eps=args.eps)
-    dark_set = set(dark)
+    is_dark = np.zeros(g.bins, dtype=int)
+    is_dark[dark] = 1
 
     x = g.bin_centers()
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_center", "coherent", "whichpath", "dark"])
-        for i in range(g.bins):
-            writer.writerow([float(x[i]), float(coherent.probabilities[i]),
-                             float(whichpath.probabilities[i]), int(i in dark_set)])
+    write_csv(args.out, ["bin_center", "coherent", "whichpath", "dark"],
+              [x, coherent.probabilities, whichpath.probabilities, is_dark])
 
     print(f"wrote {args.out}")
     print(f"fringe spacing lambda*l2/d = {g.fringe_spacing}")

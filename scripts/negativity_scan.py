@@ -7,12 +7,12 @@ theta = pi/3.
 """
 
 import argparse
-import csv
 import math
 import sys
 
 import numpy as np
 
+from hvqm.logcodec import write_csv
 from hvqm.quasiprob import negativity_report, solve_weights
 from hvqm.spin import DirectionSet
 
@@ -23,24 +23,19 @@ def main():
     ap.add_argument("--out", default="negativity_scan.csv")
     args = ap.parse_args()
 
-    rows = []
-    for theta in np.linspace(0.0, math.pi, args.points):
-        dirs = DirectionSet.from_planar_angles([0.0, theta, 2 * theta])
-        rep = negativity_report(solve_weights(dirs))
-        rows.append({"theta": float(theta),
-                     "min_weight": rep.min_weight,
-                     "n_negative": len(rep.negative_patterns)})
+    thetas = np.linspace(0.0, math.pi, args.points)
+    reports = [negativity_report(solve_weights(
+        DirectionSet.from_planar_angles([0.0, theta, 2 * theta]))) for theta in thetas]
+    min_weight = np.array([rep.min_weight for rep in reports])
+    n_negative = np.array([len(rep.negative_patterns) for rep in reports])
+    write_csv(args.out, ["theta", "min_weight", "n_negative"],
+              [thetas, min_weight, n_negative])
 
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["theta", "min_weight", "n_negative"])
-        writer.writeheader()
-        writer.writerows(rows)
-
-    floor = min(r["min_weight"] for r in rows)
-    first = next(r for r in rows if r["min_weight"] < floor + 1e-12)
-    print(f"wrote {args.out} ({len(rows)} points)")
+    floor = min_weight.min()
+    first = thetas[np.argmax(min_weight < floor + 1e-12)]
+    print(f"wrote {args.out} ({len(thetas)} points)")
     print(f"deepest negativity {floor:.6f}, first reached at theta = "
-          f"{first['theta']:.4f} (expected -1/16 = {-1 / 16:.6f} at pi/3 = "
+          f"{first:.4f} (expected -1/16 = {-1 / 16:.6f} at pi/3 = "
           f"{math.pi / 3:.4f})")
     return 0
 
