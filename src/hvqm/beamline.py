@@ -25,7 +25,7 @@ import numpy as np
 
 from . import rng
 from .errors import SequenceError, ValidationError
-from .logcodec import join_lines
+from .logcodec import join_lines, suffix_of
 from .spin import Direction, check_sign
 
 AXIS_MATCH_TOL = 1e-9
@@ -171,9 +171,8 @@ def event_json(e: TrialEvent) -> str:
 @functools.lru_cache(maxsize=256)
 def _event_suffix(absorbed_at: int, outcome: int) -> bytes:
     """What follows '{"trial":N' in an event line; -1 and 0 stand for null."""
-    line = event_json(TrialEvent(0, absorbed_at if absorbed_at >= 0 else None,
-                                 outcome if outcome else None))
-    return (line[len('{"trial":0'):] + "\n").encode("ascii")
+    return suffix_of(event_json(TrialEvent(0, absorbed_at if absorbed_at >= 0 else None,
+                                           outcome if outcome else None)))
 
 
 def encode_events(start: int, absorbed_at: np.ndarray, outcome: np.ndarray) -> bytes:

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import quasiprob, rng
 from .errors import NotSampleableError, ValidationError
-from .logcodec import join_lines
+from .logcodec import join_lines, suffix_of
 from .spin import Direction, DirectionSet, born_pair_probability, sign_matrix
 
 LHV_SUM_TOL = 1e-12
@@ -112,8 +112,8 @@ def outcome_counts(a_out: np.ndarray, b_out: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def _record_suffixes(a_setting: int, b_setting: int, mode: str) -> tuple[bytes, ...]:
     """What follows '{"trial":N' in a log line, per outcome pair."""
-    return tuple((trial_record_json(TrialRecord(0, a_setting, b_setting, a, b, mode))
-                  [len('{"trial":0'):] + "\n").encode("ascii") for a, b in OUTCOME_PAIRS)
+    return tuple(suffix_of(trial_record_json(TrialRecord(0, a_setting, b_setting, a, b, mode)))
+                 for a, b in OUTCOME_PAIRS)
 
 
 def encode_block(start: int, a_out: np.ndarray, b_out: np.ndarray,

@@ -54,6 +54,15 @@ def _write_digits(cells: np.ndarray, first: int) -> None:
         lo = hi
 
 
+def suffix_of(line: str) -> bytes:
+    """What follows '{"trial":0' in `line`, the record of trial 0, with its
+    newline: the suffix join_lines writes after each trial's digits."""
+    head = _HEAD.decode("ascii") + "0"
+    if not line.startswith(head):
+        raise ValueError(f"record line {line!r} does not start with {head!r}")
+    return (line[len(head):] + "\n").encode("ascii")
+
+
 def join_lines(start: int, k: np.ndarray, suffixes: Sequence[bytes]) -> bytes:
     """'{"trial":N' + suffixes[k[i]] for N = start + i, joined.
 

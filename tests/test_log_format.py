@@ -25,7 +25,7 @@ from hvqm.beamline import TrialEvent, event_json
 from hvqm.cli import main
 from hvqm.config import apply_overrides, parse_config
 from hvqm.epr import TrialRecord, trial_record_json
-from hvqm.logcodec import write_csv
+from hvqm.logcodec import suffix_of, write_csv
 from hvqm.quasiprob import closed_form_w3
 from hvqm.runner import run_experiment
 from hvqm.spin import Direction, pattern_from_index
@@ -110,6 +110,14 @@ def test_encode_events_is_the_joined_events(start, events):
                                           int(o) if o else None)).encode() + b"\n"
                     for i, (x, o) in enumerate(zip(absorbed_at, outcome)))
     assert beamline.encode_events(start, absorbed_at, outcome) == want
+
+
+def test_suffix_of_checks_the_head():
+    assert suffix_of('{"trial":0,"outcome":1}') == b',"outcome":1}\n'
+    for line in ('{"trial":1,"outcome":1}', '{"trial": 0,"outcome":1}',
+                 '{"trials":0,"outcome":1}', '"trial":0'):
+        with pytest.raises(ValueError):
+            suffix_of(line)
 
 
 def test_monte_carlo_events_match_the_record_list():
