@@ -7,8 +7,8 @@
 Exit codes: 0 success / replay OK, 1 replay mismatch, 2 config parse or
 command-line usage error, 3 validation error (a config number that is NaN
 or infinite included), 4 runtime or solver error (an arithmetic overflow
-included), 5 replay hash mismatch.  The last stdout line of every command is a single
-JSON object.
+included), 5 replay hash mismatch.  The last stdout line of every command
+is a single JSON object.
 """
 
 from __future__ import annotations

@@ -103,7 +103,7 @@ class TestClosedFormAgainstAmplitudes:
 
 class TestEigenstates:
     @given(directions())
-    def test_eigenstate_is_the_spinor_bloch_vector(self, axis):
+    def test_eigenstate_projects_onto_itself(self, axis):
         for s in (1, -1):
             beam = BeamState.eigenstate(axis, s)
             assert beam.bloch == (axis if s == 1 else -axis)
@@ -113,7 +113,7 @@ class TestEigenstates:
             assert run_sequence([analyze(axis)], beam).probabilities[s] == pytest.approx(
                 1.0, abs=1e-12)
 
-    def test_plus_x_and_plus_z_bloch_vectors(self):
+    def test_plus_x_components(self):
         assert BeamState.plus_x().bloch == X
         assert BeamState.plus_z().bloch == Z
 
@@ -157,6 +157,14 @@ class TestRunSequence:
         seq = [split(axis), recombine(axis), analyze(final)]
         beam = BeamState.plus_z()
         assert run_sequence(seq, beam) == run_sequence([analyze(final)], beam)
+
+    def test_shares_stay_in_unit_interval(self):
+        # a unit vector within tolerance dots with itself past 1
+        axis = Direction(1.0 + 9e-13, 0.0, 0.0)
+        res = run_sequence([analyze(axis)], BeamState.eigenstate(axis, -1))
+        assert res.probabilities == {1: 0.0, -1: 1.0}
+        res = run_sequence([split(axis, block=1), analyze(X)], BeamState.eigenstate(axis, 1))
+        assert res.extinguished and res.stage_survivals == ((0, 0.0),)
 
     def test_recombine_accepts_antiparallel_axis(self):
         seq = [split(Y), recombine(-Y), analyze(X)]
