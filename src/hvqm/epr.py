@@ -40,7 +40,6 @@ LHV_SUM_TOL = 1e-12
 
 # fixed outcome-pair order used by the inverse-CDF sampler and the logs
 OUTCOME_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-_TILE_STEP = np.uint64(rng.TILE)
 _ONE = np.array(1, dtype=np.int8)
 
 
@@ -220,34 +219,10 @@ def _lhv_outcomes(u: np.ndarray, cum: np.ndarray, a_idx: int, b_idx: int,
     _signs(a_out, b_out)
 
 
-def _outcomes_for_trials(e: SingletEnsemble, a_idx: int, b_idx: int,
-                         seed: int, start: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Outcome arrays of trials start .. start + n - 1, drawn TILE at a time."""
-    cum = _sampling_cdf(e, a_idx, b_idx)
-    a_out = np.empty(n, dtype=np.int8)
-    b_out = np.empty(n, dtype=np.int8)
-    size = min(n, rng.TILE)
-    u = np.empty(size)
-    counters = np.arange(start, start + size, dtype=np.uint64)
-    above = np.empty(size, dtype=np.bool_)
-    for lo in range(0, n, rng.TILE):
-        m = min(rng.TILE, n - lo)
-        rng.uniforms(seed, counters[:m], out=u[:m])
-        if e.mode is Mode.BORN_SAMPLING:
-            _born_outcomes(u[:m], cum, a_out[lo:lo + m], b_out[lo:lo + m], above[:m])
-        else:
-            _lhv_outcomes(u[:m], cum, a_idx, b_idx, a_out[lo:lo + m], b_out[lo:lo + m],
-                          above[:m])
-        counters += _TILE_STEP
-    return a_out, b_out
-
-
 def sample_trial(e: SingletEnsemble, a_idx: int, b_idx: int,
                  seed: int, trial: int) -> TrialRecord:
     """Draw a single trial; bit-identical to the batched path."""
-    _check_setting(e, a_idx)
-    _check_setting(e, b_idx)
-    a, b = _outcomes_for_trials(e, a_idx, b_idx, seed, trial, 1)
+    a, b = sample_trials(e, a_idx, b_idx, seed, 1, trial)
     return TrialRecord(trial, a_idx, b_idx, int(a[0]), int(b[0]), e.mode.value)
 
 
@@ -263,7 +238,44 @@ def sample_trials(e: SingletEnsemble, a_idx: int, b_idx: int, seed: int,
     _check_setting(e, b_idx)
     if n_trials < 1:
         raise ValidationError("n_trials must be >= 1")
-    return _outcomes_for_trials(e, a_idx, b_idx, seed, start, n_trials)
+    cum = _sampling_cdf(e, a_idx, b_idx)
+    a_out = np.empty(n_trials, dtype=np.int8)
+    b_out = np.empty(n_trials, dtype=np.int8)
+    size = min(n_trials, rng.TILE)
+    u = np.empty(size)
+    counters = np.arange(start, start + size, dtype=np.uint64)
+    above = np.empty(size, dtype=np.bool_)
+    for lo in range(0, n_trials, rng.TILE):
+        m = min(rng.TILE, n_trials - lo)
+        rng.uniforms(seed, counters[:m], out=u[:m])
+        if e.mode is Mode.BORN_SAMPLING:
+            _born_outcomes(u[:m], cum, a_out[lo:lo + m], b_out[lo:lo + m], above[:m])
+        else:
+            _lhv_outcomes(u[:m], cum, a_idx, b_idx, a_out[lo:lo + m], b_out[lo:lo + m],
+                          above[:m])
+        counters += np.uint64(rng.TILE)
+    return a_out, b_out
+
+
+def pair_counts(e: SingletEnsemble, pairs, seed: int | None, trials: int,
+                on_block=None) -> np.ndarray:
+    """Outcome-pair counts, one row per setting pair; pair p takes trials
+    p * trials onward.  They are drawn and counted one rng.TILE block at a
+    time, so memory stays one block; on_block(first, a_out, b_out, ai, bi)
+    gets each block."""
+    if seed is None:
+        raise ValidationError("sampling requires a seed")
+    if trials < 1:
+        raise ValidationError("trials must be >= 1")
+    counts = np.zeros((len(pairs), 4), dtype=np.int64)
+    for p, (ai, bi) in enumerate(pairs):
+        for lo in range(0, trials, rng.TILE):
+            first = p * trials + lo
+            a_out, b_out = sample_trials(e, ai, bi, seed, min(rng.TILE, trials - lo), first)
+            if on_block is not None:
+                on_block(first, a_out, b_out, ai, bi)
+            counts[p] += outcome_counts(a_out, b_out)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -291,17 +303,14 @@ def _analytic_correlators(e: SingletEnsemble, pairs) -> list[float]:
 
 
 def correlation(e: SingletEnsemble, a_idx: int, b_idx: int,
-                trials: int | None = None, seed: int | None = None,
-                start: int = 0) -> CorrelationEstimate:
-    """E(a, b).  Analytic modes are exact; sampling modes need trials+seed."""
+                trials: int | None = None, seed: int | None = None) -> CorrelationEstimate:
+    """E(a, b).  Analytic modes are exact; sampling modes need trials+seed
+    and draw trials 0 .. trials - 1."""
     _check_setting(e, a_idx)
     _check_setting(e, b_idx)
     if trials is None:
         return CorrelationEstimate(_analytic_correlators(e, [(a_idx, b_idx)])[0])
-    if seed is None:
-        raise ValidationError("sampling requires a seed")
-    a, b = sample_trials(e, a_idx, b_idx, seed, trials, start=start)
-    value = correlator(outcome_counts(a, b))
+    value = correlator(pair_counts(e, [(a_idx, b_idx)], seed, trials)[0])
     return CorrelationEstimate(value, correlator_stderr(value, trials), trials)
 
 
@@ -346,8 +355,8 @@ def chsh(e: SingletEnsemble, trials: int | None = None,
          seed: int | None = None) -> CHSHResult:
     """Combine the four correlators of a 4-direction ensemble into S.
 
-    Monte Carlo blocks use disjoint global trial-counter ranges so a full
-    run replays from (seed, trials) alone.
+    The sampled correlators take disjoint trial ranges, as pair_counts lays
+    them out, so a full run replays from (seed, trials) alone.
     """
     if len(e.directions) != 4:
         raise ValidationError("CHSH needs exactly four directions [a1, a2, b1, b2]")
@@ -355,12 +364,11 @@ def chsh(e: SingletEnsemble, trials: int | None = None,
         correlators = dict(zip(CHSH_PAIRS, _analytic_correlators(e, CHSH_PAIRS)))
         return CHSHResult(correlators, chsh_s(correlators.values()), None, None, None,
                           e.mode.value)
-    estimates = [correlation(e, ai, bi, trials=trials, seed=seed, start=block * trials)
-                 for block, (ai, bi) in enumerate(CHSH_PAIRS)]
-    return CHSHResult({pair: est.value for pair, est in zip(CHSH_PAIRS, estimates)},
-                      chsh_s(est.value for est in estimates),
-                      {pair: est.stderr for pair, est in zip(CHSH_PAIRS, estimates)},
-                      chsh_s_stderr(est.stderr for est in estimates), trials, e.mode.value)
+    values = [correlator(c) for c in pair_counts(e, CHSH_PAIRS, seed, trials)]
+    stderrs = [correlator_stderr(v, trials) for v in values]
+    return CHSHResult(dict(zip(CHSH_PAIRS, values)), chsh_s(values),
+                      dict(zip(CHSH_PAIRS, stderrs)), chsh_s_stderr(stderrs), trials,
+                      e.mode.value)
 
 
 def chsh_s(correlators) -> float:

@@ -24,10 +24,10 @@ _M1_U, _M2_U, _S11, _S27, _S30, _S31 = (np.array(v, dtype=np.uint64)
                                         for v in (_M1, _M2, 11, 27, 30, 31))
 _ULP = np.array(2.0 ** -53)
 
-# Counters per tile.  A tile's uint64 scratch and float64 output (128 KiB
-# each) stay in cache through the twenty passes of the mix; whole-array
-# passes over 10^6 counters run from main memory.  The tile length changes
-# no bit of any draw.
+# Counters per tile, and trials per block of epr.pair_counts and of a trial
+# log.  A tile's uint64 scratch and float64 output (128 KiB each) stay in
+# cache through the twenty passes of the mix; whole-array passes over 10^6
+# counters run from main memory.  The tile changes no bit of any draw.
 TILE = 1 << 14
 
 

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import __version__, beamline, epr, pathint, phasespace, quasiprob
+from . import __version__, beamline, epr, pathint, phasespace, quasiprob, rng
 from .config import (ExperimentConfig, config_hash, keyed_section, parse_direction,
                      parse_float, parse_lhv_weights)
 from .errors import ValidationError
@@ -114,21 +114,13 @@ def _check_workers(workers: int) -> None:
 # --- trial logs -------------------------------------------------------------
 #
 # A log is a header line, then one canonical JSON line per trial: the line
-# trial_record_json or event_json gives, written in blocks of CHUNK trials.
-# Every trial is a pure function of the config's seed and its own index, so
-# a kind's walker samples and encodes each block in order whether it runs or
-# replays, and hands the bytes to `log.block`: a run writes them (_Writer),
-# a replay requires the log to hold exactly them (_Body).  Either way the
-# walker counts the outcomes, and the kind's `summarize` turns the counts
-# into the reported statistics.
-
-CHUNK = 16_384
-
-
-def _chunks(trials: int):
-    """(offset, size) of each block of a trial range."""
-    for lo in range(0, trials, CHUNK):
-        yield lo, min(CHUNK, trials - lo)
+# trial_record_json or event_json gives, written in blocks of rng.TILE
+# trials, the sampler's tile.  Every trial is a pure function of the
+# config's seed and its own index, so a kind's walker samples and encodes
+# each block in order whether it runs or replays, and hands the bytes to
+# `log.block`: a run writes them (_Writer), a replay requires the log to
+# hold exactly them (_Body).  Either way the walker counts the outcomes, and
+# the kind's `summarize` turns the counts into the reported statistics.
 
 
 def _header_line(kind: str, cfg_hash: str, seed: int) -> bytes:
@@ -147,27 +139,24 @@ class _Writer:
 
 
 def _pair_walker(pairs):
-    """Walker of a chsh or epr log: one block of trials per setting pair;
-    returns the outcome-pair counts of each."""
+    """Walker of a chsh or epr log: epr.pair_counts over the setting pairs,
+    each block of trials encoded as it is drawn; returns the outcome-pair
+    counts of each pair."""
 
     def walk(log, built: dict) -> np.ndarray:
-        e, seed, trials, mode = built["ensemble"], built["seed"], built["trials"], built["mode"]
-        counts = np.zeros((len(pairs), 4), dtype=np.int64)
-        for block, (ai, bi) in enumerate(pairs):
-            for lo, n in _chunks(trials):
-                start = block * trials + lo
-                a_out, b_out = epr.sample_trials(e, ai, bi, seed, n, start=start)
-                log.block(epr.encode_block(start, a_out, b_out, ai, bi, mode), n)
-                counts[block] += epr.outcome_counts(a_out, b_out)
-        return counts
+        def encode(first, a_out, b_out, ai, bi):
+            log.block(epr.encode_block(first, a_out, b_out, ai, bi, built["mode"]), len(a_out))
+
+        return epr.pair_counts(built["ensemble"], pairs, built["seed"], built["trials"], encode)
 
     return walk
 
 
 def _walk_events(log, built: dict) -> np.ndarray:
     """Walker of a Stern-Gerlach log; returns the event_counts of every trial."""
-    counts = np.zeros(4, dtype=np.int64)
-    for lo, n in _chunks(built["trials"]):
+    trials, counts = built["trials"], np.zeros(4, dtype=np.int64)
+    for lo in range(0, trials, rng.TILE):
+        n = min(rng.TILE, trials - lo)
         events = beamline.monte_carlo_sequence(built["devices"], built["beam"], n,
                                                built["seed"], start=lo,
                                                analytic=built["analytic"])[2]

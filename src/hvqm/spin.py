@@ -43,7 +43,7 @@ class Direction:
     nz: float = 0.0
 
     def __post_init__(self):
-        norm = math.sqrt(self.nx ** 2 + self.ny ** 2 + self.nz ** 2)
+        norm = math.hypot(self.nx, self.ny, self.nz)   # rescales: no overflow
         if not abs(norm - 1.0) <= UNIT_TOL:   # a NaN norm fails too
             raise ValidationError(
                 f"direction ({self.nx}, {self.ny}, {self.nz}) has norm {norm!r}, "
@@ -53,6 +53,8 @@ class Direction:
     def normalized(cls, x: float, y: float, z: float = 0.0) -> "Direction":
         """Explicit normalization constructor for raw vectors."""
         norm = math.sqrt(x * x + y * y + z * z)
+        if norm == math.inf:   # a square or their sum overflowed; hypot rescales
+            norm = math.hypot(x, y, z)
         if norm == 0.0:
             raise ValidationError("cannot normalize the zero vector")
         return cls(x / norm, y / norm, z / norm)

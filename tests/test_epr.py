@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import angles, directions
-from hvqm import epr, quasiprob, runner, spin
-from hvqm.config import parse_config
+from hvqm import epr, quasiprob, rng, runner, spin
+from hvqm.config import apply_overrides, parse_config, parse_direction
 from hvqm.epr import (CHSH_PAIRS, Mode, SingletEnsemble, bob_marginal, chsh,
                       chsh_ensemble, conditional_update, correlation,
                       pair_joint_probability, sample_trial,
@@ -154,6 +156,10 @@ class TestCorrelation:
         with pytest.raises(ValidationError):
             correlation(born_pair(), 0, 1, trials=100)
 
+    def test_sampling_needs_a_trial(self):
+        with pytest.raises(ValidationError, match="trials must be >= 1"):
+            correlation(born_pair(), 0, 1, trials=0, seed=1)
+
 
 class TestChsh:
     def test_analytic_tsirelson(self):
@@ -282,7 +288,7 @@ def test_pair_table_is_made_once_per_setting_pair(monkeypatch, tmp_path):
         return original(n_a, n_b, alpha, beta)
 
     monkeypatch.setattr(epr, "pair_joint_probability", counted)
-    monkeypatch.setattr(runner, "CHUNK", 7)
+    monkeypatch.setattr(rng, "TILE", 7)
     epr._born_cdf.cache_clear()
     cfg_path = tmp_path / "chsh.cfg"
     cfg_path.write_text("[experiment]\nkind = chsh\nmode = born_sampling\nseed = 3\n"
@@ -293,6 +299,68 @@ def test_pair_table_is_made_once_per_setting_pair(monkeypatch, tmp_path):
     assert runner.replay_run(tmp_path / "out" / "trials.jsonl", cfg).verdict == "OK"
     dirs = [Direction.from_planar_angle(t) for t in (0.1, 1.3, 2.2, 2.9)]
     assert Counter(calls) == {(dirs[ai], dirs[bi]): 2 for ai, bi in CHSH_PAIRS}
+
+
+def test_pair_counts_hands_each_tile_of_each_pair_range(monkeypatch):
+    """Pair p covers trials p * trials onward, one rng.TILE block at a time,
+    and counts exactly the outcomes it hands out."""
+    monkeypatch.setattr(rng, "TILE", 7)
+    e = chsh_ensemble(Mode.BORN_SAMPLING, *tsirelson_settings())
+    blocks = []
+    counts = epr.pair_counts(e, CHSH_PAIRS[:2], 5, 20, lambda *block: blocks.append(block))
+    assert [(first, len(a), ai, bi) for first, a, _, ai, bi in blocks] == [
+        (0, 7, 0, 2), (7, 7, 0, 2), (14, 6, 0, 2), (20, 7, 0, 3), (27, 7, 0, 3), (34, 6, 0, 3)]
+    for p, (ai, bi) in enumerate(CHSH_PAIRS[:2]):
+        a_out, b_out = sample_trials(e, ai, bi, 5, 20, start=20 * p)
+        assert np.array_equal(np.concatenate([b[1] for b in blocks[3 * p:3 * p + 3]]), a_out)
+        assert np.array_equal(np.concatenate([b[2] for b in blocks[3 * p:3 * p + 3]]), b_out)
+        assert np.array_equal(counts[p], epr.outcome_counts(a_out, b_out))
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("tile", [rng.TILE, 7])
+def test_reports_are_the_library_estimates(monkeypatch, tmp_path, tile):
+    """The chsh_mc and epr_sampling reports equal epr.chsh and
+    epr.correlation on the same ensemble and seed, bit for bit."""
+    monkeypatch.setattr(rng, "TILE", tile)
+    trials = 3000
+
+    def run(name, keys):
+        cfg = apply_overrides(parse_config(CONFIG_DIR / f"{name}.cfg"), trials=trials)
+        dirs = [parse_direction(cfg.require("directions", k), k) for k in keys]
+        e = SingletEnsemble(DirectionSet.of(*dirs), Mode.BORN_SAMPLING)
+        results = runner.run_experiment(cfg, tmp_path / name).results
+        return e, cfg.get_int("experiment", "seed"), results
+
+    names = ("a1", "a2", "b1", "b2")
+    e, seed, got = run("chsh_mc", names)
+    want = chsh(e, trials=trials, seed=seed)
+    for (ai, bi), value in want.correlators.items():
+        assert got["correlators"][f"E({names[ai]},{names[bi]})"] == value
+        assert got["stderrs"][f"E({names[ai]},{names[bi]})"] == want.stderrs[ai, bi]
+    assert (got["S"], got["S_stderr"]) == (want.s, want.s_stderr)
+
+    e, seed, got = run("epr_sampling", ("a", "b"))
+    want = correlation(e, 0, 1, trials=trials, seed=seed)
+    assert (got["E"], got["stderr"]) == (want.value, want.stderr)
+
+
+def test_sampled_chsh_memory_stays_one_block():
+    """A sampled chsh holds one block of trials at a time: its traced peak
+    at 2^20 trials per pair is within 1 MiB of the peak at 2^16."""
+    e = chsh_ensemble(Mode.BORN_SAMPLING, *tsirelson_settings())
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            chsh(e, trials=trials, seed=8)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(1 << 20) - peak(1 << 16) <= 1 << 20
 
 
 class TestConditionalUpdate:

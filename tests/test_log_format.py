@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hvqm import beamline, epr, pathint, runner
+from hvqm import beamline, epr, pathint, rng, runner
 from hvqm.beamline import TrialEvent, event_json
 from hvqm.cli import main
 from hvqm.config import apply_overrides, parse_config
@@ -135,7 +135,7 @@ def test_log_does_not_depend_on_block_size(tmp_path, monkeypatch, name):
     log_name, _ = SHIPPED_LOG_SHA256[name]
     cfg = apply_overrides(parse_config(CONFIG_DIR / f"{name}.cfg"), trials=100)
     run_experiment(cfg, tmp_path / "default")
-    monkeypatch.setattr(runner, "CHUNK", 7)
+    monkeypatch.setattr(rng, "TILE", 7)
     run_experiment(cfg, tmp_path / "small")
     assert (tmp_path / "default" / log_name).read_bytes() == (
         tmp_path / "small" / log_name).read_bytes()
@@ -147,7 +147,7 @@ def test_sterngerlach_counts_each_block_once(tmp_path, monkeypatch):
     counts = beamline.event_counts
     monkeypatch.setattr(beamline, "event_counts",
                         lambda *a: calls.append(1) or counts(*a))
-    monkeypatch.setattr(runner, "CHUNK", 7)
+    monkeypatch.setattr(rng, "TILE", 7)
     cfg = apply_overrides(parse_config(CONFIG_DIR / "sterngerlach.cfg"), trials=100)
     run_experiment(cfg, tmp_path)
     assert len(calls) == 15   # blocks of 7 in 100 trials

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from hvqm import runner
+from hvqm import rng
 from hvqm.cli import main
 
 TRIALS = 50
@@ -83,11 +83,11 @@ def _tamper(log, make):
     log.write_text(header + "\n" + text, encoding="utf-8")
 
 
-@pytest.mark.parametrize("chunk", [runner.CHUNK, 7])
+@pytest.mark.parametrize("tile", [rng.TILE, 7])
 @pytest.mark.parametrize("kind,tamper", sorted(TAMPERS))
 def test_tampered_body_names_first_bad_line(capsys, tmp_path, monkeypatch, kind, tamper,
-                                            chunk):
-    monkeypatch.setattr(runner, "CHUNK", chunk)
+                                            tile):
+    monkeypatch.setattr(rng, "TILE", tile)
     log, cfg = _run(tmp_path, kind)
     assert _replay(capsys, log, cfg)[0] == 0
     make, first_bad = TAMPERS[kind, tamper]

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,29 @@ class TestDirection:
     def test_non_finite_component_rejected(self, bad):
         with pytest.raises(ValidationError):
             Direction(bad, 0.0, 0.0)
+
+    @pytest.mark.parametrize("v", [(1e200, 0.0, 0.0), (0.0, -1e300, 0.0),
+                                   (1e154, 1e154, 0.0), (1e200, 1e200, 1e200)])
+    def test_overflowing_norm_rejected_with_its_value(self, v):
+        """A square or a sum of squares past the float range is a
+        ValidationError that names the finite norm, not an OverflowError."""
+        with pytest.raises(ValidationError, match=re.escape(f"norm {math.hypot(*v)!r},")):
+            Direction(*v)
+
+    @pytest.mark.parametrize("v,want", [
+        ((1e200, 0.0, 0.0), (1.0, 0.0, 0.0)),
+        ((0.0, 0.0, -1e308), (0.0, 0.0, -1.0)),
+        ((3e200, 4e200, 0.0), (0.6, 0.8, 0.0)),
+        ((1e154, -1e154, 1e154), (3 ** -0.5, -(3 ** -0.5), 3 ** -0.5)),
+    ])
+    def test_normalized_large_components(self, v, want):
+        assert Direction.normalized(*v).as_array() == pytest.approx(want, abs=1e-15)
+
+    @pytest.mark.parametrize("v", [(3.0, 4.0, 0.0), (0.3, -1.7, 2.2), (1e150, 2e150, -3e150)])
+    def test_normalized_finite_squares_divide_by_the_plain_norm(self, v):
+        x, y, z = v
+        norm = math.sqrt(x * x + y * y + z * z)
+        assert Direction.normalized(*v) == Direction(x / norm, y / norm, z / norm)
 
     def test_normalized_constructor(self):
         d = Direction.normalized(3.0, 4.0, 0.0)
