@@ -12,7 +12,6 @@ x, y, z, -x, -y, -z.
 
 from __future__ import annotations
 
-import configparser
 import hashlib
 import math
 from dataclasses import dataclass, replace
@@ -73,19 +72,55 @@ def parse_float(raw: str, name: str) -> float:
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Read a config file; syntax or IO problems raise ConfigParseError."""
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str  # keep key case as written
+    """Read a config file; syntax or IO problems raise ConfigParseError.
+
+    The file's lines are read once, in text mode, by these rules only:
+    `[name]` opens section `name`, kept verbatim (`[DEFAULT]` is refused);
+    `key = value` is split at the first `=`, both sides stripped, the key
+    non-empty, free of `:` and not starting with `[`; blank lines and `#` / `;` comment lines are
+    skipped.  Any other line is an error naming its number: an indented
+    line, `key: value`, a key before the first header, a repeated section
+    or key.  Every file accepted gives configparser's sections.
+    """
+    sections: dict[str, dict[str, str]] = {}
+    section = None
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
+            for n, line in enumerate(fh, 1):
+                text = line.strip()
+                if not text or text[0] in "#;":
+                    continue
+                if line[0].isspace():
+                    raise _bad_line(path, n, "an indented line")
+                if text[0] == "[":
+                    name = text[1:-1]
+                    if text[-1] != "]" or not name:
+                        raise _bad_line(path, n, "expected a [section] header")
+                    if name == "DEFAULT":
+                        raise _bad_line(path, n, "[DEFAULT] is reserved")
+                    if name in sections:
+                        raise _bad_line(path, n, f"section [{name}] is repeated")
+                    section = sections[name] = {}
+                    continue
+                key, eq, value = text.partition("=")
+                key = key.rstrip()
+                if not eq or not key or ":" in key:
+                    raise _bad_line(path, n, "expected key = value")
+                if section is None:
+                    raise _bad_line(path, n, "a key before the first [section] header")
+                if key in section:
+                    raise _bad_line(path, n, f"key {key!r} is repeated")
+                section[key] = value.strip()
     except OSError as exc:
         raise ConfigParseError(f"cannot read config {path}: {exc}") from exc
-    except (configparser.Error, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
         raise ConfigParseError(f"cannot parse config {path}: {exc}") from exc
-    sections = {name: dict(parser[name]) for name in parser.sections()}
     kind = sections.get("experiment", {}).get("kind", "")
     return ExperimentConfig(kind, sections)
+
+
+def _bad_line(path, n: int, what: str) -> ConfigParseError:
+    return ConfigParseError(f"cannot parse config {path}: line {n}: {what}")
 
 
 def apply_overrides(cfg: ExperimentConfig, seed: int | None = None,
@@ -141,12 +176,10 @@ def parse_direction(raw: str, context: str = "direction") -> Direction:
     values = [parse_float(p, context) for p in parts]
     if len(values) == 1:
         return Direction.from_planar_angle(values[0])
-    nx, ny, nz = values
-    norm = math.sqrt(nx * nx + ny * ny + nz * nz)
-    if abs(norm - 1.0) > 1e-12:
-        raise ValidationError(
-            f"{context}: ({nx}, {ny}, {nz}) has norm {norm!r}, expected a unit vector")
-    return Direction(nx, ny, nz)
+    try:
+        return Direction(*values)
+    except ValidationError as exc:
+        raise ValidationError(f"{context}: {exc}") from None
 
 
 def keyed_section(cfg: ExperimentConfig, section: str, prefix: str) -> list[tuple[int, str]]:

@@ -5,12 +5,15 @@ few suffixes, picked per trial.  `join_lines` builds a whole block from the
 suffixes with numpy instead of formatting one record at a time; the
 suffixes come from the per-record encoders, so the bytes are theirs.  The
 module holds the byte formats of the files a run writes: `write_csv`
-writes every CSV.
+writes every CSV, and every file a run writes is opened by `open_new`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import os
+import stat
 from typing import Sequence
 
 import numpy as np
@@ -88,6 +91,20 @@ def join_lines(start: int, k: np.ndarray, suffixes: Sequence[bytes]) -> bytes:
     return b"".join(parts)
 
 
+def open_new(path, mode: str = "w"):
+    """`path` opened for writing as a new file: an old regular file of that
+    name is unlinked first, not truncated.  On ext4 a file truncated to 0
+    and written again is flushed to disk when it is closed, which makes a
+    rewrite cost several times a new file.  Anything else at `path` (a
+    symlink, a device such as /dev/null, a FIFO), or a file whose directory
+    refuses the unlink, is opened and written through as `open` does.
+    Text is UTF-8."""
+    with contextlib.suppress(OSError):
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    return open(path, mode, encoding=None if "b" in mode else "utf-8")
+
+
 def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
     """The header line, then row i: cell i of each column, comma-joined.
 
@@ -96,7 +113,7 @@ def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> Non
     formatted and written in blocks of _CSV_BLOCK, so no file-sized string
     is built.
     """
-    with open(path, "w", encoding="utf-8") as f:
+    with open_new(path) as f:
         f.write(",".join(header) + "\n")
         for lo in range(0, len(columns[0]), _CSV_BLOCK):
             cells = [map(repr if column.dtype.kind == "f" else str,

@@ -27,6 +27,7 @@ from .config import (ExperimentConfig, config_hash, keyed_section, parse_directi
                      parse_float, parse_lhv_weights)
 from .errors import ValidationError
 from .interference import pair_tables
+from .logcodec import open_new
 from .spin import DirectionSet, pattern_label
 
 _SETTING_NAMES = {0: "a1", 1: "a2", 2: "b1", 3: "b2"}
@@ -324,11 +325,12 @@ def _run_twoslit(built: dict, out_dir: Path):
     pathint.write_pattern_csv(coherent, out_dir / "coherent.csv")
     pathint.write_pattern_csv(whichpath, out_dir / "whichpath.csv")
     centers = g.bin_centers()
-    (out_dir / "dark_regions.json").write_text(json.dumps({
-        "eps": eps,
-        "bins": dark,
-        "bin_centers": [float(centers[i]) for i in dark],
-    }, indent=2), encoding="utf-8")
+    with open_new(out_dir / "dark_regions.json") as f:
+        f.write(json.dumps({
+            "eps": eps,
+            "bins": dark,
+            "bin_centers": [float(centers[i]) for i in dark],
+        }, indent=2))
     results = {
         "fringe_spacing": g.fringe_spacing,
         "wavelength": g.wavelength,
@@ -357,8 +359,8 @@ def _run_fourhole(built: dict, out_dir: Path):
 
     results = {"coherent": cells(coherent), "whichpath": cells(whichpath),
                "max_cell_gap": gap}
-    (out_dir / "fourhole.json").write_text(json.dumps(results, indent=2),
-                                           encoding="utf-8")
+    with open_new(out_dir / "fourhole.json") as f:
+        f.write(json.dumps(results, indent=2))
     return results, ["fourhole.json"]
 
 
@@ -506,7 +508,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, workers: int = 1) -> RunRepor
     cfg_hash = config_hash(cfg)
     t0 = time.perf_counter()
     if "trials" in built:
-        with open(out / spec.log.name, "wb") as fh:
+        with open_new(out / spec.log.name, "wb") as fh:
             fh.write(_header_line(cfg.kind, cfg_hash, built["seed"]))
             results = spec.log.summarize(built, spec.log.walk(_Writer(fh), built))
         outputs = [spec.log.name]
@@ -515,7 +517,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir, workers: int = 1) -> RunRepor
     report = RunReport(cfg.kind, cfg_hash, results, time.perf_counter() - t0,
                        tuple(outputs), built.get("seed"), built.get("trials"),
                        built.get("mode"), config={k: dict(v) for k, v in cfg.sections.items()})
-    (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
+    with open_new(out / "report.json") as f:
+        f.write(report.to_json() + "\n")
     return report
 
 

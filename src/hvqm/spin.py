@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -25,6 +26,7 @@ from .errors import ValidationError
 from .quaternion import Quaternion
 
 UNIT_TOL = 1e-12
+_TINY_SCALE = 2.0 ** 600   # brings the square of any nonzero double below 2^-511 to a normal one
 
 SignPattern = tuple[int, ...]
 
@@ -52,11 +54,17 @@ class Direction:
     @classmethod
     def normalized(cls, x: float, y: float, z: float = 0.0) -> "Direction":
         """Explicit normalization constructor for raw vectors."""
-        norm = math.sqrt(x * x + y * y + z * z)
-        if norm == math.inf:   # a square or their sum overflowed; hypot rescales
-            norm = math.hypot(x, y, z)
-        if norm == 0.0:
+        if x == 0.0 and y == 0.0 and z == 0.0:
             raise ValidationError("cannot normalize the zero vector")
+        squares = x * x + y * y + z * z
+        if squares < sys.float_info.min:
+            # subnormal squares are inexact, and tiny ones underflow to 0;
+            # scaling by a power of 2 is exact and keeps the direction
+            # (hypot alone is not enough: a norm below 2.2e-308 is inexact)
+            x, y, z = x * _TINY_SCALE, y * _TINY_SCALE, z * _TINY_SCALE
+            squares = x * x + y * y + z * z
+        # hypot rescales where a square or their sum overflowed
+        norm = math.sqrt(squares) if squares < math.inf else math.hypot(x, y, z)
         return cls(x / norm, y / norm, z / norm)
 
     @classmethod

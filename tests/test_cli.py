@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -107,6 +109,40 @@ class TestRunCommand:
         a = (tmp_path / "r1" / "trials.jsonl").read_bytes()
         b = (tmp_path / "r2" / "trials.jsonl").read_bytes()
         assert a == b
+
+    @pytest.mark.parametrize("kind", ["chsh_mc", "twoslit"])
+    def test_rerun_replaces_its_outputs(self, capsys, tmp_path, kind):
+        """A rerun writes each output as a new file instead of rewriting the
+        old one in place, so a hard link keeps the first run's bytes."""
+        first = [CONFIG_DIR / f"{kind}.cfg"]
+        if kind == "chsh_mc":
+            first += ["--trials", "500"]
+            second = first + ["--seed", "7"]
+        else:
+            text = first[0].read_text(encoding="utf-8")
+            second = [tmp_path / "twoslit.cfg"]
+            second[0].write_text(text.replace("wavelength = 0.01", "wavelength = 0.02"),
+                                 encoding="utf-8")
+        out, links = tmp_path / "out", tmp_path / "links"
+
+        def run(argv):
+            assert run_cli(capsys, "run", *argv, "--out-dir", out)[0] == 0
+            files = {p.name: p.read_bytes() for p in out.iterdir()}
+            report = json.loads(files.pop("report.json"))
+            report.pop("duration_s")
+            return files, report
+
+        before = run(first)
+        links.mkdir()
+        for p in out.iterdir():
+            os.link(p, links / p.name)
+        linked = {p.name: p.read_bytes() for p in links.iterdir()}
+        after = run(second)
+        assert {p.name: p.read_bytes() for p in links.iterdir()} == linked
+        assert after[1] != before[1]
+        assert all(after[0][name] != data for name, data in before[0].items())
+        shutil.rmtree(out)
+        assert run(second) == after
 
     def test_worker_count_does_not_change_log(self, capsys, chsh_cfg, tmp_path):
         run_cli(capsys, "run", chsh_cfg, "--out-dir", tmp_path / "w1",

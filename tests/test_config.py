@@ -1,6 +1,9 @@
+import configparser
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hvqm.config import (ConfigParseError, ExperimentConfig, apply_overrides,
                          canonical_bytes, config_hash, parse_config,
@@ -15,6 +18,51 @@ def write(tmp_path, text):
     path = tmp_path / "exp.cfg"
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def configparser_sections(path):
+    """The oracle: what configparser, set up as hvqm once used it, reads."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    with open(path, encoding="utf-8") as fh:
+        parser.read_file(fh)
+    return {name: dict(parser[name]) for name in parser.sections()}
+
+
+# whitespace that str.strip removes but text-mode line iteration does not
+# split at (\x0c, \x1c and \u2028 are line breaks to str.splitlines)
+_SPACE = st.text(" \t\x0b\x0c\x1c\x1f\x85\xa0\u2028\u3000", max_size=3)
+
+
+def _text(min_size=0, max_size=12, exclude=""):
+    """Text of one line: no line break, no surrogate (not UTF-8)."""
+    return st.text(st.characters(blacklist_categories=("Cs",),
+                                 blacklist_characters="\r\n" + exclude),
+                   min_size=min_size, max_size=max_size)
+
+
+_KEYS = _text(1, 8, exclude="=:").filter(lambda k: k == k.strip() and k[0] not in "[#;")
+
+
+@st.composite
+def documented_configs(draw):
+    """(file text, its sections) over the documented grammar: headers,
+    key = value lines with whitespace around `=` and at line ends, comment
+    and blank lines, \n or \r\n endings."""
+    names = draw(st.lists(_text(1, 8).filter(lambda n: n != "DEFAULT"), max_size=4, unique=True))
+    sections = {name: draw(st.dictionaries(_KEYS, _text().map(str.strip), max_size=5))
+                for name in names}
+    filler = st.lists(st.one_of(_SPACE, st.tuples(_SPACE, st.sampled_from("#;"), _text())
+                                .map("".join)), max_size=2)
+    lines = draw(filler)
+    for name, keys in sections.items():
+        lines.append(f"[{name}]" + draw(_SPACE))
+        for key, value in keys.items():
+            lines += draw(filler)
+            lines.append(key + draw(_SPACE) + "=" + draw(_SPACE) + value + draw(_SPACE))
+    lines += draw(filler)
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    return "".join(map("".join, zip(lines, ends))), sections
 
 
 class TestParsing:
@@ -37,6 +85,56 @@ class TestParsing:
         path = write(tmp_path, "[experiment]\nkind = chsh\nFoo = Bar\n")
         cfg = parse_config(path)
         assert cfg.get("experiment", "Foo") == "Bar"
+
+    def test_shipped_configs_are_configparser_sections(self):
+        for path in sorted(CONFIG_DIR.glob("*.cfg")):
+            sections = parse_config(path).sections
+            assert list(map(list, sections.values())) == list(
+                map(list, configparser_sections(path).values()))
+            assert sections == configparser_sections(path), path
+
+    @given(documented_configs())
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_documented_grammar_gives_configparser_sections(self, tmp_path, doc):
+        text, sections = doc
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(text.encode("utf-8"))
+        got = parse_config(path).sections
+        assert got == sections == configparser_sections(path)
+        # key order too: it is the order of a report's config echo
+        assert [list(kv) for kv in got.values()] == [list(kv) for kv in sections.values()]
+
+    @pytest.mark.parametrize("text, line, configparser_made", [
+        # configparser continues the value above an indented line...
+        ("[e]\nkind = chsh\n  seed = 1\n", 3, {"e": {"kind": "chsh\nseed = 1"}}),
+        # ...and takes an indented line under a header as a key
+        ("[e]\n  kind = chsh\n", 2, {"e": {"kind": "chsh"}}),
+        ("[e]\nkind: chsh\n", 2, {"e": {"kind": "chsh"}}),
+        ("[e]\na:b = c\n", 2, {"e": {"a": "b = c"}}),
+        ("[e]\nkind\n", 2, configparser.ParsingError),
+        ("[e]\n = chsh\n", 2, configparser.ParsingError),
+        ("kind = chsh\n[e]\n", 1, configparser.MissingSectionHeaderError),
+        ("[]\nkind = chsh\n", 1, configparser.MissingSectionHeaderError),
+        ("[e\nkind = chsh\n", 1, configparser.MissingSectionHeaderError),
+        # a key that starts with "[" is read as a broken header
+        ("[e]\n[x = 1\n", 2, {"e": {"[x": "1"}}),
+        # configparser ignores what follows the closing bracket
+        ("[e] x = 1\nkind = chsh\n", 1, {"e": {"kind": "chsh"}}),
+        # and merges [DEFAULT] into every section
+        ("[DEFAULT]\nseed = 1\n[e]\nkind = chsh\n", 1, {"e": {"kind": "chsh", "seed": "1"}}),
+        ("[e]\nkind = chsh\n[e]\n", 3, configparser.DuplicateSectionError),
+        ("[e]\nkind = chsh\nkind = epr\n", 3, configparser.DuplicateOptionError),
+    ])
+    def test_undocumented_forms_name_their_line(self, tmp_path, text, line,
+                                                configparser_made):
+        path = write(tmp_path, text)
+        with pytest.raises(ConfigParseError, match=f": line {line}: "):
+            parse_config(path)
+        if isinstance(configparser_made, dict):
+            assert configparser_sections(path) == configparser_made
+        else:
+            with pytest.raises(configparser_made):
+                configparser_sections(path)
 
 
 class TestHashing:
@@ -86,6 +184,13 @@ class TestDirectionParsing:
             parse_direction("1.0,1.0,0.0")
         assert "norm" in str(err.value)
         assert "1.41" in str(err.value)
+
+    def test_unit_check_is_the_directions(self):
+        # one norm decides, hypot's: a square past the float range is no inf
+        with pytest.raises(ValidationError) as err:
+            parse_direction("1e200,0,0", "[directions] a")
+        assert str(err.value) == ("[directions] a: direction (1e+200, 0.0, 0.0) has "
+                                  "norm 1e+200, expected a unit vector")
 
     def test_unparseable(self):
         with pytest.raises(ValidationError):

@@ -13,6 +13,8 @@ every shipped config.
 import hashlib
 import json
 import math
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -253,6 +255,42 @@ def test_write_csv_is_the_per_row_loop_across_blocks(tmp_path, rows):
     write_csv(tmp_path / "t.csv", header, [labels, *floats])
     want = per_row_csv(header, labels.tolist(), floats)
     assert (tmp_path / "t.csv").read_bytes() == want.encode()
+
+
+def test_write_csv_writes_through_what_is_not_a_regular_file(tmp_path):
+    want = b"x\n1\n2\n"
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    # a reader opened first lets the writer open the FIFO without blocking
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        write_csv(fifo, ["x"], [np.array([1, 2])])
+        assert os.read(reader, 1 << 16) == want
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    null_mode = os.lstat(os.devnull).st_mode
+    write_csv(os.devnull, ["x"], [np.array([1, 2])])
+    assert os.lstat(os.devnull).st_mode == null_mode
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_bytes(b"old\n")
+    link.symlink_to(target)
+    write_csv(link, ["x"], [np.array([1, 2])])
+    assert link.is_symlink() and target.read_bytes() == want
+
+
+def test_write_csv_rewrites_a_file_it_cannot_unlink(tmp_path, monkeypatch):
+    # as in a read-only directory: the old file is written again in place
+    path, twin = tmp_path / "t.csv", tmp_path / "twin.csv"
+    path.write_bytes(b"old\n")
+    os.link(path, twin)
+
+    def refuse(p, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(p))
+
+    monkeypatch.setattr(os, "unlink", refuse)
+    write_csv(path, ["x"], [np.array([1, 2])])
+    assert path.read_bytes() == twin.read_bytes() == b"x\n1\n2\n"
 
 
 # --- the sampling configs' results and every config's validate notes ----------

@@ -2,10 +2,11 @@ import cmath
 import itertools
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import angles, directions, signs
@@ -55,6 +56,31 @@ class TestDirection:
         x, y, z = v
         norm = math.sqrt(x * x + y * y + z * z)
         assert Direction.normalized(*v) == Direction(x / norm, y / norm, z / norm)
+
+    @pytest.mark.parametrize("v,want", [
+        ((1e-170, 0.0, 0.0), (1.0, 0.0, 0.0)),        # every square underflows to 0
+        ((3e-160, 4e-160, 0.0), (0.6, 0.8, 0.0)),     # subnormal, inexact squares
+        ((1e-320, -1e-320, 0.0), (0.5 ** 0.5, -(0.5 ** 0.5), 0.0)),   # subnormal norm
+        ((5e-324, 5e-324, 5e-324), (3 ** -0.5, 3 ** -0.5, 3 ** -0.5)),
+    ])
+    def test_normalized_tiny_components(self, v, want):
+        assert Direction.normalized(*v).as_array() == pytest.approx(want, abs=1e-15)
+
+    @given(st.tuples(*[st.floats(-1e150, 1e150)] * 3))
+    def test_normalized_normal_squares_divide_by_the_plain_norm(self, v):
+        x, y, z = v
+        squares = x * x + y * y + z * z
+        assume(squares >= sys.float_info.min)
+        norm = math.sqrt(squares)
+        assert Direction.normalized(*v) == Direction(x / norm, y / norm, z / norm)
+
+    @given(st.tuples(*[st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))] * 3)
+           .filter(any), st.integers(530, 700))
+    def test_normalized_tiny_vector_is_its_scaled_up_direction(self, v, k):
+        """Scaled by 2^-k into the range where squares underflow, a vector
+        keeps the direction bit for bit."""
+        assert (Direction.normalized(*(c * 2.0 ** -k for c in v))
+                == Direction.normalized(*v))
 
     def test_normalized_constructor(self):
         d = Direction.normalized(3.0, 4.0, 0.0)
