@@ -175,19 +175,24 @@ def _event_suffix(absorbed_at: int, outcome: int) -> bytes:
                                            outcome if outcome else None)))
 
 
-def encode_events(start: int, absorbed_at: np.ndarray, outcome: np.ndarray) -> bytes:
-    """Event lines of trials start, start + 1, ...: byte for byte the
-    event_json lines, each ended by a newline.  absorbed_at is -1 and
-    outcome 0 where the event has none."""
+def event_lines(absorbed_at: np.ndarray, outcome: np.ndarray
+                ) -> tuple[np.ndarray, tuple[bytes, ...]]:
+    """(k, suffixes): event i's line is '{"trial":N' + suffixes[k[i]].
+    absorbed_at is -1 and outcome 0 where the event has none."""
     codes = ((np.asarray(absorbed_at, dtype=np.int64) + 1) * 3
              + np.asarray(outcome, dtype=np.int64) + 1)
     # the codes are small: a count of each ranks the ones present in
     # ascending order without sorting the block
     present = np.bincount(codes) > 0
     rank = np.cumsum(present) - 1
-    return join_lines(start, rank[codes],
-                      [_event_suffix(int(c) // 3 - 1, int(c) % 3 - 1)
-                       for c in np.flatnonzero(present)])
+    return rank[codes], tuple(_event_suffix(int(c) // 3 - 1, int(c) % 3 - 1)
+                              for c in np.flatnonzero(present))
+
+
+def encode_events(start: int, absorbed_at: np.ndarray, outcome: np.ndarray) -> bytes:
+    """Event lines of trials start, start + 1, ...: byte for byte the
+    event_json lines, each ended by a newline."""
+    return join_lines(start, *event_lines(absorbed_at, outcome))
 
 
 @dataclass(frozen=True, eq=False)

@@ -41,6 +41,9 @@ LHV_SUM_TOL = 1e-12
 # fixed outcome-pair order used by the inverse-CDF sampler and the logs
 OUTCOME_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 _ONE = np.array(1, dtype=np.int8)
+# OUTCOME_PAIRS indices as 0-d operands
+_K = tuple(np.array(j, dtype=np.uint8) for j in range(4))
+_ONE_U8, _TWO = _K[1], _K[2]
 
 
 class Mode(Enum):
@@ -100,14 +103,6 @@ def trial_record_json(rec: TrialRecord) -> str:
     }, separators=(",", ":"))
 
 
-def outcome_counts(a_out: np.ndarray, b_out: np.ndarray) -> np.ndarray:
-    """Trials per outcome pair, in OUTCOME_PAIRS order."""
-    a_neg, b_neg = a_out < 0, b_out < 0
-    na, nb = np.count_nonzero(a_neg), np.count_nonzero(b_neg)
-    mm = np.count_nonzero(a_neg & b_neg)
-    return np.array([len(a_neg) - na - nb + mm, nb - mm, na - mm, mm], dtype=np.int64)
-
-
 @functools.lru_cache(maxsize=64)
 def _record_suffixes(a_setting: int, b_setting: int, mode: str) -> tuple[bytes, ...]:
     """What follows '{"trial":N' in a log line, per outcome pair."""
@@ -115,13 +110,13 @@ def _record_suffixes(a_setting: int, b_setting: int, mode: str) -> tuple[bytes, 
                  for a, b in OUTCOME_PAIRS)
 
 
-def encode_block(start: int, a_out: np.ndarray, b_out: np.ndarray,
-                 a_setting: int, b_setting: int, mode: str) -> bytes:
-    """Log lines of trials start, start + 1, ... at one setting pair.
+def encode_block(start: int, k: np.ndarray, a_setting: int, b_setting: int,
+                 mode: str) -> bytes:
+    """Log lines of trials start, start + 1, ... at one setting pair, trial
+    start + i with outcome pair OUTCOME_PAIRS[k[i]].
 
     Byte for byte the trial_record_json lines, each ended by a newline.
     """
-    k = 2 * (np.asarray(a_out) < 0) + (np.asarray(b_out) < 0)   # OUTCOME_PAIRS position
     return join_lines(start, k, _record_suffixes(a_setting, b_setting, mode))
 
 
@@ -147,76 +142,78 @@ def _check_setting(e: SingletEnsemble, idx: int) -> Direction:
 
 
 @functools.lru_cache(maxsize=256)
-def _born_cdf(n_a: Direction, n_b: Direction) -> np.ndarray:
-    """Cumulative pair Born probabilities of one setting pair, in
-    OUTCOME_PAIRS order.  Shared by every block drawn at the pair, so
-    read-only."""
-    cum = np.cumsum(joint_outcome_probs(n_a, n_b))
-    cum[-1] = 1.0  # guard the last inverse-CDF boundary against rounding
-    cum.flags.writeable = False
-    return cum
+def _born_thresholds(n_a: Direction, n_b: Direction) -> tuple[np.ndarray, ...]:
+    """rng.thresholds of the cumulative pair Born probabilities of one
+    setting pair, in OUTCOME_PAIRS order, but the last (1 up to rounding,
+    which every uniform is below).  Shared by every walk at the pair."""
+    return rng.thresholds(np.cumsum(joint_outcome_probs(n_a, n_b))[:3])
 
 
-def _sampling_cdf(e: SingletEnsemble, a_idx: int, b_idx: int) -> np.ndarray:
+def _signs(out: np.ndarray) -> None:
+    """Turn an int8 array holding 1 where the outcome is -1, and 0 where it
+    is +1, into the outcomes: 1 - 2 g as (-g) | 1."""
+    np.negative(out, out)
+    np.bitwise_or(out, _ONE, out)
+
+
+def _at_or_below(z: np.ndarray, thresholds, k: np.ndarray, above: np.ndarray) -> None:
+    """k[i] = the number of thresholds at or below z[i]; k is uint8 or
+    wider, `above` bool scratch of z's length."""
+    if not thresholds:
+        k.fill(0)
+        return
+    np.greater_equal(z, thresholds[0], k.view(np.bool_) if k.itemsize == 1 else k)
+    for t in thresholds[1:]:
+        np.greater_equal(z, t, above)
+        np.add(k, above, k)
+
+
+def _pair_tiles(e: SingletEnsemble, pairs, seed: int, trials: int, start: int = 0):
+    """Outcome-pair indices of every trial of the setting pairs, pair p
+    taking trials start + p * trials onward.
+
+    Yields (p, first, k) for each piece of a pair's range within one
+    rng.TILE tile of the whole range: trial first + i drew OUTCOME_PAIRS[k[i]].
+    Each tile is mixed once whatever pairs it covers.  The cumulative
+    probabilities sum nonnegative terms, so they are nondecreasing, and
+    every uniform u is below the last, 1; the inverse-CDF index
+    searchsorted(cum, u, side="right") is then the count of the other
+    boundaries at or below u, which is the count of their rng.thresholds at
+    or below the tile's mixed state.  A Born pair counts its own three.  A
+    classical pattern index counts the weights' boundaries, the same for
+    every pair, once per tile; bit i of it is s_i = +1, Bob carries the
+    negated sign, and each pair reads its k off the pattern through a
+    table.  k is one buffer, overwritten by the next piece.
+    """
+    for ai, bi in pairs:
+        _check_setting(e, ai)
+        _check_setting(e, bi)
+    size = min(len(pairs) * trials, rng.TILE)
+    k = np.empty(size, dtype=np.uint8)
+    above = np.empty(size, dtype=np.bool_)
     if e.mode is Mode.BORN_SAMPLING:
-        return _born_cdf(e.directions[a_idx], e.directions[b_idx])
-    if e.mode is not Mode.CLASSICAL_LHV:
+        cuts = [_born_thresholds(e.directions[ai], e.directions[bi]) for ai, bi in pairs]
+    elif e.mode is Mode.CLASSICAL_LHV:
+        cuts = rng.thresholds(np.cumsum(e.lhv_weights)[:-1])
+        patterns = np.arange(len(e.lhv_weights))
+        pattern = np.empty(size, dtype=np.min_scalar_type(len(patterns) - 1))
+        tables = [(2 * (((patterns >> ai) & 1) == 0) + ((patterns >> bi) & 1)).astype(np.uint8)
+                  for ai, bi in pairs]
+    else:
         raise NotSampleableError(
             f"mode {e.mode.value} is analytic only; signed or implicit weights "
             "cannot be drawn from")
-    cum = np.cumsum(e.lhv_weights)
-    cum[-1] = 1.0
-    return cum
-
-
-def _signs(a_out: np.ndarray, b_out: np.ndarray) -> None:
-    """Turn int8 arrays holding 1 where the outcome is -1, and 0 where it is
-    +1, into the outcomes: 1 - 2 g as (-g) | 1."""
-    for out in (a_out, b_out):
-        np.negative(out, out)
-        np.bitwise_or(out, _ONE, out)
-
-
-def _born_outcomes(u: np.ndarray, cum: np.ndarray, a_out: np.ndarray, b_out: np.ndarray,
-                   above: np.ndarray) -> None:
-    """Born outcomes of uniforms u into the int8 arrays a_out and b_out.
-
-    Pair k of OUTCOME_PAIRS has a_out = -1 for k >= 2 and b_out = -1 for odd
-    k.  cum[:3] sums nonnegative probabilities, so it is nondecreasing, and
-    every u is below cum[3] = 1 (and below cum[2] where rounding put it past
-    1).  The inverse-CDF index k = searchsorted(cum, u, side="right") is
-    then the count of [u >= cum[0]], [u >= cum[1]] and [u >= cum[2]], so
-    a_out is 1 - 2 [u >= cum[1]] and b_out is 1 - 2 (k mod 2), the parity
-    being the xor of the three.  `above` is bool scratch of u's length.
-    """
-    c0, c1, c2 = cum[:3].tolist()
-    a_neg, b_neg = a_out.view(np.bool_), b_out.view(np.bool_)
-    np.greater_equal(u, c1, a_neg)
-    np.greater_equal(u, c0, b_neg)
-    np.greater_equal(u, c2, above)
-    np.not_equal(b_neg, a_neg, b_neg)
-    np.not_equal(b_neg, above, b_neg)
-    _signs(a_out, b_out)
-
-
-def _lhv_outcomes(u: np.ndarray, cum: np.ndarray, a_idx: int, b_idx: int,
-                  a_out: np.ndarray, b_out: np.ndarray, above: np.ndarray) -> None:
-    """Outcomes read off the sign pattern each uniform draws: bit i of the
-    pattern index is s_i = +1, and Bob carries the negated sign.
-
-    The weights are nonnegative, so cum is nondecreasing and the pattern
-    index searchsorted(cum, u, side="right") is the count of the boundaries
-    cum[:-1] at or below u (u < 1 = cum[-1]).  `above` is bool scratch of
-    u's length.  The signs are bits of k: a take from int8 sign_matrix
-    columns took 7.1-8.0 against 5.2-5.8 ms per 1M trials (2-vCPU Xeon).
-    """
-    k = np.zeros(len(u), dtype=np.min_scalar_type(len(cum) - 1))
-    for c in cum[:-1].tolist():
-        np.greater_equal(u, c, above)
-        k += above
-    np.equal((k >> a_idx) & 1, 0, a_out.view(np.bool_))
-    np.equal((k >> b_idx) & 1, 1, b_out.view(np.bool_))
-    _signs(a_out, b_out)
+    for lo, z in rng.mixed_tiles(seed, start, len(pairs) * trials):
+        hi = lo + len(z)
+        if e.mode is Mode.CLASSICAL_LHV:
+            _at_or_below(z, cuts, pattern[:len(z)], above[:len(z)])
+        for p in range(lo // trials, (hi - 1) // trials + 1):
+            a, b = max(lo, p * trials) - lo, min(hi, (p + 1) * trials) - lo
+            if e.mode is Mode.BORN_SAMPLING:
+                _at_or_below(z[a:b], cuts[p], k[a:b], above[a:b])
+            else:
+                np.take(tables[p], pattern[a:b], out=k[a:b], mode="clip")
+            yield p, start + lo + a, k[a:b]
 
 
 def sample_trial(e: SingletEnsemble, a_idx: int, b_idx: int,
@@ -231,50 +228,45 @@ def sample_trials(e: SingletEnsemble, a_idx: int, b_idx: int, seed: int,
     """Outcome arrays for trials [start, start + n_trials).
 
     Each trial is a pure function of (seed, index), so the range is drawn
-    rng.TILE trials at a time, uniforms and outcomes of a tile together,
-    with every bit as a whole-range draw gives it.
+    rng.TILE trials at a time, with every bit as a whole-range draw gives
+    it.
     """
-    _check_setting(e, a_idx)
-    _check_setting(e, b_idx)
     if n_trials < 1:
         raise ValidationError("n_trials must be >= 1")
-    cum = _sampling_cdf(e, a_idx, b_idx)
     a_out = np.empty(n_trials, dtype=np.int8)
     b_out = np.empty(n_trials, dtype=np.int8)
-    size = min(n_trials, rng.TILE)
-    u = np.empty(size)
-    counters = np.arange(start, start + size, dtype=np.uint64)
-    above = np.empty(size, dtype=np.bool_)
-    for lo in range(0, n_trials, rng.TILE):
-        m = min(rng.TILE, n_trials - lo)
-        rng.uniforms(seed, counters[:m], out=u[:m])
-        if e.mode is Mode.BORN_SAMPLING:
-            _born_outcomes(u[:m], cum, a_out[lo:lo + m], b_out[lo:lo + m], above[:m])
-        else:
-            _lhv_outcomes(u[:m], cum, a_idx, b_idx, a_out[lo:lo + m], b_out[lo:lo + m],
-                          above[:m])
-        counters += np.uint64(rng.TILE)
+    for _, first, k in _pair_tiles(e, ((a_idx, b_idx),), seed, n_trials, start):
+        lo = first - start
+        a, b = a_out[lo:lo + len(k)], b_out[lo:lo + len(k)]
+        np.greater_equal(k, _TWO, a.view(np.bool_))   # k >= 2: a_out = -1
+        np.bitwise_and(k, _ONE_U8, b.view(np.uint8))   # k odd: b_out = -1
+        _signs(a)
+        _signs(b)
     return a_out, b_out
+
+
+def _k_counts(k: np.ndarray) -> np.ndarray:
+    """Trials per outcome pair, in OUTCOME_PAIRS order, of indices k."""
+    c = [np.count_nonzero(k == j) for j in _K[1:]]
+    return np.array([len(k) - sum(c), *c], dtype=np.int64)
 
 
 def pair_counts(e: SingletEnsemble, pairs, seed: int | None, trials: int,
                 on_block=None) -> np.ndarray:
     """Outcome-pair counts, one row per setting pair; pair p takes trials
-    p * trials onward.  They are drawn and counted one rng.TILE block at a
-    time, so memory stays one block; on_block(first, a_out, b_out, ai, bi)
-    gets each block."""
+    p * trials onward.  They are drawn and counted one rng.TILE tile at a
+    time, so memory stays one tile; on_block(first, k, ai, bi) gets each
+    piece of a pair's range within a tile, trial first + i with outcome
+    pair OUTCOME_PAIRS[k[i]], k valid only during the call."""
     if seed is None:
         raise ValidationError("sampling requires a seed")
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     counts = np.zeros((len(pairs), 4), dtype=np.int64)
-    for p, (ai, bi) in enumerate(pairs):
-        for lo in range(0, trials, rng.TILE):
-            first = p * trials + lo
-            a_out, b_out = sample_trials(e, ai, bi, seed, min(rng.TILE, trials - lo), first)
-            if on_block is not None:
-                on_block(first, a_out, b_out, ai, bi)
-            counts[p] += outcome_counts(a_out, b_out)
+    for p, first, k in _pair_tiles(e, pairs, seed, trials):
+        if on_block is not None:
+            on_block(first, k, *pairs[p])
+        counts[p] += _k_counts(k)
     return counts
 
 

@@ -25,6 +25,10 @@ _LOW = 10_000
 _LOW_DIGITS = (np.arange(_LOW)[:, None] // np.array([1000, 100, 10, 1]) % 10
                + ord("0")).astype(np.uint8)
 _CSV_BLOCK = 16_384   # CSV rows formatted and written at a time
+# log lines encoded and written, or read and compared, at a time: a block's
+# rows and bytes (under 100 KiB) are reused from the heap, where a
+# tile-sized block's are faulted in from fresh pages on every block
+LOG_BLOCK = 1024
 
 
 @functools.lru_cache(maxsize=256)

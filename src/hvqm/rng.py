@@ -9,6 +9,8 @@ which is enough avalanche to decorrelate the linearly-spaced inputs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _MASK = 0xFFFFFFFFFFFFFFFF
@@ -24,23 +26,25 @@ _M1_U, _M2_U, _S11, _S27, _S30, _S31 = (np.array(v, dtype=np.uint64)
                                         for v in (_M1, _M2, 11, 27, 30, 31))
 _ULP = np.array(2.0 ** -53)
 
-# Counters per tile, and trials per block of epr.pair_counts and of a trial
-# log.  A tile's uint64 scratch and float64 output (128 KiB each) stay in
-# cache through the twenty passes of the mix; whole-array passes over 10^6
-# counters run from main memory.  The tile changes no bit of any draw.
+# Counters per tile.  A tile's uint64 state and scratch (128 KiB each) stay
+# in cache through the sixteen passes of the mix; whole-array passes over
+# 10^6 counters run from main memory.  The tile changes no bit of any draw.
 TILE = 1 << 14
 
 
-def _draw_tile(c: np.ndarray, offset: np.ndarray, z: np.ndarray, out: np.ndarray) -> None:
-    """out[i] = top 53 bits of mix(mix(c[i] * M1 + offset)) as a [0, 1) double.
+def _offset(seed: int, substream: int) -> int:
+    """base + M1, where base mixes the seed and substream: counter c's
+    unmixed state is c M1 + offset."""
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed {seed} outside the 64-bit unsigned range")
+    # in Python ints: wrapping uint64 scalars would warn in numpy
+    return (seed * _GOLDEN + (substream + 1) * _SUBSTREAM_SALT + _M1) & _MASK
 
-    All four are 1-D and of one length; z is uint64 scratch, and out doubles
-    as the second scratch buffer until the last pass.
-    """
-    t = out.view(np.uint64)
-    np.multiply(c, _M1_U, z)
-    np.add(z, offset, z)
-    for _ in range(2):   # the SplitMix64 finalizer, twice
+
+def _mix(z: np.ndarray, t: np.ndarray) -> None:
+    """The SplitMix64 finalizer, twice, on z in place; t is uint64 scratch
+    of z's length."""
+    for _ in range(2):
         np.right_shift(z, _S30, t)
         np.bitwise_xor(z, t, z)
         np.multiply(z, _M1_U, z)
@@ -49,9 +53,6 @@ def _draw_tile(c: np.ndarray, offset: np.ndarray, z: np.ndarray, out: np.ndarray
         np.multiply(z, _M2_U, z)
         np.right_shift(z, _S31, t)
         np.bitwise_xor(z, t, z)
-    np.right_shift(z, _S11, z)
-    # exact: z < 2^53 converts without rounding, from int64 faster than uint64
-    np.multiply(z.view(np.int64), _ULP, out)
 
 
 def uniforms(seed: int, counters, substream: int = 0, out: np.ndarray | None = None
@@ -60,30 +61,66 @@ def uniforms(seed: int, counters, substream: int = 0, out: np.ndarray | None = N
 
     `counters` is typically a range of trial indices; `substream` separates
     independent draws belonging to the same trial (e.g. one per beamline
-    stage).  Counter c draws the top 53 bits of mix(mix(base + (c + 1) M1))
-    in uint64 arithmetic, where base mixes the seed and substream and mix is
-    the SplitMix64 finalizer.  The counters are processed TILE at a time;
-    `out`, a C-contiguous float64 array of the counters' shape, receives the
-    draws when given.
+    stage).  Counter c draws the top 53 bits of its mixed state
+    z = mix(mix(base + (c + 1) M1)) in uint64 arithmetic, where base mixes
+    the seed and substream and mix is the SplitMix64 finalizer.  The
+    counters are processed TILE at a time; `out`, a C-contiguous float64
+    array of the counters' shape, receives the draws when given.
     """
-    if not 0 <= seed < 2 ** 64:
-        raise ValueError(f"seed {seed} outside the 64-bit unsigned range")
+    offset = np.array(_offset(seed, substream), dtype=np.uint64)
     c = np.asarray(counters, dtype=np.uint64)
     if out is None:
         out = np.empty(c.shape)
     elif out.shape != c.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError("out must be a C-contiguous float64 array of the counters' shape")
-    # scalar part in Python ints: wrapping uint64 scalars would warn in numpy;
-    # (c + 1) M1 + base is computed as c M1 + (base + M1)
-    offset = np.array((seed * _GOLDEN + (substream + 1) * _SUBSTREAM_SALT + _M1) & _MASK,
-                      dtype=np.uint64)
     flat, dest = c.reshape(-1), out.reshape(-1)
     n = flat.size
     z = np.empty(min(n, TILE), dtype=np.uint64)
     for lo in range(0, n, TILE):
         hi = min(lo + TILE, n)
-        _draw_tile(flat[lo:hi], offset, z[:hi - lo], dest[lo:hi])
+        zt, dt = z[:hi - lo], dest[lo:hi]
+        np.multiply(flat[lo:hi], _M1_U, zt)
+        np.add(zt, offset, zt)
+        _mix(zt, dt.view(np.uint64))   # the output doubles as scratch
+        np.right_shift(zt, _S11, zt)
+        # exact: z < 2^53 converts without rounding, from int64 faster than uint64
+        np.multiply(zt.view(np.int64), _ULP, dt)
     return out
+
+
+def mixed_tiles(seed: int, start: int, n: int, substream: int = 0):
+    """The mixed states z of counters start, ..., start + n - 1, TILE at a
+    time: yields (lo, z) with z[i] the state of counter start + lo + i, the
+    one `uniforms` draws (z >> 11) 2^-53 from.  Consecutive counters' states
+    before the mix are one stride i M1 apart, so a tile's is one add; z is
+    one buffer, overwritten by the next tile.
+    """
+    offset = _offset(seed, substream)
+    size = min(n, TILE)
+    stride = np.arange(size, dtype=np.uint64)
+    np.multiply(stride, _M1_U, stride)
+    z = np.empty(size, dtype=np.uint64)
+    t = np.empty(size, dtype=np.uint64)
+    for lo in range(0, n, TILE):
+        m = min(TILE, n - lo)
+        first = np.array((offset + (start + lo) * _M1) & _MASK, dtype=np.uint64)
+        np.add(stride[:m], first, z[:m])
+        _mix(z[:m], t[:m])
+        yield lo, z[:m]
+
+
+def thresholds(cum) -> tuple[np.ndarray, ...]:
+    """The uint64 thresholds of the boundaries in `cum` below 1, in order.
+
+    For a state z and its uniform u = (z >> 11) 2^-53, u >= c exactly when
+    z >= ceil(c 2^53) 2^11: z >> 11 is an integer, and c 2^53 is exact.  A
+    boundary at or past 1 is never reached (u < 1) and has none; one at or
+    below 0 is always reached, and has 0.  So the count of thresholds at or
+    below z is the count of boundaries at or below u.  Each is a 0-d uint64
+    array, so no numpy version compares it with z in float64.
+    """
+    return tuple(np.array(max(0, math.ceil(c * 2.0 ** 53)) << 11, dtype=np.uint64)
+                 for c in np.asarray(cum, dtype=np.float64).tolist() if c < 1.0)
 
 
 def uniform(seed: int, counter: int, substream: int = 0) -> float:

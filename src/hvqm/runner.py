@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import __version__, beamline, epr, pathint, phasespace, quasiprob, rng
+from . import __version__, beamline, epr, logcodec, pathint, phasespace, quasiprob, rng
 from .config import (ExperimentConfig, config_hash, keyed_section, parse_direction,
                      parse_float, parse_lhv_weights)
 from .errors import ValidationError
@@ -115,13 +115,14 @@ def _check_workers(workers: int) -> None:
 # --- trial logs -------------------------------------------------------------
 #
 # A log is a header line, then one canonical JSON line per trial: the line
-# trial_record_json or event_json gives, written in blocks of rng.TILE
-# trials, the sampler's tile.  Every trial is a pure function of the
-# config's seed and its own index, so a kind's walker samples and encodes
-# each block in order whether it runs or replays, and hands the bytes to
-# `log.block`: a run writes them (_Writer), a replay requires the log to
-# hold exactly them (_Body).  Either way the walker counts the outcomes, and
-# the kind's `summarize` turns the counts into the reported statistics.
+# trial_record_json or event_json gives.  Every trial is a pure function of
+# the config's seed and its own index, so a kind's walker draws the trials
+# rng.TILE at a time in order whether it runs or replays, encodes each
+# tile's lines in blocks of at most logcodec.LOG_BLOCK, and hands each
+# block's bytes to `log.block`: a run writes them (_Writer), a replay
+# requires the log to hold exactly them (_Body).  Either way the walker
+# counts the outcomes, and the kind's `summarize` turns the counts into the
+# reported statistics.
 
 
 def _header_line(kind: str, cfg_hash: str, seed: int) -> bytes:
@@ -139,14 +140,24 @@ class _Writer:
         self._fh.write(data)
 
 
+def _log_blocks(log, n: int, encode: Callable[[int, int], bytes]) -> None:
+    """Lines lo .. hi - 1 of n, encode(lo, hi), to the log in blocks of at
+    most logcodec.LOG_BLOCK."""
+    size = logcodec.LOG_BLOCK
+    for lo in range(0, n, size):
+        hi = min(n, lo + size)
+        log.block(encode(lo, hi), hi - lo)
+
+
 def _pair_walker(pairs):
     """Walker of a chsh or epr log: epr.pair_counts over the setting pairs,
-    each block of trials encoded as it is drawn; returns the outcome-pair
+    each piece of trials encoded as it is drawn; returns the outcome-pair
     counts of each pair."""
 
     def walk(log, built: dict) -> np.ndarray:
-        def encode(first, a_out, b_out, ai, bi):
-            log.block(epr.encode_block(first, a_out, b_out, ai, bi, built["mode"]), len(a_out))
+        def encode(first, k, ai, bi):
+            _log_blocks(log, len(k), lambda lo, hi: epr.encode_block(
+                first + lo, k[lo:hi], ai, bi, built["mode"]))
 
         return epr.pair_counts(built["ensemble"], pairs, built["seed"], built["trials"], encode)
 
@@ -161,7 +172,8 @@ def _walk_events(log, built: dict) -> np.ndarray:
         events = beamline.monte_carlo_sequence(built["devices"], built["beam"], n,
                                                built["seed"], start=lo,
                                                analytic=built["analytic"])[2]
-        log.block(events.encode(), n)
+        k, suffixes = beamline.event_lines(events.absorbed_at, events.outcome)
+        _log_blocks(log, n, lambda a, b: logcodec.join_lines(lo + a, k[a:b], suffixes))
         counts += events.counts
     return counts
 

@@ -289,7 +289,7 @@ def test_pair_table_is_made_once_per_setting_pair(monkeypatch, tmp_path):
 
     monkeypatch.setattr(epr, "pair_joint_probability", counted)
     monkeypatch.setattr(rng, "TILE", 7)
-    epr._born_cdf.cache_clear()
+    epr._born_thresholds.cache_clear()
     cfg_path = tmp_path / "chsh.cfg"
     cfg_path.write_text("[experiment]\nkind = chsh\nmode = born_sampling\nseed = 3\n"
                         "trials = 100\n[directions]\na1 = 0.1\na2 = 1.3\nb1 = 2.2\nb2 = 2.9\n",
@@ -302,19 +302,24 @@ def test_pair_table_is_made_once_per_setting_pair(monkeypatch, tmp_path):
 
 
 def test_pair_counts_hands_each_tile_of_each_pair_range(monkeypatch):
-    """Pair p covers trials p * trials onward, one rng.TILE block at a time,
-    and counts exactly the outcomes it hands out."""
+    """Pair p covers trials p * trials onward.  The pairs share the
+    rng.TILE tiles of one trial range: each piece of a pair's range within a
+    tile is handed on with its outcome-pair indices, a tile that holds a
+    pair boundary in two pieces, and the counts are exactly those handed out."""
     monkeypatch.setattr(rng, "TILE", 7)
     e = chsh_ensemble(Mode.BORN_SAMPLING, *tsirelson_settings())
     blocks = []
-    counts = epr.pair_counts(e, CHSH_PAIRS[:2], 5, 20, lambda *block: blocks.append(block))
-    assert [(first, len(a), ai, bi) for first, a, _, ai, bi in blocks] == [
-        (0, 7, 0, 2), (7, 7, 0, 2), (14, 6, 0, 2), (20, 7, 0, 3), (27, 7, 0, 3), (34, 6, 0, 3)]
+    counts = epr.pair_counts(e, CHSH_PAIRS[:2], 5, 20,
+                             lambda first, k, ai, bi: blocks.append((first, k.copy(), ai, bi)))
+    # the tile of trials 14-20 holds pair 0's last six and pair 1's first
+    assert [(first, len(k), ai, bi) for first, k, ai, bi in blocks] == [
+        (0, 7, 0, 2), (7, 7, 0, 2), (14, 6, 0, 2),
+        (20, 1, 0, 3), (21, 7, 0, 3), (28, 7, 0, 3), (35, 5, 0, 3)]
     for p, (ai, bi) in enumerate(CHSH_PAIRS[:2]):
         a_out, b_out = sample_trials(e, ai, bi, 5, 20, start=20 * p)
-        assert np.array_equal(np.concatenate([b[1] for b in blocks[3 * p:3 * p + 3]]), a_out)
-        assert np.array_equal(np.concatenate([b[2] for b in blocks[3 * p:3 * p + 3]]), b_out)
-        assert np.array_equal(counts[p], epr.outcome_counts(a_out, b_out))
+        k = np.concatenate([b[1] for b in blocks if b[0] // 20 == p])
+        assert [epr.OUTCOME_PAIRS[j] for j in k] == list(zip(a_out.tolist(), b_out.tolist()))
+        assert np.array_equal(counts[p], np.bincount(k, minlength=4))
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"

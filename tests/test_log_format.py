@@ -15,6 +15,7 @@ import json
 import math
 import os
 import stat
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hvqm import beamline, epr, pathint, rng, runner
+from hvqm import beamline, epr, logcodec, pathint, rng, runner
 from hvqm.beamline import TrialEvent, event_json
 from hvqm.cli import main
 from hvqm.config import apply_overrides, parse_config
@@ -95,7 +96,9 @@ def test_encode_block_is_the_joined_records(start, pair, ai, bi, mode):
     want = b"".join(
         trial_record_json(TrialRecord(start + i, ai, bi, int(a), int(b), mode)).encode() + b"\n"
         for i, (a, b) in enumerate(zip(a_out, b_out)))
-    assert epr.encode_block(start, a_out, b_out, ai, bi, mode) == want
+    k = 2 * (a_out < 0) + (b_out < 0)   # position in OUTCOME_PAIRS
+    assert [epr.OUTCOME_PAIRS[j] for j in k] == list(zip(a_out.tolist(), b_out.tolist()))
+    assert epr.encode_block(start, k.astype(np.uint8), ai, bi, mode) == want
 
 
 @given(starts, event_arrays())
@@ -133,15 +136,37 @@ def test_monte_carlo_events_match_the_record_list():
 
 @pytest.mark.parametrize("name", sorted(SHIPPED_LOG_SHA256))
 def test_log_does_not_depend_on_block_size(tmp_path, monkeypatch, name):
-    """Blocks of 7 trials write the same bytes as the default, and replay."""
+    """Tiles of 7 trials, logged in blocks of 3 lines, write the same bytes
+    as the defaults, and replay."""
     log_name, _ = SHIPPED_LOG_SHA256[name]
     cfg = apply_overrides(parse_config(CONFIG_DIR / f"{name}.cfg"), trials=100)
     run_experiment(cfg, tmp_path / "default")
     monkeypatch.setattr(rng, "TILE", 7)
+    monkeypatch.setattr(logcodec, "LOG_BLOCK", 3)
     run_experiment(cfg, tmp_path / "small")
     assert (tmp_path / "default" / log_name).read_bytes() == (
         tmp_path / "small" / log_name).read_bytes()
     assert runner.replay_run(tmp_path / "small" / log_name, cfg).verdict == "OK"
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_LOG_SHA256))
+def test_run_and_replay_memory_stay_one_tile_and_one_log_block(tmp_path, name):
+    """A run and a replay hold one tile of draws and one block of log lines
+    at a time: at 4 tiles and 5 trials, past a tile per setting pair, their
+    traced peaks stay under 80 bytes per trial of a tile (ten int64 arrays)
+    plus 300 per line of a log block (three copies of ~100-byte lines)."""
+    log_name, _ = SHIPPED_LOG_SHA256[name]
+    cfg = apply_overrides(parse_config(CONFIG_DIR / f"{name}.cfg"), trials=4 * rng.TILE + 5)
+    bound = 80 * rng.TILE + 300 * logcodec.LOG_BLOCK
+    for step in (lambda: run_experiment(cfg, tmp_path),
+                 lambda: runner.replay_run(tmp_path / log_name, cfg)):
+        tracemalloc.start()
+        try:
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 def test_sterngerlach_counts_each_block_once(tmp_path, monkeypatch):

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from hvqm import rng
+from hvqm import logcodec, rng
 from hvqm.cli import main
 
 TRIALS = 50
@@ -96,6 +96,31 @@ def test_tampered_body_names_first_bad_line(capsys, tmp_path, monkeypatch, kind,
     assert code == 1
     assert payload["status"] == "mismatch"
     assert payload["first_bad_line"] == first_bad
+
+
+@pytest.mark.parametrize("tile,log_block", [(rng.TILE, logcodec.LOG_BLOCK), (7, 3)])
+def test_flipped_outcome_mid_tile(capsys, tmp_path, monkeypatch, tile, log_block):
+    """Alice's outcome of pair 2's first trial, which sits inside a tile
+    that also holds pair 1's last trials, is flipped: that line is the
+    first bad one."""
+    monkeypatch.setattr(rng, "TILE", tile)
+    monkeypatch.setattr(logcodec, "LOG_BLOCK", log_block)
+    first = 2 * TRIALS
+    assert first % tile != 0
+    log, cfg = _run(tmp_path, "chsh")
+    assert _replay(capsys, log, cfg)[0] == 0
+
+    def flip(line):
+        rec = json.loads(line)
+        assert rec["trial"] == first and (rec["a_setting"], rec["b_setting"]) == (1, 2)
+        rec["a_out"] = -rec["a_out"]
+        return json.dumps(rec, separators=(",", ":"))
+
+    _tamper(log, lambda b: b[:first] + [flip(b[first])] + b[first + 1:])
+    code, payload = _replay(capsys, log, cfg)
+    assert code == 1
+    assert payload["status"] == "mismatch"
+    assert payload["first_bad_line"] == first + 2
 
 
 def test_event_a_beamline_cannot_produce(capsys, tmp_path):

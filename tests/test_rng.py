@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import categorical
+from hvqm import rng
 from hvqm.rng import uniform, uniforms
 
 
@@ -68,3 +71,42 @@ def test_categorical_never_hits_zero_width_intervals():
     assert k.min() >= 1
     assert k.max() <= 2
     assert abs(np.mean(k == 1) - 0.5) < 0.01
+
+
+# boundaries c in [0, 1] and just past it: any double, the dyadic k 2^-53
+# a draw can equal, and the doubles either side of those
+_dyadic = st.integers(min_value=0, max_value=2 ** 53).map(lambda k: k * 2.0 ** -53)
+boundaries = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0), _dyadic,
+    _dyadic.map(lambda c: float(np.nextafter(c, 0.0))),
+    _dyadic.map(lambda c: float(np.nextafter(c, 2.0))))
+states = st.integers(min_value=0, max_value=2 ** 64 - 1)
+
+
+@given(boundaries, states)
+@example(0.0, 0)                                # always reached
+@example(0.0, 2 ** 64 - 1)
+@example(1.0, 2 ** 64 - 1)                      # never reached
+@example(float(np.nextafter(1.0, 2.0)), 2 ** 64 - 1)   # past 1, as a rounded Born sum can be
+@example(float(np.nextafter(1.0, 0.0)), 2 ** 64 - 1)
+@example(5e-324, 2 ** 11)
+@settings(max_examples=500, deadline=None)
+def test_threshold_rule(c, z):
+    """(z >= T(c)) == ((z >> 11) 2^-53 >= c) for the state z, at z, at
+    T(c) - 1 and at T(c); a boundary at or past 1 has no threshold and is
+    never reached."""
+    found = rng.thresholds([c])
+    assert len(found) == (c < 1.0)
+    for t in found:
+        assert t.shape == () and t.dtype == np.uint64
+    z = np.array([z] + [int(t) + d for t in found for d in (-1, 0) if int(t) + d >= 0],
+                 dtype=np.uint64)
+    reached = np.zeros(len(z), dtype=bool)
+    for t in found:
+        reached |= z >= t
+    assert np.array_equal(reached, (z >> np.uint64(11)) * 2.0 ** -53 >= c)
+
+
+def test_thresholds_keep_order_and_repeats():
+    cum = np.array([-1e-17, 0.0, 0.25, 0.25, 0.75, 1.0, 1.0000000000000002])
+    assert [int(t) for t in rng.thresholds(cum)] == [0, 0, 1 << 62, 1 << 62, 3 << 62]

@@ -221,8 +221,47 @@ class TestSternGerlach:
         assert events.outcome.dtype == want.outcome.dtype
 
 
+def _boundary_variants(cum, u):
+    """cum as it is, then with each boundary strictly inside (0, 1) moved
+    onto the nearest draw at or above it in u, then one ulp below and one
+    above that draw: the draws sit on, just above and just below the
+    boundaries, and boundaries at 0 and at or past 1 stay where they are."""
+    inner = (cum > 0) & (cum < 1)
+    inner[-1] = False
+    pool = np.unique(u)
+    snapped = np.where(inner, pool[np.minimum(np.searchsorted(pool, cum), len(pool) - 1)], cum)
+    yield cum
+    yield snapped
+    for toward in (0.0, 1.0):
+        yield np.where(inner, np.nextafter(snapped, toward), cum)
+
+
+def _walk(e, pairs, seed, trials):
+    """The pair walk's indices of each pair, joined over its pieces; the
+    pieces must cover the flat trial range in order."""
+    pieces = []
+    counts = epr.pair_counts(e, pairs, seed, trials,
+                             lambda first, k, ai, bi: pieces.append((first, k.copy(), ai, bi)))
+    assert [first for first, *_ in pieces] == list(
+        np.cumsum([0] + [len(k) for _, k, *_ in pieces[:-1]]))
+    ks = [np.concatenate([k for first, k, *_ in pieces if first // trials == p])
+          for p in range(len(pairs))]
+    assert [(ai, bi) for first, _, ai, bi in pieces] == [
+        pairs[first // trials] for first, *_ in pieces]
+    for k, c in zip(ks, counts):
+        assert np.array_equal(c, np.bincount(k, minlength=4))
+    return ks
+
+
+# a tile holds pieces of three pairs, so pair boundaries fall inside tiles
+BOUNDARY_TRIALS = TILE // 3 + 1
+BOUNDARY_SEED = 2024
+
+
 class TestBornBoundaries:
-    """The fused Born comparison on uniforms on and beside every boundary."""
+    """Born outcomes of draws on and beside every boundary, from
+    sample_trials and from the pair walk, against searchsorted and a
+    gather over the reference uniforms."""
 
     @pytest.mark.parametrize("probs", [
         (0.25, 0.25, 0.25, 0.25),
@@ -231,17 +270,21 @@ class TestBornBoundaries:
         (0.0, 0.0, 1.0, 0.0),
         (1e-17, 0.5000000000000001, 0.5000000000000001, 1e-17),   # cum[2] past 1
     ])
-    def test_matches_searchsorted_and_gather(self, probs):
+    def test_matches_searchsorted_and_gather(self, monkeypatch, probs):
         cum = np.cumsum(probs)
         cum[-1] = 1.0
-        edges = np.concatenate([cum[:3], np.nextafter(cum[:3], 0), np.nextafter(cum[:3], 1)])
-        u = np.unique(np.concatenate([[0.0, np.nextafter(1.0, 0)], edges]))
-        u = u[(u >= 0) & (u < 1)]
-        a, b = np.empty(len(u), dtype=np.int8), np.empty(len(u), dtype=np.int8)
-        epr._born_outcomes(u, cum, a, b, np.empty(len(u), dtype=np.bool_))
-        k = np.searchsorted(cum, u, side="right")
-        assert_bits_equal(a, _A_OUT[k])
-        assert_bits_equal(b, _B_OUT[k])
+        e = epr.chsh_ensemble(epr.Mode.BORN_SAMPLING, *epr.tsirelson_settings())
+        pairs, trials = epr.CHSH_PAIRS, BOUNDARY_TRIALS
+        u = reference_uniforms(BOUNDARY_SEED, np.arange(len(pairs) * trials))
+        for edges in _boundary_variants(cum, u):
+            monkeypatch.setattr(epr, "_born_thresholds",
+                                lambda n_a, n_b, edges=edges: rng.thresholds(edges[:3]))
+            k = np.searchsorted(edges, u, side="right")
+            a, b = epr.sample_trials(e, 0, 2, BOUNDARY_SEED, len(u))
+            assert_bits_equal(a, _A_OUT[k])
+            assert_bits_equal(b, _B_OUT[k])
+            for p, got in enumerate(_walk(e, pairs, BOUNDARY_SEED, trials)):
+                assert np.array_equal(got, k[p * trials:(p + 1) * trials])
 
     def test_uniforms_write_into_out(self):
         out = np.empty((3, 5))
@@ -257,8 +300,8 @@ class TestBornBoundaries:
 
 
 class TestLhvBoundaries:
-    """The classical pattern index by threshold counts, on and beside every
-    boundary, against `categorical`."""
+    """The classical pattern index of draws on and beside every boundary,
+    from sample_trials and from the pair walk, against `categorical`."""
 
     @pytest.mark.parametrize("weights", [
         np.full(4, 0.25),
@@ -269,20 +312,27 @@ class TestLhvBoundaries:
                   0.0, 0.25, 0.0, 0.0, 0.25, 0.0, 0.0, 0.0]),
     ])
     def test_matches_categorical(self, weights):
+        bits = len(weights).bit_length() - 1
+        dirs = DirectionSet.from_planar_angles(np.linspace(0.0, 3.0, bits))
+        pairs = [(ai, bi) for ai in range(bits) for bi in range(bits)]
+        trials = BOUNDARY_TRIALS
+        u = reference_uniforms(BOUNDARY_SEED, np.arange(len(pairs) * trials))
         cum = np.cumsum(weights)
         cum[-1] = 1.0
-        inner = cum[:-1]
-        edges = np.concatenate([inner, np.nextafter(inner, 0), np.nextafter(inner, 1)])
-        u = np.unique(np.concatenate([[0.0, np.nextafter(1.0, 0)], edges]))
-        u = u[(u >= 0) & (u < 1)]
-        k = categorical(cum, u)
-        bits = len(weights).bit_length() - 1
-        for ai in range(bits):
-            for bi in range(bits):
-                a, b = np.empty(len(u), dtype=np.int8), np.empty(len(u), dtype=np.int8)
-                epr._lhv_outcomes(u, cum, ai, bi, a, b, np.empty(len(u), dtype=np.bool_))
+        for edges in _boundary_variants(cum, u):
+            w = np.diff(edges, prepend=0.0)
+            e = epr.SingletEnsemble(dirs, epr.Mode.CLASSICAL_LHV, w)
+            cum_w = np.cumsum(w)
+            cum_w[-1] = 1.0
+            k = categorical(cum_w, u)
+            for ai, bi in pairs:
+                a, b = epr.sample_trials(e, ai, bi, BOUNDARY_SEED, len(u))
                 assert_bits_equal(a, (2 * ((k >> ai) & 1) - 1).astype(np.int8))
                 assert_bits_equal(b, (1 - 2 * ((k >> bi) & 1)).astype(np.int8))
+            for p, got in enumerate(_walk(e, pairs, BOUNDARY_SEED, trials)):
+                ai, bi = pairs[p]
+                kp = k[p * trials:(p + 1) * trials]
+                assert np.array_equal(got, 2 * (1 - ((kp >> ai) & 1)) + ((kp >> bi) & 1))
 
 
 @given(directions(), directions())
