@@ -25,7 +25,7 @@ import numpy as np
 
 from . import rng
 from .errors import SequenceError, ValidationError
-from .logcodec import join_lines, suffix_of
+from .logcodec import suffix_of
 from .spin import Direction, check_sign
 
 AXIS_MATCH_TOL = 1e-9
@@ -177,7 +177,9 @@ def _event_suffix(absorbed_at: int, outcome: int) -> bytes:
 
 def event_lines(absorbed_at: np.ndarray, outcome: np.ndarray
                 ) -> tuple[np.ndarray, tuple[bytes, ...]]:
-    """(k, suffixes): event i's line is '{"trial":N' + suffixes[k[i]].
+    """(k, suffixes): event i's line is '{"trial":N' + suffixes[k[i]], so
+    logcodec.join_lines(start, k, suffixes) is byte for byte the event_json
+    lines of trials start, start + 1, ..., each ended by a newline.
     absorbed_at is -1 and outcome 0 where the event has none."""
     codes = ((np.asarray(absorbed_at, dtype=np.int64) + 1) * 3
              + np.asarray(outcome, dtype=np.int64) + 1)
@@ -187,12 +189,6 @@ def event_lines(absorbed_at: np.ndarray, outcome: np.ndarray
     rank = np.cumsum(present) - 1
     return rank[codes], tuple(_event_suffix(int(c) // 3 - 1, int(c) % 3 - 1)
                               for c in np.flatnonzero(present))
-
-
-def encode_events(start: int, absorbed_at: np.ndarray, outcome: np.ndarray) -> bytes:
-    """Event lines of trials start, start + 1, ...: byte for byte the
-    event_json lines, each ended by a newline."""
-    return join_lines(start, *event_lines(absorbed_at, outcome))
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,9 +214,6 @@ class Events:
                 and np.array_equal(self.outcome, other.outcome))
 
     __hash__ = None
-
-    def encode(self) -> bytes:
-        return encode_events(self.start, self.absorbed_at, self.outcome)
 
     @functools.cached_property
     def counts(self) -> np.ndarray:

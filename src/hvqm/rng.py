@@ -88,14 +88,14 @@ def uniforms(seed: int, counters, substream: int = 0, out: np.ndarray | None = N
     return out
 
 
-def mixed_tiles(seed: int, start: int, n: int, substream: int = 0):
-    """The mixed states z of counters start, ..., start + n - 1, TILE at a
-    time: yields (lo, z) with z[i] the state of counter start + lo + i, the
-    one `uniforms` draws (z >> 11) 2^-53 from.  Consecutive counters' states
-    before the mix are one stride i M1 apart, so a tile's is one add; z is
-    one buffer, overwritten by the next tile.
+def mixed_tiles(seed: int, start: int, n: int):
+    """The mixed states z of counters start, ..., start + n - 1 of substream
+    0, TILE at a time: yields (lo, z) with z[i] the state of counter
+    start + lo + i, the one `uniforms` draws (z >> 11) 2^-53 from.
+    Consecutive counters' states before the mix are one stride i M1 apart,
+    so a tile's is one add; z is one buffer, overwritten by the next tile.
     """
-    offset = _offset(seed, substream)
+    offset = _offset(seed, 0)
     size = min(n, TILE)
     stride = np.arange(size, dtype=np.uint64)
     np.multiply(stride, _M1_U, stride)

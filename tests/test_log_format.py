@@ -114,7 +114,7 @@ def test_encode_events_is_the_joined_events(start, events):
     want = b"".join(event_json(TrialEvent(start + i, int(x) if x >= 0 else None,
                                           int(o) if o else None)).encode() + b"\n"
                     for i, (x, o) in enumerate(zip(absorbed_at, outcome)))
-    assert beamline.encode_events(start, absorbed_at, outcome) == want
+    assert logcodec.join_lines(start, *beamline.event_lines(absorbed_at, outcome)) == want
 
 
 def test_suffix_of_checks_the_head():
@@ -130,7 +130,9 @@ def test_monte_carlo_events_match_the_record_list():
            beamline.analyze(Direction(0.0, 1.0, 0.0))]
     _, _, events = beamline.monte_carlo_sequence(seq, beamline.BeamState.plus_z(), 500, seed=2,
                                                  start=40)
-    assert events.encode() == b"".join(event_json(e).encode() + b"\n" for e in events)
+    lines = logcodec.join_lines(events.start, *beamline.event_lines(events.absorbed_at,
+                                                                    events.outcome))
+    assert lines == b"".join(event_json(e).encode() + b"\n" for e in events)
     assert [e.trial for e in events] == list(range(40, 540))
 
 

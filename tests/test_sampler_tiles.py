@@ -10,7 +10,7 @@ trials), its values and dtypes must equal these exactly.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import categorical, directions
@@ -333,6 +333,33 @@ class TestLhvBoundaries:
                 ai, bi = pairs[p]
                 kp = k[p * trials:(p + 1) * trials]
                 assert np.array_equal(got, 2 * (1 - ((kp >> ai) & 1)) + ((kp >> bi) & 1))
+
+
+# boundaries anywhere in [0, 1], and on the edges of the top-byte buckets
+_cut_points = st.one_of(st.floats(min_value=0.0, max_value=1.0),
+                        st.integers(min_value=0, max_value=256).map(lambda b: b / 256))
+
+
+@given(st.lists(_cut_points, max_size=40).map(sorted),
+       st.lists(st.integers(min_value=0, max_value=2 ** 64 - 1), max_size=20))
+@example([], [0, 2 ** 64 - 1])
+@example([0.25, 0.25, 0.3, 0.3, 0.3], [1 << 62])   # repeats, one on a bucket edge
+@example([i / 600 for i in range(600)], [2 ** 64 - 1])   # counts past 255
+@settings(max_examples=200, deadline=None)
+def test_bucket_count_is_the_threshold_count(cum, states):
+    """epr._by_bucket counts, for each state, the thresholds at or below it,
+    as comparing each one does: at states on, one below and one above every
+    threshold, inside a bucket or on its edge."""
+    thresholds = rng.thresholds(cum)
+    z = np.array(states + [int(t) + d for t in thresholds for d in (-1, 0, 1)
+                           if 0 <= int(t) + d < 2 ** 64], dtype=np.uint64)
+    cuts = epr._cuts(thresholds)
+    k = np.empty(len(z), dtype=cuts[1].dtype)
+    epr._by_bucket(z, cuts, k, np.empty(len(z), dtype=np.uint64))
+    want = np.zeros(len(z), dtype=np.int64)
+    for t in thresholds:
+        want += z >= t
+    assert np.array_equal(k, want)
 
 
 @given(directions(), directions())
