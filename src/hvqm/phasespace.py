@@ -165,19 +165,38 @@ class ExtendedState:
         return (np.arange(self.m) - self.m // 2) * self.dp
 
 
-def _plane_wave_grid(m: int, sign: float) -> np.ndarray:
-    """exp(sign i p_k r_j / hbar) on the M x M lattice, rows j, columns k.
+# cells in a block of grid rows, 16 rows at M = 2048: 2^16 was no faster,
+# and raised the scan benchmark's peak RSS (phasespace at M = 256) 0.25 MiB
+GRID_BLOCK_CELLS = 1 << 15
+
+
+def _block_rows(m: int) -> int:
+    return min(m, max(1, GRID_BLOCK_CELLS // m))
+
+
+def _roots_of_unity(m: int, sign: float) -> np.ndarray:
+    """cis(sign 2 pi n / M) at n = 0, ..., M - 1."""
+    return cis((sign * 2.0 * math.pi / m) * np.arange(m))
+
+
+def _residue_blocks(m: int):
+    """(rows, residues) for each block of _block_rows(m) rows j: the residue
+    n = (j - M/2)(k - M/2) mod M of each cell, rows j, columns k.
 
     p_k r_j / hbar = 2 pi (j - M/2)(k - M/2) / M whatever dr and hbar, since
-    dp = 2 pi hbar / (M dr); so each cell is one of the M roots of unity
-    cis(sign 2 pi n / M), picked by the residue n = (j - M/2)(k - M/2) mod M
-    (M a power of two: the residue is the low bits).
+    dp = 2 pi hbar / (M dr); so each cell's plane-wave factor
+    exp(sign i p_k r_j / hbar) is the root of unity cis(sign 2 pi n / M).
+    The residues are uint16 products, which wrap mod 2^16, and a power of
+    two M up to 2^16 divides 2^16, so the low bits are the residue.  The
+    block is overwritten by the next one.
     """
-    roots = cis((sign * 2.0 * math.pi / m) * np.arange(m))
-    offsets = np.arange(m) - m // 2
-    residues = np.outer(offsets, offsets)
-    residues &= m - 1
-    return roots[residues]
+    offsets = (np.arange(m) - m // 2).astype(np.uint16)
+    step = _block_rows(m)
+    residues = np.empty((step, m), dtype=np.uint16)
+    for a in range(0, m, step):
+        np.multiply.outer(offsets[a:a + step], offsets, out=residues)
+        residues &= m - 1
+        yield slice(a, a + step), residues
 
 
 def lift(wf: WaveFunction) -> ExtendedState:
@@ -186,8 +205,14 @@ def lift(wf: WaveFunction) -> ExtendedState:
         raise ValidationError(
             f"lift needs a normalized wavefunction, norm^2 = {wf.norm_sq()!r}")
     xi = to_momentum(wf)
-    coeffs = _plane_wave_grid(wf.m, 1.0)
-    coeffs *= xi.values / math.sqrt(2.0 * math.pi * wf.hbar)
+    scale = xi.values / math.sqrt(2.0 * math.pi * wf.hbar)
+    roots = _roots_of_unity(wf.m, 1.0)
+    coeffs = np.empty((wf.m, wf.m), dtype=complex)
+    for rows, residues in _residue_blocks(wf.m):
+        block = coeffs[rows]
+        # mode "raise" would buffer the output; every residue is in range
+        roots.take(residues, out=block, mode="clip")
+        block *= scale
     return ExtendedState(coeffs, wf.dr, wf.hbar)
 
 
@@ -204,10 +229,20 @@ def project_p(state: ExtendedState) -> MomentumFunction:
     the lattice factor M regularizes the divergent continuum prefactor and
     is removed by the ray normalization.
     """
-    cells = _plane_wave_grid(state.m, -1.0)
-    # coefficients first: complex multiply need not commute bit for bit
-    np.multiply(state.coefficients, cells, out=cells)
-    raw = cells.sum(axis=0)
+    m = state.m
+    roots = _roots_of_unity(m, -1.0)
+    # row 0 carries the column sums of the rows before each block, from
+    # -0.0, which adds exactly, so the rows are summed in the order of a
+    # sum over the whole grid
+    buf = np.empty((1 + _block_rows(m), m), dtype=complex)
+    buf[0] = complex(-0.0, -0.0)
+    cells = buf[1:]
+    for rows, residues in _residue_blocks(m):
+        roots.take(residues, out=cells, mode="clip")
+        # coefficients first: complex multiply need not commute bit for bit
+        np.multiply(state.coefficients[rows], cells, out=cells)
+        np.sum(buf, axis=0, out=buf[0])
+    raw = buf[0].copy()
     norm = math.sqrt(float(np.sum(np.abs(raw) ** 2) * state.dp))
     if norm == 0:
         return MomentumFunction(raw, state.dp, state.hbar)

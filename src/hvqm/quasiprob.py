@@ -20,13 +20,13 @@ import numpy as np
 from .errors import SolverError, ValidationError
 from .interference import _squared_modulus, cis, pair_tables
 from .logcodec import write_csv
-from .spin import (DirectionSet, SignPattern, check_pattern, pattern_cells,
-                   pattern_from_index, pattern_to_index, sign_matrix, signed_sums)
+from .spin import (DirectionSet, SignPattern, check_pattern, pattern_cells, pattern_from_index,
+                   pattern_to_index, sign_matrix, signed_sum_tiles, signed_sums)
 
 MARGINAL_TOL = 1e-10
 # The closed forms cost O(2^N), so the caps bound table sizes: the signed
 # table is written as 2^N CSV rows (4096 at N = 12), and the Born table
-# holds 2^N summed spin vectors (24 MiB at N = 20).
+# is 2^N probabilities (8 MiB at N = 20), built a tile at a time.
 # test_caps_and_planarity and test_cap pin both.
 MAX_SOLVE_N = 12
 MAX_BORN_N = 20
@@ -176,14 +176,17 @@ def born_table(dirs: DirectionSet) -> BornTable:
     n = len(dirs)
     if n > MAX_BORN_N:
         raise ValidationError(f"N={n} exceeds the Born-table cap of {MAX_BORN_N}")
-    # one contiguous (2^N,) plane of summed spin vectors per coordinate
-    x, y, z = (signed_sums(column) for column in dirs.as_matrix().T)
-    # |sum|^2 as (x^2 + z^2) + y^2: the order np.einsum("ij,ij->i") takes
-    # over the (2^N, 3) stack, so the table keeps the bits it had from that
-    intensity = np.square(x, out=x)
-    intensity += np.square(z, out=z)
-    intensity += np.square(y, out=y)
-    return BornTable(dirs, intensity / intensity.sum())
+    intensity = np.empty(1 << n)
+    # one tile of summed spin vectors per coordinate at a time; |sum|^2 as
+    # (x^2 + z^2) + y^2: the order np.einsum("ij,ij->i") takes over the
+    # (2^N, 3) stack, so the table keeps the bits it had from that
+    for (start, x), (_, y), (_, z) in zip(*map(signed_sum_tiles, dirs.as_matrix().T)):
+        rows = intensity[start:start + len(x)]
+        np.square(x, out=rows)
+        rows += np.square(z, out=z)
+        rows += np.square(y, out=y)
+    intensity /= intensity.sum()
+    return BornTable(dirs, intensity)
 
 
 def _planar_amplitudes(dirs: DirectionSet) -> np.ndarray:

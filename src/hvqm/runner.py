@@ -66,9 +66,9 @@ class RunReport:
 
 # per setting pair: a chsh log of 4 x 10^7 lines takes about 3.6 GB
 MAX_TRIALS = 10_000_000
-# grid sizes: lift's M x M complex grids, a slit's bins x quadrature_points
+# grid sizes: lift's M x M complex grid, a slit's bins x quadrature_points
 # phases and a four-hole region's region_grid^2 points.  On a 2-vCPU host a
-# run at each cap peaks at 195, 51 and 34 MiB of RSS and takes 0.16,
+# run at each cap peaks at 100, 51 and 34 MiB of RSS and takes 0.05-0.06,
 # 0.6-0.9 and 0.003 s; the slit figures are for 65536 x 64.  At the other
 # slit shape, 2^22 x 1, a run peaks at 354 MiB, set by the slit pair's
 # planes, and takes 21-23 s, almost all of it in the repr of the two CSVs'

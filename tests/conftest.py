@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from hvqm.pathint import _hole_region_amplitude
 from hvqm.quaternion import Quaternion
-from hvqm.spin import Direction
+from hvqm.spin import Direction, DirectionSet
 
 finite_components = st.floats(min_value=-10.0, max_value=10.0,
                               allow_nan=False, allow_infinity=False)
@@ -30,6 +30,12 @@ def directions(draw):
     phi = draw(angles)
     s = math.sqrt(max(0.0, 1.0 - u * u))
     return Direction.normalized(s * math.cos(phi), s * math.sin(phi), u)
+
+
+def random_directions(n):
+    """N fixed 3-D directions, none of them planar."""
+    rng = np.random.default_rng(1000 + n)
+    return DirectionSet(tuple(Direction.normalized(*rng.normal(size=3)) for _ in range(n)))
 
 
 def four_hole_x_marginal(g, y_coherent):

@@ -11,6 +11,7 @@ bins x K and n x n midpoint sums, which round differently, so they are
 compared within a tolerance.
 """
 
+import gc
 import json
 import math
 import os
@@ -22,11 +23,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hvqm import pathint, runner
+from conftest import random_directions
+from hvqm import pathint, phasespace, runner
 from hvqm.config import parse_config
 from hvqm.interference import _fft, cis
 from hvqm.pathint import Geometry2Slit, GeometryFourHole, four_hole_table, slit_pair
 from hvqm.phasespace import ExtendedState, WaveFunction, lift, project_p, to_momentum
+from hvqm.quasiprob import born_table
 from hvqm.runner import run_experiment
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -156,8 +159,8 @@ import json, sys
 import numpy as np
 from hvqm.pathint import (Geometry2Slit, GeometryFourHole, four_hole_table,
                           screen_patterns, slit_pair)
-from hvqm.quasiprob import born_pair_marginal, solve_weights
-from hvqm.spin import DirectionSet
+from hvqm.quasiprob import born_pair_marginal, born_table, solve_weights
+from hvqm.spin import Direction, DirectionSet
 arrays = {"slit_pair": slit_pair(Geometry2Slit(bins=1000, quadrature_points=77))}
 for p in screen_patterns(Geometry2Slit()):
     arrays[p.mode] = p.probabilities
@@ -167,6 +170,9 @@ for coherent in (True, False):
 dirs = DirectionSet.from_planar_angles(0.37 * j + 0.1 * j * j for j in range(12))
 arrays["solve_weights"] = solve_weights(dirs).weights
 arrays["born_pair_marginal"] = np.array(list(born_pair_marginal(dirs, 2, 9).values()))
+rng = np.random.default_rng(14)
+arrays["born_table"] = born_table(DirectionSet(tuple(
+    Direction.normalized(*rng.normal(size=3)) for _ in range(14)))).probabilities
 json.dump({name: a.tobytes().hex() for name, a in arrays.items()}, sys.stdout)
 """
 
@@ -177,8 +183,10 @@ def test_slit_pair_bits_do_not_depend_on_numpy_simd():
     no complex product and no FFT library, only cos, sin and real sums and
     products, and the Born rule squares as re^2 + im^2, so with every
     optional CPU feature of numpy's dispatch turned off neither the waves'
-    bits nor those of the screen patterns, four-hole tables, signed weights
-    and Born pair cells may move."""
+    bits nor those of the screen patterns, four-hole tables, signed weights,
+    Born pair cells and a two-tile Born table may move.  `lift` and
+    `project_p` are left out: their complex products do change bits with
+    dispatch off."""
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:   # numpy 1.x
@@ -209,6 +217,46 @@ def test_slit_wave_memory_does_not_grow_with_bins():
     assert peak < 8 << 20
 
 
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_born_table_memory_is_the_table_and_a_few_tiles():
+    """The 8 MiB table and three stacks of tiles at N = 20."""
+    dirs = random_directions(20)
+    assert traced_peak(lambda: born_table(dirs)) < 12 << 20
+
+
+def test_born_table_frees_its_tiles_without_the_cycle_collector():
+    """Nothing of a call but its table outlives it, even with the cyclic
+    garbage collector off: no reference cycle holds a stack of tiles."""
+    dirs = random_directions(15)
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        table = born_table(dirs)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert table.probabilities.nbytes <= held < table.probabilities.nbytes + (16 << 10)
+
+
+def test_grid_memory_is_a_block_of_rows():
+    """project_p holds one block of rows at M = 2048 (the grid is 64 MiB),
+    and lift little more than the grid it returns."""
+    wf, state, _ = lifted_and_other(2048, 1.0)
+    assert traced_peak(lambda: project_p(state)) < 4 << 20
+    assert traced_peak(lambda: lift(wf)) < 70 << 20
+
+
 def lifted_and_other(m: int, hbar: float):
     """A wavefunction, its lifted state and a grid that is not a lifted state."""
     rng = np.random.default_rng(m)
@@ -222,6 +270,18 @@ def lifted_and_other(m: int, hbar: float):
 def test_lift_and_project_p_are_the_complex_exp_grids(m, hbar):
     """Bit for bit: complex np.exp of 2 pi i n / M at each integer residue."""
     wf, state, other = lifted_and_other(m, hbar)
+    assert np.array_equal(state.coefficients, reference_lift(wf, root_of_unity_grid(m, 1)))
+    for s in (state, other):
+        want = ray(column_sums(s, root_of_unity_grid(m, -1)), s.dp)
+        assert np.array_equal(project_p(s).values, want)
+
+
+@pytest.mark.parametrize("m,block_cells", [(2048, phasespace.GRID_BLOCK_CELLS),
+                                            (2, 1), (64, 1), (1024, 1)])
+def test_grid_blocks_keep_the_complex_exp_bits(monkeypatch, m, block_cells):
+    """16 rows a block at M = 2048, and one row a block."""
+    monkeypatch.setattr(phasespace, "GRID_BLOCK_CELLS", block_cells)
+    wf, state, other = lifted_and_other(m, 0.7)
     assert np.array_equal(state.coefficients, reference_lift(wf, root_of_unity_grid(m, 1)))
     for s in (state, other):
         want = ray(column_sums(s, root_of_unity_grid(m, -1)), s.dp)

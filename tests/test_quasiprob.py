@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import angles
-from conftest import directions
+from conftest import directions, random_directions
+from hvqm import spin
 from hvqm.errors import SolverError
 from hvqm.errors import ValidationError
 from hvqm.quasiprob import (QuasiProbTable, born_pair_marginal, born_table,
@@ -251,6 +252,12 @@ class TestMarginals:
             marginal(table, (0, 0))
 
 
+def einsum_born(dirs):
+    vec = signed_sums(dirs.as_matrix())
+    intensity = np.einsum("ij,ij->i", vec, vec)
+    return intensity / intensity.sum()
+
+
 class TestBornTable:
     def test_golden_null_entry(self):
         table = born_table(golden_set())
@@ -294,6 +301,19 @@ class TestBornTable:
         vec = signed_sums(dirs.as_matrix())
         intensity = np.einsum("ij,ij->i", vec, vec)
         assert np.array_equal(born_table(dirs).probabilities, intensity / intensity.sum())
+
+    @pytest.mark.parametrize("n", [13, 14, 15, 20])
+    def test_tile_edges_keep_the_einsum_bits(self, n):
+        """One tile of 2^13 rows, two, four and 128."""
+        dirs = random_directions(n)
+        assert np.array_equal(born_table(dirs).probabilities, einsum_born(dirs))
+
+    @pytest.mark.parametrize("bits", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 9])
+    def test_narrow_tiles_keep_the_einsum_bits(self, monkeypatch, bits, n):
+        monkeypatch.setattr(spin, "SUM_TILE_BITS", bits)
+        dirs = random_directions(n)
+        assert np.array_equal(born_table(dirs).probabilities, einsum_born(dirs))
 
     def test_cap(self):
         with pytest.raises(ValidationError):

@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 
 from conftest import angles, directions, signs
 from hvqm.errors import ValidationError
+from hvqm import spin
 from hvqm.quaternion import I, J, K, Quaternion
 from hvqm.spin import (Direction, DirectionSet, born_pair_probability,
                        complex_total_amplitude, elementary_amplitude,
                        marginal_amplitude, pattern_from_index, pattern_to_index,
-                       sign_matrix, total_amplitude)
+                       sign_matrix, signed_sum_tiles, signed_sums, total_amplitude)
 
 GOLDEN_ANGLES = (0.0, math.pi / 3, 2 * math.pi / 3)
 
@@ -123,6 +124,19 @@ class TestPatternEncoding:
         m = sign_matrix(3)
         for k in range(8):
             assert tuple(int(s) for s in m[k]) == pattern_from_index(k, 3)
+
+    @pytest.mark.parametrize("bits", [1, 3, 13])
+    def test_tiles_are_the_signed_sums(self, monkeypatch, bits):
+        """Every row once, at its start, with the bits of signed_sums."""
+        monkeypatch.setattr(spin, "SUM_TILE_BITS", bits)
+        v = np.random.default_rng(bits).normal(size=(7, 3))
+        want = signed_sums(v)
+        got = np.full_like(want, np.nan)
+        for start, rows in signed_sum_tiles(v):
+            assert rows.shape == (min(1 << bits, 1 << 7), 3)
+            assert np.isnan(got[start:start + len(rows)]).all()
+            got[start:start + len(rows)] = rows
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestElementaryAmplitude:
