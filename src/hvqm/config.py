@@ -5,9 +5,9 @@ order-insensitive.  The canonical form used for hashing sorts
 section.key=value lines, so two files that differ only in layout or key
 order hash identically, and any CLI override changes the hash.
 
-Direction values are either a planar angle in radians ("0.785398...") or an
-explicit unit vector "nx,ny,nz".  Beamline axes also accept the named forms
-x, y, z, -x, -y, -z.
+Direction values (chsh and epr settings, quasiprob theta<k>, beamline axes)
+are a planar angle in radians ("0.785398..."), a named axis x, y, z, -x,
+-y, -z, or an explicit unit vector "nx,ny,nz".
 """
 
 from __future__ import annotations

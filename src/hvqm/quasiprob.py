@@ -1,24 +1,26 @@
 """Signed quasi-probability tables over hidden spin states.
 
-For N planar directions, a table assigns one real weight to each of the 2^N
-sign patterns such that every pairwise marginal reproduces
-P(s_i, s_j) = (1 + s_i s_j cos(theta_j - theta_i)) / 4 and the weights sum
-to one.  Such tables exist for any angles, but at Bell-violating angles
-some weights are necessarily negative, which is exactly what rules out a
+For N directions n_1 .. n_N, a table assigns one real weight to each of
+the 2^N sign patterns such that every pairwise marginal reproduces
+P(s_i, s_j) = (1 + s_i s_j n_i . n_j) / 4 and the weights sum to one.
+Such tables exist for any directions, but at Bell-violating settings some
+weights are necessarily negative, which is exactly what rules out a
 classical distribution.  The Born table |total amplitude|^2 (suitably
 normalized) is the nonnegative object that carries the same pairwise
-statistics via interference instead.
+statistics via interference instead.  Both come from one intensity
+I(s) = |sum_j s_j n_j|^2: the Born table is I normalized, and the
+minimum-norm signed table is that Born table stretched about the uniform
+table.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .interference import _squared_modulus, cis, pair_tables
+from .interference import cis, pair_tables
 from .logcodec import write_csv
 from .spin import (DirectionSet, SignPattern, check_pattern, pattern_cells, pattern_from_index,
                    pattern_to_index, sign_matrix, signed_sum_tiles, signed_sums)
@@ -27,7 +29,7 @@ MARGINAL_TOL = 1e-10
 # The closed forms cost O(2^N), so the caps bound table sizes: the signed
 # table is written as 2^N CSV rows (4096 at N = 12), and the Born table
 # is 2^N probabilities (8 MiB at N = 20), built a tile at a time.
-# test_caps_and_planarity and test_cap pin both.
+# test_caps and test_cap pin both.
 MAX_SOLVE_N = 12
 MAX_BORN_N = 20
 NEGATIVITY_TOL = 1e-12
@@ -73,37 +75,19 @@ class BornTable:
         return float(self.probabilities[pattern_to_index(p)])
 
 
-def pair_marginal_probability(s_i: int, s_j: int, theta_i: float, theta_j: float) -> float:
-    """Target pairwise law (1 + s_i s_j cos(theta_j - theta_i)) / 4."""
-    return 0.25 * (1.0 + s_i * s_j * math.cos(theta_j - theta_i))
-
-
-def closed_form_w3(pattern, angles) -> float:
-    """Exact 3-direction planar weight; the N = 3 case of solve_weights.
-
-    W(s1,s2,s3) = [1 + s1 s2 cos(t2-t1) + s1 s3 cos(t3-t1) + s2 s3 cos(t3-t2)] / 8
-    """
-    if len(angles) != 3:
-        raise ValidationError("closed form is specific to N=3")
-    s1, s2, s3 = check_pattern(pattern, 3)
-    t1, t2, t3 = angles
-    return (1.0
-            + s1 * s2 * math.cos(t2 - t1)
-            + s1 * s3 * math.cos(t3 - t1)
-            + s2 * s3 * math.cos(t3 - t2)) / 8.0
-
-
 def check_pair_law(dirs: DirectionSet, weights: np.ndarray) -> None:
     """Raise SolverError unless the weights sum to one and every pairwise
-    marginal matches (1 + s_i s_j cos(theta_j - theta_i)) / 4 within
-    MARGINAL_TOL."""
+    marginal matches (1 + s_i s_j n_i . n_j) / 4 within MARGINAL_TOL.
+
+    The stretched Born table of solve_weights meets the law exactly in
+    real arithmetic; this check catches rounding that ever broke it."""
     n = len(dirs)
-    t = dirs.angles
     worst = abs(float(weights.sum()) - 1.0)
     for i in range(n):
         for j in range(i + 1, n):
-            want = [[pair_marginal_probability(si, sj, t[i], t[j]) for sj in (-1, 1)]
-                    for si in (-1, 1)]
+            c = dirs[i].dot(dirs[j])
+            # position 0 on each axis is s = -1, so s_i s_j is + on the diagonal
+            want = 0.25 * (1.0 + np.array([[c, -c], [-c, c]]))
             got = pattern_cells(weights, n, (i, j))
             worst = max(worst, float(np.abs(got - want).max()))
     if worst > MARGINAL_TOL:
@@ -117,21 +101,20 @@ def solve_weights(dirs: DirectionSet) -> QuasiProbTable:
 
     The pairwise constraints reach only Walsh characters of degree two or
     less, so the minimum-Euclidean-norm solution is
-    W(s) = 2^-N [1 + sum_{i<j} s_i s_j cos(theta_j - theta_i)]
-         = 2^-N [1 + (|sum_j s_j e^{i theta_j}|^2 - N) / 2],
-    computed from the second form.  N = 2 gives the marginals themselves
-    and N = 3 gives closed_form_w3.  The table is checked against the
-    pairwise law (check_pair_law), which raises SolverError if rounding
-    ever broke it; N is capped at MAX_SOLVE_N.
+    W(s) = 2^-N [1 + sum_{i<j} s_i s_j n_i . n_j]
+         = 2^-N [1 + (I(s) - N) / 2],   I(s) = |sum_j s_j n_j|^2,
+    for any directions.  The Born table is B = I / (2^N N), so
+    W = (N/2) B + (1 - N/2) 2^-N: the Born table stretched about the
+    uniform table, negative exactly where I(s) < N - 2.  The table is
+    checked against the pairwise law (check_pair_law), which raises
+    SolverError if rounding ever broke it; N is capped at MAX_SOLVE_N.
     """
     n = len(dirs)
-    if not dirs.is_planar:
-        raise ValidationError("quasi-probability tables are built for planar directions")
     if n < 2:
         raise ValidationError("need at least two directions")
     if n > MAX_SOLVE_N:
         raise ValidationError(f"N={n} exceeds the solver cap of {MAX_SOLVE_N}")
-    w = (1.0 + (_squared_modulus(_planar_amplitudes(dirs)) - n) / 2.0) / (1 << n)
+    w = (1.0 + (_intensity(dirs) - n) / 2.0) / (1 << n)
     check_pair_law(dirs, w)
     return QuasiProbTable(dirs, w)
 
@@ -176,7 +159,14 @@ def born_table(dirs: DirectionSet) -> BornTable:
     n = len(dirs)
     if n > MAX_BORN_N:
         raise ValidationError(f"N={n} exceeds the Born-table cap of {MAX_BORN_N}")
-    intensity = np.empty(1 << n)
+    intensity = _intensity(dirs)
+    intensity /= intensity.sum()
+    return BornTable(dirs, intensity)
+
+
+def _intensity(dirs: DirectionSet) -> np.ndarray:
+    """Row k = I(s) = |sum_j s_j n_j|^2, s = pattern_from_index(k, N)."""
+    intensity = np.empty(1 << len(dirs))
     # one tile of summed spin vectors per coordinate at a time; |sum|^2 as
     # (x^2 + z^2) + y^2: the order np.einsum("ij,ij->i") takes over the
     # (2^N, 3) stack, so the table keeps the bits it had from that
@@ -185,13 +175,7 @@ def born_table(dirs: DirectionSet) -> BornTable:
         np.square(x, out=rows)
         rows += np.square(z, out=z)
         rows += np.square(y, out=y)
-    intensity /= intensity.sum()
-    return BornTable(dirs, intensity)
-
-
-def _planar_amplitudes(dirs: DirectionSet) -> np.ndarray:
-    """Row k = sum_j s_j e^{i theta_j}, s = pattern_from_index(k, N)."""
-    return signed_sums(cis(np.array(dirs.angles)))
+    return intensity
 
 
 def _pair_cells(dirs: DirectionSet, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
@@ -201,7 +185,8 @@ def _pair_cells(dirs: DirectionSet, i: int, j: int) -> tuple[np.ndarray, np.ndar
         raise ValidationError(f"bad index pair ({i}, {j}) for N={n}")
     if not dirs.is_planar:
         raise ValidationError("planar directions required")
-    amps = _planar_amplitudes(dirs)
+    # row k = sum_j s_j e^{i theta_j}, s = pattern_from_index(k, N)
+    amps = signed_sums(cis(np.array(dirs.angles)))
     # (s_i, s_j, the completions sharing them)
     cells = np.moveaxis(amps.reshape((2,) * n), (n - 1 - i, n - 1 - j), (0, 1)).reshape(2, 2, -1)
     return pair_tables(cells)

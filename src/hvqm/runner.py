@@ -266,9 +266,9 @@ def _quasiprob_setup(cfg: ExperimentConfig, notes: list[str]) -> dict:
     keyed = keyed_section(cfg, "directions", "theta")
     if len(keyed) < 2:
         raise ValidationError("quasiprob needs at least [directions] theta1, theta2")
-    dirs = DirectionSet.from_planar_angles(cfg.get_float("directions", key)
-                                           for _, key in keyed)
-    notes.append(f"directions: {len(dirs)} planar angles")
+    dirs = DirectionSet.of(*(parse_direction(cfg.require("directions", key),
+                                             f"[directions] {key}") for _, key in keyed))
+    notes.append(f"directions: {len(dirs)}")
     return {"directions": dirs}
 
 

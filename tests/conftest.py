@@ -3,9 +3,10 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
+from hvqm.errors import ValidationError
 from hvqm.pathint import _hole_region_amplitude
 from hvqm.quaternion import Quaternion
-from hvqm.spin import Direction, DirectionSet
+from hvqm.spin import Direction, DirectionSet, check_pattern
 
 finite_components = st.floats(min_value=-10.0, max_value=10.0,
                               allow_nan=False, allow_infinity=False)
@@ -36,6 +37,26 @@ def random_directions(n):
     """N fixed 3-D directions, none of them planar."""
     rng = np.random.default_rng(1000 + n)
     return DirectionSet(tuple(Direction.normalized(*rng.normal(size=3)) for _ in range(n)))
+
+
+def pair_marginal_probability(s_i: int, s_j: int, theta_i: float, theta_j: float) -> float:
+    """Planar pairwise law (1 + s_i s_j cos(theta_j - theta_i)) / 4."""
+    return 0.25 * (1.0 + s_i * s_j * math.cos(theta_j - theta_i))
+
+
+def closed_form_w3(pattern, angles) -> float:
+    """Exact 3-direction planar weight; the N = 3 case of solve_weights.
+
+    W(s1,s2,s3) = [1 + s1 s2 cos(t2-t1) + s1 s3 cos(t3-t1) + s2 s3 cos(t3-t2)] / 8
+    """
+    if len(angles) != 3:
+        raise ValidationError("closed form is specific to N=3")
+    s1, s2, s3 = check_pattern(pattern, 3)
+    t1, t2, t3 = angles
+    return (1.0
+            + s1 * s2 * math.cos(t2 - t1)
+            + s1 * s3 * math.cos(t3 - t1)
+            + s2 * s3 * math.cos(t3 - t2)) / 8.0
 
 
 def four_hole_x_marginal(g, y_coherent):

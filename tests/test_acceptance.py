@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import four_hole_x_marginal
+from conftest import closed_form_w3, four_hole_x_marginal
 from hvqm import beamline, epr, pathint, phasespace, quasiprob
 from hvqm.config import apply_overrides, parse_config
 from hvqm.runner import run_experiment
@@ -48,7 +48,7 @@ def test_01_quasiprob_golden_values():
             p = pattern_from_index(k, 3)
             expected = -1 / 16 if p in ((1, -1, 1), (-1, 1, -1)) else 3 / 16
             assert abs(table.weights[k] - expected) < 1e-10
-            assert abs(quasiprob.closed_form_w3(p, GOLDEN) - expected) < 1e-10
+            assert abs(closed_form_w3(p, GOLDEN) - expected) < 1e-10
     report(1, "solver and closed form give W = -1/16 twice, 3/16 elsewhere")
 
 

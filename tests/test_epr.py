@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import angles, directions
+from conftest import angles, closed_form_w3, directions
 from hvqm import epr, quasiprob, rng, runner, spin
 from hvqm.config import apply_overrides, parse_config, parse_direction
 from hvqm.epr import (CHSH_PAIRS, Mode, SingletEnsemble, bob_marginal, chsh,
@@ -16,7 +16,6 @@ from hvqm.epr import (CHSH_PAIRS, Mode, SingletEnsemble, bob_marginal, chsh,
                       pair_joint_probability, sample_trial,
                       sample_trials, trial_record_json, tsirelson_settings)
 from hvqm.errors import NotSampleableError, ValidationError
-from hvqm.quasiprob import closed_form_w3
 from hvqm.spin import Direction, DirectionSet
 
 D0 = Direction.from_planar_angle(0.0)
@@ -173,6 +172,26 @@ class TestChsh:
         # the signed table reproduces the same correlators, so the same S
         e = chsh_ensemble(Mode.QUASIPROB_ANALYTIC, *tsirelson_settings())
         assert abs(chsh(e).s) == pytest.approx(2 * math.sqrt(2), abs=1e-9)
+
+    def test_born_table_as_classical_weights_halves_s(self):
+        # the Born table is a distribution over sign patterns, but read as
+        # a classical one it keeps 2/N of each correlator, half at N = 4;
+        # the stretch that gives back the pair law goes negative
+        dirs = tsirelson_settings()
+        born = quasiprob.born_table(DirectionSet.of(*dirs)).probabilities
+        e = chsh_ensemble(Mode.CLASSICAL_LHV, *dirs, lhv_weights=born)
+        assert chsh(e).s == -1.414213562373095
+        assert chsh(chsh_ensemble(Mode.BORN_ANALYTIC, *dirs)).s == -2.82842712474619
+        signed = quasiprob.solve_weights(DirectionSet.of(*dirs))
+        assert quasiprob.negativity_report(signed).has_negative
+
+    def test_quasiprob_table_off_the_xy_plane(self):
+        # settings in the xz-plane: the signed table takes any directions
+        dirs = (Direction(0.0, 0.0, 1.0), Direction(1.0, 0.0, 0.0),
+                Direction.normalized(1.0, 0.0, 1.0), Direction.normalized(-1.0, 0.0, 1.0))
+        signed = chsh(chsh_ensemble(Mode.QUASIPROB_ANALYTIC, *dirs)).s
+        assert abs(signed - chsh(chsh_ensemble(Mode.BORN_ANALYTIC, *dirs)).s) <= 1e-12
+        assert abs(signed) == pytest.approx(2 * math.sqrt(2), abs=1e-12)
 
     def test_all_settings_equal(self):
         d = Direction.from_planar_angle(1.2)

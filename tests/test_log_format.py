@@ -23,13 +23,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import closed_form_w3
 from hvqm import beamline, epr, logcodec, pathint, rng, runner
 from hvqm.beamline import TrialEvent, event_json
 from hvqm.cli import main
 from hvqm.config import apply_overrides, parse_config
 from hvqm.epr import TrialRecord, trial_record_json
 from hvqm.logcodec import suffix_of, write_csv
-from hvqm.quasiprob import closed_form_w3
 from hvqm.runner import run_experiment
 from hvqm.spin import Direction, pattern_from_index
 
@@ -363,7 +363,7 @@ VALIDATE_DIAGNOSTICS = {
     "epr_sampling": ["kind: epr", "mode: born_sampling", "seed: 11", "trials: 200000"],
     "fourhole": ["kind: fourhole", "wavelength: 0.01"],
     "phasespace": ["kind: phasespace", "grid: M=256, dr=1.0"],
-    "quasiprob3": ["kind: quasiprob", "directions: 3 planar angles"],
+    "quasiprob3": ["kind: quasiprob", "directions: 3"],
     "sterngerlach": ["kind: sterngerlach", "devices: 4", "seed: 5", "trials: 100000"],
     "twoslit": ["kind: twoslit", "wavelength: 0.01", "fringe spacing lambda*l2/d: 1.0",
                 "fringes on screen: 5.1"],

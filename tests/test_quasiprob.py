@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -7,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import angles
-from conftest import directions, random_directions
+from conftest import closed_form_w3, directions, pair_marginal_probability, random_directions
 from hvqm import spin
+from hvqm.cli import main
 from hvqm.errors import SolverError
 from hvqm.errors import ValidationError
 from hvqm.quasiprob import (QuasiProbTable, born_pair_marginal, born_table,
-                            closed_form_w3, interference_gap, marginal,
-                            marginal_pair, marginal_single, negativity_report,
-                            pair_marginal_probability, solve_weights,
+                            interference_gap, marginal, marginal_pair,
+                            marginal_single, negativity_report, solve_weights,
                             write_born_csv, write_table_csv)
 from hvqm.quasiprob import check_pair_law
 from hvqm.spin import Direction, DirectionSet, pattern_from_index, sign_matrix, signed_sums
@@ -27,18 +28,17 @@ def golden_set():
 
 
 def generalized_closed_form(dirs):
-    """In-test oracle: W(s) = 2^-N [1 + sum_{i<j} s_i s_j cos(t_j - t_i)].
+    """In-test oracle: W(s) = 2^-N [1 + sum_{i<j} s_i s_j n_i . n_j].
 
     One particular solution of the pairwise system for any N; marginalizing
     over free indices kills every term containing them.
     """
     n = len(dirs)
-    ts = dirs.angles
     signs = sign_matrix(n)
     w = np.ones(1 << n)
     for i in range(n):
         for j in range(i + 1, n):
-            w += signs[:, i] * signs[:, j] * math.cos(ts[j] - ts[i])
+            w += signs[:, i] * signs[:, j] * dirs[i].dot(dirs[j])
     return w / (1 << n)
 
 
@@ -169,8 +169,24 @@ class TestSolveWeights:
                 assert abs(w[k] - closed_form_w3(pattern_from_index(k, 3), ts)) <= 1e-15
 
     def test_matches_generalized_closed_form(self):
-        dirs = DirectionSet.from_planar_angles([0.4 * j - 1.0 for j in range(12)])
-        assert np.abs(solve_weights(dirs).weights - generalized_closed_form(dirs)).max() <= 1e-15
+        planar = DirectionSet.from_planar_angles([0.4 * j - 1.0 for j in range(12)])
+        for dirs in [planar] + [random_directions(n) for n in (2, 3, 5, 8, 12)]:
+            gap = np.abs(solve_weights(dirs).weights - generalized_closed_form(dirs)).max()
+            assert gap <= 1e-15, len(dirs)
+
+    @given(st.lists(directions(), min_size=2, max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_is_the_born_table_stretched(self, ds):
+        """W = (N/2) B + (1 - N/2) 2^-N, negative exactly where
+        2^N N B < N - 2: the Born table is nonnegative, and the stretch
+        that gives it the pair law takes the low patterns below zero."""
+        dirs = DirectionSet(tuple(ds))
+        n = len(dirs)
+        w, b = solve_weights(dirs).weights, born_table(dirs).probabilities
+        assert np.abs(w - (n / 2 * b + (1 - n / 2) / (1 << n))).max() <= 1e-15
+        edge = (1 << n) * n * b - (n - 2)
+        clear = np.abs(edge) > 1e-9
+        assert np.array_equal((w < 0)[clear], (edge < -1e-9)[clear])
 
     def test_broken_pair_law_raises(self):
         dirs = DirectionSet.from_planar_angles((0.0, 0.9, 1.7, 2.8))
@@ -180,10 +196,10 @@ class TestSolveWeights:
         with pytest.raises(SolverError, match="max residual"):
             check_pair_law(dirs, w)
 
-    def test_caps_and_planarity(self):
-        from hvqm.spin import Direction
-        with pytest.raises(ValidationError):
-            solve_weights(DirectionSet.of(Direction(0, 0, 1), Direction(1, 0, 0)))
+    def test_caps(self):
+        # any directions: a non-planar pair is a table like a planar one
+        dirs = DirectionSet.of(Direction(0, 0, 1), Direction(1, 0, 0))
+        check_pair_law(dirs, solve_weights(dirs).weights)
         with pytest.raises(ValidationError):
             solve_weights(DirectionSet.from_planar_angles([0.0]))
         with pytest.raises(ValidationError):
@@ -408,3 +424,32 @@ class TestCsvExport:
         write_born_csv(born_table(golden_set()), tmp_path / "born.csv")
         out = (tmp_path / "born.csv").read_text(encoding="utf-8")
         assert out.splitlines()[0] == "s1,s2,s3,probability"
+
+
+class TestQuasiprobKind:
+    """A quasiprob config takes every direction form of config.parse_direction."""
+
+    CFG = ("[experiment]\nkind = quasiprob\n"
+           "[directions]\ntheta1 = z\ntheta2 = x\ntheta3 = 0.6,0,0.8\n")
+
+    @staticmethod
+    def read_column(path):
+        return np.array([float(line.rsplit(",", 1)[1])
+                         for line in path.read_text().splitlines()[1:]])
+
+    def test_three_dimensional_directions(self, tmp_path, capsys):
+        cfg = tmp_path / "qp.cfg"
+        cfg.write_text(self.CFG)
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+        dirs = DirectionSet.of(Direction(0, 0, 1), Direction(1, 0, 0), Direction(0.6, 0, 0.8))
+        weights = self.read_column(tmp_path / "out" / "weights.csv")
+        assert np.abs(weights - generalized_closed_form(dirs)).max() <= 1e-15
+        assert np.array_equal(self.read_column(tmp_path / "out" / "born.csv"),
+                              einsum_born(dirs))
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["results"]["min_weight"] == weights.min()
+
+    def test_two_components_are_exit_3(self, tmp_path, capsys):
+        cfg = tmp_path / "qp.cfg"
+        cfg.write_text(self.CFG.replace("theta1 = z", "theta1 = 1,2"))
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 3
