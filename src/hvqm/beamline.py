@@ -229,7 +229,10 @@ def monte_carlo_sequence(devices: Sequence[SGDevice], beam: BeamState,
     Returns (empirical outcome distribution among survivors, survivor
     fraction, event log).  Stage thresholds come from the analytic walk,
     since the conditional state is deterministic given survival; pass it
-    as `analytic` when it is already known.
+    as `analytic` when it is already known.  The returned events are the
+    memory this call holds, a few int64 arrays of `trials` entries: a
+    caller that needs only the statistics counts through sequence_counts,
+    which holds one rng.TILE block of them at a time.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
@@ -254,6 +257,25 @@ def monte_carlo_sequence(devices: Sequence[SGDevice], beam: BeamState,
     events = Events(start, absorbed_at, outcome)
     dist, fraction = survivor_statistics(events.counts)
     return dist, fraction, events
+
+
+def sequence_counts(devices: Sequence[SGDevice], beam: BeamState, trials: int, seed: int,
+                    analytic: SequenceResult, on_block=None) -> np.ndarray:
+    """event_counts of trials 0 .. trials - 1, drawn by monte_carlo_sequence
+    one rng.TILE block at a time, so memory stays one block; `analytic` is
+    run_sequence(devices, beam).  on_block(first, k, suffixes) gets each
+    block: trial first + i's log line is '{"trial":N' + suffixes[k[i]],
+    k valid only during the call."""
+    if trials < 1:
+        raise ValidationError("trials must be >= 1")
+    counts = np.zeros(4, dtype=np.int64)
+    for lo in range(0, trials, rng.TILE):
+        events = monte_carlo_sequence(devices, beam, min(rng.TILE, trials - lo), seed,
+                                      start=lo, analytic=analytic)[2]
+        if on_block is not None:
+            on_block(lo, *event_lines(events.absorbed_at, events.outcome))
+        counts += events.counts
+    return counts
 
 
 def event_counts(absorbed_at: np.ndarray, outcome: np.ndarray) -> np.ndarray:

@@ -170,7 +170,9 @@ def parse_direction(raw: str, context: str = "direction") -> Direction:
     token = raw.strip().lower()
     if token in _NAMED_AXES:
         return Direction(*_NAMED_AXES[token])
-    parts = [p for p in raw.split(",") if p.strip()]
+    parts = raw.split(",")
+    if not all(p.strip() for p in parts):
+        raise ValidationError(f"{context}: empty field in {raw!r}")
     if len(parts) not in (1, 3):
         raise ValidationError(f"{context}: expected an angle or 'nx,ny,nz', got {raw!r}")
     values = [parse_float(p, context) for p in parts]

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import quasiprob, rng
 from .errors import NotSampleableError, ValidationError
-from .logcodec import join_lines, suffix_of
+from .logcodec import suffix_of
 from .spin import Direction, DirectionSet, born_pair_probability, sign_matrix
 
 LHV_SUM_TOL = 1e-12
@@ -114,16 +114,6 @@ def _record_suffixes(a_setting: int, b_setting: int, mode: str) -> tuple[bytes, 
     """What follows '{"trial":N' in a log line, per outcome pair."""
     return tuple(suffix_of(trial_record_json(TrialRecord(0, a_setting, b_setting, a, b, mode)))
                  for a, b in OUTCOME_PAIRS)
-
-
-def encode_block(start: int, k: np.ndarray, a_setting: int, b_setting: int,
-                 mode: str) -> bytes:
-    """Log lines of trials start, start + 1, ... at one setting pair, trial
-    start + i with outcome pair OUTCOME_PAIRS[k[i]].
-
-    Byte for byte the trial_record_json lines, each ended by a newline.
-    """
-    return join_lines(start, k, _record_suffixes(a_setting, b_setting, mode))
 
 
 def pair_joint_probability(n_a: Direction, n_b: Direction, alpha: int, beta: int) -> float:
@@ -296,9 +286,10 @@ def pair_counts(e: SingletEnsemble, pairs, seed: int | None, trials: int,
                 on_block=None) -> np.ndarray:
     """Outcome-pair counts, one row per setting pair; pair p takes trials
     p * trials onward.  They are drawn and counted one rng.TILE tile at a
-    time, so memory stays one tile; on_block(first, k, ai, bi) gets each
-    piece of a pair's range within a tile, trial first + i with outcome
-    pair OUTCOME_PAIRS[k[i]], k valid only during the call."""
+    time, so memory stays one tile; on_block(first, k, suffixes) gets each
+    piece of a pair's range within a tile: trial first + i's log line is
+    '{"trial":N' + suffixes[k[i]], its outcome pair OUTCOME_PAIRS[k[i]],
+    k valid only during the call."""
     if seed is None:
         raise ValidationError("sampling requires a seed")
     if trials < 1:
@@ -306,7 +297,7 @@ def pair_counts(e: SingletEnsemble, pairs, seed: int | None, trials: int,
     counts = np.zeros((len(pairs), 4), dtype=np.int64)
     for p, first, k in _pair_tiles(e, pairs, seed, trials):
         if on_block is not None:
-            on_block(first, k, *pairs[p])
+            on_block(first, k, _record_suffixes(*pairs[p], e.mode.value))
         counts[p] += _k_counts(k)
     return counts
 
@@ -343,22 +334,17 @@ def correlation(e: SingletEnsemble, a_idx: int, b_idx: int,
     _check_setting(e, b_idx)
     if trials is None:
         return CorrelationEstimate(_analytic_correlators(e, [(a_idx, b_idx)])[0])
-    value = correlator(pair_counts(e, [(a_idx, b_idx)], seed, trials)[0])
-    return CorrelationEstimate(value, correlator_stderr(value, trials), trials)
+    return pair_estimate(pair_counts(e, [(a_idx, b_idx)], seed, trials)[0])
 
 
-def correlator(counts) -> float:
-    """Mean of a_out * b_out over trials counted in OUTCOME_PAIRS order.
-
-    Exact integer sums make this equal, bit for bit, to the float mean of
-    the products.
-    """
+def pair_estimate(counts) -> CorrelationEstimate:
+    """E(a, b), the mean of a_out * b_out, and its stderr from one setting
+    pair's outcome-pair counts in OUTCOME_PAIRS order.  Exact integer sums
+    make E equal, bit for bit, to the float mean of the products."""
     pp, pm, mp, mm = (int(c) for c in counts)
-    return (pp - pm - mp + mm) / (pp + pm + mp + mm)
-
-
-def correlator_stderr(value: float, trials: int) -> float:
-    return math.sqrt(max(0.0, 1.0 - value * value) / trials)
+    trials = pp + pm + mp + mm
+    value = (pp - pm - mp + mm) / trials
+    return CorrelationEstimate(value, math.sqrt(max(0.0, 1.0 - value * value) / trials), trials)
 
 
 # CHSH setting-pair order: (alice index, bob index) into a 4-direction set
@@ -397,21 +383,23 @@ def chsh(e: SingletEnsemble, trials: int | None = None,
         correlators = dict(zip(CHSH_PAIRS, _analytic_correlators(e, CHSH_PAIRS)))
         return CHSHResult(correlators, chsh_s(correlators.values()), None, None, None,
                           e.mode.value)
-    values = [correlator(c) for c in pair_counts(e, CHSH_PAIRS, seed, trials)]
-    stderrs = [correlator_stderr(v, trials) for v in values]
+    return chsh_estimate(pair_counts(e, CHSH_PAIRS, seed, trials), e.mode.value)
+
+
+def chsh_estimate(counts, mode: str) -> CHSHResult:
+    """S and its stderr from the outcome-pair counts of the CHSH_PAIRS, one
+    row per pair, each pair_estimate'd."""
+    estimates = [pair_estimate(c) for c in counts]
+    values, stderrs = [x.value for x in estimates], [x.stderr for x in estimates]
     return CHSHResult(dict(zip(CHSH_PAIRS, values)), chsh_s(values),
-                      dict(zip(CHSH_PAIRS, stderrs)), chsh_s_stderr(stderrs), trials,
-                      e.mode.value)
+                      dict(zip(CHSH_PAIRS, stderrs)), math.sqrt(sum(v * v for v in stderrs)),
+                      estimates[0].trials, mode)
 
 
 def chsh_s(correlators) -> float:
     """S from the four correlators in CHSH_PAIRS order."""
     e11, e12, e21, e22 = correlators
     return e11 + e12 + e21 - e22
-
-
-def chsh_s_stderr(stderrs) -> float:
-    return math.sqrt(sum(v * v for v in stderrs))
 
 
 def tsirelson_settings() -> tuple[Direction, Direction, Direction, Direction]:

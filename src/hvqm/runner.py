@@ -7,7 +7,7 @@ from the config, requires the file to hold exactly those bytes, and checks
 the summary statistics recomputed from them against the stored report.
 
 What each experiment kind does is one `Kind` entry in `KINDS`: a run and a
-replay walk its trial log through the same block walker and summarise it
+replay walk its trial log through the same library walk and summarise it
 with the same function.
 """
 
@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import __version__, beamline, epr, logcodec, pathint, phasespace, quasiprob, rng
+from . import __version__, beamline, epr, logcodec, pathint, phasespace, quasiprob
 from .config import (ExperimentConfig, config_hash, keyed_section, parse_direction,
                      parse_float, parse_lhv_weights)
 from .errors import ValidationError
@@ -116,12 +116,14 @@ def _check_workers(workers: int) -> None:
 #
 # A log is a header line, then one canonical JSON line per trial: the line
 # trial_record_json or event_json gives.  Every trial is a pure function of
-# the config's seed and its own index, so a kind's walker draws the trials
-# rng.TILE at a time in order whether it runs or replays, encodes each
-# tile's lines in blocks of at most logcodec.LOG_BLOCK, and hands each
-# block's bytes to `log.block`: a run writes them (_Writer), a replay
-# requires the log to hold exactly them (_Body).  Either way the walker
-# counts the outcomes, and the kind's `summarize` turns the counts into the
+# the config's seed and its own index, so whether it runs or replays, a
+# kind's walk is one call of its library walk (epr.pair_counts or
+# beamline.sequence_counts), which draws the trials rng.TILE at a time in
+# order, counts their outcomes and hands each piece's line suffixes to
+# `_on_block`.  That joins the lines in blocks of at most logcodec.LOG_BLOCK
+# and hands each block's bytes to `log.block`: a run writes them
+# (_Writer), a replay requires the log to hold exactly them (_Body).  The
+# kind's `summarize` maps the library's estimates of the counts onto the
 # reported statistics.
 
 
@@ -140,61 +142,38 @@ class _Writer:
         self._fh.write(data)
 
 
-def _log_blocks(log, n: int, encode: Callable[[int, int], bytes]) -> None:
-    """Lines lo .. hi - 1 of n, encode(lo, hi), to the log in blocks of at
-    most logcodec.LOG_BLOCK."""
-    size = logcodec.LOG_BLOCK
-    for lo in range(0, n, size):
-        hi = min(n, lo + size)
-        log.block(encode(lo, hi), hi - lo)
+def _on_block(log):
+    """The on_block of a library walk that hands `log` the lines of each
+    piece, trial first + i's '{"trial":N' + suffixes[k[i]], joined in
+    blocks of at most logcodec.LOG_BLOCK lines."""
+
+    def on_block(first: int, k: np.ndarray, suffixes: tuple[bytes, ...]) -> None:
+        for lo in range(0, len(k), logcodec.LOG_BLOCK):
+            part = k[lo:lo + logcodec.LOG_BLOCK]
+            log.block(logcodec.join_lines(first + lo, part, suffixes), len(part))
+
+    return on_block
 
 
-def _pair_walker(pairs):
-    """Walker of a chsh or epr log: epr.pair_counts over the setting pairs,
-    each piece of trials encoded as it is drawn; returns the outcome-pair
-    counts of each pair."""
+def _chsh_report(res: epr.CHSHResult) -> dict:
+    """A chsh report's results, analytic or sampled."""
 
-    def walk(log, built: dict) -> np.ndarray:
-        def encode(first, k, ai, bi):
-            _log_blocks(log, len(k), lambda lo, hi: epr.encode_block(
-                first + lo, k[lo:hi], ai, bi, built["mode"]))
+    def named(values):
+        return None if values is None else {_pair_name(a, b): v for (a, b), v in values.items()}
 
-        return epr.pair_counts(built["ensemble"], pairs, built["seed"], built["trials"], encode)
-
-    return walk
+    return {"correlators": named(res.correlators), "stderrs": named(res.stderrs),
+            "S": res.s, "S_stderr": res.s_stderr,
+            "trials_per_correlator": res.trials_per_correlator}
 
 
-def _walk_events(log, built: dict) -> np.ndarray:
-    """Walker of a Stern-Gerlach log; returns the event_counts of every trial."""
-    trials, counts = built["trials"], np.zeros(4, dtype=np.int64)
-    for lo in range(0, trials, rng.TILE):
-        n = min(rng.TILE, trials - lo)
-        events = beamline.monte_carlo_sequence(built["devices"], built["beam"], n,
-                                               built["seed"], start=lo,
-                                               analytic=built["analytic"])[2]
-        k, suffixes = beamline.event_lines(events.absorbed_at, events.outcome)
-        _log_blocks(log, n, lambda a, b: logcodec.join_lines(lo + a, k[a:b], suffixes))
-        counts += events.counts
-    return counts
-
-
-def _chsh_results(built: dict, counts: np.ndarray) -> dict:
-    trials = built["trials"]
-    correlators = {_pair_name(ai, bi): epr.correlator(c)
-                   for (ai, bi), c in zip(epr.CHSH_PAIRS, counts)}
-    stderrs = {name: epr.correlator_stderr(v, trials) for name, v in correlators.items()}
-    return {"correlators": correlators, "stderrs": stderrs,
-            "S": epr.chsh_s(correlators.values()),
-            "S_stderr": epr.chsh_s_stderr(stderrs.values()),
-            "trials_per_correlator": trials}
-
-
-def _epr_results(built: dict, counts: np.ndarray) -> dict:
-    trials, value = built["trials"], epr.correlator(counts[0])
-    return {"E": value, "stderr": epr.correlator_stderr(value, trials),
-            "counts": {f"{'+' if a > 0 else '-'}{'+' if b > 0 else '-'}": int(c)
-                       for (a, b), c in zip(epr.OUTCOME_PAIRS, counts[0])},
-            "trials": trials}
+def _epr_report(res: epr.CorrelationEstimate, counts) -> dict:
+    """An epr report's results; counts are the sampled outcome-pair counts,
+    None for an analytic run."""
+    return {"E": res.value, "stderr": res.stderr,
+            "counts": None if counts is None else {
+                f"{'+' if a > 0 else '-'}{'+' if b > 0 else '-'}": int(c)
+                for (a, b), c in zip(epr.OUTCOME_PAIRS, counts)},
+            "trials": res.trials}
 
 
 def _sg_results(built: dict, counts: np.ndarray) -> dict:
@@ -218,12 +197,13 @@ def _sg_results(built: dict, counts: np.ndarray) -> dict:
 
 @dataclass(frozen=True)
 class TrialLog:
-    """A kind's trial log: its file name, the walker a run and a replay
-    share, the summary of the walker's counts, and `roots`, the reported
+    """A kind's trial log: its file name, `walk(built, on_block)`, the
+    library walk a run and a replay share, which returns the outcome
+    counts, the summary of those counts, and `roots`, the reported
     statistics read straight from the outcomes (the rest derive from them)."""
 
     name: str
-    walk: Callable
+    walk: Callable[[dict, Callable], np.ndarray]
     summarize: Callable[[dict, np.ndarray], dict]
     roots: Callable[[dict], dict]
 
@@ -251,15 +231,11 @@ def _singlet_setup(keys: tuple[str, ...], default_mode: str, trials_label: str):
 
 
 def _run_chsh(built: dict, out_dir: Path):
-    res = epr.chsh(built["ensemble"])
-    return {"correlators": {_pair_name(a, b): v for (a, b), v in res.correlators.items()},
-            "stderrs": None, "S": res.s, "S_stderr": None,
-            "trials_per_correlator": None}, []
+    return _chsh_report(epr.chsh(built["ensemble"])), []
 
 
 def _run_epr(built: dict, out_dir: Path):
-    return {"E": epr.correlation(built["ensemble"], 0, 1).value, "stderr": None,
-            "counts": None, "trials": None}, []
+    return _epr_report(epr.correlation(built["ensemble"], 0, 1), None), []
 
 
 def _quasiprob_setup(cfg: ExperimentConfig, notes: list[str]) -> dict:
@@ -473,17 +449,26 @@ class Kind:
 
 KINDS = {
     "chsh": Kind(_singlet_setup(("a1", "a2", "b1", "b2"), "born_analytic",
-                                "trials per correlator"), _run_chsh,
-                 TrialLog("trials.jsonl", _pair_walker(epr.CHSH_PAIRS), _chsh_results,
-                          lambda r: r.get("correlators") or {})),
-    "epr": Kind(_singlet_setup(("a", "b"), "born_sampling", "trials"), _run_epr,
-                TrialLog("trials.jsonl", _pair_walker(((0, 1),)), _epr_results,
-                         lambda r: {"E": r.get("E"), "counts": r.get("counts")})),
+                                "trials per correlator"), _run_chsh, TrialLog(
+        "trials.jsonl",
+        lambda b, on_block: epr.pair_counts(b["ensemble"], epr.CHSH_PAIRS, b["seed"],
+                                            b["trials"], on_block),
+        lambda b, counts: _chsh_report(epr.chsh_estimate(counts, b["mode"])),
+        lambda r: r.get("correlators") or {})),
+    "epr": Kind(_singlet_setup(("a", "b"), "born_sampling", "trials"), _run_epr, TrialLog(
+        "trials.jsonl",
+        lambda b, on_block: epr.pair_counts(b["ensemble"], ((0, 1),), b["seed"],
+                                            b["trials"], on_block)[0],
+        lambda b, counts: _epr_report(epr.pair_estimate(counts), counts),
+        lambda r: {"E": r.get("E"), "counts": r.get("counts")})),
     "quasiprob": Kind(_quasiprob_setup, _run_quasiprob),
     "twoslit": Kind(_twoslit_setup, _run_twoslit),
     "fourhole": Kind(_fourhole_setup, _run_fourhole),
     "sterngerlach": Kind(_sg_setup, log=TrialLog(
-        "events.jsonl", _walk_events, _sg_results,
+        "events.jsonl",
+        lambda b, on_block: beamline.sequence_counts(b["devices"], b["beam"], b["trials"],
+                                                     b["seed"], b["analytic"], on_block),
+        _sg_results,
         lambda r: {key: (r.get("monte_carlo") or {}).get(key)
                    for key in ("survivor_fraction", "distribution")})),
     "phasespace": Kind(_phasespace_setup, _run_phasespace),
@@ -522,7 +507,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, workers: int = 1) -> RunRepor
     if "trials" in built:
         with open_new(out / spec.log.name, "wb") as fh:
             fh.write(_header_line(cfg.kind, cfg_hash, built["seed"]))
-            results = spec.log.summarize(built, spec.log.walk(_Writer(fh), built))
+            results = spec.log.summarize(built, spec.log.walk(built, _on_block(_Writer(fh))))
         outputs = [spec.log.name]
     else:
         results, outputs = spec.run(built, out)
@@ -622,7 +607,7 @@ def replay_run(log_path, cfg: ExperimentConfig) -> ReplayVerdict:
         try:
             if head != _header_line(cfg.kind, cfg_hash, built["seed"]):
                 raise _BadLine(1, "not the canonical header")
-            want = spec.log.summarize(built, spec.log.walk(body, built))
+            want = spec.log.summarize(built, spec.log.walk(built, _on_block(body)))
             body.finish()
         except _BadLine as bad:
             return ReplayVerdict(False, True, (), bad.line, bad.reason)

@@ -201,7 +201,8 @@ def test_09_stern_gerlach_blocking():
         assert abs(res_b.probabilities[-1] - 0.5) < 1e-12
 
         n = 100_000
-        dist, fraction, _ = beamline.monte_carlo_sequence(blocked, beam, n, seed=909)
+        counts = beamline.sequence_counts(blocked, beam, n, 909, res_b)
+        dist, fraction = beamline.survivor_statistics(counts)
         assert abs(fraction - 0.5) < 3 * math.sqrt(0.25 / n)
         survivors = fraction * n
         assert abs(dist[1] - 0.5) < 3 * math.sqrt(0.25 / survivors)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import directions, signs
+from hvqm import rng
 from hvqm.beamline import (BeamState, SGDevice, TrialEvent, analyze, event_json,
-                           monte_carlo_sequence, recombine, run_sequence, split)
+                           monte_carlo_sequence, recombine, run_sequence, sequence_counts,
+                           split)
 from hvqm.errors import SequenceError, ValidationError
+from hvqm.logcodec import join_lines
 from hvqm.spin import Direction
 
 X = Direction(1.0, 0.0, 0.0)
@@ -274,6 +278,38 @@ class TestMonteCarlo:
         assert dist == {}
         assert fraction == 0.0
         assert all(e.absorbed_at is not None for e in events)
+
+    def test_walk_hands_each_block(self, monkeypatch):
+        """The walk draws rng.TILE trials at a time: each block is handed on
+        as the event_json lines of a whole-range draw, and the counts are
+        exactly those of the events."""
+        monkeypatch.setattr(rng, "TILE", 7)
+        seq, beam = reconstruction_sequence(block=-1), BeamState.plus_z()
+        blocks = []
+        counts = sequence_counts(seq, beam, 40, 3, run_sequence(seq, beam),
+                                 lambda first, k, suffixes: blocks.append(
+                                     (first, join_lines(first, k, suffixes))))
+        _, _, events = monte_carlo_sequence(seq, beam, 40, seed=3)
+        assert [first for first, _ in blocks] == [0, 7, 14, 21, 28, 35]
+        assert b"".join(lines for _, lines in blocks) == b"".join(
+            event_json(e).encode() + b"\n" for e in events)
+        assert np.array_equal(counts, events.counts)
+
+    def test_walk_memory_stays_one_block(self):
+        """The walk holds one block of trials at a time: its traced peak at
+        2^20 trials is within 1 MiB of the peak at 2^16."""
+        seq, beam = reconstruction_sequence(block=-1), BeamState.plus_z()
+        analytic = run_sequence(seq, beam)
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                sequence_counts(seq, beam, trials, 8, analytic)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(1 << 20) - peak(1 << 16) <= 1 << 20
 
     def test_event_json_format(self):
         assert event_json(TrialEvent(4, None, 1)) == \

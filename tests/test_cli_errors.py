@@ -1,6 +1,6 @@
 """Usage errors, the trials, grid and workers limits, the v/wavelength rule,
-non-finite config numbers, arithmetic errors and the single analytic walk
-of a run."""
+non-finite config numbers, empty direction fields, arithmetic errors and
+the single analytic walk of a run."""
 
 import json
 import math
@@ -189,6 +189,17 @@ def test_non_finite_number_is_exit_3(capsys, tmp_path, name, shipped, edit, key)
         assert payload["status"] == "validation_error"
         assert payload["error"].startswith(key + " = ")
         assert "not a finite number" in payload["error"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_empty_direction_field_is_exit_3(capsys, tmp_path):
+    cfg = _edited(tmp_path, "quasiprob3", "theta2 = 1.0471975511965976",
+                  "theta2 = 1.0471975511965976,")
+    for argv in (["validate", cfg], ["run", cfg, "--out-dir", tmp_path / "out"]):
+        code, payload = run_cli(capsys, *argv)
+        assert code == 3
+        assert payload["status"] == "validation_error"
+        assert payload["error"] == "[directions] theta2: empty field in '1.0471975511965976,'"
     assert not (tmp_path / "out").exists()
 
 

@@ -197,6 +197,12 @@ class TestDirectionParsing:
             parse_direction("north")
         with pytest.raises(ValidationError):
             parse_direction("1.0,2.0")
+        # an empty field is refused, not dropped: these once read as the x
+        # axis and as the angle 0.5
+        for raw in ("1,,0,0", ",1,0,0,", "0.5,"):
+            with pytest.raises(ValidationError) as err:
+                parse_direction(raw, "[directions] a")
+            assert str(err.value) == f"[directions] a: empty field in {raw!r}"
 
 
 class TestLhvWeights:

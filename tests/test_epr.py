@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import angles, closed_form_w3, directions
-from hvqm import epr, quasiprob, rng, runner, spin
+from hvqm import beamline, epr, quasiprob, rng, runner, spin
 from hvqm.config import apply_overrides, parse_config, parse_direction
-from hvqm.epr import (CHSH_PAIRS, Mode, SingletEnsemble, bob_marginal, chsh,
+from hvqm.epr import (CHSH_PAIRS, Mode, SingletEnsemble, TrialRecord, bob_marginal, chsh,
                       chsh_ensemble, conditional_update, correlation,
                       pair_joint_probability, sample_trial,
                       sample_trials, trial_record_json, tsirelson_settings)
 from hvqm.errors import NotSampleableError, ValidationError
+from hvqm.logcodec import join_lines
 from hvqm.spin import Direction, DirectionSet
 
 D0 = Direction.from_planar_angle(0.0)
@@ -323,22 +324,28 @@ def test_pair_table_is_made_once_per_setting_pair(monkeypatch, tmp_path):
 def test_pair_counts_hands_each_tile_of_each_pair_range(monkeypatch):
     """Pair p covers trials p * trials onward.  The pairs share the
     rng.TILE tiles of one trial range: each piece of a pair's range within a
-    tile is handed on with its outcome-pair indices, a tile that holds a
-    pair boundary in two pieces, and the counts are exactly those handed out."""
+    tile is handed on with its outcome-pair indices and its pair's record
+    suffixes, a tile that holds a pair boundary in two pieces, and the
+    counts are exactly those handed out."""
     monkeypatch.setattr(rng, "TILE", 7)
     e = chsh_ensemble(Mode.BORN_SAMPLING, *tsirelson_settings())
     blocks = []
     counts = epr.pair_counts(e, CHSH_PAIRS[:2], 5, 20,
-                             lambda first, k, ai, bi: blocks.append((first, k.copy(), ai, bi)))
+                             lambda first, k, suffixes: blocks.append((first, k.copy(), suffixes)))
     # the tile of trials 14-20 holds pair 0's last six and pair 1's first
-    assert [(first, len(k), ai, bi) for first, k, ai, bi in blocks] == [
-        (0, 7, 0, 2), (7, 7, 0, 2), (14, 6, 0, 2),
-        (20, 1, 0, 3), (21, 7, 0, 3), (28, 7, 0, 3), (35, 5, 0, 3)]
+    assert [(first, len(k)) for first, k, _ in blocks] == [
+        (0, 7), (7, 7), (14, 6), (20, 1), (21, 7), (28, 7), (35, 5)]
     for p, (ai, bi) in enumerate(CHSH_PAIRS[:2]):
         a_out, b_out = sample_trials(e, ai, bi, 5, 20, start=20 * p)
-        k = np.concatenate([b[1] for b in blocks if b[0] // 20 == p])
+        pieces = [b for b in blocks if b[0] // 20 == p]
+        k = np.concatenate([b[1] for b in pieces])
         assert [epr.OUTCOME_PAIRS[j] for j in k] == list(zip(a_out.tolist(), b_out.tolist()))
         assert np.array_equal(counts[p], np.bincount(k, minlength=4))
+        # each piece's lines are the records of its trials at its pair
+        assert b"".join(join_lines(*b) for b in pieces) == b"".join(
+            trial_record_json(TrialRecord(20 * p + i, ai, bi, int(a), int(b),
+                                          "born_sampling")).encode() + b"\n"
+            for i, (a, b) in enumerate(zip(a_out, b_out)))
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -347,7 +354,9 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 @pytest.mark.parametrize("tile", [rng.TILE, 7])
 def test_reports_are_the_library_estimates(monkeypatch, tmp_path, tile):
     """The chsh_mc and epr_sampling reports equal epr.chsh and
-    epr.correlation on the same ensemble and seed, bit for bit."""
+    epr.correlation on the same ensemble and seed, bit for bit, and the
+    sterngerlach report's Monte Carlo block equals the survivor statistics
+    of the beamline walk."""
     monkeypatch.setattr(rng, "TILE", tile)
     trials = 3000
 
@@ -369,6 +378,19 @@ def test_reports_are_the_library_estimates(monkeypatch, tmp_path, tile):
     e, seed, got = run("epr_sampling", ("a", "b"))
     want = correlation(e, 0, 1, trials=trials, seed=seed)
     assert (got["E"], got["stderr"]) == (want.value, want.stderr)
+
+    # the shipped beamline: x split keeping +, y split keeping +, -y
+    # recombiner, x analyzer, on a +z beam
+    cfg = apply_overrides(parse_config(CONFIG_DIR / "sterngerlach.cfg"), trials=trials)
+    x, y = Direction(1.0, 0.0, 0.0), Direction(0.0, 1.0, 0.0)
+    seq = [beamline.split(x, block=-1), beamline.split(y, block=-1), beamline.recombine(-y),
+           beamline.analyze(x)]
+    beam, seed = beamline.BeamState.plus_z(), cfg.get_int("experiment", "seed")
+    counts = beamline.sequence_counts(seq, beam, trials, seed, beamline.run_sequence(seq, beam))
+    dist, fraction = beamline.survivor_statistics(counts)
+    got = runner.run_experiment(cfg, tmp_path / "sterngerlach").results["monte_carlo"]
+    assert got == {"distribution": {str(s): p for s, p in dist.items()},
+                   "survivor_fraction": fraction, "trials": trials}
 
 
 def test_sampled_chsh_memory_stays_one_block():

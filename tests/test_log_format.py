@@ -98,7 +98,8 @@ def test_encode_block_is_the_joined_records(start, pair, ai, bi, mode):
         for i, (a, b) in enumerate(zip(a_out, b_out)))
     k = 2 * (a_out < 0) + (b_out < 0)   # position in OUTCOME_PAIRS
     assert [epr.OUTCOME_PAIRS[j] for j in k] == list(zip(a_out.tolist(), b_out.tolist()))
-    assert epr.encode_block(start, k.astype(np.uint8), ai, bi, mode) == want
+    assert logcodec.join_lines(start, k.astype(np.uint8),
+                               epr._record_suffixes(ai, bi, mode)) == want
 
 
 @given(starts, event_arrays())

@@ -238,16 +238,17 @@ def _boundary_variants(cum, u):
 
 def _walk(e, pairs, seed, trials):
     """The pair walk's indices of each pair, joined over its pieces; the
-    pieces must cover the flat trial range in order."""
+    pieces must cover the flat trial range in order, each handed the record
+    suffixes of its own pair."""
     pieces = []
     counts = epr.pair_counts(e, pairs, seed, trials,
-                             lambda first, k, ai, bi: pieces.append((first, k.copy(), ai, bi)))
+                             lambda first, k, suffixes: pieces.append((first, k.copy(), suffixes)))
     assert [first for first, *_ in pieces] == list(
-        np.cumsum([0] + [len(k) for _, k, *_ in pieces[:-1]]))
-    ks = [np.concatenate([k for first, k, *_ in pieces if first // trials == p])
+        np.cumsum([0] + [len(k) for _, k, _ in pieces[:-1]]))
+    ks = [np.concatenate([k for first, k, _ in pieces if first // trials == p])
           for p in range(len(pairs))]
-    assert [(ai, bi) for first, _, ai, bi in pieces] == [
-        pairs[first // trials] for first, *_ in pieces]
+    assert [suffixes for _, _, suffixes in pieces] == [
+        epr._record_suffixes(*pairs[first // trials], e.mode.value) for first, *_ in pieces]
     for k, c in zip(ks, counts):
         assert np.array_equal(c, np.bincount(k, minlength=4))
     return ks
