@@ -275,6 +275,7 @@ def sequence_counts(devices: Sequence[SGDevice], beam: BeamState, trials: int, s
         if on_block is not None:
             on_block(lo, *event_lines(events.absorbed_at, events.outcome))
         counts += events.counts
+        del events   # free the block before the next one is drawn
     return counts
 
 

@@ -26,6 +26,8 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -197,28 +199,33 @@ def _by_bucket(z: np.ndarray, cuts, k: np.ndarray, bucket: np.ndarray) -> None:
     k[split] = np.searchsorted(thresholds, z[split], side="right")
 
 
-def _pair_tiles(e: SingletEnsemble, pairs, seed: int, trials: int, start: int = 0):
-    """Outcome-pair indices of every trial of the setting pairs, pair p
-    taking trials start + p * trials onward.
+def _pair_tiles(e: SingletEnsemble, pairs, seed: int, trials: int, start: int,
+                lo: int, hi: int):
+    """Outcome-pair indices of trials start + lo ... start + hi - 1 of the
+    setting pairs' range, in which pair p takes trials start + p * trials
+    onward.
 
-    Yields (p, first, k) for each piece of a pair's range within one
-    rng.TILE tile of the whole range: trial first + i drew OUTCOME_PAIRS[k[i]].
-    Each tile is mixed once whatever pairs it covers.  The cumulative
-    probabilities sum nonnegative terms, so they are nondecreasing, and
-    every uniform u is below the last, 1; the inverse-CDF index
-    searchsorted(cum, u, side="right") is then the count of the other
-    boundaries at or below u, which is the count of their rng.thresholds at
-    or below the tile's mixed state.  A Born pair compares its own three.
-    A classical pattern index counts the weights' boundaries, the same for
-    every pair, once per tile, by the state's top byte (_by_bucket); bit i
-    of it is s_i = +1, Bob carries the negated sign, and each pair reads
-    its k off the pattern through a 2^N-entry table.  k is one buffer,
-    overwritten by the next piece.
+    An iterator of (p, first, k) for each piece of a pair's range within
+    one rng.TILE tile, tiles counted from lo: trial first + i drew
+    OUTCOME_PAIRS[k[i]].  Each tile is mixed once whatever pairs it covers.
+    The cumulative probabilities sum nonnegative terms, so they are
+    nondecreasing, and every uniform u is below the last, 1; the
+    inverse-CDF index searchsorted(cum, u, side="right") is then the count
+    of the other boundaries at or below u, which is the count of their
+    rng.thresholds at or below the tile's mixed state.  A Born pair
+    compares its own three.  A classical pattern index counts the weights'
+    boundaries, the same for every pair, once per tile, by the state's top
+    byte (_by_bucket); bit i of it is s_i = +1, Bob carries the negated
+    sign, and each pair reads its k off the pattern through a 2^N-entry
+    table.  k is one buffer, overwritten by the next piece.  The settings
+    and the seed are checked, and the buffers and the ensemble's cached
+    thresholds made, at the call; the tiles are drawn as the iterator is
+    read, on whichever thread reads it.
     """
     for ai, bi in pairs:
         _check_setting(e, ai)
         _check_setting(e, bi)
-    size = min(len(pairs) * trials, rng.TILE)
+    size = min(hi - lo, rng.TILE)
     k = np.empty(size, dtype=np.uint8)
     if e.mode is Mode.BORN_SAMPLING:
         cuts = [_born_thresholds(e.directions[ai], e.directions[bi]) for ai, bi in pairs]
@@ -234,24 +241,73 @@ def _pair_tiles(e: SingletEnsemble, pairs, seed: int, trials: int, start: int = 
         raise NotSampleableError(
             f"mode {e.mode.value} is analytic only; signed or implicit weights "
             "cannot be drawn from")
-    for lo, z in rng.mixed_tiles(seed, start, len(pairs) * trials):
-        hi = lo + len(z)
-        if e.mode is Mode.CLASSICAL_LHV:
-            _by_bucket(z, cuts, pattern[:len(z)], bucket[:len(z)])
-        for p in range(lo // trials, (hi - 1) // trials + 1):
-            a, b = max(lo, p * trials) - lo, min(hi, (p + 1) * trials) - lo
-            if e.mode is Mode.BORN_SAMPLING:
-                _at_or_below(z[a:b], cuts[p], k[a:b], above[a:b])
-            else:
-                np.take(tables[p], pattern[a:b], out=k[a:b], mode="clip")
-            yield p, start + lo + a, k[a:b]
+    tiles = rng.mixed_tiles(seed, start + lo, hi - lo)
+
+    def pieces():
+        for t, z in tiles:
+            t += lo
+            u = t + len(z)
+            if e.mode is Mode.CLASSICAL_LHV:
+                _by_bucket(z, cuts, pattern[:len(z)], bucket[:len(z)])
+            for p in range(t // trials, (u - 1) // trials + 1):
+                a, b = max(t, p * trials) - t, min(u, (p + 1) * trials) - t
+                if e.mode is Mode.BORN_SAMPLING:
+                    _at_or_below(z[a:b], cuts[p], k[a:b], above[a:b])
+                else:
+                    np.take(tables[p], pattern[a:b], out=k[a:b], mode="clip")
+                yield p, start + t + a, k[a:b]
+
+    return pieces()
 
 
-def sample_trial(e: SingletEnsemble, a_idx: int, b_idx: int,
-                 seed: int, trial: int) -> TrialRecord:
-    """Draw a single trial; bit-identical to the batched path."""
-    a, b = sample_trials(e, a_idx, b_idx, seed, 1, trial)
-    return TrialRecord(trial, a_idx, b_idx, int(a[0]), int(b[0]), e.mode.value)
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _in_shares(n: int, walk, share, ordered: bool = False) -> list:
+    """share(walk(lo, hi)) for contiguous shares [lo, hi) of trials
+    0 ... n - 1, in share order.
+
+    Unless the pieces must arrive in trial order, the range is split at
+    whole rng.TILE tiles into one share per usable CPU, each of at least two
+    tiles, and every share but the first, which the calling thread takes,
+    runs on a thread of its own: a share holds the GIL only between its
+    ufunc calls, which rng.TILE makes long.  Every walk is made on the
+    calling thread before a thread starts, so its checks raise there and
+    its buffers are held whatever the threads' timing; the threads are
+    joined before this returns, and an exception in a share is raised here.
+    """
+    whole = n // rng.TILE
+    count = 1 if ordered else min(_usable_cpus(), whole // 2)
+    if count < 2:
+        return [share(walk(0, n))]
+    bounds = [whole * i // count * rng.TILE for i in range(count)] + [n]
+    walks = [walk(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    results, errors = [None] * count, []
+
+    def run(i):
+        try:
+            results[i] = share(walks[i])
+        except BaseException as exc:   # raised again below, in the caller
+            errors.append(exc)
+
+    threads = []
+    try:
+        for i in range(1, count):
+            thread = threading.Thread(target=run, args=(i,))
+            thread.start()
+            threads.append(thread)
+        results[0] = share(walks[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def sample_trials(e: SingletEnsemble, a_idx: int, b_idx: int, seed: int,
@@ -259,20 +315,26 @@ def sample_trials(e: SingletEnsemble, a_idx: int, b_idx: int, seed: int,
     """Outcome arrays for trials [start, start + n_trials).
 
     Each trial is a pure function of (seed, index), so the range is drawn
-    rng.TILE trials at a time, with every bit as a whole-range draw gives
-    it.
+    rng.TILE trials at a time, in shares across the usable CPUs
+    (_in_shares), with every bit as a whole-range draw gives it.
     """
     if n_trials < 1:
         raise ValidationError("n_trials must be >= 1")
+    pairs = ((a_idx, b_idx),)
     a_out = np.empty(n_trials, dtype=np.int8)
     b_out = np.empty(n_trials, dtype=np.int8)
-    for _, first, k in _pair_tiles(e, ((a_idx, b_idx),), seed, n_trials, start):
-        lo = first - start
-        a, b = a_out[lo:lo + len(k)], b_out[lo:lo + len(k)]
-        np.greater_equal(k, _TWO, a.view(np.bool_))   # k >= 2: a_out = -1
-        np.bitwise_and(k, _ONE_U8, b.view(np.uint8))   # k odd: b_out = -1
-        _signs(a)
-        _signs(b)
+
+    def share(pieces):
+        for _, first, k in pieces:
+            lo = first - start
+            a, b = a_out[lo:lo + len(k)], b_out[lo:lo + len(k)]
+            np.greater_equal(k, _TWO, a.view(np.bool_))   # k >= 2: a_out = -1
+            np.bitwise_and(k, _ONE_U8, b.view(np.uint8))   # k odd: b_out = -1
+            _signs(a)
+            _signs(b)
+
+    _in_shares(n_trials, lambda lo, hi: _pair_tiles(e, pairs, seed, n_trials, start, lo, hi),
+               share)
     return a_out, b_out
 
 
@@ -286,20 +348,28 @@ def pair_counts(e: SingletEnsemble, pairs, seed: int | None, trials: int,
                 on_block=None) -> np.ndarray:
     """Outcome-pair counts, one row per setting pair; pair p takes trials
     p * trials onward.  They are drawn and counted one rng.TILE tile at a
-    time, so memory stays one tile; on_block(first, k, suffixes) gets each
-    piece of a pair's range within a tile: trial first + i's log line is
+    time, so memory stays one tile a share; on_block(first, k, suffixes)
+    gets each piece of a pair's range within a tile, in trial order, from
+    one walk on the calling thread: trial first + i's log line is
     '{"trial":N' + suffixes[k[i]], its outcome pair OUTCOME_PAIRS[k[i]],
-    k valid only during the call."""
+    k valid only during the call.  Without on_block the range is counted in
+    shares across the usable CPUs (_in_shares), and their counts summed."""
     if seed is None:
         raise ValidationError("sampling requires a seed")
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    counts = np.zeros((len(pairs), 4), dtype=np.int64)
-    for p, first, k in _pair_tiles(e, pairs, seed, trials):
-        if on_block is not None:
-            on_block(first, k, _record_suffixes(*pairs[p], e.mode.value))
-        counts[p] += _k_counts(k)
-    return counts
+
+    def share(pieces):
+        counts = np.zeros((len(pairs), 4), dtype=np.int64)
+        for p, first, k in pieces:
+            if on_block is not None:
+                on_block(first, k, _record_suffixes(*pairs[p], e.mode.value))
+            counts[p] += _k_counts(k)
+        return counts
+
+    return functools.reduce(np.add, _in_shares(
+        len(pairs) * trials, lambda lo, hi: _pair_tiles(e, pairs, seed, trials, 0, lo, hi),
+        share, ordered=on_block is not None))
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,16 @@ _M1_U, _M2_U, _S11, _S27, _S30, _S31 = (np.array(v, dtype=np.uint64)
                                         for v in (_M1, _M2, 11, 27, 30, 31))
 _ULP = np.array(2.0 ** -53)
 
-# Counters per tile.  A tile's uint64 state and scratch (128 KiB each) stay
-# in cache through the sixteen passes of the mix; whole-array passes over
-# 10^6 counters run from main memory.  The tile changes no bit of any draw.
-TILE = 1 << 14
+# Counters per tile.  A tile's uint64 state and scratch (512 KiB each) stay
+# in a core's 2 MiB L2 through the sixteen passes of the mix; whole-array
+# passes over 10^6 counters run from main memory.  Each pass is one ufunc
+# call, and numpy releases the GIL only inside a call, so threads that mix
+# tiles of their own gain only where the calls are long: over 2^23 states
+# on a 2-vCPU Xeon (best of 7), two threads ran 0.86-0.96 times as fast as
+# one at 2^14-state tiles and 1.31-1.92 times as fast at 2^16, where one
+# thread is no slower (5.2-6.8 against 6.0-6.3 ns a state).  The tile
+# changes no bit of any draw.
+TILE = 1 << 16
 
 
 def _offset(seed: int, substream: int) -> int:
@@ -55,8 +61,7 @@ def _mix(z: np.ndarray, t: np.ndarray) -> None:
         np.bitwise_xor(z, t, z)
 
 
-def uniforms(seed: int, counters, substream: int = 0, out: np.ndarray | None = None
-             ) -> np.ndarray:
+def uniforms(seed: int, counters, substream: int = 0) -> np.ndarray:
     """Uniform [0, 1) doubles for an array of counters, in its shape.
 
     `counters` is typically a range of trial indices; `substream` separates
@@ -64,15 +69,11 @@ def uniforms(seed: int, counters, substream: int = 0, out: np.ndarray | None = N
     stage).  Counter c draws the top 53 bits of its mixed state
     z = mix(mix(base + (c + 1) M1)) in uint64 arithmetic, where base mixes
     the seed and substream and mix is the SplitMix64 finalizer.  The
-    counters are processed TILE at a time; `out`, a C-contiguous float64
-    array of the counters' shape, receives the draws when given.
+    counters are processed TILE at a time.
     """
     offset = np.array(_offset(seed, substream), dtype=np.uint64)
     c = np.asarray(counters, dtype=np.uint64)
-    if out is None:
-        out = np.empty(c.shape)
-    elif out.shape != c.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError("out must be a C-contiguous float64 array of the counters' shape")
+    out = np.empty(c.shape)
     flat, dest = c.reshape(-1), out.reshape(-1)
     n = flat.size
     z = np.empty(min(n, TILE), dtype=np.uint64)
@@ -90,10 +91,12 @@ def uniforms(seed: int, counters, substream: int = 0, out: np.ndarray | None = N
 
 def mixed_tiles(seed: int, start: int, n: int):
     """The mixed states z of counters start, ..., start + n - 1 of substream
-    0, TILE at a time: yields (lo, z) with z[i] the state of counter
+    0, TILE at a time: an iterator of (lo, z) with z[i] the state of counter
     start + lo + i, the one `uniforms` draws (z >> 11) 2^-53 from.
     Consecutive counters' states before the mix are one stride i M1 apart,
     so a tile's is one add; z is one buffer, overwritten by the next tile.
+    The seed is checked, and the buffers made, at the call; the tiles are
+    mixed as the iterator is read, on whichever thread reads it.
     """
     offset = _offset(seed, 0)
     size = min(n, TILE)
@@ -101,12 +104,16 @@ def mixed_tiles(seed: int, start: int, n: int):
     np.multiply(stride, _M1_U, stride)
     z = np.empty(size, dtype=np.uint64)
     t = np.empty(size, dtype=np.uint64)
-    for lo in range(0, n, TILE):
-        m = min(TILE, n - lo)
-        first = np.array((offset + (start + lo) * _M1) & _MASK, dtype=np.uint64)
-        np.add(stride[:m], first, z[:m])
-        _mix(z[:m], t[:m])
-        yield lo, z[:m]
+
+    def tiles():
+        for lo in range(0, n, TILE):
+            m = min(TILE, n - lo)
+            first = np.array((offset + (start + lo) * _M1) & _MASK, dtype=np.uint64)
+            np.add(stride[:m], first, z[:m])
+            _mix(z[:m], t[:m])
+            yield lo, z[:m]
+
+    return tiles()
 
 
 def thresholds(cum) -> tuple[np.ndarray, ...]:

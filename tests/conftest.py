@@ -3,6 +3,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
+from hvqm.epr import SingletEnsemble, TrialRecord, sample_trials
 from hvqm.errors import ValidationError
 from hvqm.pathint import _hole_region_amplitude
 from hvqm.quaternion import Quaternion
@@ -83,3 +84,11 @@ def categorical(cum_probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     result; this is the reference its tests compare against.
     """
     return np.searchsorted(cum_probs, u, side="right")
+
+
+def sample_trial(e: SingletEnsemble, a_idx: int, b_idx: int,
+                 seed: int, trial: int) -> TrialRecord:
+    """Draw a single trial, the per-trial oracle of the tiled and threaded
+    walks: a trial is a pure function of (seed, index)."""
+    a, b = sample_trials(e, a_idx, b_idx, seed, 1, trial)
+    return TrialRecord(trial, a_idx, b_idx, int(a[0]), int(b[0]), e.mode.value)

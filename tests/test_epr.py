@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import angles, closed_form_w3, directions
+from conftest import angles, closed_form_w3, directions, sample_trial
 from hvqm import beamline, epr, quasiprob, rng, runner, spin
 from hvqm.config import apply_overrides, parse_config, parse_direction
 from hvqm.epr import (CHSH_PAIRS, Mode, SingletEnsemble, TrialRecord, bob_marginal, chsh,
                       chsh_ensemble, conditional_update, correlation,
-                      pair_joint_probability, sample_trial,
-                      sample_trials, trial_record_json, tsirelson_settings)
+                      pair_joint_probability, sample_trials, trial_record_json,
+                      tsirelson_settings)
 from hvqm.errors import NotSampleableError, ValidationError
 from hvqm.logcodec import join_lines
 from hvqm.spin import Direction, DirectionSet
@@ -351,7 +351,8 @@ def test_pair_counts_hands_each_tile_of_each_pair_range(monkeypatch):
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
-@pytest.mark.parametrize("tile", [rng.TILE, 7])
+# a tile longer than every walk, as rng.TILE is, and tiles of 7 trials
+@pytest.mark.parametrize("tile", [1 << 14, 7])
 def test_reports_are_the_library_estimates(monkeypatch, tmp_path, tile):
     """The chsh_mc and epr_sampling reports equal epr.chsh and
     epr.correlation on the same ensemble and seed, bit for bit, and the
@@ -393,9 +394,10 @@ def test_reports_are_the_library_estimates(monkeypatch, tmp_path, tile):
                    "survivor_fraction": fraction, "trials": trials}
 
 
-def test_sampled_chsh_memory_stays_one_block():
-    """A sampled chsh holds one block of trials at a time: its traced peak
-    at 2^20 trials per pair is within 1 MiB of the peak at 2^16."""
+def test_sampled_chsh_memory_stays_one_block(monkeypatch):
+    """A sampled chsh holds one block of trials at a time in each share of
+    the walk: on one CPU and on two, its traced peak at 2^20 trials per
+    pair is within 1 MiB of the peak at 2^16."""
     e = chsh_ensemble(Mode.BORN_SAMPLING, *tsirelson_settings())
 
     def peak(trials):
@@ -406,7 +408,9 @@ def test_sampled_chsh_memory_stays_one_block():
         finally:
             tracemalloc.stop()
 
-    assert peak(1 << 20) - peak(1 << 16) <= 1 << 20
+    for cpus in (1, 2):
+        monkeypatch.setattr(epr, "_usable_cpus", lambda cpus=cpus: cpus)
+        assert peak(1 << 20) - peak(1 << 16) <= 1 << 20
 
 
 class TestConditionalUpdate:

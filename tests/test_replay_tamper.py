@@ -83,7 +83,8 @@ def _tamper(log, make):
     log.write_text(header + "\n" + text, encoding="utf-8")
 
 
-@pytest.mark.parametrize("tile", [rng.TILE, 7])
+# a tile longer than the whole log, as rng.TILE is, and tiles of 7 trials
+@pytest.mark.parametrize("tile", [1 << 14, 7])
 @pytest.mark.parametrize("kind,tamper", sorted(TAMPERS))
 def test_tampered_body_names_first_bad_line(capsys, tmp_path, monkeypatch, kind, tamper,
                                             tile):
@@ -98,7 +99,7 @@ def test_tampered_body_names_first_bad_line(capsys, tmp_path, monkeypatch, kind,
     assert payload["first_bad_line"] == first_bad
 
 
-@pytest.mark.parametrize("tile,log_block", [(rng.TILE, logcodec.LOG_BLOCK), (7, 3)])
+@pytest.mark.parametrize("tile,log_block", [(1 << 14, logcodec.LOG_BLOCK), (7, 3)])
 def test_flipped_outcome_mid_tile(capsys, tmp_path, monkeypatch, tile, log_block):
     """Alice's outcome of pair 2's first trial, which sits inside a tile
     that also holds pair 1's last trials, is flipped: that line is the

@@ -8,14 +8,19 @@ sampler does internally (tiles, fused comparisons, drawing only for live
 trials), its values and dtypes must equal these exactly.
 """
 
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import categorical, directions
+from conftest import categorical, directions, sample_trial
 from hvqm import beamline, epr, rng
 from hvqm.beamline import BeamState, analyze, recombine, split
+from hvqm.errors import ValidationError
 from hvqm.spin import DirectionSet
 
 # lengths are chosen around the sampler's tile boundaries
@@ -175,7 +180,7 @@ class TestSampleTrials:
         e = epr.chsh_ensemble(epr.Mode.BORN_SAMPLING, *epr.tsirelson_settings())
         a, b = epr.sample_trials(e, 0, 2, 77, TILE + 3, start=TILE - 2)
         for i in (0, 1, 2, TILE + 2):
-            rec = epr.sample_trial(e, 0, 2, 77, TILE - 2 + i)
+            rec = sample_trial(e, 0, 2, 77, TILE - 2 + i)
             assert (rec.a_out, rec.b_out) == (a[i], b[i])
 
 
@@ -287,18 +292,6 @@ class TestBornBoundaries:
             for p, got in enumerate(_walk(e, pairs, BOUNDARY_SEED, trials)):
                 assert np.array_equal(got, k[p * trials:(p + 1) * trials])
 
-    def test_uniforms_write_into_out(self):
-        out = np.empty((3, 5))
-        got = rng.uniforms(9, np.arange(15).reshape(3, 5), 2, out=out)
-        assert got is out
-        assert_bits_equal(out, reference_uniforms(9, np.arange(15).reshape(3, 5), 2))
-
-    @pytest.mark.parametrize("out", [np.empty(14), np.empty((3, 5), dtype=np.float32),
-                                     np.empty((5, 3)).T])
-    def test_unusable_out_is_refused(self, out):
-        with pytest.raises(ValueError):
-            rng.uniforms(9, np.arange(15).reshape(3, 5), out=out)
-
 
 class TestLhvBoundaries:
     """The classical pattern index of draws on and beside every boundary,
@@ -368,3 +361,208 @@ def test_bucket_count_is_the_threshold_count(cum, states):
 def test_joint_outcome_probs_equal_the_four_pair_laws(n_a, n_b):
     want = np.array([epr.pair_joint_probability(n_a, n_b, a, b) for a, b in epr.OUTCOME_PAIRS])
     assert_bits_equal(epr.joint_outcome_probs(n_a, n_b), want)
+
+
+class _CountedThread(threading.Thread):
+    """threading.Thread that counts the threads started."""
+
+    started = 0
+
+    def start(self):
+        type(self).started += 1
+        super().start()
+
+
+@pytest.fixture
+def on_cpus(monkeypatch):
+    """on_cpus(n) makes the walks see n usable CPUs; _CountedThread.started
+    then counts the threads they start."""
+    monkeypatch.setattr(threading, "Thread", _CountedThread)
+    monkeypatch.setattr(_CountedThread, "started", 0)
+    return lambda n: monkeypatch.setattr(epr, "_usable_cpus", lambda: n)
+
+
+def _shares(n, cpus):
+    """Shares of n trials on `cpus` CPUs: each holds two whole tiles or
+    more, and there is one at least."""
+    return max(1, min(cpus, n // rng.TILE // 2))
+
+
+_LHV_WEIGHTS = np.array([0.125, 0.0, 0.0, 0.25, 0.0, 0.0, 0.125, 0.0,
+                         0.0, 0.25, 0.0, 0.0, 0.25, 0.0, 0.0, 0.0])
+
+
+def _ensembles():
+    return [epr.chsh_ensemble(epr.Mode.BORN_SAMPLING, *epr.tsirelson_settings()),
+            epr.SingletEnsemble(DirectionSet.from_planar_angles(np.linspace(0.0, 3.0, 4)),
+                                epr.Mode.CLASSICAL_LHV, _LHV_WEIGHTS)]
+
+
+_REFERENCE = {epr.Mode.BORN_SAMPLING: reference_born, epr.Mode.CLASSICAL_LHV: reference_lhv}
+
+
+class TestShares:
+    """The order-free walks split across CPUs in shares of whole tiles, bit
+    for bit as one walk on the calling thread draws them, at lengths just
+    around the share and tile boundaries, from odd starts."""
+
+    @pytest.mark.parametrize("tile", [TILE, 7])
+    @pytest.mark.parametrize("whole,extra", [(3, 6), (4, -1), (4, 0), (4, 1), (6, 0), (7, 5)])
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_sample_trials_match_the_serial_walk(self, monkeypatch, on_cpus, tile, whole,
+                                                 extra, cpus):
+        monkeypatch.setattr(rng, "TILE", tile)
+        n = whole * tile + extra
+        for e in _ensembles():
+            for ai, bi, start in ((0, 2, 1), (3, 1, 2 ** 40 + 12345)):
+                on_cpus(1)
+                serial = epr.sample_trials(e, ai, bi, 41, n, start=start)
+                assert _CountedThread.started == 0
+                on_cpus(cpus)
+                shared = epr.sample_trials(e, ai, bi, 41, n, start=start)
+                assert _CountedThread.started == _shares(n, cpus) - 1
+                _CountedThread.started = 0
+                want = _REFERENCE[e.mode](e, ai, bi, 41, n, start)
+                for got_s, got, w in zip(serial, shared, want):
+                    assert_bits_equal(got_s, w)
+                    assert_bits_equal(got, w)
+
+    @pytest.mark.parametrize("trials", [5, 7, 11, 2 * 7 + 3])
+    @pytest.mark.parametrize("cpus", [2, 3, 5])
+    def test_pair_counts_match_the_serial_walk(self, monkeypatch, on_cpus, trials, cpus):
+        """Setting-pair boundaries fall inside tiles and inside shares."""
+        monkeypatch.setattr(rng, "TILE", 7)
+        n = len(epr.CHSH_PAIRS) * trials
+        for e in _ensembles():
+            on_cpus(1)
+            serial = epr.pair_counts(e, epr.CHSH_PAIRS, 9, trials)
+            on_cpus(cpus)
+            shared = epr.pair_counts(e, epr.CHSH_PAIRS, 9, trials)
+            assert _CountedThread.started == _shares(n, cpus) - 1
+            _CountedThread.started = 0
+            assert shared.dtype == serial.dtype == np.int64
+            assert np.array_equal(shared, serial)
+            assert np.array_equal(serial, np.array(
+                [np.bincount(k, minlength=4) for k in _walk(e, epr.CHSH_PAIRS, 9, trials)]))
+
+    def test_more_shares_than_cores_with_frequent_switches(self, monkeypatch, on_cpus):
+        """Eight shares hand the GIL over every microsecond: no share's
+        outcomes or counts are lost or written twice, and no thread outlives
+        its walk."""
+        monkeypatch.setattr(rng, "TILE", 7)
+        e = _ensembles()[0]
+        on_cpus(1)
+        serial = (epr.sample_trials(e, 0, 2, 5, 1000, start=3),
+                  epr.pair_counts(e, epr.CHSH_PAIRS, 5, 250))
+        on_cpus(8)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                a, b = epr.sample_trials(e, 0, 2, 5, 1000, start=3)
+                assert_bits_equal(a, serial[0][0])
+                assert_bits_equal(b, serial[0][1])
+                assert np.array_equal(epr.pair_counts(e, epr.CHSH_PAIRS, 5, 250), serial[1])
+        finally:
+            sys.setswitchinterval(interval)
+        assert _CountedThread.started == 20 * 2 * 7
+        assert threading.active_count() == before   # every thread joined
+
+    def test_logged_walk_stays_on_the_calling_thread(self, monkeypatch, on_cpus):
+        monkeypatch.setattr(rng, "TILE", 7)
+        on_cpus(4)
+        _walk(_ensembles()[0], epr.CHSH_PAIRS, 9, 50)   # checks the order of the pieces
+        assert _CountedThread.started == 0
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch, on_cpus):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread was made on one CPU")
+
+        monkeypatch.setattr(rng, "TILE", 7)
+        monkeypatch.setattr(threading, "Thread", refuse)
+        on_cpus(1)
+        for e in _ensembles():
+            a, b = epr.sample_trials(e, 0, 2, 41, 200, start=3)
+            want_a, want_b = _REFERENCE[e.mode](e, 0, 2, 41, 200, 3)
+            assert_bits_equal(a, want_a)
+            assert_bits_equal(b, want_b)
+            epr.pair_counts(e, epr.CHSH_PAIRS, 9, 50)
+
+    @pytest.mark.parametrize("walk", [
+        lambda e: epr.sample_trials(e, 0, 2, 41, 100),
+        lambda e: epr.pair_counts(e, epr.CHSH_PAIRS, 41, 25),
+    ])
+    def test_an_error_in_the_second_share_reaches_the_caller(self, monkeypatch, on_cpus,
+                                                             walk):
+        original = rng.mixed_tiles
+
+        def failing(seed, start, n):
+            tiles = original(seed, start, n)
+            if start == 0:
+                return tiles
+
+            def fail():
+                raise RuntimeError("the second share failed")
+                yield   # a generator: it raises when its share reads it
+
+            return fail()
+
+        monkeypatch.setattr(rng, "TILE", 7)
+        monkeypatch.setattr(rng, "mixed_tiles", failing)
+        on_cpus(2)
+        for e in _ensembles():
+            before = threading.active_count()
+            with pytest.raises(RuntimeError, match="the second share failed"):
+                walk(e)
+            assert _CountedThread.started == 1
+            _CountedThread.started = 0
+            assert threading.active_count() == before
+
+    def test_setting_and_seed_errors_start_no_thread(self, monkeypatch, on_cpus):
+        monkeypatch.setattr(rng, "TILE", 7)
+        on_cpus(2)
+        for e in _ensembles():
+            with pytest.raises(ValidationError, match="setting index 4 out of range"):
+                epr.sample_trials(e, 0, 4, 41, 100)
+            with pytest.raises(ValidationError, match="setting index 4 out of range"):
+                epr.pair_counts(e, [(0, 1), (4, 0)], 41, 100)
+            with pytest.raises(ValueError, match="outside the 64-bit unsigned range"):
+                epr.sample_trials(e, 0, 2, 2 ** 64, 100)
+            with pytest.raises(ValueError, match="outside the 64-bit unsigned range"):
+                epr.pair_counts(e, epr.CHSH_PAIRS, -1, 100)
+        assert _CountedThread.started == 0
+
+    def test_cached_thresholds_are_made_on_the_calling_thread(self, monkeypatch, on_cpus):
+        threads = []
+        for name in ("joint_outcome_probs", "_cuts"):
+            original = getattr(epr, name)
+            monkeypatch.setattr(epr, name, lambda *a, original=original: threads.append(
+                threading.current_thread()) or original(*a))
+        epr._born_thresholds.cache_clear()
+        monkeypatch.setattr(rng, "TILE", 7)
+        on_cpus(2)
+        for e in _ensembles():
+            epr.pair_counts(e, epr.CHSH_PAIRS, 41, 100)
+            epr.sample_trials(e, 1, 2, 41, 100)
+        assert _CountedThread.started == 4
+        assert len(threads) == 5   # four Born pairs, one classical table
+        assert set(threads) == {threading.main_thread()}
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_memory_stays_one_tile_a_share(self, on_cpus, cpus):
+        """Besides its two int8 outputs, sample_trials holds one tile's
+        buffers a share: its traced peak at 2^22 trials is within 1 MiB of
+        the peak at 2^18."""
+        e = _ensembles()[0]
+        on_cpus(cpus)
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                epr.sample_trials(e, 0, 2, 8, n)
+                return tracemalloc.get_traced_memory()[1] - 2 * n
+            finally:
+                tracemalloc.stop()
+
+        assert peak(1 << 22) - peak(1 << 18) <= 1 << 20
