@@ -75,14 +75,6 @@ class BeamState:
         """The s eigenstate of axis.sigma: Bloch vector s * axis."""
         return cls(axis if check_sign(s) == 1 else -axis)
 
-    @classmethod
-    def plus_x(cls) -> "BeamState":
-        return cls(Direction(1.0, 0.0, 0.0))
-
-    @classmethod
-    def plus_z(cls) -> "BeamState":
-        return cls(Direction(0.0, 0.0, 1.0))
-
 
 @dataclass(frozen=True)
 class SequenceResult:

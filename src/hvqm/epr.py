@@ -3,7 +3,7 @@
 A generated pair carries opposite hidden sign patterns: when Alice's
 particle reads s at direction n, Bob's reads -s at the same direction.  The
 joint outcome law for settings (n_a, n_b) is therefore the pair Born rule
-with Bob's sign negated:
+with Bob's sign negated, |alpha n_a - beta n_b|^2 / 8:
 
     P(alpha, beta) = (1 - alpha beta n_a . n_b) / 4
 
@@ -36,7 +36,7 @@ import numpy as np
 from . import quasiprob, rng
 from .errors import NotSampleableError, ValidationError
 from .logcodec import suffix_of
-from .spin import Direction, DirectionSet, born_pair_probability, sign_matrix
+from .spin import Direction, DirectionSet, sign_matrix
 
 LHV_SUM_TOL = 1e-12
 
@@ -119,8 +119,16 @@ def _record_suffixes(a_setting: int, b_setting: int, mode: str) -> tuple[bytes, 
 
 
 def pair_joint_probability(n_a: Direction, n_b: Direction, alpha: int, beta: int) -> float:
-    """(1 - alpha beta n_a . n_b) / 4: Bob carries the negated hidden sign."""
-    return born_pair_probability(alpha, -beta, n_a, n_b)
+    """(1 - alpha beta n_a . n_b) / 4: Bob carries the negated hidden sign.
+
+    The Born rule on the pair amplitude alpha n_a - beta n_b, the pattern's
+    signed sum over the two directions: |alpha n_a - beta n_b|^2 =
+    2 (1 - alpha beta n_a . n_b), over the four outcome pairs' total of 8.
+    """
+    x = alpha * n_a.nx - beta * n_b.nx
+    y = alpha * n_a.ny - beta * n_b.ny
+    z = alpha * n_a.nz - beta * n_b.nz
+    return (x * x + y * y + z * z) / 8.0
 
 
 def joint_outcome_probs(n_a: Direction, n_b: Direction) -> np.ndarray:
@@ -482,32 +490,3 @@ def tsirelson_settings() -> tuple[Direction, Direction, Direction, Direction]:
             Direction.from_planar_angle(math.pi / 4),
             Direction.from_planar_angle(3 * math.pi / 4))
 
-
-def conditional_update(e: SingletEnsemble, a_idx: int, alpha: int,
-                       b_idx: int) -> dict[int, float]:
-    """Bob's predictive table given Alice's observed outcome.
-
-    P(beta | alpha) = (1 - alpha beta n_a . n_b) / 2.  This is a filter on
-    the recorded information: Bob's unconditional marginal stays (1/2, 1/2).
-    """
-    if e.mode not in (Mode.BORN_ANALYTIC, Mode.BORN_SAMPLING):
-        raise ValidationError("conditional update is defined for Born modes")
-    n_a = _check_setting(e, a_idx)
-    n_b = _check_setting(e, b_idx)
-    if alpha not in (1, -1):
-        raise ValidationError("alpha must be +1 or -1")
-    joint = {beta: pair_joint_probability(n_a, n_b, alpha, beta) for beta in (1, -1)}
-    total = joint[1] + joint[-1]
-    return {beta: joint[beta] / total for beta in (1, -1)}
-
-
-def bob_marginal(e: SingletEnsemble, a_idx: int, b_idx: int) -> dict[int, float]:
-    """Bob's outcome distribution with Alice's outcome summed out.
-
-    Exactly (1/2, 1/2) for every setting pair: the no-signaling surface.
-    """
-    n_a = _check_setting(e, a_idx)
-    n_b = _check_setting(e, b_idx)
-    return {beta: sum(pair_joint_probability(n_a, n_b, alpha, beta)
-                      for alpha in (1, -1))
-            for beta in (1, -1)}

@@ -1,9 +1,10 @@
 """Sum-then-square vs square-then-sum, and the complex arithmetic under it.
 
 The single distinction that separates coherent from which-path statistics,
-made once for the spin pair tables, the four-hole tables and the two-slit
-screen patterns: summing amplitudes over indistinguishable alternatives
-before squaring produces the interference term; squaring first removes it.
+made once for the four-hole tables and the two-slit screen patterns (and
+for the spin pair tables that the tests hold as an oracle): summing
+amplitudes over indistinguishable alternatives before squaring produces
+the interference term; squaring first removes it.
 """
 
 from __future__ import annotations

@@ -15,9 +15,10 @@ numpy's FFT or SIMD loops.  The four-hole phase separates in x and y, so each
 hole-to-region amplitude is a product of two 1-D midpoint sums.
 
 The coherent and which-path screen patterns, and the y-coherent and
-which-path four-hole tables, are the two tables of `interference.pair_tables`,
-as the spin pair tables are: the two slits, or the two unobserved +/-y0
-holes, are the alternatives summed over before or after squaring.
+which-path four-hole tables, are the two tables of `interference.pair_tables`:
+the two slits, or the two unobserved +/-y0 holes, are the alternatives
+summed over before or after squaring, as the unmeasured spin directions
+are in the spin pair tables.
 
 Internal units hbar = m = 1; the de Broglie wavelength is
 lambda = 2 pi hbar / (m v).  Default geometries put well over five fringes
@@ -30,7 +31,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -39,24 +39,6 @@ from .interference import _cis_planes, _fft, _rotate, cis, pair_tables
 from .logcodec import write_csv
 
 PATTERN_NORM_TOL = 1e-9
-
-
-def path_amplitude(points: Sequence[Sequence[float]], times: Sequence[float],
-                   mass: float = 1.0, hbar: float = 1.0) -> complex:
-    """exp(i S / hbar) for a piecewise-linear path; |result| = 1.
-
-    `points` is a sequence of >= 2 positions (any fixed dimension), `times`
-    the positive duration of each segment.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    dt = np.asarray(times, dtype=float)
-    if len(pts) < 2 or len(dt) != len(pts) - 1:
-        raise ValidationError("need >= 1 segment and one duration per segment")
-    if np.any(dt <= 0):
-        raise ValidationError("segment durations must be positive")
-    disp_sq = np.sum(np.diff(pts, axis=0) ** 2, axis=1)
-    action = float(np.sum(mass * disp_sq / (2.0 * dt)))
-    return complex(np.exp(1j * action / hbar))
 
 
 def speed_from(v: float | None, wavelength: float | None,

@@ -61,10 +61,6 @@ class WaveFunction:
         return len(self.values)
 
     @property
-    def r_values(self) -> np.ndarray:
-        return (np.arange(self.m) - self.m // 2) * self.dr
-
-    @property
     def dp(self) -> float:
         return 2.0 * math.pi * self.hbar / (self.m * self.dr)
 
@@ -97,10 +93,6 @@ class MomentumFunction:
     def m(self) -> int:
         return len(self.values)
 
-    @property
-    def p_values(self) -> np.ndarray:
-        return (np.arange(self.m) - self.m // 2) * self.dp
-
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.values) ** 2) * self.dp)
 
@@ -122,13 +114,6 @@ def to_momentum(wf: WaveFunction) -> MomentumFunction:
     """
     xi = _centred(np.fft.fft, wf.values, wf.dr / math.sqrt(2.0 * math.pi * wf.hbar))
     return MomentumFunction(xi, wf.dp, wf.hbar)
-
-
-def from_momentum(mf: MomentumFunction) -> WaveFunction:
-    """Inverse of to_momentum on the matching position grid."""
-    dr = 2.0 * math.pi * mf.hbar / (mf.m * mf.dp)
-    psi = _centred(np.fft.ifft, mf.values, mf.dp * mf.m / math.sqrt(2.0 * math.pi * mf.hbar))
-    return WaveFunction(psi, dr, mf.hbar)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,14 +140,6 @@ class ExtendedState:
     @property
     def dp(self) -> float:
         return 2.0 * math.pi * self.hbar / (self.m * self.dr)
-
-    @property
-    def r_values(self) -> np.ndarray:
-        return (np.arange(self.m) - self.m // 2) * self.dr
-
-    @property
-    def p_values(self) -> np.ndarray:
-        return (np.arange(self.m) - self.m // 2) * self.dp
 
 
 # cells in a block of grid rows, 16 rows at M = 2048: 2^16 was no faster,
@@ -247,18 +224,6 @@ def project_p(state: ExtendedState) -> MomentumFunction:
     if norm == 0:
         return MomentumFunction(raw, state.dp, state.hbar)
     return MomentumFunction(raw / norm, state.dp, state.hbar)
-
-
-def apply_x(state: ExtendedState) -> ExtendedState:
-    """Multiply each cell by its r coordinate."""
-    return ExtendedState(state.coefficients * state.r_values[:, None],
-                         state.dr, state.hbar)
-
-
-def apply_px(state: ExtendedState) -> ExtendedState:
-    """Multiply each cell by its p coordinate."""
-    return ExtendedState(state.coefficients * state.p_values[None, :],
-                         state.dr, state.hbar)
 
 
 def ray_overlap(a: np.ndarray, b: np.ndarray) -> float:

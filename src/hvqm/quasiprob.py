@@ -20,10 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .interference import cis, pair_tables
 from .logcodec import write_csv
 from .spin import (DirectionSet, SignPattern, check_pattern, pattern_cells, pattern_from_index,
-                   pattern_to_index, sign_matrix, signed_sum_tiles, signed_sums)
+                   pattern_to_index, sign_matrix, signed_sum_tiles)
 
 MARGINAL_TOL = 1e-10
 # The closed forms cost O(2^N), so the caps bound table sizes: the signed
@@ -139,17 +138,6 @@ def _sign_keyed(cells: np.ndarray) -> dict[tuple[int, ...], float]:
     return {p: float(cells[tuple((s + 1) // 2 for s in p)]) for p in keys}
 
 
-def marginal_pair(table: QuasiProbTable, i: int, j: int) -> dict[tuple[int, int], float]:
-    """Four observable pair probabilities P(s_i, s_j); sums to 1."""
-    if i == j:
-        raise ValidationError("pair marginal needs two distinct indices")
-    return marginal(table, (i, j))  # type: ignore[return-value]
-
-
-def marginal_single(table: QuasiProbTable, i: int) -> dict[int, float]:
-    return {k[0]: v for k, v in marginal(table, (i,)).items()}
-
-
 def born_table(dirs: DirectionSet) -> BornTable:
     """Normalized |total amplitude|^2 over all sign patterns.
 
@@ -178,48 +166,10 @@ def _intensity(dirs: DirectionSet) -> np.ndarray:
     return intensity
 
 
-def _pair_cells(dirs: DirectionSet, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sum-then-square and square-then-sum 2x2 pair tables, each normalized."""
-    n = len(dirs)
-    if i == j or not (0 <= i < n and 0 <= j < n):
-        raise ValidationError(f"bad index pair ({i}, {j}) for N={n}")
-    if not dirs.is_planar:
-        raise ValidationError("planar directions required")
-    # row k = sum_j s_j e^{i theta_j}, s = pattern_from_index(k, N)
-    amps = signed_sums(cis(np.array(dirs.angles)))
-    # (s_i, s_j, the completions sharing them)
-    cells = np.moveaxis(amps.reshape((2,) * n), (n - 1 - i, n - 1 - j), (0, 1)).reshape(2, 2, -1)
-    return pair_tables(cells)
-
-
-def born_pair_marginal(dirs: DirectionSet, i: int, j: int) -> dict[tuple[int, int], float]:
-    """Born pairwise law via sum-then-square over the unobserved indices.
-
-    The amplitudes of all completions sharing (s_i, s_j) are summed before
-    squaring; normalizing the four cells reproduces
-    (1 + s_i s_j cos(theta_j - theta_i)) / 4.  Planar backend.
-    """
-    return _sign_keyed(_pair_cells(dirs, i, j)[0])
-
-
-def interference_gap(dirs: DirectionSet, i: int, j: int) -> float:
-    """Max difference between sum-then-square and square-then-sum pair tables.
-
-    Nonzero in general: the cross terms in the coherent sum are what let the
-    Born route reproduce the pairwise law that forces signed weights.
-    """
-    coherent, incoherent = _pair_cells(dirs, i, j)
-    return float(np.abs(coherent - incoherent).max())
-
-
 @dataclass(frozen=True)
 class NegativityReport:
     min_weight: float
     negative_patterns: tuple[SignPattern, ...]
-
-    @property
-    def has_negative(self) -> bool:
-        return bool(self.negative_patterns)
 
 
 def negativity_report(table: QuasiProbTable, tol: float = NEGATIVITY_TOL) -> NegativityReport:

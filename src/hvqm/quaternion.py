@@ -1,14 +1,13 @@
-"""Quaternion algebra over the basis (1, I, J, K).
+"""The value type of a quaternion w + x*I + y*J + z*K.
 
-The multiplication table is the Hamilton one: I*I = J*J = K*K = -1 and
-I*J = K with cyclic permutations.  These are the same relations the Pauli
-matrices satisfy up to a factor of i, which is why pure-imaginary unit
-quaternions can carry spin-direction amplitudes.
+`spin.marginal_amplitude` returns one: a signed sum of spin directions
+n_x*I + n_y*J + n_z*K, pure imaginary, whose real component is zero.
+No step of hvqm multiplies two quaternions, so the type carries its four
+components and no algebra.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -20,59 +19,3 @@ class Quaternion:
     x: float = 0.0
     y: float = 0.0
     z: float = 0.0
-
-    def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w + other.w, self.x + other.x,
-                          self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w - other.w, self.x - other.x,
-                          self.y - other.y, self.z - other.z)
-
-    def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
-
-    def __mul__(self, other):
-        if isinstance(other, Quaternion):
-            a1, b1, c1, d1 = self.w, self.x, self.y, self.z
-            a2, b2, c2, d2 = other.w, other.x, other.y, other.z
-            return Quaternion(
-                a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-                a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-                a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-                a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-            )
-        f = float(other)
-        return Quaternion(self.w * f, self.x * f, self.y * f, self.z * f)
-
-    def __rmul__(self, other) -> "Quaternion":
-        # scalars commute; quaternion*quaternion never reaches here
-        return self.__mul__(other)
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def norm_sq(self) -> float:
-        return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
-
-    def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
-
-    def __abs__(self) -> float:
-        return self.norm()
-
-    def is_close(self, other: "Quaternion", tol: float = 1e-12) -> bool:
-        return (self - other).norm() <= tol
-
-
-ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
-I = Quaternion(0.0, 1.0, 0.0, 0.0)
-J = Quaternion(0.0, 0.0, 1.0, 0.0)
-K = Quaternion(0.0, 0.0, 0.0, 1.0)
-
-ZERO = Quaternion(0.0, 0.0, 0.0, 0.0)
-
-
-def quat_mul(a: Quaternion, b: Quaternion) -> Quaternion:
-    """Hamilton product; the norm is multiplicative: |ab|^2 = |a|^2 |b|^2."""
-    return a * b

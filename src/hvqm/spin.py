@@ -1,11 +1,11 @@
 """Spin-direction amplitudes.
 
-A measurement direction n contributes the pure-imaginary unit quaternion
-n_x*I + n_y*J + n_z*K.  A hidden spin state assigns a sign s_j = +/-1 to
-every direction in a set; its total amplitude is the signed sum of the
-elementary quaternions.  For directions in the xy-plane the same numbers
-are carried by complex phases e^{i theta_j}, and the two backends agree on
-every squared modulus.
+A hidden spin state assigns a sign s_j = +/-1 to every direction n_j in a
+set; its total amplitude is the signed sum of the directions, the 3-vector
+sum_j s_j n_j (the pure-imaginary quaternion with those components), and
+its intensity is the squared length of that sum.  `signed_sums` gives the
+sums of every pattern at once, `marginal_amplitude` the sum over the
+completions of a partial assignment.
 
 Sign patterns are plain tuples of +1/-1.  Pattern <-> integer encoding:
 bit j of the integer is 1 exactly when s_j = +1, least-significant bit is
@@ -14,7 +14,6 @@ index 0.  Table rows everywhere are ordered by ascending pattern integer.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -71,26 +70,12 @@ class Direction:
     def from_planar_angle(cls, theta: float) -> "Direction":
         return cls(math.cos(theta), math.sin(theta), 0.0)
 
-    @property
-    def is_planar(self) -> bool:
-        return self.nz == 0.0
-
-    @property
-    def theta(self) -> float:
-        """Planar angle; only meaningful when nz = 0."""
-        if not self.is_planar:
-            raise ValidationError("theta is defined for planar directions only")
-        return math.atan2(self.ny, self.nx)
-
     def dot(self, other: "Direction") -> float:
         return self.nx * other.nx + self.ny * other.ny + self.nz * other.nz
 
     def __neg__(self) -> "Direction":
         # antipodal directions are distinct entries, never identified
         return Direction(-self.nx, -self.ny, -self.nz)
-
-    def as_quaternion(self) -> Quaternion:
-        return Quaternion(0.0, self.nx, self.ny, self.nz)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.nx, self.ny, self.nz])
@@ -122,14 +107,6 @@ class DirectionSet:
 
     def __iter__(self):
         return iter(self.directions)
-
-    @property
-    def is_planar(self) -> bool:
-        return all(d.is_planar for d in self.directions)
-
-    @property
-    def angles(self) -> tuple[float, ...]:
-        return tuple(d.theta for d in self.directions)
 
     def as_matrix(self) -> np.ndarray:
         """(N, 3) array of components, row per direction."""
@@ -243,37 +220,13 @@ def pattern_cells(values: np.ndarray, n: int, idx: Sequence[int]) -> np.ndarray:
     return cells.transpose([kept.index(i) for i in idx])
 
 
-def elementary_amplitude(s: int, n: Direction) -> Quaternion:
-    """s * (n_x I + n_y J + n_z K): pure-imaginary, squared norm 1."""
-    check_sign(s)
-    return Quaternion(0.0, s * n.nx, s * n.ny, s * n.nz)
-
-
-def total_amplitude(pattern: Sequence[int], dirs: DirectionSet) -> Quaternion:
-    """Sum of elementary amplitudes; the real component is exactly zero."""
-    p = check_pattern(pattern, len(dirs))
-    sx = sy = sz = 0.0
-    for s, d in zip(p, dirs):
-        sx += s * d.nx
-        sy += s * d.ny
-        sz += s * d.nz
-    return Quaternion(0.0, sx, sy, sz)
-
-
-def complex_total_amplitude(pattern: Sequence[int], dirs: DirectionSet) -> complex:
-    """Planar backend: sum of s_j e^{i theta_j}.  Requires nz = 0 throughout."""
-    if not dirs.is_planar:
-        raise ValidationError("complex backend requires planar directions")
-    p = check_pattern(pattern, len(dirs))
-    return sum(s * cmath.exp(1j * d.theta) for s, d in zip(p, dirs))
-
-
 def marginal_amplitude(fixed: Mapping[int, int], dirs: DirectionSet) -> Quaternion:
-    """Sum of total_amplitude over every completion of a partial assignment.
+    """Sum of the total amplitudes of every completion of a partial
+    assignment, as a pure-imaginary Quaternion.
 
     `fixed` maps direction index -> sign for the constrained subset; each
     free sign takes both values equally often across the 2^F completions,
-    so the free terms cancel and the sum is 2^F * sum_fixed s_j q(n_j),
+    so the free terms cancel and the sum is 2^F * sum_fixed s_j n_j,
     returned directly.  The literal enumeration stays in the tests as the
     oracle.  F is capped at MAX_FREE_INDICES.
     """
@@ -292,12 +245,3 @@ def marginal_amplitude(fixed: Mapping[int, int], dirs: DirectionSet) -> Quaterni
     total = sum(s * dirs[i].as_array() for i, s in fixed.items()) * (1 << free)
     return Quaternion(0.0, float(total[0]), float(total[1]), float(total[2]))
 
-
-def born_pair_probability(s1: int, s2: int, n1: Direction, n2: Direction) -> float:
-    """Born rule on the two-direction marginal amplitude.
-
-    |s1 n1 + s2 n2|^2 = 2 (1 + s1 s2 n1.n2); dividing by the sum over the
-    four sign pairs (= 8) gives (1 + s1 s2 n1.n2) / 4.
-    """
-    q = elementary_amplitude(s1, n1) + elementary_amplitude(s2, n2)
-    return q.norm_sq() / 8.0

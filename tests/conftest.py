@@ -3,25 +3,18 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from hvqm.epr import SingletEnsemble, TrialRecord, sample_trials
+from hvqm.epr import (OUTCOME_PAIRS, SingletEnsemble, TrialRecord, joint_outcome_probs,
+                      sample_trials)
 from hvqm.errors import ValidationError
+from hvqm.interference import cis, pair_tables
 from hvqm.pathint import _hole_region_amplitude
-from hvqm.quaternion import Quaternion
-from hvqm.spin import Direction, DirectionSet, check_pattern
-
-finite_components = st.floats(min_value=-10.0, max_value=10.0,
-                              allow_nan=False, allow_infinity=False)
+from hvqm.phasespace import MomentumFunction, WaveFunction, _centred
+from hvqm.spin import Direction, DirectionSet, check_pattern, signed_sums
 
 angles = st.floats(min_value=-2.0 * math.pi, max_value=2.0 * math.pi,
                    allow_nan=False, allow_infinity=False)
 
 signs = st.sampled_from([1, -1])
-
-
-@st.composite
-def quaternions(draw):
-    return Quaternion(draw(finite_components), draw(finite_components),
-                      draw(finite_components), draw(finite_components))
 
 
 @st.composite
@@ -43,6 +36,64 @@ def random_directions(n):
 def pair_marginal_probability(s_i: int, s_j: int, theta_i: float, theta_j: float) -> float:
     """Planar pairwise law (1 + s_i s_j cos(theta_j - theta_i)) / 4."""
     return 0.25 * (1.0 + s_i * s_j * math.cos(theta_j - theta_i))
+
+
+def quaternion_pair_probability(s1: int, s2: int, n1: Direction, n2: Direction) -> float:
+    """The pair Born rule by the quaternion route: the elementary amplitudes
+    s (n_x I + n_y J + n_z K) of the two directions summed component by
+    component, then |q|^2 / 8 as w^2 + x^2 + y^2 + z^2."""
+    q1 = (0.0, s1 * n1.nx, s1 * n1.ny, s1 * n1.nz)
+    q2 = (0.0, s2 * n2.nx, s2 * n2.ny, s2 * n2.nz)
+    w, x, y, z = (a + b for a, b in zip(q1, q2))
+    return (w * w + x * x + y * y + z * z) / 8.0
+
+
+def joint_outcomes(n_a: Direction, n_b: Direction) -> dict[tuple[int, int], float]:
+    """epr.joint_outcome_probs keyed by the outcome pair (alpha, beta)."""
+    return dict(zip(OUTCOME_PAIRS, joint_outcome_probs(n_a, n_b)))
+
+
+def planar_amplitudes(angles) -> np.ndarray:
+    """Complex backend: row k = sum_j s_j e^{i theta_j}, s = pattern_from_index(k, N)."""
+    return signed_sums(cis(np.array(angles, dtype=float)))
+
+
+def pair_cells(angles, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sum-then-square and square-then-sum 2x2 tables of (s_i, s_j) for
+    planar directions at `angles`, each normalized; position 0 on an axis
+    is s = -1.  The completions sharing (s_i, s_j) are the alternatives."""
+    n = len(angles)
+    amps = planar_amplitudes(angles).reshape((2,) * n)
+    cells = np.moveaxis(amps, (n - 1 - i, n - 1 - j), (0, 1)).reshape(2, 2, -1)
+    return pair_tables(cells)
+
+
+def born_pair_marginal(angles, i: int, j: int) -> dict[tuple[int, int], float]:
+    """Oracle: the Born pair law by sum-then-square over the unobserved
+    indices, keyed by (s_i, s_j); (1 + s_i s_j cos(theta_j - theta_i)) / 4."""
+    coherent = pair_cells(angles, i, j)[0]
+    return {(si, sj): float(coherent[(si + 1) // 2, (sj + 1) // 2])
+            for si in (1, -1) for sj in (1, -1)}
+
+
+def interference_gap(angles, i: int, j: int) -> float:
+    """Max difference between the sum-then-square and square-then-sum
+    pair tables: the cross terms of the coherent sum."""
+    coherent, incoherent = pair_cells(angles, i, j)
+    return float(np.abs(coherent - incoherent).max())
+
+
+def centred_grid(m: int, step: float) -> np.ndarray:
+    """The lattice (j - M/2) step, j = 0 .. M-1: the r_j of a wavefunction
+    for step dr, the p_k of a momentum function for step dp."""
+    return (np.arange(m) - m // 2) * step
+
+
+def from_momentum(mf: MomentumFunction) -> WaveFunction:
+    """Inverse of phasespace.to_momentum on the matching position grid."""
+    dr = 2.0 * math.pi * mf.hbar / (mf.m * mf.dp)
+    psi = _centred(np.fft.ifft, mf.values, mf.dp * mf.m / math.sqrt(2.0 * math.pi * mf.hbar))
+    return WaveFunction(psi, dr, mf.hbar)
 
 
 def closed_form_w3(pattern, angles) -> float:

@@ -10,12 +10,12 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import closed_form_w3, four_hole_x_marginal
-from hvqm import beamline, epr, pathint, phasespace, quasiprob
+from conftest import (born_pair_marginal, closed_form_w3, four_hole_x_marginal, joint_outcomes,
+                      planar_amplitudes)
+from hvqm import beamline, epr, pathint, phasespace, quasiprob, spin
 from hvqm.config import apply_overrides, parse_config
 from hvqm.runner import run_experiment
-from hvqm.spin import (Direction, DirectionSet, complex_total_amplitude,
-                       pattern_from_index, total_amplitude)
+from hvqm.spin import Direction, DirectionSet, pattern_from_index, pattern_to_index
 
 GOLDEN = (0.0, math.pi / 3, 2 * math.pi / 3)
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -55,9 +55,10 @@ def test_01_quasiprob_golden_values():
 def test_02_null_amplitude_both_backends():
     with Budget(1.0):
         dirs = DirectionSet.from_planar_angles(GOLDEN)
-        q = total_amplitude((1, -1, 1), dirs)
-        z = complex_total_amplitude((1, -1, 1), dirs)
-        assert q.norm_sq() < 1e-24
+        k = pattern_to_index((1, -1, 1))
+        q = spin.signed_sums(dirs.as_matrix())[k]
+        z = planar_amplitudes(GOLDEN)[k]
+        assert float(q @ q) < 1e-24
         assert abs(z) ** 2 < 1e-24
     report(2, "amplitude of (+,-,+) vanishes in quaternion and complex backends")
 
@@ -68,10 +69,12 @@ def test_03_born_pair_law_thousand_triples():
         for _ in range(1000):
             ts = rng.uniform(-math.pi, math.pi, size=3)
             dirs = DirectionSet.from_planar_angles(ts)
-            pm = quasiprob.born_pair_marginal(dirs, 0, 1)
-            for (s1, s2), p in pm.items():
-                expected = 0.25 * (1 + s1 * s2 * math.cos(ts[1] - ts[0]))
+            pm = born_pair_marginal(ts, 0, 1)
+            # Bob reads the negated sign: P(alpha, beta) is the pair law at (alpha, -beta)
+            for (alpha, beta), p in joint_outcomes(dirs[0], dirs[1]).items():
+                expected = 0.25 * (1 - alpha * beta * math.cos(ts[1] - ts[0]))
                 assert abs(p - expected) < 1e-12
+                assert abs(p - pm[(alpha, -beta)]) < 1e-12
     report(3, "normalized pair marginals equal (1 + s1 s2 cos d)/4 over 1000 triples")
 
 
@@ -102,11 +105,10 @@ def test_05_no_signaling_marginals():
         rng = np.random.default_rng(99)
         for _ in range(100):
             ta, tb = rng.uniform(-math.pi, math.pi, size=2)
-            e = epr.SingletEnsemble(DirectionSet.from_planar_angles([ta, tb]),
-                                    epr.Mode.BORN_ANALYTIC)
-            m = epr.bob_marginal(e, 0, 1)
-            assert abs(m[1] - 0.5) <= 1e-15
-            assert abs(m[-1] - 0.5) <= 1e-15
+            dirs = DirectionSet.from_planar_angles([ta, tb])
+            joint = joint_outcomes(dirs[0], dirs[1])
+            for beta in (1, -1):
+                assert abs(joint[(1, beta)] + joint[(-1, beta)] - 0.5) <= 1e-15
         # empirical check at a few setting pairs
         n = 100_000
         sigma = math.sqrt(0.25 / n)
@@ -186,7 +188,7 @@ def test_09_stern_gerlach_blocking():
     with Budget(10.0):
         x_axis = Direction(1.0, 0.0, 0.0)
         y_axis = Direction(0.0, 1.0, 0.0)
-        beam = beamline.BeamState.plus_x()
+        beam = beamline.BeamState.eigenstate(x_axis, 1)
 
         unblocked = [beamline.split(y_axis), beamline.recombine(-y_axis),
                      beamline.analyze(x_axis)]
@@ -224,9 +226,12 @@ def test_10_phase_space_construction():
 
         # band-limited momentum correspondence against the direct-sum oracle
         wf = phasespace.gaussian_wavefunction(256, 1.0, width=6.0, momentum=0.4)
-        out = phasespace.project_r(phasespace.apply_px(phasespace.lift(wf)))
         p = (np.arange(256) - 128) * wf.dp
-        r = wf.r_values
+        r = (np.arange(256) - 128) * wf.dr
+        state = phasespace.lift(wf)
+        # the momentum operator multiplies each cell by its p coordinate
+        out = phasespace.project_r(phasespace.ExtendedState(
+            state.coefficients * p[None, :], state.dr, state.hbar))
         xi = (wf.dr / math.sqrt(2 * math.pi)
               * np.exp(-1j * np.outer(p, r)) @ wf.values)
         spectral = (wf.dp / math.sqrt(2 * math.pi)

@@ -117,10 +117,6 @@ class TestEigenstates:
             assert run_sequence([analyze(axis)], beam).probabilities[s] == pytest.approx(
                 1.0, abs=1e-12)
 
-    def test_plus_x_components(self):
-        assert BeamState.plus_x().bloch == X
-        assert BeamState.plus_z().bloch == Z
-
     def test_eigenstate_sign_is_checked(self):
         with pytest.raises(ValidationError):
             BeamState.eigenstate(X, 0)
@@ -128,7 +124,7 @@ class TestEigenstates:
 
 class TestRunSequence:
     def test_reconstruction_gives_certain_plus_x(self):
-        res = run_sequence(reconstruction_sequence(), BeamState.plus_z())
+        res = run_sequence(reconstruction_sequence(), BeamState.eigenstate(Z, 1))
         assert res.probabilities[1] == pytest.approx(1.0, abs=1e-12)
         assert res.probabilities[-1] == pytest.approx(0.0, abs=1e-12)
         assert res.survival == pytest.approx(0.5, abs=1e-12)  # the x block
@@ -137,19 +133,19 @@ class TestRunSequence:
         # from a +x input: survival through the y block is 1/2 and the final
         # x analyzer turns uniform
         seq = [split(Y, block=-1), recombine(-Y), analyze(X)]
-        res = run_sequence(seq, BeamState.plus_x())
+        res = run_sequence(seq, BeamState.eigenstate(X, 1))
         assert res.survival == pytest.approx(0.5, abs=1e-12)
         assert res.probabilities[1] == pytest.approx(0.5, abs=1e-12)
         assert res.probabilities[-1] == pytest.approx(0.5, abs=1e-12)
 
     def test_full_golden_sequence_with_block(self):
-        res = run_sequence(reconstruction_sequence(block=-1), BeamState.plus_z())
+        res = run_sequence(reconstruction_sequence(block=-1), BeamState.eigenstate(Z, 1))
         assert res.probabilities[1] == pytest.approx(0.5, abs=1e-12)
         assert res.survival == pytest.approx(0.25, abs=1e-12)
 
     def test_blocking_both_branches_extinguishes(self):
         seq = [split(Y, block=-1), split(Y, block=1), analyze(X)]
-        res = run_sequence(seq, BeamState.plus_x())
+        res = run_sequence(seq, BeamState.eigenstate(X, 1))
         assert res.extinguished
         assert res.probabilities is None
         assert res.survival == 0.0
@@ -159,7 +155,7 @@ class TestRunSequence:
     def test_unblocked_split_recombine_is_identity(self, axis, final):
         # no projection happens, so the result is the direct analysis, exactly
         seq = [split(axis), recombine(axis), analyze(final)]
-        beam = BeamState.plus_z()
+        beam = BeamState.eigenstate(Z, 1)
         assert run_sequence(seq, beam) == run_sequence([analyze(final)], beam)
 
     def test_shares_stay_in_unit_interval(self):
@@ -172,13 +168,13 @@ class TestRunSequence:
 
     def test_recombine_accepts_antiparallel_axis(self):
         seq = [split(Y), recombine(-Y), analyze(X)]
-        res = run_sequence(seq, BeamState.plus_x())
+        res = run_sequence(seq, BeamState.eigenstate(X, 1))
         assert res.probabilities[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_survival_non_increasing(self):
         seq = [split(X, block=-1), split(Y, block=-1), split(X, block=1),
                analyze(Z)]
-        res = run_sequence(seq, BeamState.plus_z())
+        res = run_sequence(seq, BeamState.eigenstate(Z, 1))
         assert 0.0 <= res.survival <= 1.0
         # each recorded stage multiplies survival down
         running = 1.0
@@ -191,32 +187,32 @@ class TestRunSequence:
 class TestMalformedSequences:
     def test_empty(self):
         with pytest.raises(SequenceError):
-            run_sequence([], BeamState.plus_z())
+            run_sequence([], BeamState.eigenstate(Z, 1))
 
     def test_missing_final_analyzer(self):
         with pytest.raises(SequenceError):
-            run_sequence([split(X)], BeamState.plus_z())
+            run_sequence([split(X)], BeamState.eigenstate(Z, 1))
 
     def test_recombine_without_split(self):
         with pytest.raises(SequenceError):
-            run_sequence([recombine(Y), analyze(X)], BeamState.plus_z())
+            run_sequence([recombine(Y), analyze(X)], BeamState.eigenstate(Z, 1))
 
     def test_recombine_axis_mismatch(self):
         with pytest.raises(SequenceError):
-            run_sequence([split(Y), recombine(X), analyze(X)], BeamState.plus_z())
+            run_sequence([split(Y), recombine(X), analyze(X)], BeamState.eigenstate(Z, 1))
 
     def test_nested_unblocked_split(self):
         with pytest.raises(SequenceError):
             run_sequence([split(Y), split(X), recombine(Y), analyze(X)],
-                         BeamState.plus_z())
+                         BeamState.eigenstate(Z, 1))
 
     def test_analyze_while_separated(self):
         with pytest.raises(SequenceError):
-            run_sequence([split(Y), analyze(X)], BeamState.plus_z())
+            run_sequence([split(Y), analyze(X)], BeamState.eigenstate(Z, 1))
 
     def test_analyzer_mid_sequence(self):
         with pytest.raises(SequenceError):
-            run_sequence([analyze(X), analyze(Y)], BeamState.plus_z())
+            run_sequence([analyze(X), analyze(Y)], BeamState.eigenstate(Z, 1))
 
     def test_block_on_recombine_rejected(self):
         with pytest.raises(ValidationError):
@@ -227,7 +223,7 @@ class TestMonteCarlo:
     def test_unblocked_never_yields_minus_x(self):
         n = 1_000_000
         dist, fraction, events = monte_carlo_sequence(
-            reconstruction_sequence(), BeamState.plus_z(), trials=n, seed=4)
+            reconstruction_sequence(), BeamState.eigenstate(Z, 1), trials=n, seed=4)
         assert fraction == pytest.approx(0.5, abs=3 * math.sqrt(0.25 / n))
         assert dist[-1] == 0.0
 
@@ -235,7 +231,7 @@ class TestMonteCarlo:
         n = 100_000
         seq = reconstruction_sequence(block=-1)
         dist, fraction, events = monte_carlo_sequence(
-            seq, BeamState.plus_z(), trials=n, seed=8)
+            seq, BeamState.eigenstate(Z, 1), trials=n, seed=8)
         # survival 1/4 overall; among survivors the -x outcome appears even
         # though no surviving trial touched an obstacle
         assert abs(fraction - 0.25) < 3 * math.sqrt(0.25 * 0.75 / n)
@@ -245,21 +241,21 @@ class TestMonteCarlo:
 
     def test_replay_bit_identical(self):
         seq = reconstruction_sequence(block=-1)
-        _, _, ev1 = monte_carlo_sequence(seq, BeamState.plus_z(), 5000, seed=3)
-        _, _, ev2 = monte_carlo_sequence(seq, BeamState.plus_z(), 5000, seed=3)
+        _, _, ev1 = monte_carlo_sequence(seq, BeamState.eigenstate(Z, 1), 5000, seed=3)
+        _, _, ev2 = monte_carlo_sequence(seq, BeamState.eigenstate(Z, 1), 5000, seed=3)
         assert ev1 == ev2
 
     def test_different_seeds_differ(self):
         seq = reconstruction_sequence(block=-1)
-        _, _, ev1 = monte_carlo_sequence(seq, BeamState.plus_z(), 5000, seed=3)
-        _, _, ev2 = monte_carlo_sequence(seq, BeamState.plus_z(), 5000, seed=4)
+        _, _, ev1 = monte_carlo_sequence(seq, BeamState.eigenstate(Z, 1), 5000, seed=3)
+        _, _, ev2 = monte_carlo_sequence(seq, BeamState.eigenstate(Z, 1), 5000, seed=4)
         assert ev1 != ev2
 
     @given(directions(), directions(), directions())
     @settings(max_examples=10, deadline=None)
     def test_analytic_and_empirical_agree(self, a1, a2, final):
         seq = [split(a1, block=-1), split(a2, block=1), analyze(final)]
-        beam = BeamState.plus_z()
+        beam = BeamState.eigenstate(Z, 1)
         analytic = run_sequence(seq, beam)
         n = 20_000
         dist, fraction, _ = monte_carlo_sequence(seq, beam, trials=n, seed=12)
@@ -274,7 +270,7 @@ class TestMonteCarlo:
     def test_extinguished_monte_carlo(self):
         seq = [split(Y, block=-1), split(Y, block=1), analyze(X)]
         dist, fraction, events = monte_carlo_sequence(
-            seq, BeamState.plus_x(), trials=100, seed=1)
+            seq, BeamState.eigenstate(X, 1), trials=100, seed=1)
         assert dist == {}
         assert fraction == 0.0
         assert all(e.absorbed_at is not None for e in events)
@@ -284,7 +280,7 @@ class TestMonteCarlo:
         as the event_json lines of a whole-range draw, and the counts are
         exactly those of the events."""
         monkeypatch.setattr(rng, "TILE", 7)
-        seq, beam = reconstruction_sequence(block=-1), BeamState.plus_z()
+        seq, beam = reconstruction_sequence(block=-1), BeamState.eigenstate(Z, 1)
         blocks = []
         counts = sequence_counts(seq, beam, 40, 3, run_sequence(seq, beam),
                                  lambda first, k, suffixes: blocks.append(
@@ -298,7 +294,7 @@ class TestMonteCarlo:
     def test_walk_memory_stays_one_block(self):
         """The walk holds one block of trials at a time: its traced peak at
         2^20 trials is within 1 MiB of the peak at 2^16."""
-        seq, beam = reconstruction_sequence(block=-1), BeamState.plus_z()
+        seq, beam = reconstruction_sequence(block=-1), BeamState.eigenstate(Z, 1)
         analytic = run_sequence(seq, beam)
 
         def peak(trials):

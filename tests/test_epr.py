@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import angles, closed_form_w3, directions, sample_trial
+from conftest import (angles, closed_form_w3, directions, joint_outcomes,
+                      quaternion_pair_probability, sample_trial)
 from hvqm import beamline, epr, quasiprob, rng, runner, spin
 from hvqm.config import apply_overrides, parse_config, parse_direction
-from hvqm.epr import (CHSH_PAIRS, Mode, SingletEnsemble, TrialRecord, bob_marginal, chsh,
-                      chsh_ensemble, conditional_update, correlation,
-                      pair_joint_probability, sample_trials, trial_record_json,
-                      tsirelson_settings)
+from hvqm.epr import (CHSH_PAIRS, OUTCOME_PAIRS, Mode, SingletEnsemble, TrialRecord, chsh,
+                      chsh_ensemble, correlation, pair_joint_probability, sample_trials,
+                      trial_record_json, tsirelson_settings)
 from hvqm.errors import NotSampleableError, ValidationError
 from hvqm.logcodec import join_lines
 from hvqm.spin import Direction, DirectionSet
@@ -60,6 +60,15 @@ class TestPairJointProbability:
         total = sum(pair_joint_probability(na, nb, a, b)
                     for a in (1, -1) for b in (1, -1))
         assert abs(total - 1.0) <= 1e-15
+
+    @given(directions(), directions())
+    def test_bits_of_the_quaternion_route(self, na, nb):
+        """The pair law keeps the bits of the elementary quaternion
+        amplitudes summed, then squared, and with them every Born
+        threshold and analytic correlator."""
+        for a, b in OUTCOME_PAIRS:
+            got = pair_joint_probability(na, nb, a, b)
+            assert got.hex() == quaternion_pair_probability(a, -b, na, nb).hex()
 
 
 class TestSampling:
@@ -184,7 +193,7 @@ class TestChsh:
         assert chsh(e).s == -1.414213562373095
         assert chsh(chsh_ensemble(Mode.BORN_ANALYTIC, *dirs)).s == -2.82842712474619
         signed = quasiprob.solve_weights(DirectionSet.of(*dirs))
-        assert quasiprob.negativity_report(signed).has_negative
+        assert quasiprob.negativity_report(signed).negative_patterns
 
     def test_quasiprob_table_off_the_xy_plane(self):
         # settings in the xz-plane: the signed table takes any directions
@@ -386,7 +395,8 @@ def test_reports_are_the_library_estimates(monkeypatch, tmp_path, tile):
     x, y = Direction(1.0, 0.0, 0.0), Direction(0.0, 1.0, 0.0)
     seq = [beamline.split(x, block=-1), beamline.split(y, block=-1), beamline.recombine(-y),
            beamline.analyze(x)]
-    beam, seed = beamline.BeamState.plus_z(), cfg.get_int("experiment", "seed")
+    beam = beamline.BeamState.eigenstate(Direction(0.0, 0.0, 1.0), 1)
+    seed = cfg.get_int("experiment", "seed")
     counts = beamline.sequence_counts(seq, beam, trials, seed, beamline.run_sequence(seq, beam))
     dist, fraction = beamline.survivor_statistics(counts)
     got = runner.run_experiment(cfg, tmp_path / "sterngerlach").results["monte_carlo"]
@@ -413,31 +423,36 @@ def test_sampled_chsh_memory_stays_one_block(monkeypatch):
         assert peak(1 << 20) - peak(1 << 16) <= 1 << 20
 
 
+def bob_marginal(e: SingletEnsemble, a_idx: int, b_idx: int) -> dict[int, float]:
+    """Bob's outcome distribution from the joint law, Alice's outcome summed out."""
+    joint = joint_outcomes(e.directions[a_idx], e.directions[b_idx])
+    return {beta: joint[(1, beta)] + joint[(-1, beta)] for beta in (1, -1)}
+
+
 class TestConditionalUpdate:
+    """Bob's table given Alice's outcome, read off the joint law:
+    P(beta | alpha) = (1 - alpha beta n_a . n_b) / 2."""
+
+    @staticmethod
+    def given_alice(e: SingletEnsemble, alpha: int) -> dict[int, float]:
+        joint = joint_outcomes(e.directions[0], e.directions[1])
+        total = joint[(alpha, 1)] + joint[(alpha, -1)]
+        return {beta: joint[(alpha, beta)] / total for beta in (1, -1)}
+
     def test_same_direction_certainty(self):
-        e = born_pair(0.2, 0.2, Mode.BORN_ANALYTIC)
-        table = conditional_update(e, 0, 1, 1)
+        table = self.given_alice(born_pair(0.2, 0.2, Mode.BORN_ANALYTIC), 1)
         assert table[-1] == pytest.approx(1.0, abs=1e-15)
         assert table[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_orthogonal_uninformative(self):
-        e = born_pair(0.0, math.pi / 2, Mode.BORN_ANALYTIC)
-        table = conditional_update(e, 0, 1, 1)
+        table = self.given_alice(born_pair(0.0, math.pi / 2, Mode.BORN_ANALYTIC), 1)
         assert table[1] == pytest.approx(0.5)
         assert table[-1] == pytest.approx(0.5)
 
     def test_sixty_degrees(self):
-        e = born_pair(0.0, math.pi / 3, Mode.BORN_ANALYTIC)
-        table = conditional_update(e, 0, 1, 1)
+        table = self.given_alice(born_pair(0.0, math.pi / 3, Mode.BORN_ANALYTIC), 1)
         assert table[1] == pytest.approx(0.25, abs=1e-15)
         assert table[-1] == pytest.approx(0.75, abs=1e-15)
-
-    def test_requires_born_mode(self):
-        dirs = DirectionSet.from_planar_angles([0.0, 1.0])
-        w = np.full(4, 0.25)
-        e = SingletEnsemble(dirs, Mode.CLASSICAL_LHV, w)
-        with pytest.raises(ValidationError):
-            conditional_update(e, 0, 1, 1)
 
 
 class TestNoSignaling:

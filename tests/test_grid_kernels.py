@@ -159,7 +159,7 @@ import json, sys
 import numpy as np
 from hvqm.pathint import (Geometry2Slit, GeometryFourHole, four_hole_table,
                           screen_patterns, slit_pair)
-from hvqm.quasiprob import born_pair_marginal, born_table, solve_weights
+from hvqm.quasiprob import born_table, solve_weights
 from hvqm.spin import Direction, DirectionSet
 arrays = {"slit_pair": slit_pair(Geometry2Slit(bins=1000, quadrature_points=77))}
 for p in screen_patterns(Geometry2Slit()):
@@ -169,7 +169,6 @@ for coherent in (True, False):
         list(four_hole_table(GeometryFourHole(), coherent).values()))
 dirs = DirectionSet.from_planar_angles(0.37 * j + 0.1 * j * j for j in range(12))
 arrays["solve_weights"] = solve_weights(dirs).weights
-arrays["born_pair_marginal"] = np.array(list(born_pair_marginal(dirs, 2, 9).values()))
 rng = np.random.default_rng(14)
 arrays["born_table"] = born_table(DirectionSet(tuple(
     Direction.normalized(*rng.normal(size=3)) for _ in range(14)))).probabilities
@@ -183,8 +182,8 @@ def test_slit_pair_bits_do_not_depend_on_numpy_simd():
     no complex product and no FFT library, only cos, sin and real sums and
     products, and the Born rule squares as re^2 + im^2, so with every
     optional CPU feature of numpy's dispatch turned off neither the waves'
-    bits nor those of the screen patterns, four-hole tables, signed weights,
-    Born pair cells and a two-tile Born table may move.  `lift` and
+    bits nor those of the screen patterns, four-hole tables, signed weights
+    and a two-tile Born table may move.  `lift` and
     `project_p` are left out: their complex products do change bits with
     dispatch off."""
     try:

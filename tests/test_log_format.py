@@ -129,8 +129,8 @@ def test_suffix_of_checks_the_head():
 def test_monte_carlo_events_match_the_record_list():
     seq = [beamline.split(Direction(1.0, 0.0, 0.0), block=-1),
            beamline.analyze(Direction(0.0, 1.0, 0.0))]
-    _, _, events = beamline.monte_carlo_sequence(seq, beamline.BeamState.plus_z(), 500, seed=2,
-                                                 start=40)
+    beam = beamline.BeamState.eigenstate(Direction(0.0, 0.0, 1.0), 1)
+    _, _, events = beamline.monte_carlo_sequence(seq, beam, 500, seed=2, start=40)
     lines = logcodec.join_lines(events.start, *beamline.event_lines(events.absorbed_at,
                                                                     events.outcome))
     assert lines == b"".join(event_json(e).encode() + b"\n" for e in events)

@@ -9,7 +9,7 @@ from hvqm import interference
 from hvqm.errors import ValidationError
 from hvqm.pathint import (Geometry2Slit, GeometryFourHole, Region,
                           ScreenPattern, dark_region_finder, four_hole_table,
-                          path_amplitude, screen_pattern, slit_pair, write_pattern_csv)
+                          screen_pattern, slit_pair, write_pattern_csv)
 
 
 def fraunhofer_dark_positions(g: Geometry2Slit):
@@ -18,44 +18,6 @@ def fraunhofer_dark_positions(g: Geometry2Slit):
     k_max = int(g.screen_half_width / spacing + 1)
     xs = [(k + 0.5) * spacing for k in range(-k_max, k_max + 1)]
     return [x for x in xs if abs(x) < g.screen_half_width]
-
-
-class TestPathAmplitude:
-    def test_zero_displacement(self):
-        assert path_amplitude([(0.0, 0.0), (0.0, 0.0)], [1.0]) == pytest.approx(1.0)
-
-    def test_phase_pi_gives_minus_one(self):
-        # S = m dx^2 / (2 dt) = pi for dx = sqrt(2 pi), dt = 1, m = hbar = 1
-        amp = path_amplitude([(0.0,), (math.sqrt(2 * math.pi),)], [1.0])
-        assert amp.real == pytest.approx(-1.0, abs=1e-12)
-        assert amp.imag == pytest.approx(0.0, abs=1e-12)
-
-    def test_unit_modulus(self):
-        amp = path_amplitude([(0, 0), (1.3, -0.4), (2.0, 2.0)], [0.7, 1.1])
-        assert abs(amp) == pytest.approx(1.0, abs=1e-12)
-
-    def test_straight_path_minimizes_action(self):
-        # same endpoints and total time; the kink path carries more action,
-        # visible as the phase of the ratio
-        def action(points, times):
-            pts = np.asarray(points, float)
-            d2 = np.sum(np.diff(pts, axis=0) ** 2, axis=1)
-            return float(np.sum(d2 / (2 * np.asarray(times))))
-
-        straight = action([(0.0,), (2.0,)], [2.0])
-        kinked = action([(0.0,), (1.5,), (2.0,)], [1.0, 1.0])
-        assert straight < kinked
-        # and the amplitudes carry exactly those phases
-        assert path_amplitude([(0.0,), (2.0,)], [2.0]) == pytest.approx(
-            np.exp(1j * straight))
-
-    def test_bad_durations(self):
-        with pytest.raises(ValidationError):
-            path_amplitude([(0.0,), (1.0,)], [0.0])
-        with pytest.raises(ValidationError):
-            path_amplitude([(0.0,), (1.0,)], [1.0, 2.0])
-        with pytest.raises(ValidationError):
-            path_amplitude([(0.0,)], [])
 
 
 class TestSlitWave:
@@ -233,13 +195,13 @@ class TestFourHole:
 
 class TestSharedInterferenceHelpers:
     def test_same_functions_power_both_code_paths(self):
-        # the slit patterns, the four-hole tables and the spin-table
-        # marginals must share the sum-then-square / square-then-sum
-        # primitive, not reimplement it
+        # the slit patterns, the four-hole tables and the spin pair tables
+        # the tests hold as an oracle must share the sum-then-square /
+        # square-then-sum primitive, not reimplement it
+        import conftest
         import hvqm.pathint as pathint_mod
-        import hvqm.quasiprob as quasiprob_mod
         assert pathint_mod.pair_tables is interference.pair_tables
-        assert quasiprob_mod.pair_tables is interference.pair_tables
+        assert conftest.pair_tables is interference.pair_tables
 
     def test_helpers_disagree_on_interfering_input(self):
         # raw coherent |1 -/+ (0.8 - 0.3i)|^2 = 0.13, 3.33; which-path 1.73 each

@@ -4,9 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import centred_grid, from_momentum
 from hvqm.errors import ValidationError
 from hvqm.phasespace import (ExtendedState, MomentumFunction, WaveFunction,
-                             apply_px, apply_x, from_momentum,
                              gaussian_wavefunction, lift, plane_wave, project_p,
                              project_r, ray_overlap, to_momentum, write_grid_csv)
 
@@ -25,7 +25,7 @@ def read_grid_csv(path) -> np.ndarray:
 
 def direct_dft(wf: WaveFunction) -> np.ndarray:
     """Oracle: explicit double-sum transform on the centered grids."""
-    r = wf.r_values
+    r = centred_grid(wf.m, wf.dr)
     p = (np.arange(wf.m) - wf.m // 2) * wf.dp
     kernel = np.exp(-1j * np.outer(p, r) / wf.hbar)
     return wf.dr / math.sqrt(2 * math.pi * wf.hbar) * (kernel @ wf.values)
@@ -69,7 +69,7 @@ class TestTransform:
         sigma = 6.0
         wf = gaussian_wavefunction(M, DR, width=sigma)
         xi = to_momentum(wf)
-        p = xi.p_values
+        p = centred_grid(xi.m, xi.dp)
         prob = np.abs(xi.values) ** 2
         prob /= prob.sum()
         var = float(np.sum(prob * p ** 2) - np.sum(prob * p) ** 2)
@@ -106,8 +106,8 @@ class TestLiftProject:
         state = lift(wf)
         xi = to_momentum(wf)
         j, k = 37, 101
-        expected = (xi.values[k] / math.sqrt(2 * math.pi)
-                    * np.exp(1j * state.p_values[k] * state.r_values[j]))
+        p, r = centred_grid(M, state.dp)[k], centred_grid(M, state.dr)[j]
+        expected = xi.values[k] / math.sqrt(2 * math.pi) * np.exp(1j * p * r)
         assert state.coefficients[j, k] == pytest.approx(expected, abs=1e-12)
 
     def test_single_cell_state_projects_to_point(self):
@@ -169,35 +169,47 @@ class TestProjectP:
         rng = np.random.default_rng(11)
         wf = random_normalized(rng)
         state = lift(wf)
-        phase = np.exp(-1j * np.outer(state.r_values, state.p_values))
+        phase = np.exp(-1j * np.outer(centred_grid(M, state.dr), centred_grid(M, state.dp)))
         raw = (state.coefficients * phase).sum(axis=0)
         xi = to_momentum(wf)
         expected = xi.values * M / math.sqrt(2 * math.pi)
         assert np.allclose(raw, expected, atol=1e-9)
 
 
+def times_r(state: ExtendedState) -> ExtendedState:
+    """The position operator on the lattice: each cell times its r."""
+    r = centred_grid(state.m, state.dr)
+    return ExtendedState(state.coefficients * r[:, None], state.dr, state.hbar)
+
+
+def times_p(state: ExtendedState) -> ExtendedState:
+    """The momentum operator on the lattice: each cell times its p."""
+    p = centred_grid(state.m, state.dp)
+    return ExtendedState(state.coefficients * p[None, :], state.dr, state.hbar)
+
+
 class TestOperators:
     def test_apply_x_exact_correspondence(self):
         rng = np.random.default_rng(12)
         wf = random_normalized(rng)
-        out = project_r(apply_x(lift(wf)))
-        assert np.allclose(out.values, wf.r_values * wf.values, atol=1e-10)
+        out = project_r(times_r(lift(wf)))
+        assert np.allclose(out.values, centred_grid(wf.m, wf.dr) * wf.values, atol=1e-10)
 
     def test_plane_wave_momentum_eigenstate(self):
         wf = plane_wave(M, DR, mode_index=9)
         p0 = 9 * wf.dp
-        out = project_r(apply_px(lift(wf)))
+        out = project_r(times_p(lift(wf)))
         assert np.allclose(out.values, p0 * wf.values, atol=1e-9)
 
     def test_gaussian_derivative_two_oracles(self):
         rng = np.random.default_rng(13)
         wf = random_normalized(rng, band_limited=True)
-        out = project_r(apply_px(lift(wf)))
+        out = project_r(times_p(lift(wf)))
 
         # oracle 1: spectral derivative through the direct-sum transform
         p = (np.arange(M) - M // 2) * wf.dp
         xi = direct_dft(wf)
-        r = wf.r_values
+        r = centred_grid(wf.m, wf.dr)
         kernel = np.exp(1j * np.outer(r, p))
         spectral = wf.dp / math.sqrt(2 * math.pi) * (kernel @ (p * xi))
         assert np.max(np.abs(out.values - spectral)) < 1e-9
@@ -214,8 +226,8 @@ class TestOperators:
         j0 = M // 2 + 5
         values[j0] = 1.0 / math.sqrt(DR)
         wf = WaveFunction(values, DR)
-        out = project_r(apply_x(lift(wf)))
-        expected = wf.r_values[j0] * wf.values[j0]
+        out = project_r(times_r(lift(wf)))
+        expected = centred_grid(wf.m, wf.dr)[j0] * wf.values[j0]
         assert out.values[j0] == pytest.approx(expected, abs=1e-10)
 
 

@@ -8,17 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import angles
-from conftest import closed_form_w3, directions, pair_marginal_probability, random_directions
+from conftest import (born_pair_marginal, closed_form_w3, directions, interference_gap,
+                      joint_outcomes, pair_cells, pair_marginal_probability,
+                      random_directions)
 from hvqm import spin
 from hvqm.cli import main
 from hvqm.errors import SolverError
 from hvqm.errors import ValidationError
-from hvqm.quasiprob import (QuasiProbTable, born_pair_marginal, born_table,
-                            interference_gap, marginal, marginal_pair,
-                            marginal_single, negativity_report, solve_weights,
-                            write_born_csv, write_table_csv)
+from hvqm.quasiprob import (QuasiProbTable, born_table, marginal, negativity_report,
+                            solve_weights, write_born_csv, write_table_csv)
 from hvqm.quasiprob import check_pair_law
-from hvqm.spin import Direction, DirectionSet, pattern_from_index, sign_matrix, signed_sums
+from hvqm.spin import (Direction, DirectionSet, pattern_cells, pattern_from_index, sign_matrix,
+                       signed_sums)
 
 GOLDEN = (0.0, math.pi / 3, 2 * math.pi / 3)
 
@@ -46,7 +47,6 @@ def _constraint_system(dirs):
     """Normalization plus all C(N,2) x 4 pairwise-marginal rows."""
     n = len(dirs)
     signs = sign_matrix(n)
-    angles = dirs.angles
     rows = [np.ones(1 << n)]
     rhs = [1.0]
     for i in range(n):
@@ -55,7 +55,7 @@ def _constraint_system(dirs):
                 for sj in (1, -1):
                     mask = (signs[:, i] == si) & (signs[:, j] == sj)
                     rows.append(mask.astype(float))
-                    rhs.append(pair_marginal_probability(si, sj, angles[i], angles[j]))
+                    rhs.append(0.25 * (1.0 + si * sj * dirs[i].dot(dirs[j])))
     return np.array(rows), np.array(rhs)
 
 
@@ -129,7 +129,7 @@ class TestSolveWeights:
         table = solve_weights(DirectionSet.from_planar_angles(ts))
         for i in range(4):
             for j in range(i + 1, 4):
-                pm = marginal_pair(table, i, j)
+                pm = marginal(table, (i, j))
                 for (si, sj), p in pm.items():
                     assert p == pytest.approx(
                         pair_marginal_probability(si, sj, ts[i], ts[j]), abs=1e-10)
@@ -142,7 +142,7 @@ class TestSolveWeights:
         # the particular solution satisfies the system too...
         t2 = QuasiProbTable(dirs, particular)
         for i, j in itertools.combinations(range(4), 2):
-            for (si, sj), p in marginal_pair(t2, i, j).items():
+            for (si, sj), p in marginal(t2, (i, j)).items():
                 assert p == pytest.approx(
                     pair_marginal_probability(si, sj, ts[i], ts[j]), abs=1e-12)
         # ...so the minimum-norm solution cannot be longer
@@ -216,7 +216,7 @@ class TestSolveWeights:
 class TestMarginals:
     def test_pair_from_golden_table(self):
         table = solve_weights(golden_set())
-        pm = marginal_pair(table, 0, 1)
+        pm = marginal(table, (0, 1))
         for (s1, s2), p in pm.items():
             assert p == pytest.approx(
                 pair_marginal_probability(s1, s2, 0.0, math.pi / 3), abs=1e-10)
@@ -225,7 +225,7 @@ class TestMarginals:
     def test_explicit_sum_identity(self):
         # P(s1, s2) = W(s1, s2, +1) + W(s1, s2, -1)
         table = solve_weights(golden_set())
-        pm = marginal_pair(table, 0, 1)
+        pm = marginal(table, (0, 1))
         for (s1, s2), p in pm.items():
             assert p == pytest.approx(
                 table.weight((s1, s2, 1)) + table.weight((s1, s2, -1)), abs=1e-12)
@@ -233,9 +233,9 @@ class TestMarginals:
     def test_single_index_is_half_half(self):
         table = solve_weights(golden_set())
         for i in range(3):
-            m = marginal_single(table, i)
-            assert m[1] == pytest.approx(0.5, abs=1e-10)
-            assert m[-1] == pytest.approx(0.5, abs=1e-10)
+            m = marginal(table, (i,))
+            assert m[(1,)] == pytest.approx(0.5, abs=1e-10)
+            assert m[(-1,)] == pytest.approx(0.5, abs=1e-10)
 
     @given(st.lists(angles, min_size=2, max_size=8), st.data())
     @settings(max_examples=40, deadline=None)
@@ -261,11 +261,9 @@ class TestMarginals:
     def test_bad_indices(self):
         table = solve_weights(golden_set())
         with pytest.raises(ValidationError):
-            marginal_pair(table, 0, 0)
-        with pytest.raises(ValidationError):
-            marginal_pair(table, 0, 5)
-        with pytest.raises(ValidationError):
             marginal(table, (0, 0))
+        with pytest.raises(ValidationError):
+            marginal(table, (0, 5))
 
 
 def einsum_born(dirs):
@@ -313,7 +311,7 @@ class TestBornTable:
         rng = np.random.default_rng(n)
         dirs = DirectionSet(tuple(Direction.normalized(*rng.normal(size=3))
                                   for _ in range(n)))
-        assert not dirs.is_planar
+        assert dirs.as_matrix()[:, 2].any()
         vec = signed_sums(dirs.as_matrix())
         intensity = np.einsum("ij,ij->i", vec, vec)
         assert np.array_equal(born_table(dirs).probabilities, intensity / intensity.sum())
@@ -340,24 +338,34 @@ class TestBornPairMarginal:
     @given(angles, angles, angles)
     @settings(max_examples=60)
     def test_reproduces_pair_law(self, t1, t2, t3):
+        """The singlet's joint law, Bob's sign negated, is the coherent
+        (sum-then-square) pair table of the pattern amplitudes."""
         dirs = DirectionSet.from_planar_angles([t1, t2, t3])
-        pm = born_pair_marginal(dirs, 0, 1)
-        for (s1, s2), p in pm.items():
+        joint = joint_outcomes(dirs[0], dirs[1])
+        for (s1, s2), p in born_pair_marginal([t1, t2, t3], 0, 1).items():
             assert p == pytest.approx(
                 pair_marginal_probability(s1, s2, t1, t2), abs=1e-12)
+            assert joint[(s1, -s2)] == pytest.approx(p, abs=1e-12)
 
     def test_interference_gap_nonzero_at_golden_angles(self):
-        # square-then-sum and sum-then-square genuinely disagree
-        gap = interference_gap(golden_set(), 0, 1)
+        """The Born table's pair cells are the which-path (square-then-sum)
+        table, and they miss the pair law by the interference gap."""
+        dirs = golden_set()
+        which_path = pair_cells(GOLDEN, 0, 1)[1]
+        born_cells = pattern_cells(born_table(dirs).probabilities, 3, (0, 1))
+        assert np.abs(born_cells - which_path).max() <= 1e-12
+        gap = interference_gap(GOLDEN, 0, 1)
         assert gap > 0.01
         # (+,+): coherent 3/8 vs incoherent 1/3
         assert gap == pytest.approx(3 / 8 - 1 / 3, abs=1e-12)
+        assert born_cells[1, 1] == pytest.approx(1 / 3, abs=1e-12)
+        assert joint_outcomes(dirs[0], dirs[1])[(1, -1)] == pytest.approx(3 / 8, abs=1e-12)
 
     def test_negative_weight_forced_at_golden_angles(self):
         # any table matching the pairwise law at these angles has a
         # negative entry; check it on the solver's minimum-norm solution
         table = solve_weights(golden_set())
-        assert negativity_report(table).has_negative
+        assert negativity_report(table).negative_patterns
 
 
 class TestNegativity:
@@ -369,13 +377,13 @@ class TestNegativity:
     def test_pairwise_table_nonnegative(self):
         report = negativity_report(solve_weights(
             DirectionSet.from_planar_angles([0.2, 1.9])))
-        assert not report.has_negative
+        assert not report.negative_patterns
         assert report.negative_patterns == ()
 
     def test_exactly_collinear_nonnegative(self):
         report = negativity_report(solve_weights(
             DirectionSet.from_planar_angles([0.0, 0.0, 0.0])))
-        assert not report.has_negative
+        assert not report.negative_patterns
 
     def test_near_collinear_negativity_is_second_order(self):
         # W(+,-,+) at (0, h, 2h) expands to -h^2/8: negativity never quite
@@ -383,7 +391,7 @@ class TestNegativity:
         h = 0.01
         report = negativity_report(solve_weights(
             DirectionSet.from_planar_angles([0.0, h, 2 * h])))
-        assert report.has_negative
+        assert report.negative_patterns
         assert report.min_weight == pytest.approx(-h * h / 8, rel=1e-3)
 
 

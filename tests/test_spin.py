@@ -1,4 +1,3 @@
-import cmath
 import itertools
 import math
 import re
@@ -9,14 +8,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import angles, directions, signs
+from conftest import angles, directions, planar_amplitudes, signs
 from hvqm.errors import ValidationError
-from hvqm import spin
-from hvqm.quaternion import I, J, K, Quaternion
-from hvqm.spin import (Direction, DirectionSet, born_pair_probability,
-                       complex_total_amplitude, elementary_amplitude,
-                       marginal_amplitude, pattern_from_index, pattern_to_index,
-                       sign_matrix, signed_sum_tiles, signed_sums, total_amplitude)
+from hvqm import epr, quasiprob, spin
+from hvqm.quaternion import Quaternion
+from hvqm.spin import (Direction, DirectionSet, marginal_amplitude, pattern_from_index,
+                       pattern_to_index, sign_matrix, signed_sum_tiles, signed_sums)
 
 GOLDEN_ANGLES = (0.0, math.pi / 3, 2 * math.pi / 3)
 
@@ -92,10 +89,8 @@ class TestDirection:
 
     def test_planar_angle_roundtrip(self):
         d = Direction.from_planar_angle(0.7)
-        assert d.theta == pytest.approx(0.7)
-        assert d.is_planar
-        with pytest.raises(ValidationError):
-            Direction(0.0, 0.0, 1.0).theta
+        assert math.atan2(d.ny, d.nx) == pytest.approx(0.7)
+        assert d.nz == 0.0
 
     def test_antipodal_directions_stay_distinct(self):
         d = Direction.from_planar_angle(0.3)
@@ -139,124 +134,123 @@ class TestPatternEncoding:
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def amplitudes(ds: DirectionSet) -> np.ndarray:
+    """Total amplitude sum_j s_j n_j of every pattern, row k = pattern k."""
+    return signed_sums(ds.as_matrix())
+
+
+def components(q: Quaternion) -> np.ndarray:
+    return np.array([q.w, q.x, q.y, q.z])
+
+
 class TestElementaryAmplitude:
+    """One direction's amplitudes: s n for s = -1 (row 0) and +1 (row 1)."""
+
     def test_basis_values(self):
-        assert elementary_amplitude(1, Direction(1, 0, 0)) == I
-        assert elementary_amplitude(-1, Direction(0, 0, 1)) == -K
-        assert elementary_amplitude(1, Direction(0, 1, 0)) == J
+        for n in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)):
+            rows = amplitudes(DirectionSet.of(Direction(*n)))
+            assert np.array_equal(rows, [np.negative(n), n])
 
     @given(directions(), signs)
     def test_pure_imaginary_unit(self, n, s):
-        q = elementary_amplitude(s, n)
+        q = marginal_amplitude({0: s}, DirectionSet.of(n))
         assert q.w == 0.0
-        assert q.norm_sq() == pytest.approx(1.0, abs=1e-12)
+        assert float(components(q) @ components(q)) == pytest.approx(1.0, abs=1e-12)
 
     def test_bad_sign(self):
         with pytest.raises(ValidationError):
-            elementary_amplitude(0, Direction(1, 0, 0))
+            marginal_amplitude({0: 0}, DirectionSet.of(Direction(1, 0, 0)))
 
     def test_planar_backend_agreement_on_grid(self):
-        # |quaternion pair sum|^2 vs |e^{i t1} +/- e^{i t2}|^2 across a grid
+        # |n1 +/- n2|^2 vs |e^{i t1} +/- e^{i t2}|^2 across a grid
         thetas = np.linspace(-math.pi, math.pi, 17)
         for t1, t2 in itertools.product(thetas, repeat=2):
-            ds = DirectionSet.from_planar_angles([t1, t2])
-            for s2 in (1, -1):
-                q = total_amplitude((1, s2), ds)
-                z = cmath.exp(1j * t1) + s2 * cmath.exp(1j * t2)
-                assert q.norm_sq() == pytest.approx(abs(z) ** 2, abs=1e-12)
+            rows = amplitudes(DirectionSet.from_planar_angles([t1, t2]))
+            want = np.abs(planar_amplitudes([t1, t2])) ** 2
+            assert np.einsum("ij,ij->i", rows, rows) == pytest.approx(want, abs=1e-12)
 
 
 class TestTotalAmplitude:
     def test_golden_null_pattern(self):
-        ds = DirectionSet.from_planar_angles(GOLDEN_ANGLES)
-        q = total_amplitude((1, -1, 1), ds)
-        assert q.norm_sq() < 1e-24
+        v = amplitudes(DirectionSet.from_planar_angles(GOLDEN_ANGLES))[
+            pattern_to_index((1, -1, 1))]
+        assert float(v @ v) < 1e-24
 
     def test_single_direction(self):
         ds = DirectionSet.of(Direction(0, 1, 0))
-        assert total_amplitude((1,), ds) == J
+        assert np.array_equal(amplitudes(ds)[pattern_to_index((1,))], [0, 1, 0])
 
     def test_antiparallel_cancellation(self):
         d = Direction.normalized(1.0, 2.0, -0.5)
-        q = total_amplitude((1, 1), DirectionSet.of(d, -d))
-        assert q.norm_sq() == 0.0
+        v = amplitudes(DirectionSet.of(d, -d))[pattern_to_index((1, 1))]
+        assert float(v @ v) == 0.0
 
     def test_length_mismatch(self):
         ds = DirectionSet.from_planar_angles([0.0, 1.0])
         with pytest.raises(ValidationError):
-            total_amplitude((1,), ds)
+            quasiprob.born_table(ds).probability((1,))
 
     @given(st.data())
     def test_real_part_always_zero(self, data):
         n = data.draw(st.integers(min_value=1, max_value=6))
         ds = DirectionSet(tuple(data.draw(directions()) for _ in range(n)))
         pattern = tuple(data.draw(signs) for _ in range(n))
-        assert total_amplitude(pattern, ds).w == 0.0
+        assert marginal_amplitude(dict(enumerate(pattern)), ds).w == 0.0
 
     @given(st.data())
     @settings(max_examples=50)
     def test_planar_consistency_random(self, data):
         n = data.draw(st.integers(min_value=1, max_value=7))
         ts = [data.draw(angles) for _ in range(n)]
-        pattern = tuple(data.draw(signs) for _ in range(n))
-        ds = DirectionSet.from_planar_angles(ts)
-        q = total_amplitude(pattern, ds)
-        z = complex_total_amplitude(pattern, ds)
-        assert q.norm_sq() == pytest.approx(abs(z) ** 2, abs=1e-12)
-
-    def test_complex_backend_requires_planar(self):
-        ds = DirectionSet.of(Direction(0, 0, 1))
-        with pytest.raises(ValidationError):
-            complex_total_amplitude((1,), ds)
+        k = pattern_to_index(tuple(data.draw(signs) for _ in range(n)))
+        v = amplitudes(DirectionSet.from_planar_angles(ts))[k]
+        z = planar_amplitudes(ts)[k]
+        assert float(v @ v) == pytest.approx(abs(z) ** 2, abs=1e-12)
 
 
 def brute_force_marginal(fixed, ds):
-    """Oracle: literal sum of total_amplitude over all completions."""
-    n = len(ds)
-    free = [j for j in range(n) if j not in fixed]
-    total = Quaternion()
-    for combo in itertools.product((1, -1), repeat=len(free)):
-        pattern = [0] * n
-        for j, s in fixed.items():
-            pattern[j] = s
-        for j, s in zip(free, combo):
-            pattern[j] = s
-        total = total + total_amplitude(pattern, ds)
+    """Oracle: the literal sum of sum_j s_j n_j over all completions, as
+    (w, x, y, z)."""
+    total = np.zeros(4)
+    for pattern in itertools.product((1, -1), repeat=len(ds)):
+        if all(pattern[j] == s for j, s in fixed.items()):
+            total[1:] += sum(s * d.as_array() for s, d in zip(pattern, ds))
     return total
 
 
 def closed_form_marginal(fixed, ds):
-    """Oracle: 2^(N-|F|) * sum_F s_j q(n_j)."""
+    """Oracle: 2^(N-|F|) * sum_F s_j n_j, one component at a time."""
     scale = 2 ** (len(ds) - len(fixed))
-    acc = Quaternion()
+    x = y = z = 0.0
     for j, s in fixed.items():
-        acc = acc + elementary_amplitude(s, ds[j])
-    return scale * acc
+        x += s * ds[j].nx
+        y += s * ds[j].ny
+        z += s * ds[j].nz
+    return Quaternion(0.0, scale * x, scale * y, scale * z)
 
 
 class TestMarginalAmplitude:
     def test_three_directions_two_fixed(self):
         ds = DirectionSet.from_planar_angles([0.2, 1.1, 2.5])
         fixed = {0: 1, 1: -1}
-        got = marginal_amplitude(fixed, ds)
-        assert got.is_close(brute_force_marginal(fixed, ds), tol=1e-12)
-        # equals 2 * (n0 - n1) as quaternions
-        expected = 2 * (ds[0].as_quaternion() - ds[1].as_quaternion())
-        assert got.is_close(expected, tol=1e-12)
+        got = components(marginal_amplitude(fixed, ds))
+        assert np.linalg.norm(got - brute_force_marginal(fixed, ds)) <= 1e-12
+        # equals 2 * (n0 - n1)
+        expected = 2 * (ds[0].as_array() - ds[1].as_array())
+        assert np.linalg.norm(got - [0.0, *expected]) <= 1e-12
 
     def test_all_fixed_equals_total(self):
         ds = DirectionSet.from_planar_angles([0.0, 0.5, 1.0])
         pattern = (1, -1, -1)
-        fixed = dict(enumerate(pattern))
-        assert marginal_amplitude(fixed, ds) == total_amplitude(pattern, ds)
+        got = components(marginal_amplitude(dict(enumerate(pattern)), ds))
+        assert np.array_equal(got, [0.0, *amplitudes(ds)[pattern_to_index(pattern)]])
 
     def test_single_fixed_of_five(self):
         ds = DirectionSet.from_planar_angles([0.0, 0.3, 0.7, 1.1, 2.0])
-        got = marginal_amplitude({0: 1}, ds)
+        got = components(marginal_amplitude({0: 1}, ds))
         # the scalar-loop oracle accumulates rounding the vector path avoids
-        assert got.is_close(brute_force_marginal({0: 1}, ds), tol=1e-12)
-        assert got == 16 * ds[0].as_quaternion()
-
+        assert np.linalg.norm(got - brute_force_marginal({0: 1}, ds)) <= 1e-12
+        assert np.array_equal(got, [0.0, *(16 * ds[0].as_array())])
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_matches_closed_form_exactly(self, data):
@@ -279,6 +273,12 @@ class TestMarginalAmplitude:
         ds = DirectionSet.from_planar_angles([0.01 * j for j in range(26)])
         with pytest.raises(ValidationError):
             marginal_amplitude({0: 1}, ds)
+
+
+def born_pair_probability(s1, s2, n1, n2):
+    """The pair Born rule on one hidden pattern, (1 + s1 s2 n1 . n2) / 4:
+    a singlet's Bob reads the negated sign."""
+    return epr.pair_joint_probability(n1, n2, s1, -s2)
 
 
 class TestBornPairProbability:
@@ -315,11 +315,10 @@ class TestBornPairProbability:
 
 @given(directions(), directions())
 def test_anticommutator_identity(n1, n2):
-    # q1* q2 + q2* q1 = 2 (n1 . n2) * ONE with no imaginary residue
-    q1 = elementary_amplitude(1, n1)
-    q2 = elementary_amplitude(1, n2)
-    lhs = q1.conjugate() * q2 + q2.conjugate() * q1
-    assert abs(lhs.w - 2 * n1.dot(n2)) <= 1e-12
-    assert abs(lhs.x) <= 1e-12
-    assert abs(lhs.y) <= 1e-12
-    assert abs(lhs.z) <= 1e-12
+    """The cross term of |s1 n1 + s2 n2|^2 is 2 s1 s2 n1 . n2, the real part
+    of the anticommutator of the two directions' quaternions: the identity
+    I(s) = N + 2 sum_{i<j} s_i s_j n_i . n_j that solve_weights rests on."""
+    intensity = quasiprob._intensity(DirectionSet.of(n1, n2))
+    for k in range(4):
+        s1, s2 = pattern_from_index(k, 2)
+        assert abs(intensity[k] - 2.0 - 2 * s1 * s2 * n1.dot(n2)) <= 1e-12
