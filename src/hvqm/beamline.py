@@ -16,7 +16,6 @@ bit-identically.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 from typing import Sequence
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import rng
 from .errors import SequenceError, ValidationError
-from .logcodec import suffix_of
+from .logcodec import index_counts, suffix_of
 from .spin import Direction, check_sign
 
 AXIS_MATCH_TOL = 1e-9
@@ -160,71 +159,28 @@ def event_json(e: TrialEvent) -> str:
     }, separators=(",", ":"))
 
 
-@functools.lru_cache(maxsize=256)
-def _event_suffix(absorbed_at: int, outcome: int) -> bytes:
-    """What follows '{"trial":N' in an event line; -1 and 0 stand for null."""
-    return suffix_of(event_json(TrialEvent(0, absorbed_at if absorbed_at >= 0 else None,
-                                           outcome if outcome else None)))
-
-
-def event_lines(absorbed_at: np.ndarray, outcome: np.ndarray
-                ) -> tuple[np.ndarray, tuple[bytes, ...]]:
-    """(k, suffixes): event i's line is '{"trial":N' + suffixes[k[i]], so
-    logcodec.join_lines(start, k, suffixes) is byte for byte the event_json
-    lines of trials start, start + 1, ..., each ended by a newline.
-    absorbed_at is -1 and outcome 0 where the event has none."""
-    codes = ((np.asarray(absorbed_at, dtype=np.int64) + 1) * 3
-             + np.asarray(outcome, dtype=np.int64) + 1)
-    # the codes are small: a count of each ranks the ones present in
-    # ascending order without sorting the block
-    present = np.bincount(codes) > 0
-    rank = np.cumsum(present) - 1
-    return rank[codes], tuple(_event_suffix(int(c) // 3 - 1, int(c) % 3 - 1)
-                              for c in np.flatnonzero(present))
-
-
-@dataclass(frozen=True, eq=False)
-class Events:
-    """Event log of trials start, start + 1, ... as arrays: absorbed_at is
-    -1 and outcome 0 where the event has none.  Iterating gives TrialEvents;
-    `counts` is their event_counts, computed on first use."""
-
-    start: int
-    absorbed_at: np.ndarray
-    outcome: np.ndarray
-
-    def __iter__(self):
-        return (TrialEvent(self.start + i, x if x >= 0 else None, o if o else None)
-                for i, (x, o) in enumerate(zip(self.absorbed_at.tolist(),
-                                               self.outcome.tolist())))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Events):
-            return NotImplemented
-        return (self.start == other.start
-                and np.array_equal(self.absorbed_at, other.absorbed_at)
-                and np.array_equal(self.outcome, other.outcome))
-
-    __hash__ = None
-
-    @functools.cached_property
-    def counts(self) -> np.ndarray:
-        return event_counts(self.absorbed_at, self.outcome)
+def event_suffixes(analytic: SequenceResult) -> tuple[bytes, ...]:
+    """What follows '{"trial":N' in an event line, per event index: index
+    j < S, with S = len(analytic.stage_survivals), is absorption at the
+    j-th blocking stage, and S and S + 1 are survival with outcome +1 and
+    -1."""
+    events = [TrialEvent(0, idx, None) for idx, _ in analytic.stage_survivals]
+    events += [TrialEvent(0, None, 1), TrialEvent(0, None, -1)]
+    return tuple(suffix_of(event_json(e)) for e in events)
 
 
 def monte_carlo_sequence(devices: Sequence[SGDevice], beam: BeamState,
                          trials: int, seed: int, start: int = 0,
-                         analytic: SequenceResult | None = None
-                         ) -> tuple[dict[int, float], float, Events]:
+                         analytic: SequenceResult | None = None) -> np.ndarray:
     """Per-trial stochastic walk; blocked branches absorb the particle.
 
-    Returns (empirical outcome distribution among survivors, survivor
-    fraction, event log).  Stage thresholds come from the analytic walk,
-    since the conditional state is deterministic given survival; pass it
-    as `analytic` when it is already known.  The returned events are the
-    memory this call holds, a few int64 arrays of `trials` entries: a
-    caller that needs only the statistics counts through sequence_counts,
-    which holds one rng.TILE block of them at a time.
+    Returns the event index of trials start, start + 1, ..., into
+    event_suffixes(analytic), in the smallest unsigned dtype that holds
+    them.  Stage thresholds come from the analytic walk, since the
+    conditional state is deterministic given survival; pass it as
+    `analytic` when it is already known.  A caller that needs only the
+    statistics counts through sequence_counts, which holds one rng.TILE
+    block of indices at a time.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
@@ -234,54 +190,47 @@ def monte_carlo_sequence(devices: Sequence[SGDevice], beam: BeamState,
     # each stage draws only for the trials still alive at it: a draw is a pure
     # function of (seed, counter, substream), so skipping the others changes
     # no event
+    stages = len(analytic.stage_survivals)
+    k = np.empty(trials, dtype=np.min_scalar_type(stages + 1))
     live = np.arange(trials)
-    absorbed_at = np.full(trials, -1, dtype=np.int64)
-    for idx, p_keep in analytic.stage_survivals:
+    for j, (idx, p_keep) in enumerate(analytic.stage_survivals):
         hit = rng.uniforms(seed, live + start, substream=idx) >= p_keep
-        absorbed_at[live[hit]] = idx
+        k[live[hit]] = j
         live = live[~hit]
-
-    outcome = np.zeros(trials, dtype=np.int64)
-    if analytic.probabilities is not None and live.size:
+    # an extinguished beam's last stage keeps nothing (p_keep = 0), so only
+    # a beam with an analyzer reading has survivors here
+    if live.size:
         u = rng.uniforms(seed, live + start, substream=len(devices) - 1)
-        outcome[live] = np.where(u < analytic.probabilities[1], 1, -1)
-
-    events = Events(start, absorbed_at, outcome)
-    dist, fraction = survivor_statistics(events.counts)
-    return dist, fraction, events
+        k[live] = stages + (u >= analytic.probabilities[1])
+    return k
 
 
 def sequence_counts(devices: Sequence[SGDevice], beam: BeamState, trials: int, seed: int,
                     analytic: SequenceResult, on_block=None) -> np.ndarray:
-    """event_counts of trials 0 .. trials - 1, drawn by monte_carlo_sequence
-    one rng.TILE block at a time, so memory stays one block; `analytic` is
-    run_sequence(devices, beam).  on_block(first, k, suffixes) gets each
-    block: trial first + i's log line is '{"trial":N' + suffixes[k[i]],
-    k valid only during the call."""
+    """Trials, survivors, and survivors with outcome +1 and -1 among trials
+    0 .. trials - 1, drawn by monte_carlo_sequence one rng.TILE block at a
+    time, so memory stays one block; `analytic` is run_sequence(devices,
+    beam).  on_block(first, k, suffixes) gets each block: trial first + i's
+    log line is '{"trial":N' + suffixes[k[i]], k valid only during the
+    call."""
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    counts = np.zeros(4, dtype=np.int64)
+    suffixes = event_suffixes(analytic)
+    counts = np.zeros(len(suffixes), dtype=np.int64)
     for lo in range(0, trials, rng.TILE):
-        events = monte_carlo_sequence(devices, beam, min(rng.TILE, trials - lo), seed,
-                                      start=lo, analytic=analytic)[2]
+        k = monte_carlo_sequence(devices, beam, min(rng.TILE, trials - lo), seed,
+                                 start=lo, analytic=analytic)
         if on_block is not None:
-            on_block(lo, *event_lines(events.absorbed_at, events.outcome))
-        counts += events.counts
-        del events   # free the block before the next one is drawn
-    return counts
-
-
-def event_counts(absorbed_at: np.ndarray, outcome: np.ndarray) -> np.ndarray:
-    """Trials, survivors, and survivors with outcome +1 and -1."""
-    alive = absorbed_at < 0
-    return np.array([len(alive), np.count_nonzero(alive),
-                     np.count_nonzero(alive & (outcome == 1)),
-                     np.count_nonzero(alive & (outcome == -1))], dtype=np.int64)
+            on_block(lo, k, suffixes)
+        counts += index_counts(k, len(suffixes))
+        del k   # free the block before the next one is drawn
+    plus, minus = counts[-2:]
+    return np.array([trials, plus + minus, plus, minus], dtype=np.int64)
 
 
 def survivor_statistics(counts) -> tuple[dict[int, float], float]:
     """(outcome distribution among survivors, survivor fraction) from
-    event_counts; the distribution is empty when nothing survives."""
+    sequence_counts; the distribution is empty when nothing survives."""
     trials, n_alive, n_plus, n_minus = (int(c) for c in counts)
     if n_alive == 0:
         return {}, 0.0

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import quasiprob, rng
 from .errors import NotSampleableError, ValidationError
-from .logcodec import suffix_of
+from .logcodec import index_counts, suffix_of
 from .spin import Direction, DirectionSet, sign_matrix
 
 LHV_SUM_TOL = 1e-12
@@ -44,8 +44,7 @@ LHV_SUM_TOL = 1e-12
 OUTCOME_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 _ONE = np.array(1, dtype=np.int8)
 # OUTCOME_PAIRS indices as 0-d operands
-_K = tuple(np.array(j, dtype=np.uint8) for j in range(4))
-_ONE_U8, _TWO = _K[1], _K[2]
+_ONE_U8, _TWO = (np.array(j, dtype=np.uint8) for j in (1, 2))
 
 
 class Mode(Enum):
@@ -346,12 +345,6 @@ def sample_trials(e: SingletEnsemble, a_idx: int, b_idx: int, seed: int,
     return a_out, b_out
 
 
-def _k_counts(k: np.ndarray) -> np.ndarray:
-    """Trials per outcome pair, in OUTCOME_PAIRS order, of indices k."""
-    c = [np.count_nonzero(k == j) for j in _K[1:]]
-    return np.array([len(k) - sum(c), *c], dtype=np.int64)
-
-
 def pair_counts(e: SingletEnsemble, pairs, seed: int | None, trials: int,
                 on_block=None) -> np.ndarray:
     """Outcome-pair counts, one row per setting pair; pair p takes trials
@@ -372,7 +365,7 @@ def pair_counts(e: SingletEnsemble, pairs, seed: int | None, trials: int,
         for p, first, k in pieces:
             if on_block is not None:
                 on_block(first, k, _record_suffixes(*pairs[p], e.mode.value))
-            counts[p] += _k_counts(k)
+            counts[p] += index_counts(k, len(OUTCOME_PAIRS))
         return counts
 
     return functools.reduce(np.add, _in_shares(

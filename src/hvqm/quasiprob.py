@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import SolverError, ValidationError
 from .logcodec import write_csv
-from .spin import (DirectionSet, SignPattern, check_pattern, pattern_cells, pattern_from_index,
-                   pattern_to_index, sign_matrix, signed_sum_tiles)
+from .spin import (DirectionSet, SignPattern, pattern_cells, pattern_from_index, sign_matrix,
+                   signed_sum_tiles)
 
 MARGINAL_TOL = 1e-10
 # The closed forms cost O(2^N), so the caps bound table sizes: the signed
@@ -50,10 +50,6 @@ class QuasiProbTable:
         if abs(total - 1.0) > MARGINAL_TOL:
             raise ValidationError(f"weights sum to {total!r}, expected 1")
 
-    def weight(self, pattern) -> float:
-        p = check_pattern(pattern, len(self.directions))
-        return float(self.weights[pattern_to_index(p)])
-
 
 @dataclass(frozen=True)
 class BornTable:
@@ -68,10 +64,6 @@ class BornTable:
         total = float(self.probabilities.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValidationError(f"Born table sums to {total!r}, expected 1")
-
-    def probability(self, pattern) -> float:
-        p = check_pattern(pattern, len(self.directions))
-        return float(self.probabilities[pattern_to_index(p)])
 
 
 def check_pair_law(dirs: DirectionSet, weights: np.ndarray) -> None:

@@ -128,9 +128,3 @@ def thresholds(cum) -> tuple[np.ndarray, ...]:
     """
     return tuple(np.array(max(0, math.ceil(c * 2.0 ** 53)) << 11, dtype=np.uint64)
                  for c in np.asarray(cum, dtype=np.float64).tolist() if c < 1.0)
-
-
-def uniform(seed: int, counter: int, substream: int = 0) -> float:
-    """Scalar convenience wrapper; bit-identical to the vector path."""
-    return float(uniforms(seed, np.array([counter], dtype=np.uint64), substream)[0])
-

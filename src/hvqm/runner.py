@@ -119,7 +119,8 @@ def _check_workers(workers: int) -> None:
 # the config's seed and its own index, so whether it runs or replays, a
 # kind's walk is one call of its library walk (epr.pair_counts or
 # beamline.sequence_counts), which draws the trials rng.TILE at a time in
-# order, counts their outcomes and hands each piece's line suffixes to
+# order as indices into a fixed table of line suffixes, counts them with
+# logcodec.index_counts and hands each piece's indices and suffixes to
 # `_on_block`.  That joins the lines in blocks of at most logcodec.LOG_BLOCK
 # and hands each block's bytes to `log.block`: a run writes them
 # (_Writer), a replay requires the log to hold exactly them (_Body).  The
@@ -177,7 +178,7 @@ def _epr_report(res: epr.CorrelationEstimate, counts) -> dict:
 
 
 def _sg_results(built: dict, counts: np.ndarray) -> dict:
-    """counts: beamline.event_counts of every trial."""
+    """counts: beamline.sequence_counts of every trial."""
     analytic = built["analytic"]
     dist, fraction = beamline.survivor_statistics(counts)
     return {

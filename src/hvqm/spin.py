@@ -119,13 +119,6 @@ def check_sign(s: int) -> int:
     return s
 
 
-def check_pattern(pattern: Sequence[int], n: int) -> SignPattern:
-    if len(pattern) != n:
-        raise ValidationError(
-            f"sign pattern has length {len(pattern)}, direction set has {n}")
-    return tuple(check_sign(s) for s in pattern)
-
-
 def pattern_from_index(k: int, n: int) -> SignPattern:
     """Pattern for table row k: s_j = +1 iff bit j of k is set."""
     if not 0 <= k < (1 << n):
@@ -136,10 +129,6 @@ def pattern_from_index(k: int, n: int) -> SignPattern:
 def pattern_label(pattern: Sequence[int]) -> str:
     """A sign pattern as written in messages and reports, e.g. "(+,-,+)"."""
     return "(" + ",".join("+" if s > 0 else "-" for s in pattern) + ")"
-
-
-def pattern_to_index(pattern: Sequence[int]) -> int:
-    return sum(1 << j for j, s in enumerate(pattern) if s == 1)
 
 
 def sign_matrix(n: int) -> np.ndarray:

@@ -3,13 +3,14 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
+from hvqm.beamline import TrialEvent
 from hvqm.epr import (OUTCOME_PAIRS, SingletEnsemble, TrialRecord, joint_outcome_probs,
                       sample_trials)
 from hvqm.errors import ValidationError
 from hvqm.interference import cis, pair_tables
 from hvqm.pathint import _hole_region_amplitude
 from hvqm.phasespace import MomentumFunction, WaveFunction, _centred
-from hvqm.spin import Direction, DirectionSet, check_pattern, signed_sums
+from hvqm.spin import Direction, DirectionSet, check_sign, signed_sums
 
 angles = st.floats(min_value=-2.0 * math.pi, max_value=2.0 * math.pi,
                    allow_nan=False, allow_infinity=False)
@@ -94,6 +95,31 @@ def from_momentum(mf: MomentumFunction) -> WaveFunction:
     dr = 2.0 * math.pi * mf.hbar / (mf.m * mf.dp)
     psi = _centred(np.fft.ifft, mf.values, mf.dp * mf.m / math.sqrt(2.0 * math.pi * mf.hbar))
     return WaveFunction(psi, dr, mf.hbar)
+
+
+def check_pattern(pattern, n: int) -> tuple[int, ...]:
+    """The signs of a sign pattern of n directions, checked."""
+    if len(pattern) != n:
+        raise ValidationError(
+            f"sign pattern has length {len(pattern)}, direction set has {n}")
+    return tuple(check_sign(s) for s in pattern)
+
+
+def pattern_to_index(pattern) -> int:
+    """Table row of a sign pattern: bit j is set where s_j = +1, the
+    inverse of spin.pattern_from_index."""
+    return sum(1 << j for j, s in enumerate(pattern) if s == 1)
+
+
+def index_events(k, analytic, start: int = 0) -> list[TrialEvent]:
+    """The events that beamline event indices k of trials start, start + 1,
+    ... stand for: index j below the stage count S is absorption at the
+    j-th blocking stage of `analytic`, S and S + 1 survival with outcome +1
+    and -1."""
+    stages = [idx for idx, _ in analytic.stage_survivals]
+    return [TrialEvent(start + i, stages[j], None) if j < len(stages)
+            else TrialEvent(start + i, None, 1 if j == len(stages) else -1)
+            for i, j in enumerate(np.asarray(k).tolist())]
 
 
 def closed_form_w3(pattern, angles) -> float:

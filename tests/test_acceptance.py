@@ -11,11 +11,11 @@ from pathlib import Path
 import numpy as np
 
 from conftest import (born_pair_marginal, closed_form_w3, four_hole_x_marginal, joint_outcomes,
-                      planar_amplitudes)
+                      pattern_to_index, planar_amplitudes)
 from hvqm import beamline, epr, pathint, phasespace, quasiprob, spin
 from hvqm.config import apply_overrides, parse_config
 from hvqm.runner import run_experiment
-from hvqm.spin import Direction, DirectionSet, pattern_from_index, pattern_to_index
+from hvqm.spin import Direction, DirectionSet, pattern_from_index
 
 GOLDEN = (0.0, math.pi / 3, 2 * math.pi / 3)
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import directions, signs
+from conftest import directions, index_events, signs
 from hvqm import rng
 from hvqm.beamline import (BeamState, SGDevice, TrialEvent, analyze, event_json,
                            monte_carlo_sequence, recombine, run_sequence, sequence_counts,
-                           split)
+                           split, survivor_statistics)
 from hvqm.errors import SequenceError, ValidationError
 from hvqm.logcodec import join_lines
 from hvqm.spin import Direction
@@ -219,37 +219,46 @@ class TestMalformedSequences:
             SGDevice(Y, "recombine", block=1)
 
 
+def walk_statistics(seq, beam, trials, seed):
+    """(distribution among survivors, survivor fraction) of trials
+    0 .. trials - 1, as the sterngerlach report gives them."""
+    return survivor_statistics(sequence_counts(seq, beam, trials, seed,
+                                               run_sequence(seq, beam)))
+
+
 class TestMonteCarlo:
     def test_unblocked_never_yields_minus_x(self):
         n = 1_000_000
-        dist, fraction, events = monte_carlo_sequence(
-            reconstruction_sequence(), BeamState.eigenstate(Z, 1), trials=n, seed=4)
+        dist, fraction = walk_statistics(reconstruction_sequence(),
+                                         BeamState.eigenstate(Z, 1), n, 4)
         assert fraction == pytest.approx(0.5, abs=3 * math.sqrt(0.25 / n))
         assert dist[-1] == 0.0
 
     def test_blocked_statistics_and_paradox_events(self):
         n = 100_000
-        seq = reconstruction_sequence(block=-1)
-        dist, fraction, events = monte_carlo_sequence(
-            seq, BeamState.eigenstate(Z, 1), trials=n, seed=8)
+        seq, beam = reconstruction_sequence(block=-1), BeamState.eigenstate(Z, 1)
+        dist, fraction = walk_statistics(seq, beam, n, 8)
         # survival 1/4 overall; among survivors the -x outcome appears even
         # though no surviving trial touched an obstacle
         assert abs(fraction - 0.25) < 3 * math.sqrt(0.25 * 0.75 / n)
         assert abs(dist[-1] - 0.5) < 3 * math.sqrt(0.25 / (n * 0.25))
+        events = index_events(monte_carlo_sequence(seq, beam, n, seed=8),
+                              run_sequence(seq, beam))
         paradox = [e for e in events if e.absorbed_at is None and e.outcome == -1]
         assert paradox
 
     def test_replay_bit_identical(self):
         seq = reconstruction_sequence(block=-1)
-        _, _, ev1 = monte_carlo_sequence(seq, BeamState.eigenstate(Z, 1), 5000, seed=3)
-        _, _, ev2 = monte_carlo_sequence(seq, BeamState.eigenstate(Z, 1), 5000, seed=3)
-        assert ev1 == ev2
+        k1 = monte_carlo_sequence(seq, BeamState.eigenstate(Z, 1), 5000, seed=3)
+        k2 = monte_carlo_sequence(seq, BeamState.eigenstate(Z, 1), 5000, seed=3)
+        assert k1.dtype == k2.dtype
+        assert np.array_equal(k1, k2)
 
     def test_different_seeds_differ(self):
         seq = reconstruction_sequence(block=-1)
-        _, _, ev1 = monte_carlo_sequence(seq, BeamState.eigenstate(Z, 1), 5000, seed=3)
-        _, _, ev2 = monte_carlo_sequence(seq, BeamState.eigenstate(Z, 1), 5000, seed=4)
-        assert ev1 != ev2
+        k1 = monte_carlo_sequence(seq, BeamState.eigenstate(Z, 1), 5000, seed=3)
+        k2 = monte_carlo_sequence(seq, BeamState.eigenstate(Z, 1), 5000, seed=4)
+        assert not np.array_equal(k1, k2)
 
     @given(directions(), directions(), directions())
     @settings(max_examples=10, deadline=None)
@@ -258,7 +267,7 @@ class TestMonteCarlo:
         beam = BeamState.eigenstate(Z, 1)
         analytic = run_sequence(seq, beam)
         n = 20_000
-        dist, fraction, _ = monte_carlo_sequence(seq, beam, trials=n, seed=12)
+        dist, fraction = walk_statistics(seq, beam, n, 12)
         sigma = math.sqrt(max(analytic.survival * (1 - analytic.survival), 1e-12) / n)
         assert abs(fraction - analytic.survival) < 4 * sigma + 1e-9
         if analytic.survival > 0.05:
@@ -268,28 +277,31 @@ class TestMonteCarlo:
             assert abs(dist.get(1, 0.0) - p) < 4 * sigma_p + 1e-9
 
     def test_extinguished_monte_carlo(self):
-        seq = [split(Y, block=-1), split(Y, block=1), analyze(X)]
-        dist, fraction, events = monte_carlo_sequence(
-            seq, BeamState.eigenstate(X, 1), trials=100, seed=1)
+        seq, beam = [split(Y, block=-1), split(Y, block=1), analyze(X)], BeamState.eigenstate(X, 1)
+        dist, fraction = walk_statistics(seq, beam, 100, 1)
         assert dist == {}
         assert fraction == 0.0
-        assert all(e.absorbed_at is not None for e in events)
+        k = monte_carlo_sequence(seq, beam, trials=100, seed=1)
+        assert all(e.absorbed_at is not None
+                   for e in index_events(k, run_sequence(seq, beam)))
 
     def test_walk_hands_each_block(self, monkeypatch):
         """The walk draws rng.TILE trials at a time: each block is handed on
         as the event_json lines of a whole-range draw, and the counts are
-        exactly those of the events."""
+        exactly those of its events."""
         monkeypatch.setattr(rng, "TILE", 7)
         seq, beam = reconstruction_sequence(block=-1), BeamState.eigenstate(Z, 1)
+        analytic = run_sequence(seq, beam)
         blocks = []
-        counts = sequence_counts(seq, beam, 40, 3, run_sequence(seq, beam),
+        counts = sequence_counts(seq, beam, 40, 3, analytic,
                                  lambda first, k, suffixes: blocks.append(
                                      (first, join_lines(first, k, suffixes))))
-        _, _, events = monte_carlo_sequence(seq, beam, 40, seed=3)
+        events = index_events(monte_carlo_sequence(seq, beam, 40, seed=3), analytic)
         assert [first for first, _ in blocks] == [0, 7, 14, 21, 28, 35]
         assert b"".join(lines for _, lines in blocks) == b"".join(
             event_json(e).encode() + b"\n" for e in events)
-        assert np.array_equal(counts, events.counts)
+        outcomes = [e.outcome for e in events if e.absorbed_at is None]
+        assert counts.tolist() == [40, len(outcomes), outcomes.count(1), outcomes.count(-1)]
 
     def test_walk_memory_stays_one_block(self):
         """The walk holds one block of trials at a time: its traced peak at

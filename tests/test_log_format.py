@@ -23,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import closed_form_w3
+from conftest import closed_form_w3, index_events
 from hvqm import beamline, epr, logcodec, pathint, rng, runner
 from hvqm.beamline import TrialEvent, event_json
 from hvqm.cli import main
@@ -71,13 +71,25 @@ def outcome_pairs(draw):
 
 
 @st.composite
-def event_arrays(draw):
-    """(absorbed_at, outcome): -1 and 0 stand for no absorption, no outcome."""
-    n = draw(st.integers(min_value=0, max_value=60))
-    stages = draw(st.lists(st.integers(min_value=0, max_value=120), min_size=1, max_size=3))
-    absorbed = draw(st.lists(st.sampled_from([-1] + stages), min_size=n, max_size=n))
-    outcome = [draw(st.sampled_from([1, -1])) if x < 0 else 0 for x in absorbed]
-    return np.array(absorbed, dtype=np.int64), np.array(outcome, dtype=np.int64)
+def event_indices(draw):
+    """(stages, k): the device indices of up to three blocking stages, and
+    event indices into their event_suffixes."""
+    stages = tuple(sorted(draw(st.lists(st.integers(min_value=0, max_value=120),
+                                        max_size=3, unique=True))))
+    k = draw(st.lists(st.integers(min_value=0, max_value=len(stages) + 1), max_size=60))
+    return stages, np.array(k, dtype=np.uint8)
+
+
+@st.composite
+def index_arrays(draw):
+    """(k, n): uint8 or uint16 indices below n, some of 0 .. n - 1 absent;
+    a uint8 n may pass its range."""
+    dtype = draw(st.sampled_from([np.uint8, np.uint16]))
+    n = draw(st.integers(min_value=1, max_value=300 if dtype is np.uint8 else 700))
+    present = draw(st.lists(st.integers(min_value=0, max_value=min(n, 256) - 1),
+                            min_size=1, unique=True))
+    k = draw(st.lists(st.sampled_from(present), max_size=300))
+    return np.array(k, dtype=dtype), n
 
 
 @given(starts, outcome_pairs(), st.integers(0, 3), st.integers(0, 3), modes)
@@ -102,20 +114,38 @@ def test_encode_block_is_the_joined_records(start, pair, ai, bi, mode):
                                epr._record_suffixes(ai, bi, mode)) == want
 
 
-@given(starts, event_arrays())
-@example(99_990, (np.array([-1, 2, 13, -1] * 5), np.array([1, 0, 0, -1] * 5)))
-@example(9_990_000 - 7, (np.array([-1, 0] * 10), np.array([1, 0] * 10)))
-@example(39_999_990, (np.full(10, -1), np.ones(10, dtype=np.int64)))
-# one event code; every code of a three-stage sequence without an analyzer
-@example(5, (np.full(12, 3), np.zeros(12, dtype=np.int64)))
-@example(0, (np.array([-1, -1, -1, 0, 1, 2]), np.array([1, -1, 0, 0, 0, 0])))
+def _walk_of(stages) -> beamline.SequenceResult:
+    """A surviving walk through blocking stages at these device indices."""
+    return beamline.SequenceResult({1: 0.5, -1: 0.5}, 0.5 ** len(stages), False,
+                                   tuple((idx, 0.5) for idx in stages))
+
+
+@given(starts, event_indices())
+@example(99_990, ((2, 13), np.array([2, 0, 1, 3] * 5, dtype=np.uint8)))
+@example(9_990_000 - 7, ((0,), np.array([1, 0] * 10, dtype=np.uint8)))
+@example(39_999_990, ((), np.zeros(10, dtype=np.uint8)))
+# one event index; every index of a three-stage sequence
+@example(5, ((3,), np.zeros(12, dtype=np.uint8)))
+@example(0, ((0, 1, 2), np.array([3, 4, 0, 1, 2], dtype=np.uint8)))
 @settings(max_examples=200, deadline=None)
 def test_encode_events_is_the_joined_events(start, events):
-    absorbed_at, outcome = events
-    want = b"".join(event_json(TrialEvent(start + i, int(x) if x >= 0 else None,
-                                          int(o) if o else None)).encode() + b"\n"
-                    for i, (x, o) in enumerate(zip(absorbed_at, outcome)))
-    assert logcodec.join_lines(start, *beamline.event_lines(absorbed_at, outcome)) == want
+    stages, k = events
+    walk = _walk_of(stages)
+    want = b"".join(event_json(e).encode() + b"\n" for e in index_events(k, walk, start))
+    assert logcodec.join_lines(start, k, beamline.event_suffixes(walk)) == want
+
+
+@given(index_arrays())
+@example((np.array([255, 255, 255, 0], dtype=np.uint8), 256))
+@example((np.array([300, 301, 0, 301], dtype=np.uint16), 302))
+@example((np.zeros(0, dtype=np.uint8), 4))
+@example((np.full(5, 2, dtype=np.uint8), 4))
+@settings(max_examples=200, deadline=None)
+def test_index_counts_is_bincount(indices):
+    k, n = indices
+    got = logcodec.index_counts(k, n)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.bincount(k, minlength=n))
 
 
 def test_suffix_of_checks_the_head():
@@ -130,11 +160,12 @@ def test_monte_carlo_events_match_the_record_list():
     seq = [beamline.split(Direction(1.0, 0.0, 0.0), block=-1),
            beamline.analyze(Direction(0.0, 1.0, 0.0))]
     beam = beamline.BeamState.eigenstate(Direction(0.0, 0.0, 1.0), 1)
-    _, _, events = beamline.monte_carlo_sequence(seq, beam, 500, seed=2, start=40)
-    lines = logcodec.join_lines(events.start, *beamline.event_lines(events.absorbed_at,
-                                                                    events.outcome))
-    assert lines == b"".join(event_json(e).encode() + b"\n" for e in events)
-    assert [e.trial for e in events] == list(range(40, 540))
+    analytic = beamline.run_sequence(seq, beam)
+    k = beamline.monte_carlo_sequence(seq, beam, 500, seed=2, start=40)
+    lines = logcodec.join_lines(40, k, beamline.event_suffixes(analytic))
+    assert lines == b"".join(event_json(e).encode() + b"\n"
+                             for e in index_events(k, analytic, 40))
+    assert [json.loads(line)["trial"] for line in lines.splitlines()] == list(range(40, 540))
 
 
 @pytest.mark.parametrize("name", sorted(SHIPPED_LOG_SHA256))
@@ -174,8 +205,8 @@ def test_run_and_replay_memory_stay_one_tile_and_one_log_block(tmp_path, name):
 
 def test_sterngerlach_counts_each_block_once(tmp_path, monkeypatch):
     calls = []
-    counts = beamline.event_counts
-    monkeypatch.setattr(beamline, "event_counts",
+    counts = beamline.index_counts
+    monkeypatch.setattr(beamline, "index_counts",
                         lambda *a: calls.append(1) or counts(*a))
     monkeypatch.setattr(rng, "TILE", 7)
     cfg = apply_overrides(parse_config(CONFIG_DIR / "sterngerlach.cfg"), trials=100)

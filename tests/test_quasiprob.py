@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import angles
 from conftest import (born_pair_marginal, closed_form_w3, directions, interference_gap,
                       joint_outcomes, pair_cells, pair_marginal_probability,
-                      random_directions)
+                      pattern_to_index, random_directions)
 from hvqm import spin
 from hvqm.cli import main
 from hvqm.errors import SolverError
@@ -228,7 +228,8 @@ class TestMarginals:
         pm = marginal(table, (0, 1))
         for (s1, s2), p in pm.items():
             assert p == pytest.approx(
-                table.weight((s1, s2, 1)) + table.weight((s1, s2, -1)), abs=1e-12)
+                table.weights[pattern_to_index((s1, s2, 1))]
+                + table.weights[pattern_to_index((s1, s2, -1))], abs=1e-12)
 
     def test_single_index_is_half_half(self):
         table = solve_weights(golden_set())
@@ -275,12 +276,12 @@ def einsum_born(dirs):
 class TestBornTable:
     def test_golden_null_entry(self):
         table = born_table(golden_set())
-        assert table.probability((1, -1, 1)) == pytest.approx(0.0, abs=1e-24)
+        assert table.probabilities[pattern_to_index((1, -1, 1))] == pytest.approx(0.0, abs=1e-24)
 
     def test_single_direction(self):
         table = born_table(DirectionSet.from_planar_angles([0.7]))
-        assert table.probability((1,)) == pytest.approx(0.5)
-        assert table.probability((-1,)) == pytest.approx(0.5)
+        assert table.probabilities[pattern_to_index((1,))] == pytest.approx(0.5)
+        assert table.probabilities[pattern_to_index((-1,))] == pytest.approx(0.5)
 
     def test_golden_all_plus_value(self):
         # complex-arithmetic oracle: |1 + e^{i pi/3} + e^{i 2 pi/3}|^2 / total
@@ -288,8 +289,8 @@ class TestBornTable:
                 for p in itertools.product((1, -1), repeat=3)]
         oracle = abs(amps[0]) ** 2 / sum(abs(a) ** 2 for a in amps)
         table = born_table(golden_set())
-        assert table.probability((1, 1, 1)) == pytest.approx(oracle, abs=1e-14)
-        assert table.probability((1, 1, 1)) == pytest.approx(1 / 6, abs=1e-12)
+        assert table.probabilities[pattern_to_index((1, 1, 1))] == pytest.approx(oracle, abs=1e-14)
+        assert table.probabilities[pattern_to_index((1, 1, 1))] == pytest.approx(1 / 6, abs=1e-12)
 
     def test_normalized_nonnegative(self):
         table = born_table(DirectionSet.from_planar_angles([0.1, 0.9, 2.2, 4.0]))

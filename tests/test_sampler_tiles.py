@@ -17,11 +17,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import categorical, directions, sample_trial
-from hvqm import beamline, epr, rng
-from hvqm.beamline import BeamState, analyze, recombine, split
+from conftest import categorical, directions, index_events, sample_trial
+from hvqm import beamline, epr, rng, runner
+from hvqm.beamline import BeamState, analyze, event_json, recombine, split
+from hvqm.config import parse_config
 from hvqm.errors import ValidationError
-from hvqm.spin import DirectionSet
+from hvqm.runner import run_experiment
+from hvqm.spin import Direction, DirectionSet
 
 # lengths are chosen around the sampler's tile boundaries
 TILE = getattr(rng, "TILE", 1 << 14)
@@ -83,8 +85,6 @@ class TestUniforms:
         got = rng.uniforms(seed, c, substream)
         assert np.shape(got) == ()
         assert_bits_equal(got, reference_uniforms(seed, c, substream))
-        assert rng.uniform(seed, counter, substream) == float(
-            reference_uniforms(seed, c, substream))
 
     @given(seeds, substreams, st.integers(min_value=1, max_value=40),
            st.integers(min_value=1, max_value=1500), st.integers(min_value=0, max_value=2 ** 40))
@@ -184,21 +184,24 @@ class TestSampleTrials:
             assert (rec.a_out, rec.b_out) == (a[i], b[i])
 
 
-def reference_events(devices, beam, trials, seed, start):
-    """Every stage drawn for every trial, then masked by survival."""
+def reference_indices(devices, beam, trials, seed, start):
+    """Every stage drawn for every trial, then masked by survival: event
+    index j for absorption at the j-th blocking stage, S and S + 1 for
+    survival with outcome +1 and -1, S the blocking stage count."""
     analytic = beamline.run_sequence(devices, beam)
+    stages = len(analytic.stage_survivals)
     counters = _counter_range(start, trials)
     alive = np.ones(trials, dtype=bool)
-    absorbed_at = np.full(trials, -1, dtype=np.int64)
-    for idx, p_keep in analytic.stage_survivals:
+    k = np.full(trials, -1, dtype=np.int64)
+    for j, (idx, p_keep) in enumerate(analytic.stage_survivals):
         hit = alive & (reference_uniforms(seed, counters, idx) >= p_keep)
-        absorbed_at[hit] = idx
+        k[hit] = j
         alive &= ~hit
-    outcome = np.zeros(trials, dtype=np.int64)
     if analytic.probabilities is not None and alive.any():
         u = reference_uniforms(seed, counters, len(devices) - 1)
-        outcome[alive] = np.where(u[alive] < analytic.probabilities[1], 1, -1)
-    return beamline.Events(start, absorbed_at, outcome)
+        k[alive] = np.where(u[alive] < analytic.probabilities[1], stages, stages + 1)
+    assert np.all(k >= 0)
+    return k
 
 
 @st.composite
@@ -219,11 +222,31 @@ class TestSternGerlach:
     @settings(max_examples=40, deadline=None)
     def test_events_match_the_full_draw(self, devices, axis, s, seed, trials, start):
         beam = BeamState.eigenstate(axis, s)
-        _, _, events = beamline.monte_carlo_sequence(devices, beam, trials, seed, start=start)
-        want = reference_events(devices, beam, trials, seed, start)
-        assert events == want
-        assert events.absorbed_at.dtype == want.absorbed_at.dtype
-        assert events.outcome.dtype == want.outcome.dtype
+        k = beamline.monte_carlo_sequence(devices, beam, trials, seed, start=start)
+        assert np.array_equal(k, reference_indices(devices, beam, trials, seed, start))
+        assert k.dtype == np.uint8
+
+    def test_more_than_254_blocking_stages(self, tmp_path):
+        """300 blocking stages put the survivors' indices, 300 and 301, past
+        uint8: the log is the event_json lines of the reference indices,
+        and it replays."""
+        stages = [f"stage{i + 1} = split {0.1 * (i % 2)} block -" for i in range(300)]
+        cfg_path = tmp_path / "long.cfg"
+        cfg_path.write_text("\n".join([
+            "[experiment]", "kind = sterngerlach", "input = +z", "seed = 11",
+            "trials = 3000", "[sequence]", *stages, "stage301 = analyze z", ""]))
+        cfg = parse_config(cfg_path)
+        run_experiment(cfg, tmp_path)
+        seq = [beamline.split(Direction.from_planar_angle(0.1 * (i % 2)), block=-1)
+               for i in range(300)] + [beamline.analyze(Direction(0.0, 0.0, 1.0))]
+        beam = BeamState.eigenstate(Direction(0.0, 0.0, 1.0), 1)
+        want = reference_indices(seq, beam, 3000, 11, 0)
+        assert {0, 299, 300, 301} <= set(want.tolist())   # absorbed first and last, both outcomes
+        body = (tmp_path / "events.jsonl").read_bytes().split(b"\n", 1)[1]
+        assert body == b"".join(
+            event_json(e).encode() + b"\n"
+            for e in index_events(want, beamline.run_sequence(seq, beam)))
+        assert runner.replay_run(tmp_path / "events.jsonl", cfg).verdict == "OK"
 
 
 def _boundary_variants(cum, u):

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import angles, directions, planar_amplitudes, signs
+from conftest import angles, directions, pattern_to_index, planar_amplitudes, signs
 from hvqm.errors import ValidationError
 from hvqm import epr, quasiprob, spin
 from hvqm.quaternion import Quaternion
 from hvqm.spin import (Direction, DirectionSet, marginal_amplitude, pattern_from_index,
-                       pattern_to_index, sign_matrix, signed_sum_tiles, signed_sums)
+                       sign_matrix, signed_sum_tiles, signed_sums)
 
 GOLDEN_ANGLES = (0.0, math.pi / 3, 2 * math.pi / 3)
 
@@ -184,11 +184,6 @@ class TestTotalAmplitude:
         d = Direction.normalized(1.0, 2.0, -0.5)
         v = amplitudes(DirectionSet.of(d, -d))[pattern_to_index((1, 1))]
         assert float(v @ v) == 0.0
-
-    def test_length_mismatch(self):
-        ds = DirectionSet.from_planar_angles([0.0, 1.0])
-        with pytest.raises(ValidationError):
-            quasiprob.born_table(ds).probability((1,))
 
     @given(st.data())
     def test_real_part_always_zero(self, data):
