@@ -568,11 +568,15 @@ class _Body:
 
 
 def _first_diff_line(want: bytes, got: bytes) -> int:
-    """0-based index of the first line where two blocks differ."""
+    """0-based index of the first line where two blocks differ: the line of
+    their first differing byte, found by argmax of the mask, which stops at
+    the first True; where one block is a prefix of the other, the line
+    where the shorter ends."""
     m = min(len(want), len(got))
-    diff = np.flatnonzero(np.frombuffer(want, dtype=np.uint8, count=m)
-                          != np.frombuffer(got, dtype=np.uint8, count=m))
-    return want.count(b"\n", 0, int(diff[0]) if len(diff) else m)
+    diff = (np.frombuffer(want, dtype=np.uint8, count=m)
+            != np.frombuffer(got, dtype=np.uint8, count=m))
+    first = int(diff.argmax()) if m else 0
+    return want.count(b"\n", 0, first if m and diff[first] else m)
 
 
 def _diverging(roots, want: dict, got: dict) -> list[str]:

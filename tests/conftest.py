@@ -7,7 +7,7 @@ from hvqm.beamline import TrialEvent
 from hvqm.epr import (OUTCOME_PAIRS, SingletEnsemble, TrialRecord, joint_outcome_probs,
                       sample_trials)
 from hvqm.errors import ValidationError
-from hvqm.interference import cis, pair_tables
+from hvqm.interference import _cis_planes, _rotate, cis, pair_tables
 from hvqm.pathint import _hole_region_amplitude
 from hvqm.phasespace import MomentumFunction, WaveFunction, _centred
 from hvqm.spin import Direction, DirectionSet, check_sign, signed_sums
@@ -82,6 +82,40 @@ def interference_gap(angles, i: int, j: int) -> float:
     pair tables: the cross terms of the coherent sum."""
     coherent, incoherent = pair_cells(angles, i, j)
     return float(np.abs(coherent - incoherent).max())
+
+
+def radix2_fft(x: np.ndarray, sign: float) -> np.ndarray:
+    """The bit oracle of interference._fft: the same radix-2 Stockham
+    passes in x's own layout, batch outermost, each pass's turns built on
+    their own as cos and sin of sign pi j / n.  Column t of the (n, c)
+    view holds the n-point DFT of x[t::c] after the pass that reaches
+    length n.  x is overwritten."""
+    *lead, size = x.shape
+    src, dst = x.reshape(*lead, 1, size), None
+    n = 1
+    while n < size:
+        c = size // (2 * n)
+        src = src.reshape(*lead, n, 2 * c)
+        even, odd = src[..., :c], src[..., c:]
+        if n > 1:
+            _rotate(odd, _cis_planes(sign * math.pi / n * np.arange(n))[..., None])
+        if dst is None:
+            dst = np.empty_like(src)
+        out = dst.reshape(*lead, 2, n, c)
+        np.add(even, odd, out=out[..., 0, :, :])
+        np.subtract(even, odd, out=out[..., 1, :, :])
+        src, dst = out, src
+        n *= 2
+    return src.reshape(x.shape)
+
+
+def flatnonzero_first_diff_line(want: bytes, got: bytes) -> int:
+    """The oracle of runner._first_diff_line: every differing byte's index
+    by flatnonzero, then the line of the first."""
+    m = min(len(want), len(got))
+    diff = np.flatnonzero(np.frombuffer(want, dtype=np.uint8, count=m)
+                          != np.frombuffer(got, dtype=np.uint8, count=m))
+    return want.count(b"\n", 0, int(diff[0]) if len(diff) else m)
 
 
 def centred_grid(m: int, step: float) -> np.ndarray:

@@ -23,7 +23,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_directions
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import radix2_fft, random_directions
 from hvqm import pathint, phasespace, runner
 from hvqm.config import parse_config
 from hvqm.interference import _fft, cis
@@ -117,6 +120,40 @@ def test_fft_is_the_explicit_dft(size, sign):
     # each output is a sum of size terms of modulus at most max |x|
     tol = 8 * np.finfo(float).eps * size * np.abs(x).max()
     assert np.abs((got[0] + 1j * got[1]) - want).max() <= tol
+
+
+# sizes 2^0 to 2^12 behind the batch shapes slit_pair's FFTs take (none,
+# a few rows, two axes), and batches of 1000 or more rows of short
+# transforms, which run every pass batch innermost
+fft_shapes = st.one_of(
+    st.builds(lambda batch, p: batch + (1 << p,),
+              st.sampled_from([(), (3,), (2, 5)]), st.integers(0, 12)),
+    st.builds(lambda rows, p: (rows, 1 << p), st.integers(1000, 5000), st.integers(0, 4)))
+
+
+@given(shape=fft_shapes, sign=st.sampled_from([-1.0, 1.0]), seed=st.integers(0, 2 ** 32 - 1))
+@example(shape=(1 << 12,), sign=-1.0, seed=0)
+@example(shape=(2, 5, 1 << 12), sign=1.0, seed=0)
+@example(shape=(1,), sign=1.0, seed=0)
+@example(shape=(5000, 16), sign=-1.0, seed=0)
+@example(shape=(1000, 1), sign=1.0, seed=0)
+@settings(max_examples=200, deadline=None)
+def test_fft_bits_are_the_radix2_oracle(shape, sign, seed):
+    """Both layouts, the switch between them and the one table of turns
+    give every output the bits of the per-pass oracle."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(2,) + shape) * np.exp2(rng.integers(-30, 30, size=(2,) + shape))
+    want = radix2_fft(x.copy(), sign)
+    got = _fft(x, sign)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_fft_memory_is_one_more_buffer():
+    """One buffer the size of x, the turns, and a rotation's two
+    temporaries, each a quarter of x: 1.52 times x at this shape."""
+    x = np.random.default_rng(0).normal(size=(2, 2, 1000, 256))
+    assert traced_peak(lambda: _fft(x, -1.0)) <= 1.6 * x.nbytes
 
 
 # odd and even sizes, K far above bins, and the two shapes at the cap of

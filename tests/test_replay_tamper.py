@@ -10,8 +10,10 @@ import json
 
 import pytest
 
+from conftest import flatnonzero_first_diff_line
 from hvqm import logcodec, rng
 from hvqm.cli import main
+from hvqm.runner import _first_diff_line
 
 TRIALS = 50
 
@@ -198,3 +200,20 @@ def test_edited_report_names_derived_statistic(capsys, tmp_path):
     code, payload = _replay(capsys, log, cfg)
     assert code == 1
     assert payload["statistics"] == ["S"]
+
+
+BLOCK = b"".join(b'{"trial": %d, "a": 1, "b": -1}\n' % i for i in range(40))
+
+
+@pytest.mark.parametrize("got", [
+    BLOCK,                                              # no difference
+    b"x" + BLOCK[1:],                                   # the first byte
+    BLOCK[:-1] + b"x",                                  # the last byte
+    BLOCK[:700] + b"x" + BLOCK[701:],                   # a middle byte
+    bytes(b ^ 1 for b in BLOCK),                        # every byte
+    BLOCK[:len(BLOCK) // 2],                            # got shorter
+    BLOCK[:len(BLOCK) // 2] + b"x",                     # shorter, and differs
+    b"",                                                # got empty
+], ids=["same", "first", "last", "middle", "all", "shorter", "shorter-differs", "empty"])
+def test_first_diff_line_is_the_flatnonzero_scan(got):
+    assert _first_diff_line(BLOCK, got) == flatnonzero_first_diff_line(BLOCK, got)
