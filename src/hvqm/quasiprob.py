@@ -47,7 +47,7 @@ class QuasiProbTable:
             raise ValidationError(
                 f"expected {1 << n} weights for N={n}, got {self.weights.shape}")
         total = float(self.weights.sum())
-        if abs(total - 1.0) > MARGINAL_TOL:
+        if not abs(total - 1.0) <= MARGINAL_TOL:   # a NaN total fails too
             raise ValidationError(f"weights sum to {total!r}, expected 1")
 
 
@@ -62,7 +62,7 @@ class BornTable:
         if np.any(self.probabilities < 0):
             raise ValidationError("Born table entries must be nonnegative")
         total = float(self.probabilities.sum())
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:   # a NaN total fails too
             raise ValidationError(f"Born table sums to {total!r}, expected 1")
 
 
@@ -81,7 +81,8 @@ def check_pair_law(dirs: DirectionSet, weights: np.ndarray) -> None:
             want = 0.25 * (1.0 + np.array([[c, -c], [-c, c]]))
             got = pattern_cells(weights, n, (i, j))
             worst = max(worst, float(np.abs(got - want).max()))
-    if worst > MARGINAL_TOL:
+    # a NaN weight makes the sum's residual NaN, which max keeps and <= refuses
+    if not worst <= MARGINAL_TOL:
         raise SolverError(
             "marginal constraints not met: max residual "
             f"{worst:.3e} over {1 + 2 * n * (n - 1)} rows (tol {MARGINAL_TOL:.0e})")
@@ -145,8 +146,16 @@ def born_table(dirs: DirectionSet) -> BornTable:
 
 
 def _intensity(dirs: DirectionSet) -> np.ndarray:
-    """Row k = I(s) = |sum_j s_j n_j|^2, s = pattern_from_index(k, N)."""
-    intensity = np.empty(1 << len(dirs))
+    """Row k = I(s) = |sum_j s_j n_j|^2, s = pattern_from_index(k, N).
+
+    Only the rows of signed_sum_tiles are summed and squared; each tile of
+    squares is also written backwards into the complement rows, since
+    I(-s) = I(s).  The complement's sums are the tile's negated, up to the
+    sign of an exact zero, which squaring erases, so every row keeps the
+    bits it would have from its own sums.
+    """
+    size = 1 << len(dirs)
+    intensity = np.empty(size)
     # one tile of summed spin vectors per coordinate at a time; |sum|^2 as
     # (x^2 + z^2) + y^2: the order np.einsum("ij,ij->i") takes over the
     # (2^N, 3) stack, so the table keeps the bits it had from that
@@ -155,6 +164,7 @@ def _intensity(dirs: DirectionSet) -> np.ndarray:
         np.square(x, out=rows)
         rows += np.square(z, out=z)
         rows += np.square(y, out=y)
+        intensity[size - start - len(x):size - start] = rows[::-1]
     return intensity
 
 

@@ -145,8 +145,8 @@ def signed_sums(v: np.ndarray) -> np.ndarray:
     with + v[j] into the next 2^j rows (bit j of k set, s_j = +1) and get
     - v[j] where they are.  The sums accumulate in index order, as
     `sign_matrix(n) @ v` does, in one (2^n, ...) array in place of its
-    (2^n, n) sign matrix; `signed_sum_tiles` gives the same rows a tile at
-    a time.
+    (2^n, n) sign matrix; `signed_sum_tiles` gives half of the same rows,
+    the other half's negations, a tile at a time.
     """
     v = np.asarray(v)
     out = np.zeros((1 << len(v),) + v.shape[1:], dtype=v.dtype)
@@ -156,26 +156,39 @@ def signed_sums(v: np.ndarray) -> np.ndarray:
     return out
 
 
-# rows of a signed_sum_tiles tile: 2^13, 64 KiB of float64, which a Born
-# table at N = 20 builds faster than at 2^12 or 2^15 and as fast as at 2^14
-SUM_TILE_BITS = 13
+# rows of a signed_sum_tiles tile once N > SUM_TILE_BITS: 2^14, 128 KiB of
+# float64.  A Born table at N = 20 (16 alternating rounds of 15 calls,
+# median of the round medians, 2-vCPU Xeon with 2 MiB L2 a core) took
+# 5.96 ms at 2^14 against 6.35 at 2^13, faster in 16 of 16 rounds; 5.44
+# against 6.51 at 2^12 (16 of 16); 6.11 against 6.28 at 2^15 (13 of 16).
+# Its traced peak is 10.3 MiB, against 9.3 at 2^13.
+SUM_TILE_BITS = 14
 
 
 def signed_sum_tiles(v: np.ndarray):
-    """signed_sums(v) as (start, rows) pairs, 2^SUM_TILE_BITS rows at a
-    time (all of them when len(v) is at most SUM_TILE_BITS), bit for bit.
+    """The rows of signed_sums(v) whose sign at b = min(len(v) - 1,
+    SUM_TILE_BITS) is +1, as (start, rows) pairs of 2^b rows, bit for bit.
 
-    Each tile is the low table signed_sums(v[:SUM_TILE_BITS]) with the
-    high signs' terms added in index order, as in signed_sums.  The high
-    signs are walked depth first over a stack of one tile per index, so a
-    tile costs about two passes, and the tiles come in bit-reversed order
-    of their start.  The caller may overwrite a tile; the next one is
-    written afresh.
+    These are half the rows.  Row 2^N - 1 - k holds the pattern -s of row
+    k, so the other half are a tile's complements, rows
+    [2^N - start - 2^b, 2^N - start) in reverse order.  Their sums are the
+    tile's negated, bit for bit but for the sign of an exact zero: the -s
+    chain negates every operand and round-to-nearest is symmetric in sign,
+    so x(-s) = -x(s), except that x + (-x) is +0 on both sides.
+
+    Each tile is the low table signed_sums(v[:b]) plus v[b], the root of
+    the high signs, with the terms of the rest added in index order, as in
+    signed_sums.  The high signs past b are walked depth first over a
+    stack of one tile per index, so a tile costs about two passes, and the
+    tiles come in bit-reversed order of their start.  The caller may
+    overwrite a tile; the next one is written afresh.
     """
     v = np.asarray(v)
-    low, high = signed_sums(v[:SUM_TILE_BITS]), v[SUM_TILE_BITS:]
-    stack = [low] + [np.empty_like(low) for _ in high]
-    return _high_sign_tiles(stack, high, 0, 0)
+    b = min(len(v) - 1, SUM_TILE_BITS)
+    root = signed_sums(v[:b])
+    root += v[b]
+    high = v[b + 1:]
+    return _high_sign_tiles([root] + [np.empty_like(root) for _ in high], high, 0, 1 << b)
 
 
 def _high_sign_tiles(stack, high, i, start):
@@ -186,7 +199,7 @@ def _high_sign_tiles(stack, high, i, start):
     for s, op in ((0, np.subtract), (1, np.add)):
         op(stack[i], high[i], out=stack[i + 1])
         yield from _high_sign_tiles(stack, high, i + 1,
-                                    start | s << (SUM_TILE_BITS + i))
+                                    start | s << (SUM_TILE_BITS + 1 + i))
 
 
 def pattern_cells(values: np.ndarray, n: int, idx: Sequence[int]) -> np.ndarray:

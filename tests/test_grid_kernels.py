@@ -209,6 +209,8 @@ arrays["solve_weights"] = solve_weights(dirs).weights
 rng = np.random.default_rng(14)
 arrays["born_table"] = born_table(DirectionSet(tuple(
     Direction.normalized(*rng.normal(size=3)) for _ in range(14)))).probabilities
+arrays["born_table 16"] = born_table(DirectionSet(tuple(
+    Direction.normalized(*rng.normal(size=3)) for _ in range(16)))).probabilities
 json.dump({name: a.tobytes().hex() for name, a in arrays.items()}, sys.stdout)
 """
 
@@ -220,9 +222,10 @@ def test_slit_pair_bits_do_not_depend_on_numpy_simd():
     products, and the Born rule squares as re^2 + im^2, so with every
     optional CPU feature of numpy's dispatch turned off neither the waves'
     bits nor those of the screen patterns, four-hole tables, signed weights
-    and a two-tile Born table may move.  `lift` and
-    `project_p` are left out: their complex products do change bits with
-    dispatch off."""
+    and Born tables may move: at N = 14 one tile under the fixed sign,
+    at N = 16 a walk of tiles below it, each mirrored onto its complement
+    rows.  `lift` and `project_p` are left out: their complex products do
+    change bits with dispatch off."""
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:   # numpy 1.x

@@ -15,7 +15,7 @@ from hvqm import spin
 from hvqm.cli import main
 from hvqm.errors import SolverError
 from hvqm.errors import ValidationError
-from hvqm.quasiprob import (QuasiProbTable, born_table, marginal, negativity_report,
+from hvqm.quasiprob import (BornTable, QuasiProbTable, born_table, marginal, negativity_report,
                             solve_weights, write_born_csv, write_table_csv)
 from hvqm.quasiprob import check_pair_law
 from hvqm.spin import (Direction, DirectionSet, pattern_cells, pattern_from_index, sign_matrix,
@@ -212,6 +212,15 @@ class TestSolveWeights:
         with pytest.raises(ValidationError):
             QuasiProbTable(dirs, np.full(4, 0.25))  # wrong size
 
+    def test_nan_weight_is_refused(self):
+        with pytest.raises(ValidationError, match="nan"):
+            QuasiProbTable(DirectionSet.from_planar_angles([0.3]), np.array([math.nan, 0.5]))
+
+    def test_nan_weight_breaks_the_pair_law(self):
+        dirs = DirectionSet.from_planar_angles([0.3, 1.1])
+        with pytest.raises(SolverError, match="nan"):
+            check_pair_law(dirs, np.array([math.nan, 0.25, 0.25, 0.25]))
+
 
 class TestMarginals:
     def test_pair_from_golden_table(self):
@@ -329,6 +338,37 @@ class TestBornTable:
         monkeypatch.setattr(spin, "SUM_TILE_BITS", bits)
         dirs = random_directions(n)
         assert np.array_equal(born_table(dirs).probabilities, einsum_born(dirs))
+
+    @pytest.mark.parametrize("bits", [1, 2])
+    @pytest.mark.parametrize("kind", ["antipodal", "repeated", "axes"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_exact_zero_sums_keep_the_einsum_bits(self, monkeypatch, bits, kind, n):
+        """Sums that cancel exactly, x + (-x), are +0 on a pattern and on
+        its complement alike, where the complement's chain is the
+        negation; the squares mirrored onto the complements still carry
+        the einsum's bits, for the Born table and the signed weights,
+        with one tile and with a walk of several."""
+        monkeypatch.setattr(spin, "SUM_TILE_BITS", bits)
+        rng = np.random.default_rng(n)
+        if kind == "axes":
+            pairs = [Direction(1, 0, 0), Direction(0, 1, 0), Direction(0, 0, 1)]
+        else:
+            pairs = [Direction.normalized(*rng.normal(size=3)) for _ in range(n // 2)]
+        ds = [e for d in pairs for e in (d, d if kind == "repeated" else -d)][:n - n % 2]
+        ds += [Direction(0, 0, 1)] * (n % 2)
+        dirs = DirectionSet(tuple(ds))
+        vec = signed_sums(dirs.as_matrix())
+        assert (vec == 0).any()
+        intensity = np.einsum("ij,ij->i", vec, vec)
+        born = born_table(dirs).probabilities
+        assert np.array_equal(born.view(np.uint64), (intensity / intensity.sum()).view(np.uint64))
+        weights = solve_weights(dirs).weights
+        want = (1.0 + (intensity - n) / 2.0) / (1 << n)
+        assert np.array_equal(weights.view(np.uint64), want.view(np.uint64))
+
+    def test_nan_probability_is_refused(self):
+        with pytest.raises(ValidationError, match="nan"):
+            BornTable(DirectionSet.from_planar_angles([0.3]), np.array([math.nan, math.nan]))
 
     def test_cap(self):
         with pytest.raises(ValidationError):

@@ -122,16 +122,23 @@ class TestPatternEncoding:
 
     @pytest.mark.parametrize("bits", [1, 3, 13])
     def test_tiles_are_the_signed_sums(self, monkeypatch, bits):
-        """Every row once, at its start, with the bits of signed_sums."""
+        """Every row whose sign at b = min(N - 1, SUM_TILE_BITS) is +1
+        once, at its start, with the bits of signed_sums, and no other row;
+        the other rows are those rows' complements, negated."""
         monkeypatch.setattr(spin, "SUM_TILE_BITS", bits)
         v = np.random.default_rng(bits).normal(size=(7, 3))
+        b = min(7 - 1, bits)
         want = signed_sums(v)
         got = np.full_like(want, np.nan)
         for start, rows in signed_sum_tiles(v):
-            assert rows.shape == (min(1 << bits, 1 << 7), 3)
+            assert rows.shape == (1 << b, 3)
             assert np.isnan(got[start:start + len(rows)]).all()
             got[start:start + len(rows)] = rows
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        plus = (np.arange(1 << 7) >> b & 1).astype(bool)
+        assert np.isnan(got[~plus]).all()
+        assert np.array_equal(got[plus].view(np.int64), want[plus].view(np.int64))
+        # row 2^N - 1 - k is the pattern -s of row k
+        assert np.array_equal(want[::-1][~plus].view(np.int64), (-want[~plus]).view(np.int64))
 
 
 def amplitudes(ds: DirectionSet) -> np.ndarray:
