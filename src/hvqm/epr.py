@@ -75,7 +75,7 @@ class SingletEnsemble:
                     f"classical mode needs {1 << n} pattern weights for N={n}")
             if np.any(w < 0):
                 raise ValidationError("classical distribution entries must be >= 0")
-            if abs(float(w.sum()) - 1.0) > LHV_SUM_TOL:
+            if not abs(float(w.sum()) - 1.0) <= LHV_SUM_TOL:   # a NaN sum fails too
                 raise ValidationError(
                     f"classical distribution sums to {float(w.sum())!r}, expected 1")
         elif self.lhv_weights is not None:
@@ -225,44 +225,52 @@ def _pair_tiles(e: SingletEnsemble, pairs, seed: int, trials: int, start: int,
     byte (_by_bucket); bit i of it is s_i = +1, Bob carries the negated
     sign, and each pair reads its k off the pattern through a 2^N-entry
     table.  k is one buffer, overwritten by the next piece.  The settings
-    and the seed are checked, and the buffers and the ensemble's cached
-    thresholds made, at the call; the tiles are drawn as the iterator is
-    read, on whichever thread reads it.
+    and the seed are checked, the ensemble's cached thresholds made, and a
+    workspace taken from rng's pool (rng.take_workspace) at the call: its
+    z and t mix the tiles, and its k and above, or k, pattern and bucket
+    for a classical walk, are the buffers here.  The tiles are drawn as the
+    iterator is read, on whichever thread reads it, and the workspace goes
+    back to the pool when the iterator is exhausted, closed or collected.
     """
     for ai, bi in pairs:
         _check_setting(e, ai)
         _check_setting(e, bi)
-    size = min(hi - lo, rng.TILE)
-    k = np.empty(size, dtype=np.uint8)
     if e.mode is Mode.BORN_SAMPLING:
         cuts = [_born_thresholds(e.directions[ai], e.directions[bi]) for ai, bi in pairs]
-        above = np.empty(size, dtype=np.bool_)
     elif e.mode is Mode.CLASSICAL_LHV:
         cuts = e._pattern_cuts
         patterns = np.arange(len(e.lhv_weights))
-        pattern = np.empty(size, dtype=cuts[1].dtype)
-        bucket = np.empty(size, dtype=np.uint64)
         tables = [(2 * (((patterns >> ai) & 1) == 0) + ((patterns >> bi) & 1)).astype(np.uint8)
                   for ai, bi in pairs]
     else:
         raise NotSampleableError(
             f"mode {e.mode.value} is analytic only; signed or implicit weights "
             "cannot be drawn from")
-    tiles = rng.mixed_tiles(seed, start + lo, hi - lo)
+    ws = rng.take_workspace()
+    k = ws.buffer("k", np.uint8)
+    if e.mode is Mode.BORN_SAMPLING:
+        above = ws.buffer("above", np.bool_)
+    else:
+        pattern = ws.buffer("pattern", cuts[1].dtype)
+        bucket = ws.buffer("bucket", np.uint64)
+    tiles = rng.mixed_tiles(seed, start + lo, hi - lo, ws)
 
     def pieces():
-        for t, z in tiles:
-            t += lo
-            u = t + len(z)
-            if e.mode is Mode.CLASSICAL_LHV:
-                _by_bucket(z, cuts, pattern[:len(z)], bucket[:len(z)])
-            for p in range(t // trials, (u - 1) // trials + 1):
-                a, b = max(t, p * trials) - t, min(u, (p + 1) * trials) - t
-                if e.mode is Mode.BORN_SAMPLING:
-                    _at_or_below(z[a:b], cuts[p], k[a:b], above[a:b])
-                else:
-                    np.take(tables[p], pattern[a:b], out=k[a:b], mode="clip")
-                yield p, start + t + a, k[a:b]
+        try:
+            for t, z in tiles:
+                t += lo
+                u = t + len(z)
+                if e.mode is Mode.CLASSICAL_LHV:
+                    _by_bucket(z, cuts, pattern[:len(z)], bucket[:len(z)])
+                for p in range(t // trials, (u - 1) // trials + 1):
+                    a, b = max(t, p * trials) - t, min(u, (p + 1) * trials) - t
+                    if e.mode is Mode.BORN_SAMPLING:
+                        _at_or_below(z[a:b], cuts[p], k[a:b], above[a:b])
+                    else:
+                        np.take(tables[p], pattern[a:b], out=k[a:b], mode="clip")
+                    yield p, start + t + a, k[a:b]
+        finally:
+            rng.give_workspace(ws)
 
     return pieces()
 
@@ -279,20 +287,21 @@ def _in_shares(n: int, walk, share, ordered: bool = False) -> list:
     """share(walk(lo, hi)) for contiguous shares [lo, hi) of trials
     0 ... n - 1, in share order.
 
-    Unless the pieces must arrive in trial order, the range is split at
-    whole rng.TILE tiles into one share per usable CPU, each of at least two
-    tiles, and every share but the first, which the calling thread takes,
+    Unless the pieces must arrive in trial order, the range is split into
+    shares of equal trial counts, share i from n i // count on: one per
+    usable CPU, but no more than the range has pairs of whole rng.TILE
+    tiles.  Every share but the first, which the calling thread takes,
     runs on a thread of its own: a share holds the GIL only between its
     ufunc calls, which rng.TILE makes long.  Every walk is made on the
     calling thread before a thread starts, so its checks raise there and
-    its buffers are held whatever the threads' timing; the threads are
+    its workspace is taken whatever the threads' timing; the threads are
     joined before this returns, and an exception in a share is raised here.
     """
     whole = n // rng.TILE
     count = 1 if ordered else min(_usable_cpus(), whole // 2)
     if count < 2:
         return [share(walk(0, n))]
-    bounds = [whole * i // count * rng.TILE for i in range(count)] + [n]
+    bounds = [n * i // count for i in range(count + 1)]
     walks = [walk(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     results, errors = [None] * count, []
 

@@ -206,7 +206,7 @@ class ScreenPattern:
         if np.any(self.probabilities < 0):
             raise ValidationError("probabilities must be nonnegative")
         total = float(self.probabilities.sum())
-        if abs(total - 1.0) > PATTERN_NORM_TOL:
+        if not abs(total - 1.0) <= PATTERN_NORM_TOL:   # a NaN total fails too
             raise ValidationError(f"pattern sums to {total!r}, expected 1")
 
 

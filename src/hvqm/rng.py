@@ -89,29 +89,90 @@ def uniforms(seed: int, counters, substream: int = 0) -> np.ndarray:
     return out
 
 
-def mixed_tiles(seed: int, start: int, n: int):
+class Workspace:
+    """The TILE-length buffers of one live walk: the mixed states `z` and
+    their scratch `t`, which mixed_tiles fills, and any buffer its reader
+    asks for by name (`buffer`), made at the first such request.  Walks
+    take them from one pool and give them back when they end
+    (take_workspace, give_workspace), so a process faults a workspace's
+    pages in once, not once a walk; a walk under one tile touches only its
+    length of each buffer."""
+
+    def __init__(self):
+        self.z = np.empty(TILE, dtype=np.uint64)
+        self.t = np.empty(TILE, dtype=np.uint64)
+        self._named: dict[str, np.ndarray] = {}
+
+    def buffer(self, name: str, dtype) -> np.ndarray:
+        """The workspace's buffer `name` of `dtype`, kept for later walks."""
+        b = self._named.get(name)
+        if b is None or b.dtype != dtype:
+            b = self._named[name] = np.empty(len(self.z), dtype=dtype)
+        return b
+
+
+# The workspaces of the walks that have ended, kept for the life of the
+# process: as many as were ever live at once.  list.pop and list.append are
+# atomic, so threads share it without a lock.
+_POOL: list[Workspace] = []
+
+
+def take_workspace() -> Workspace:
+    """A workspace of the pool, or a new one; one whose size is not the
+    current TILE is dropped."""
+    while True:
+        try:
+            ws = _POOL.pop()
+        except IndexError:
+            return Workspace()
+        if len(ws.z) == TILE:
+            return ws
+
+
+def give_workspace(ws: Workspace) -> None:
+    """Back to the pool, unless TILE has changed since it was made."""
+    if len(ws.z) == TILE:
+        _POOL.append(ws)
+
+
+_STRIDE = np.zeros(0, dtype=np.uint64)
+
+
+def _stride(m: int) -> np.ndarray:
+    """i M1 for i < m, read-only: a view of one table, rebuilt only when a
+    walk needs more of it, at the next power of two, so a small walk's
+    table stays small.  Two threads may both rebuild it; each slices the
+    table it read or built, so either result is whole."""
+    global _STRIDE
+    s = _STRIDE
+    if len(s) < m:
+        s = np.arange(1 << (m - 1).bit_length(), dtype=np.uint64)
+        np.multiply(s, _M1_U, s)
+        s.flags.writeable = False
+        _STRIDE = s
+    return s[:m]
+
+
+def mixed_tiles(seed: int, start: int, n: int, ws: Workspace):
     """The mixed states z of counters start, ..., start + n - 1 of substream
     0, TILE at a time: an iterator of (lo, z) with z[i] the state of counter
     start + lo + i, the one `uniforms` draws (z >> 11) 2^-53 from.
     Consecutive counters' states before the mix are one stride i M1 apart,
-    so a tile's is one add; z is one buffer, overwritten by the next tile.
-    The seed is checked, and the buffers made, at the call; the tiles are
+    so a tile's is one add; z is ws.z, overwritten by the next tile, and
+    ws.t the mix's scratch.  The seed is checked at the call; the tiles are
     mixed as the iterator is read, on whichever thread reads it.
     """
     offset = _offset(seed, 0)
-    size = min(n, TILE)
-    stride = np.arange(size, dtype=np.uint64)
-    np.multiply(stride, _M1_U, stride)
-    z = np.empty(size, dtype=np.uint64)
-    t = np.empty(size, dtype=np.uint64)
+    stride = _stride(min(n, TILE))
 
     def tiles():
         for lo in range(0, n, TILE):
             m = min(TILE, n - lo)
+            z = ws.z[:m]
             first = np.array((offset + (start + lo) * _M1) & _MASK, dtype=np.uint64)
-            np.add(stride[:m], first, z[:m])
-            _mix(z[:m], t[:m])
-            yield lo, z[:m]
+            np.add(stride[:m], first, z)
+            _mix(z, ws.t[:m])
+            yield lo, z
 
     return tiles()
 

@@ -121,6 +121,13 @@ class TestSampling:
         with pytest.raises(ValidationError):
             SingletEnsemble(dirs, Mode.BORN_SAMPLING, np.full(4, 0.25))
 
+    def test_nan_weight_is_refused(self):
+        """A NaN sum fails the sum check; it would otherwise put every
+        sampled trial on one outcome pair."""
+        dirs = DirectionSet.from_planar_angles([0.0, 1.0])
+        with pytest.raises(ValidationError, match="nan"):
+            SingletEnsemble(dirs, Mode.CLASSICAL_LHV, np.array([math.nan, 0.5, 0.25, 0.25]))
+
     def test_record_json_field_order(self):
         rec = epr.TrialRecord(3, 0, 1, 1, -1, "born_sampling")
         assert trial_record_json(rec) == (
@@ -407,7 +414,9 @@ def test_reports_are_the_library_estimates(monkeypatch, tmp_path, tile):
 def test_sampled_chsh_memory_stays_one_block(monkeypatch):
     """A sampled chsh holds one block of trials at a time in each share of
     the walk: on one CPU and on two, its traced peak at 2^20 trials per
-    pair is within 1 MiB of the peak at 2^16."""
+    pair is within 1 MiB of the peak at 2^16.  An untraced call at each CPU
+    count first fills the workspace pool, whose workspaces outlive the
+    call."""
     e = chsh_ensemble(Mode.BORN_SAMPLING, *tsirelson_settings())
 
     def peak(trials):
@@ -420,6 +429,7 @@ def test_sampled_chsh_memory_stays_one_block(monkeypatch):
 
     for cpus in (1, 2):
         monkeypatch.setattr(epr, "_usable_cpus", lambda cpus=cpus: cpus)
+        chsh(e, trials=1 << 20, seed=8)
         assert peak(1 << 20) - peak(1 << 16) <= 1 << 20
 
 

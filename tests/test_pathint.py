@@ -115,6 +115,10 @@ class TestScreenPattern:
         with pytest.raises(ValidationError):
             ScreenPattern(np.arange(4.0), np.array([0.5, 0.5, 0.5, 0.5]), "coherent")
 
+    def test_nan_pattern_is_refused(self):
+        with pytest.raises(ValidationError, match="nan"):
+            ScreenPattern(np.arange(16.0), np.full(16, math.nan), "coherent")
+
 
 class TestDarkRegionFinder:
     def test_locates_fraunhofer_minima(self):

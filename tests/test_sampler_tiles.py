@@ -8,6 +8,8 @@ sampler does internally (tiles, fused comparisons, drawing only for live
 trials), its values and dtypes must equal these exactly.
 """
 
+import gc
+import itertools
 import sys
 import threading
 import tracemalloc
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 from conftest import categorical, directions, index_events, sample_trial
 from hvqm import beamline, epr, rng, runner
 from hvqm.beamline import BeamState, analyze, event_json, recombine, split
+from hvqm.cli import main
 from hvqm.config import parse_config
 from hvqm.errors import ValidationError
 from hvqm.runner import run_experiment
@@ -425,9 +428,20 @@ _REFERENCE = {epr.Mode.BORN_SAMPLING: reference_born, epr.Mode.CLASSICAL_LHV: re
 
 
 class TestShares:
-    """The order-free walks split across CPUs in shares of whole tiles, bit
-    for bit as one walk on the calling thread draws them, at lengths just
-    around the share and tile boundaries, from odd starts."""
+    """The order-free walks split across CPUs in shares of equal trial
+    counts, bit for bit as one walk on the calling thread draws them, at
+    lengths just around the share and tile boundaries, from odd starts."""
+
+    @pytest.mark.parametrize("tile,n,cpus,want", [
+        (TILE, 10 ** 6, 2, [(0, 500000), (500000, 10 ** 6)]),
+        (7, 100, 3, [(0, 33), (33, 66), (66, 100)]),
+        (7, 27, 5, [(0, 27)]),
+        (7, 28, 5, [(0, 14), (14, 28)]),
+    ])
+    def test_shares_hold_equal_trial_counts(self, monkeypatch, on_cpus, tile, n, cpus, want):
+        monkeypatch.setattr(rng, "TILE", tile)
+        on_cpus(cpus)
+        assert epr._in_shares(n, lambda lo, hi: (lo, hi), lambda walk: walk) == want
 
     @pytest.mark.parametrize("tile", [TILE, 7])
     @pytest.mark.parametrize("whole,extra", [(3, 6), (4, -1), (4, 0), (4, 1), (6, 0), (7, 5)])
@@ -520,8 +534,8 @@ class TestShares:
                                                              walk):
         original = rng.mixed_tiles
 
-        def failing(seed, start, n):
-            tiles = original(seed, start, n)
+        def failing(seed, start, n, ws):
+            tiles = original(seed, start, n, ws)
             if start == 0:
                 return tiles
 
@@ -576,9 +590,11 @@ class TestShares:
     def test_memory_stays_one_tile_a_share(self, on_cpus, cpus):
         """Besides its two int8 outputs, sample_trials holds one tile's
         buffers a share: its traced peak at 2^22 trials is within 1 MiB of
-        the peak at 2^18."""
+        the peak at 2^18.  An untraced call first fills the workspace pool,
+        whose workspaces outlive the call."""
         e = _ensembles()[0]
         on_cpus(cpus)
+        epr.sample_trials(e, 0, 2, 8, 1 << 18)
 
         def peak(n):
             tracemalloc.start()
@@ -589,3 +605,124 @@ class TestShares:
                 tracemalloc.stop()
 
         assert peak(1 << 22) - peak(1 << 18) <= 1 << 20
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    """An empty workspace pool for the test, the one rng's walks share."""
+    monkeypatch.setattr(rng, "_POOL", [])
+    return rng._POOL
+
+
+class TestWorkspacePool:
+    """Every walk takes one workspace from rng's pool at its making and
+    gives it back when it ends, however it ends."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5, 8])
+    def test_pool_holds_the_most_shares_of_any_call(self, monkeypatch, on_cpus, pool, cpus):
+        """Shares hand the GIL over every microsecond while they take and
+        give workspaces: none is lost or pooled twice."""
+        monkeypatch.setattr(rng, "TILE", 7)
+        on_cpus(cpus)
+        most = 0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for i, e in zip(range(20), itertools.cycle(_ensembles())):
+                n = 30 + 97 * i   # from one share to `cpus`
+                epr.sample_trials(e, 0, 2, i, n)
+                epr.pair_counts(e, epr.CHSH_PAIRS, i, n // 4)
+                most = max(most, _shares(n, cpus), _shares(n // 4 * 4, cpus))
+                assert len(pool) == most
+        finally:
+            sys.setswitchinterval(interval)
+        assert most == cpus
+        assert len({id(ws) for ws in pool}) == len(pool)
+
+    def test_tampered_replay_gives_its_workspace_back(self, capsys, tmp_path, monkeypatch,
+                                                      pool):
+        """The replay raises inside on_block at the fourth of 29 tiles; with
+        the cyclic collector off, the abandoned walk still returns its
+        workspace."""
+        monkeypatch.setattr(rng, "TILE", 7)
+        cfg = tmp_path / "chsh.cfg"
+        cfg.write_text("[experiment]\nkind = chsh\nmode = born_sampling\nseed = 3\n"
+                       "trials = 50\n[directions]\na1 = 1.5\na2 = 0.0\nb1 = 0.7\nb2 = 2.3\n",
+                       encoding="utf-8")
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+        log = tmp_path / "out" / "trials.jsonl"
+        lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[23] = lines[23].replace('"trial":22,', '"trial":23,')
+        log.write_text("".join(lines), encoding="utf-8")
+        held = list(pool)
+        assert len(held) == 1
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            capsys.readouterr()
+            assert main(["replay", str(log), str(cfg)]) == 1
+            assert pool == held
+        finally:
+            if enabled:
+                gc.enable()
+        assert '"first_bad_line": 24' in capsys.readouterr().out
+
+    @pytest.mark.parametrize("end", ["close", "drop"])
+    def test_abandoned_walk_gives_its_workspace_back(self, monkeypatch, pool, end):
+        monkeypatch.setattr(rng, "TILE", 7)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for e in _ensembles():
+                walk = epr._pair_tiles(e, epr.CHSH_PAIRS, 9, 50, 0, 0, 200)
+                assert pool == []
+                next(walk)
+                if end == "close":
+                    walk.close()
+                else:
+                    del walk
+                assert len(pool) == 1
+                pool.clear()
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_two_live_walks_share_no_buffer(self, monkeypatch, pool):
+        """Two walks read piece by piece in turn give what each gives
+        read alone."""
+        monkeypatch.setattr(rng, "TILE", 7)
+        for e in _ensembles():
+            pool.clear()
+            walks = (lambda: epr._pair_tiles(e, epr.CHSH_PAIRS, 9, 50, 0, 0, 200),
+                     lambda: epr._pair_tiles(e, ((1, 3), (0, 2)), 10, 40, 5, 3, 80))
+            alone = [[(p, first, k.copy()) for p, first, k in walk()] for walk in walks]
+            taken = len(pool)
+            together = [[], []]
+            for pieces in itertools.zip_longest(*(walk() for walk in walks)):
+                for got, piece in zip(together, pieces):
+                    if piece is not None:
+                        got.append((piece[0], piece[1], piece[2].copy()))
+            for got, want in zip(together, alone):
+                assert [(p, first) for p, first, _ in got] == [(p, first) for p, first, _ in want]
+                for (*_, k), (*_, w) in zip(got, want):
+                    assert_bits_equal(k, w)
+            assert (taken, len(pool)) == (1, 2)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts Linux minor faults")
+def test_repeated_draws_fault_in_only_their_outputs(monkeypatch):
+    """With two shares, five 10^6-trial sample_trials calls after a first
+    take fewer than 1.1 times the minor faults of their two int8 outputs:
+    the tile buffers are not handed back to the system and faulted in
+    again on every call."""
+    import resource   # Unix only
+
+    monkeypatch.setattr(epr, "_usable_cpus", lambda: 2)
+    e = _ensembles()[0]
+    n = 10 ** 6
+    epr.sample_trials(e, 0, 2, 1, n)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for seed in range(5):
+        epr.sample_trials(e, 0, 2, seed, n)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 1.1 * 5 * 2 * n / 4096
