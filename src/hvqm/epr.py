@@ -26,17 +26,15 @@ from __future__ import annotations
 import functools
 import json
 import math
-import os
-import threading
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from . import quasiprob, rng
+from . import quasiprob, rng, shares
 from .errors import NotSampleableError, ValidationError
 from .logcodec import index_counts, suffix_of
-from .spin import Direction, DirectionSet, sign_matrix
+from .spin import Direction, DirectionSet
 
 LHV_SUM_TOL = 1e-12
 
@@ -275,64 +273,13 @@ def _pair_tiles(e: SingletEnsemble, pairs, seed: int, trials: int, start: int,
     return pieces()
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _in_shares(n: int, walk, share, ordered: bool = False) -> list:
-    """share(walk(lo, hi)) for contiguous shares [lo, hi) of trials
-    0 ... n - 1, in share order.
-
-    Unless the pieces must arrive in trial order, the range is split into
-    shares of equal trial counts, share i from n i // count on: one per
-    usable CPU, but no more than the range has pairs of whole rng.TILE
-    tiles.  Every share but the first, which the calling thread takes,
-    runs on a thread of its own: a share holds the GIL only between its
-    ufunc calls, which rng.TILE makes long.  Every walk is made on the
-    calling thread before a thread starts, so its checks raise there and
-    its workspace is taken whatever the threads' timing; the threads are
-    joined before this returns, and an exception in a share is raised here.
-    """
-    whole = n // rng.TILE
-    count = 1 if ordered else min(_usable_cpus(), whole // 2)
-    if count < 2:
-        return [share(walk(0, n))]
-    bounds = [n * i // count for i in range(count + 1)]
-    walks = [walk(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    results, errors = [None] * count, []
-
-    def run(i):
-        try:
-            results[i] = share(walks[i])
-        except BaseException as exc:   # raised again below, in the caller
-            errors.append(exc)
-
-    threads = []
-    try:
-        for i in range(1, count):
-            thread = threading.Thread(target=run, args=(i,))
-            thread.start()
-            threads.append(thread)
-        results[0] = share(walks[0])
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-    return results
-
-
 def sample_trials(e: SingletEnsemble, a_idx: int, b_idx: int, seed: int,
                   n_trials: int, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Outcome arrays for trials [start, start + n_trials).
 
     Each trial is a pure function of (seed, index), so the range is drawn
     rng.TILE trials at a time, in shares across the usable CPUs
-    (_in_shares), with every bit as a whole-range draw gives it.
+    (shares._in_shares), with every bit as a whole-range draw gives it.
     """
     if n_trials < 1:
         raise ValidationError("n_trials must be >= 1")
@@ -349,8 +296,9 @@ def sample_trials(e: SingletEnsemble, a_idx: int, b_idx: int, seed: int,
             _signs(a)
             _signs(b)
 
-    _in_shares(n_trials, lambda lo, hi: _pair_tiles(e, pairs, seed, n_trials, start, lo, hi),
-               share)
+    shares._in_shares(n_trials, rng.TILE,
+                      lambda lo, hi: _pair_tiles(e, pairs, seed, n_trials, start, lo, hi),
+                      share)
     return a_out, b_out
 
 
@@ -363,7 +311,8 @@ def pair_counts(e: SingletEnsemble, pairs, seed: int | None, trials: int,
     one walk on the calling thread: trial first + i's log line is
     '{"trial":N' + suffixes[k[i]], its outcome pair OUTCOME_PAIRS[k[i]],
     k valid only during the call.  Without on_block the range is counted in
-    shares across the usable CPUs (_in_shares), and their counts summed."""
+    shares across the usable CPUs (shares._in_shares), and their counts
+    summed."""
     if seed is None:
         raise ValidationError("sampling requires a seed")
     if trials < 1:
@@ -377,8 +326,9 @@ def pair_counts(e: SingletEnsemble, pairs, seed: int | None, trials: int,
             counts[p] += index_counts(k, len(OUTCOME_PAIRS))
         return counts
 
-    return functools.reduce(np.add, _in_shares(
-        len(pairs) * trials, lambda lo, hi: _pair_tiles(e, pairs, seed, trials, 0, lo, hi),
+    return functools.reduce(np.add, shares._in_shares(
+        len(pairs) * trials, rng.TILE,
+        lambda lo, hi: _pair_tiles(e, pairs, seed, trials, 0, lo, hi),
         share, ordered=on_block is not None))
 
 
@@ -401,9 +351,12 @@ def _analytic_correlators(e: SingletEnsemble, pairs) -> list[float]:
         weights = e.lhv_weights
     else:
         raise ValidationError(f"no analytic correlator for mode {e.mode.value}")
-    # Bob carries the negated sign: E(a, b) = sum_k -s_a s_b w_k
-    signs = sign_matrix(len(e.directions))
-    return [float(-(signs[:, ai] * signs[:, bi]) @ weights) for ai, bi in pairs]
+    # Bob carries the negated sign: E(a, b) = sum_k -s_a s_b w_k, and
+    # s_a s_b = -1 where bits a and b of pattern k differ; fsum is
+    # correctly rounded, so no kernel's summation order shows in the bits
+    weights = weights.tolist()
+    return [math.fsum(w if ((k >> ai) ^ (k >> bi)) & 1 else -w for k, w in enumerate(weights))
+            for ai, bi in pairs]
 
 
 def correlation(e: SingletEnsemble, a_idx: int, b_idx: int,

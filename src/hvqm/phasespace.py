@@ -22,13 +22,15 @@ M x M plane-wave factors are M roots of unity, indexed by integer residue.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import shares
 from .errors import ValidationError
-from .interference import cis
+from .interference import _squared_modulus, cis
 from .logcodec import write_csv
 
 NORMALIZATION_TOL = 1e-8
@@ -156,8 +158,9 @@ def _roots_of_unity(m: int, sign: float) -> np.ndarray:
     return cis((sign * 2.0 * math.pi / m) * np.arange(m))
 
 
-def _residue_blocks(m: int):
-    """(rows, residues) for each block of _block_rows(m) rows j: the residue
+def _residue_blocks(m: int, lo: int, hi: int):
+    """(rows, residues) for each block of _block_rows(m) rows j of rows lo
+    ... hi - 1, the last block cut at hi: the residue
     n = (j - M/2)(k - M/2) mod M of each cell, rows j, columns k.
 
     p_k r_j / hbar = 2 pi (j - M/2)(k - M/2) / M whatever dr and hbar, since
@@ -165,38 +168,58 @@ def _residue_blocks(m: int):
     exp(sign i p_k r_j / hbar) is the root of unity cis(sign 2 pi n / M).
     The residues are uint16 products, which wrap mod 2^16, and a power of
     two M up to 2^16 divides 2^16, so the low bits are the residue.  The
-    block is overwritten by the next one.
+    block is overwritten by the next one; a cut block is a prefix of it.
     """
     offsets = (np.arange(m) - m // 2).astype(np.uint16)
     step = _block_rows(m)
-    residues = np.empty((step, m), dtype=np.uint16)
-    for a in range(0, m, step):
-        np.multiply.outer(offsets[a:a + step], offsets, out=residues)
+    buf = np.empty((step, m), dtype=np.uint16)
+    for a in range(lo, hi, step):
+        b = min(a + step, hi)
+        residues = buf[:b - a]
+        np.multiply.outer(offsets[a:b], offsets, out=residues)
         residues &= m - 1
-        yield slice(a, a + step), residues
+        yield slice(a, b), residues
 
 
 def lift(wf: WaveFunction) -> ExtendedState:
-    """Fill the (r, p) grid from a normalized wavefunction."""
+    """Fill the (r, p) grid from a normalized wavefunction.
+
+    Each cell is roots[residue] * scale[k] whichever thread fills it, so
+    the rows are filled in shares across the usable CPUs
+    (shares._in_shares), each share with a residue block of its own.
+    """
     if abs(wf.norm_sq() - 1.0) > NORMALIZATION_TOL:
         raise ValidationError(
             f"lift needs a normalized wavefunction, norm^2 = {wf.norm_sq()!r}")
+    m = wf.m
     xi = to_momentum(wf)
     scale = xi.values / math.sqrt(2.0 * math.pi * wf.hbar)
-    roots = _roots_of_unity(wf.m, 1.0)
-    coeffs = np.empty((wf.m, wf.m), dtype=complex)
-    for rows, residues in _residue_blocks(wf.m):
-        block = coeffs[rows]
-        # mode "raise" would buffer the output; every residue is in range
-        roots.take(residues, out=block, mode="clip")
-        block *= scale
+    roots = _roots_of_unity(m, 1.0)
+    coeffs = np.empty((m, m), dtype=complex)
+
+    def fill(blocks):
+        for rows, residues in blocks:
+            block = coeffs[rows]
+            # mode "raise" would buffer the output; every residue is in range
+            roots.take(residues, out=block, mode="clip")
+            block *= scale
+
+    shares._in_shares(m, _block_rows(m), functools.partial(_residue_blocks, m), fill)
     return ExtendedState(coeffs, wf.dr, wf.hbar)
 
 
 def project_r(state: ExtendedState) -> WaveFunction:
-    """Row sums against the dp measure; inverts lift exactly."""
-    values = state.coefficients.sum(axis=1) * state.dp
-    return WaveFunction(values, state.dr, state.hbar)
+    """Row sums against the dp measure; inverts lift exactly.  Each row sum
+    is numpy's pairwise sum of that contiguous row whichever thread takes
+    it, so the rows are summed in shares across the usable CPUs."""
+    m, grid = state.m, state.coefficients
+    sums = np.empty(m, dtype=complex)
+
+    def add(rows):
+        np.sum(grid[rows], axis=1, out=sums[rows])
+
+    shares._in_shares(m, _block_rows(m), slice, add)
+    return WaveFunction(sums * state.dp, state.dr, state.hbar)
 
 
 def project_p(state: ExtendedState) -> MomentumFunction:
@@ -214,7 +237,7 @@ def project_p(state: ExtendedState) -> MomentumFunction:
     buf = np.empty((1 + _block_rows(m), m), dtype=complex)
     buf[0] = complex(-0.0, -0.0)
     cells = buf[1:]
-    for rows, residues in _residue_blocks(m):
+    for rows, residues in _residue_blocks(m, 0, m):
         roots.take(residues, out=cells, mode="clip")
         # coefficients first: complex multiply need not commute bit for bit
         np.multiply(state.coefficients[rows], cells, out=cells)
@@ -227,12 +250,21 @@ def project_p(state: ExtendedState) -> MomentumFunction:
 
 
 def ray_overlap(a: np.ndarray, b: np.ndarray) -> float:
-    """|<a, b>| / (|a| |b|): scale- and phase-invariant ray comparison."""
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
+    """|<a, b>| / (|a| |b|): scale- and phase-invariant ray comparison.
+
+    Every sum is numpy's pairwise sum of real planes, with no BLAS kernel,
+    whose summation order depends on the CPU it picks at run time.
+    """
+    na = math.sqrt(_squared_modulus(a).sum())
+    nb = math.sqrt(_squared_modulus(b).sum())
     if na == 0 or nb == 0:
         return 0.0
-    return float(abs(np.vdot(a, b)) / (na * nb))
+    # <a, b> = sum conj(a) b, as its real and imaginary planes
+    re = a.real * b.real
+    re += a.imag * b.imag
+    im = a.real * b.imag
+    im -= a.imag * b.real
+    return math.hypot(np.sum(re), np.sum(im)) / (na * nb)
 
 
 def gaussian_wavefunction(m: int, dr: float, center: float = 0.0,

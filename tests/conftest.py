@@ -1,8 +1,11 @@
 import math
+import threading
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
+from hvqm import shares
 from hvqm.beamline import TrialEvent
 from hvqm.epr import (OUTCOME_PAIRS, SingletEnsemble, TrialRecord, joint_outcome_probs,
                       sample_trials)
@@ -16,6 +19,25 @@ angles = st.floats(min_value=-2.0 * math.pi, max_value=2.0 * math.pi,
                    allow_nan=False, allow_infinity=False)
 
 signs = st.sampled_from([1, -1])
+
+
+class _CountedThread(threading.Thread):
+    """threading.Thread that counts the threads started."""
+
+    started = 0
+
+    def start(self):
+        type(self).started += 1
+        super().start()
+
+
+@pytest.fixture
+def on_cpus(monkeypatch):
+    """on_cpus(n) makes the unlogged walks and the grid kernels see n usable
+    CPUs; _CountedThread.started then counts the threads they start."""
+    monkeypatch.setattr(threading, "Thread", _CountedThread)
+    monkeypatch.setattr(_CountedThread, "started", 0)
+    return lambda n: monkeypatch.setattr(shares, "_usable_cpus", lambda: n)
 
 
 @st.composite

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (angles, closed_form_w3, directions, joint_outcomes,
                       quaternion_pair_probability, sample_trial)
-from hvqm import beamline, epr, quasiprob, rng, runner, spin
+from hvqm import beamline, epr, quasiprob, rng, runner, shares, spin
 from hvqm.config import apply_overrides, parse_config, parse_direction
 from hvqm.epr import (CHSH_PAIRS, OUTCOME_PAIRS, Mode, SingletEnsemble, TrialRecord, chsh,
                       chsh_ensemble, correlation, pair_joint_probability, sample_trials,
@@ -428,7 +428,7 @@ def test_sampled_chsh_memory_stays_one_block(monkeypatch):
             tracemalloc.stop()
 
     for cpus in (1, 2):
-        monkeypatch.setattr(epr, "_usable_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(shares, "_usable_cpus", lambda cpus=cpus: cpus)
         chsh(e, trials=1 << 20, seed=8)
         assert peak(1 << 20) - peak(1 << 16) <= 1 << 20
 

@@ -267,7 +267,7 @@ ANALYTIC_RESULTS = {
         "max_cell_gap": 0.22772478094356235},
     "phasespace": {"m": 256, "dr": 1.0, "roundtrip_error": 7.666372934760685e-17,
                    "parseval_gap": 2.220446049250313e-16,
-                   "momentum_ray_overlap": 1.0000000000000002},
+                   "momentum_ray_overlap": 1.0},
 }
 
 

@@ -328,7 +328,8 @@ class TestBornTable:
 
     @pytest.mark.parametrize("n", [13, 14, 15, 20])
     def test_tile_edges_keep_the_einsum_bits(self, n):
-        """One tile of 2^13 rows, two, four and 128."""
+        """One tile of 2^12 rows, one of 2^13, one of 2^14, and 32 tiles of
+        2^14 rows."""
         dirs = random_directions(n)
         assert np.array_equal(born_table(dirs).probabilities, einsum_born(dirs))
 

@@ -19,8 +19,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import categorical, directions, index_events, sample_trial
-from hvqm import beamline, epr, rng, runner
+from conftest import _CountedThread, categorical, directions, index_events, sample_trial
+from hvqm import beamline, epr, rng, runner, shares
 from hvqm.beamline import BeamState, analyze, event_json, recombine, split
 from hvqm.cli import main
 from hvqm.config import parse_config
@@ -389,25 +389,6 @@ def test_joint_outcome_probs_equal_the_four_pair_laws(n_a, n_b):
     assert_bits_equal(epr.joint_outcome_probs(n_a, n_b), want)
 
 
-class _CountedThread(threading.Thread):
-    """threading.Thread that counts the threads started."""
-
-    started = 0
-
-    def start(self):
-        type(self).started += 1
-        super().start()
-
-
-@pytest.fixture
-def on_cpus(monkeypatch):
-    """on_cpus(n) makes the walks see n usable CPUs; _CountedThread.started
-    then counts the threads they start."""
-    monkeypatch.setattr(threading, "Thread", _CountedThread)
-    monkeypatch.setattr(_CountedThread, "started", 0)
-    return lambda n: monkeypatch.setattr(epr, "_usable_cpus", lambda: n)
-
-
 def _shares(n, cpus):
     """Shares of n trials on `cpus` CPUs: each holds two whole tiles or
     more, and there is one at least."""
@@ -441,7 +422,7 @@ class TestShares:
     def test_shares_hold_equal_trial_counts(self, monkeypatch, on_cpus, tile, n, cpus, want):
         monkeypatch.setattr(rng, "TILE", tile)
         on_cpus(cpus)
-        assert epr._in_shares(n, lambda lo, hi: (lo, hi), lambda walk: walk) == want
+        assert shares._in_shares(n, rng.TILE, lambda lo, hi: (lo, hi), lambda walk: walk) == want
 
     @pytest.mark.parametrize("tile", [TILE, 7])
     @pytest.mark.parametrize("whole,extra", [(3, 6), (4, -1), (4, 0), (4, 1), (6, 0), (7, 5)])
@@ -717,7 +698,7 @@ def test_repeated_draws_fault_in_only_their_outputs(monkeypatch):
     again on every call."""
     import resource   # Unix only
 
-    monkeypatch.setattr(epr, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(shares, "_usable_cpus", lambda: 2)
     e = _ensembles()[0]
     n = 10 ** 6
     epr.sample_trials(e, 0, 2, 1, n)
