@@ -71,8 +71,10 @@ class SingletEnsemble:
             if w is None or w.shape != (1 << n,):
                 raise ValidationError(
                     f"classical mode needs {1 << n} pattern weights for N={n}")
-            if np.any(w < 0):
-                raise ValidationError("classical distribution entries must be >= 0")
+            low = float(w.min())
+            if not low >= 0:   # a NaN entry fails too
+                raise ValidationError(
+                    f"classical distribution entries must be >= 0, min {low!r}")
             if not abs(float(w.sum()) - 1.0) <= LHV_SUM_TOL:   # a NaN sum fails too
                 raise ValidationError(
                     f"classical distribution sums to {float(w.sum())!r}, expected 1")

@@ -203,8 +203,10 @@ class ScreenPattern:
     def __post_init__(self):
         if self.bin_centers.shape != self.probabilities.shape:
             raise ValidationError("bin grid and probabilities differ in length")
-        if np.any(self.probabilities < 0):
-            raise ValidationError("probabilities must be nonnegative")
+        # an empty pattern fails on its sum below
+        low = float(self.probabilities.min(initial=0.0))
+        if not low >= 0:   # a NaN entry fails too
+            raise ValidationError(f"probabilities must be nonnegative, min {low!r}")
         total = float(self.probabilities.sum())
         if not abs(total - 1.0) <= PATTERN_NORM_TOL:   # a NaN total fails too
             raise ValidationError(f"pattern sums to {total!r}, expected 1")

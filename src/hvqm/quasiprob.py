@@ -21,8 +21,7 @@ import numpy as np
 
 from .errors import SolverError, ValidationError
 from .logcodec import write_csv
-from .spin import (DirectionSet, SignPattern, pattern_cells, pattern_from_index, sign_matrix,
-                   signed_sum_tiles)
+from .spin import DirectionSet, SignPattern, pattern_from_index, sign_matrix, signed_sum_tiles
 
 MARGINAL_TOL = 1e-10
 # The closed forms cost O(2^N), so the caps bound table sizes: the signed
@@ -59,8 +58,9 @@ class BornTable:
     probabilities: np.ndarray
 
     def __post_init__(self):
-        if np.any(self.probabilities < 0):
-            raise ValidationError("Born table entries must be nonnegative")
+        low = float(self.probabilities.min())
+        if not low >= 0:   # a NaN entry fails too
+            raise ValidationError(f"Born table entries must be nonnegative, min {low!r}")
         total = float(self.probabilities.sum())
         if not abs(total - 1.0) <= 1e-12:   # a NaN total fails too
             raise ValidationError(f"Born table sums to {total!r}, expected 1")
@@ -70,22 +70,55 @@ def check_pair_law(dirs: DirectionSet, weights: np.ndarray) -> None:
     """Raise SolverError unless the weights sum to one and every pairwise
     marginal matches (1 + s_i s_j n_i . n_j) / 4 within MARGINAL_TOL.
 
-    The stretched Born table of solve_weights meets the law exactly in
-    real arithmetic; this check catches rounding that ever broke it."""
+    The cells come from the table's Walsh sums (_pair_law_residual), so
+    the check costs N passes over a copy of the table, not one reduction
+    per pair.  The stretched Born table of solve_weights meets the law
+    exactly in real arithmetic; this check catches rounding that ever
+    broke it."""
     n = len(dirs)
-    worst = abs(float(weights.sum()) - 1.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = dirs[i].dot(dirs[j])
-            # position 0 on each axis is s = -1, so s_i s_j is + on the diagonal
-            want = 0.25 * (1.0 + np.array([[c, -c], [-c, c]]))
-            got = pattern_cells(weights, n, (i, j))
-            worst = max(worst, float(np.abs(got - want).max()))
-    # a NaN weight makes the sum's residual NaN, which max keeps and <= refuses
+    worst = _pair_law_residual(dirs, weights)
+    # a NaN weight makes every Walsh sum NaN, which max keeps and <= refuses
     if not worst <= MARGINAL_TOL:
         raise SolverError(
             "marginal constraints not met: max residual "
             f"{worst:.3e} over {1 + 2 * n * (n - 1)} rows (tol {MARGINAL_TOL:.0e})")
+
+
+# s_i, s_j and s_i s_j of the four cells of a pair, one row each
+_S_I = np.array([[-1.0], [-1.0], [1.0], [1.0]])
+_S_J = np.array([[-1.0], [1.0], [-1.0], [1.0]])
+_S_IJ = _S_I * _S_J
+
+
+def _pair_law_residual(dirs: DirectionSet, weights: np.ndarray) -> float:
+    """The largest |total - 1| and |cell - (1 + s_i s_j n_i . n_j) / 4|.
+
+    One Walsh-Hadamard butterfly per sign bit takes a copy of the table to
+    its Walsh sums F[S] = sum_s W(s) prod_{j in S} s_j.  Each pass folds
+    bit 0, lo + hi into the low half and hi - lo into the high half, so the
+    folded bit comes out on top and, after N passes, every bit is back in
+    place.  The degree 0, 1 and 2 sums give every pair's cells at once:
+    (F[0] + s_i F[i] + s_j F[j] + s_i s_j F[ij]) / 4."""
+    n = len(dirs)
+    half = 1 << (n - 1)
+    buffers = np.array(weights, dtype=float), np.empty(1 << n)
+    # each buffer's even (s = -1) and odd entries, and its low and high half
+    src, dst = [(b[0::2], b[1::2], b[:half], b[half:]) for b in buffers]
+    for _ in range(n):
+        (lo, hi, _, _), (_, _, low, high) = src, dst
+        np.add(lo, hi, out=low)
+        np.subtract(hi, lo, out=high)
+        src, dst = dst, src
+    f = buffers[n % 2]
+    k = np.arange(n)
+    i, j = np.nonzero(k[:, None] < k)   # every pair i < j
+    vec = dirs.as_matrix()
+    prod = vec[i] * vec[j]
+    c = prod[:, 0] + prod[:, 1] + prod[:, 2]   # n_i . n_j, summed as Direction.dot sums it
+    bi, bj = 1 << i, 1 << j
+    # 4 (cell - law) = F[0] - 1 + s_i F[i] + s_j F[j] + s_i s_j (F[ij] - n_i . n_j)
+    r = (f[0] - 1.0) + _S_I * f[bi] + _S_J * f[bj] + _S_IJ * (f[bi | bj] - c)
+    return float(np.abs(r / 4).max(initial=abs(f[0] - 1.0)))
 
 
 def solve_weights(dirs: DirectionSet) -> QuasiProbTable:
@@ -97,9 +130,10 @@ def solve_weights(dirs: DirectionSet) -> QuasiProbTable:
          = 2^-N [1 + (I(s) - N) / 2],   I(s) = |sum_j s_j n_j|^2,
     for any directions.  The Born table is B = I / (2^N N), so
     W = (N/2) B + (1 - N/2) 2^-N: the Born table stretched about the
-    uniform table, negative exactly where I(s) < N - 2.  The table is
-    checked against the pairwise law (check_pair_law), which raises
-    SolverError if rounding ever broke it; N is capped at MAX_SOLVE_N.
+    uniform table, negative exactly where I(s) < N - 2.  check_pair_law
+    then reads every pair's cells from the table's Walsh sums of degree two
+    or less, N butterfly passes over a copy, and raises SolverError if
+    rounding ever broke the law; N is capped at MAX_SOLVE_N.
     """
     n = len(dirs)
     if n < 2:
@@ -113,22 +147,35 @@ def solve_weights(dirs: DirectionSet) -> QuasiProbTable:
 
 def marginal(table: QuasiProbTable, indices) -> dict[tuple[int, ...], float]:
     """Sum the table over every index not listed; keys are sign tuples in
-    the order of `indices`."""
+    the order of `indices`, in pattern-integer order over them.
+
+    Indices are ints or numpy integers (a bool is refused).  Each free
+    sign bit is folded out, the top bit first, by adding the two halves of
+    the table's (-1, 2, 2^j) view; the 2^m kept cells then have their
+    kept bits in ascending index order, and are transposed into the
+    caller's order."""
     n = len(table.directions)
     idx = list(indices)
-    if len(set(idx)) != len(idx):
-        raise ValidationError("marginal indices must be distinct")
     for i in idx:
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            raise ValidationError(f"marginal index {i!r} is not an integer")
         if not 0 <= i < n:
             raise ValidationError(f"index {i} out of range for N={n}")
-    return _sign_keyed(pattern_cells(table.weights, n, idx))
-
-
-def _sign_keyed(cells: np.ndarray) -> dict[tuple[int, ...], float]:
-    """Cells with position 0 = sign -1 on each axis, keyed by sign tuples in
-    pattern-integer order."""
-    keys = (pattern_from_index(k, cells.ndim) for k in range(1 << cells.ndim))
-    return {p: float(cells[tuple((s + 1) // 2 for s in p)]) for p in keys}
+    if len(set(idx)) != len(idx):
+        raise ValidationError("marginal indices must be distinct")
+    cells = table.weights
+    for j in reversed(range(n)):
+        if j not in idx:
+            halves = cells.reshape(-1, 2, 1 << j)
+            cells = np.add(halves[:, 0], halves[:, 1])
+    m = len(idx)
+    kept = sorted(idx)
+    # axis a of the (2,) * m view holds the kept index of rank m - 1 - a
+    order = [m - 1 - kept.index(i) for i in reversed(idx)]
+    values = cells.reshape((2,) * m).transpose(order).ravel().tolist()
+    # sign p of key k is + where bit p of k is set; () keys the empty set's total
+    signs = [([-1] * (1 << p) + [1] * (1 << p)) * (1 << (m - 1 - p)) for p in range(m)]
+    return dict(zip(zip(*signs) if m else [()], values))
 
 
 def born_table(dirs: DirectionSet) -> BornTable:

@@ -202,26 +202,6 @@ def _high_sign_tiles(stack, high, i, start):
                                     start | s << (SUM_TILE_BITS + 1 + i))
 
 
-def pattern_cells(values: np.ndarray, n: int, idx: Sequence[int]) -> np.ndarray:
-    """Sums of a 2^n table over every index not in `idx`.
-
-    Axis p of the result is index idx[p]; position 0 on it is s = -1 and
-    position 1 is s = +1.  Row k of the table is pattern_from_index(k, n),
-    so the table reshapes to blocks of free indices between the kept ones,
-    most significant first; the free blocks are summed away, the leading
-    one first because it is the largest contiguous reduction.
-    """
-    kept = sorted(idx, reverse=True)
-    shape, edge = [], n
-    for i in kept:
-        shape += [1 << (edge - 1 - i), 2]
-        edge = i
-    shape.append(1 << edge)
-    cells = np.asarray(values).reshape(shape).sum(axis=0)
-    cells = cells.sum(axis=tuple(range(1, len(shape) - 1, 2)))
-    return cells.transpose([kept.index(i) for i in idx])
-
-
 def marginal_amplitude(fixed: Mapping[int, int], dirs: DirectionSet) -> Quaternion:
     """Sum of the total amplitudes of every completion of a partial
     assignment, as a pure-imaginary Quaternion.

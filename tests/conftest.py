@@ -13,7 +13,7 @@ from hvqm.errors import ValidationError
 from hvqm.interference import _cis_planes, _rotate, cis, pair_tables
 from hvqm.pathint import _hole_region_amplitude
 from hvqm.phasespace import MomentumFunction, WaveFunction, _centred
-from hvqm.spin import Direction, DirectionSet, check_sign, signed_sums
+from hvqm.spin import Direction, DirectionSet, check_sign, pattern_from_index, signed_sums
 
 angles = st.floats(min_value=-2.0 * math.pi, max_value=2.0 * math.pi,
                    allow_nan=False, allow_infinity=False)
@@ -151,6 +151,49 @@ def from_momentum(mf: MomentumFunction) -> WaveFunction:
     dr = 2.0 * math.pi * mf.hbar / (mf.m * mf.dp)
     psi = _centred(np.fft.ifft, mf.values, mf.dp * mf.m / math.sqrt(2.0 * math.pi * mf.hbar))
     return WaveFunction(psi, dr, mf.hbar)
+
+
+def pattern_cells(values: np.ndarray, n: int, idx) -> np.ndarray:
+    """Oracle of quasiprob's marginals: sums of a 2^n table over every
+    index not in `idx`, one multi-axis reduction.
+
+    Axis p of the result is index idx[p]; position 0 on it is s = -1 and
+    position 1 is s = +1.  Row k of the table is pattern_from_index(k, n),
+    so the table reshapes to blocks of free indices between the kept ones,
+    most significant first; the free blocks are summed away, the leading
+    one first because it is the largest contiguous reduction.
+    """
+    kept = sorted(idx, reverse=True)
+    shape, edge = [], n
+    for i in kept:
+        shape += [1 << (edge - 1 - i), 2]
+        edge = i
+    shape.append(1 << edge)
+    cells = np.asarray(values).reshape(shape).sum(axis=0)
+    cells = cells.sum(axis=tuple(range(1, len(shape) - 1, 2)))
+    return cells.transpose([kept.index(i) for i in idx])
+
+
+def sign_keyed(cells: np.ndarray) -> dict[tuple[int, ...], float]:
+    """Cells with position 0 = sign -1 on each axis, keyed by sign tuples in
+    pattern-integer order, one pattern_from_index call per cell."""
+    keys = (pattern_from_index(k, cells.ndim) for k in range(1 << cells.ndim))
+    return {p: float(cells[tuple((s + 1) // 2 for s in p)]) for p in keys}
+
+
+def pair_law_residual(dirs: DirectionSet, weights: np.ndarray) -> float:
+    """Oracle of check_pair_law: the largest |total - 1| and
+    |cell - (1 + s_i s_j n_i . n_j) / 4|, one pattern_cells reduction per
+    pair i < j."""
+    n = len(dirs)
+    worst = abs(float(np.sum(weights)) - 1.0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            c = dirs[i].dot(dirs[j])
+            # position 0 on each axis is s = -1, so s_i s_j is + on the diagonal
+            want = 0.25 * (1.0 + np.array([[c, -c], [-c, c]]))
+            worst = max(worst, float(np.abs(pattern_cells(weights, n, (i, j)) - want).max()))
+    return worst
 
 
 def check_pattern(pattern, n: int) -> tuple[int, ...]:

@@ -128,6 +128,12 @@ class TestSampling:
         with pytest.raises(ValidationError, match="nan"):
             SingletEnsemble(dirs, Mode.CLASSICAL_LHV, np.array([math.nan, 0.5, 0.25, 0.25]))
 
+    def test_negative_zero_passes_and_a_negative_entry_is_named(self):
+        dirs = DirectionSet.from_planar_angles([0.0, 1.0])
+        SingletEnsemble(dirs, Mode.CLASSICAL_LHV, np.array([-0.0, 0.5, 0.25, 0.25]))
+        with pytest.raises(ValidationError, match="min -0.25"):
+            SingletEnsemble(dirs, Mode.CLASSICAL_LHV, np.array([-0.25, 0.75, 0.25, 0.25]))
+
     def test_record_json_field_order(self):
         rec = epr.TrialRecord(3, 0, 1, 1, -1, "born_sampling")
         assert trial_record_json(rec) == (

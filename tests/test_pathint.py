@@ -119,6 +119,11 @@ class TestScreenPattern:
         with pytest.raises(ValidationError, match="nan"):
             ScreenPattern(np.arange(16.0), np.full(16, math.nan), "coherent")
 
+    def test_negative_zero_passes_and_a_negative_entry_is_named(self):
+        ScreenPattern(np.arange(4.0), np.array([-0.0, 0.5, 0.5, 0.0]), "coherent")
+        with pytest.raises(ValidationError, match="min -0.25"):
+            ScreenPattern(np.arange(4.0), np.array([-0.25, 0.75, 0.5, 0.0]), "coherent")
+
 
 class TestDarkRegionFinder:
     def test_locates_fraunhofer_minima(self):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,17 +10,16 @@ from hypothesis import strategies as st
 
 from conftest import angles
 from conftest import (born_pair_marginal, closed_form_w3, directions, interference_gap,
-                      joint_outcomes, pair_cells, pair_marginal_probability,
-                      pattern_to_index, random_directions)
-from hvqm import spin
+                      joint_outcomes, pair_cells, pair_law_residual, pair_marginal_probability,
+                      pattern_cells, pattern_to_index, random_directions, sign_keyed)
+from hvqm import quasiprob, spin
 from hvqm.cli import main
 from hvqm.errors import SolverError
 from hvqm.errors import ValidationError
 from hvqm.quasiprob import (BornTable, QuasiProbTable, born_table, marginal, negativity_report,
                             solve_weights, write_born_csv, write_table_csv)
 from hvqm.quasiprob import check_pair_law
-from hvqm.spin import (Direction, DirectionSet, pattern_cells, pattern_from_index, sign_matrix,
-                       signed_sums)
+from hvqm.spin import Direction, DirectionSet, pattern_from_index, sign_matrix, signed_sums
 
 GOLDEN = (0.0, math.pi / 3, 2 * math.pi / 3)
 
@@ -64,6 +64,31 @@ def min_norm_oracle(dirs):
     a, b = _constraint_system(dirs)
     w, *_ = np.linalg.lstsq(a, b, rcond=None)
     return w
+
+
+@st.composite
+def direction_sets(draw, min_size=2, max_size=12):
+    """Direction sets with axes, antipodal pairs and repeated entries among
+    random directions."""
+    axes = [Direction(1, 0, 0), Direction(0, 1, 0), Direction(0, 0, 1)]
+    ds = []
+    for _ in range(draw(st.integers(min_value=min_size, max_value=max_size))):
+        kind = draw(st.sampled_from(["random", "axis", "antipodal", "repeated"]))
+        if kind == "axis":
+            ds.append(draw(st.sampled_from(axes)))
+        elif ds and kind == "antipodal":
+            ds.append(-draw(st.sampled_from(ds)))
+        elif ds and kind == "repeated":
+            ds.append(draw(st.sampled_from(ds)))
+        else:
+            ds.append(draw(directions()))
+    return DirectionSet(tuple(ds))
+
+
+def stretched_born(dirs):
+    """The signed table W = (N/2) B + (1 - N/2) 2^-N, past MAX_SOLVE_N too."""
+    n = len(dirs)
+    return n / 2 * born_table(dirs).probabilities + (1 - n / 2) / (1 << n)
 
 
 def mask_loop_marginal(table, idx):
@@ -222,6 +247,58 @@ class TestSolveWeights:
             check_pair_law(dirs, np.array([math.nan, 0.25, 0.25, 0.25]))
 
 
+class TestPairLawCheck:
+    """check_pair_law reads every pair's cells from the Walsh sums of one
+    butterfly pass per sign bit; the per-pair reductions are the oracle."""
+
+    @given(direction_sets(), st.sampled_from([0.0, 1e-12, 1e-6, 1e-3]),
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_worst_residual_matches_the_per_pair_oracle(self, dirs, scale, seed):
+        w = solve_weights(dirs).weights
+        w = w + scale * np.random.default_rng(seed).normal(size=w.size)
+        got = quasiprob._pair_law_residual(dirs, w)
+        assert abs(got - pair_law_residual(dirs, w)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 3, 12])
+    def test_a_small_perturbation_is_refused(self, n):
+        dirs = random_directions(n)
+        w = solve_weights(dirs).weights.copy()
+        check_pair_law(dirs, w)
+        for k in (0, (1 << n) - 1, (1 << n) // 3):
+            bad = w.copy()
+            bad[k] += 3e-10
+            with pytest.raises(SolverError, match="max residual"):
+                check_pair_law(dirs, bad)
+
+    def test_the_weights_are_not_written(self):
+        dirs = random_directions(5)
+        w = solve_weights(dirs).weights
+        before = w.copy()
+        check_pair_law(dirs, w)
+        assert np.array_equal(w, before)
+
+    def test_past_the_solver_cap(self):
+        for n in (13, 16):
+            dirs = random_directions(n)
+            w = stretched_born(dirs)
+            check_pair_law(dirs, w)
+            assert abs(quasiprob._pair_law_residual(dirs, w) - pair_law_residual(dirs, w)) <= 1e-14
+
+    def test_memory_stays_near_the_table(self):
+        """A copy of the table and one buffer of its size for the butterfly
+        passes, and the pair arrays."""
+        dirs = random_directions(16)
+        w = stretched_born(dirs)
+        tracemalloc.start()
+        try:
+            check_pair_law(dirs, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * w.nbytes
+
+
 class TestMarginals:
     def test_pair_from_golden_table(self):
         table = solve_weights(golden_set())
@@ -247,16 +324,21 @@ class TestMarginals:
             assert m[(1,)] == pytest.approx(0.5, abs=1e-10)
             assert m[(-1,)] == pytest.approx(0.5, abs=1e-10)
 
-    @given(st.lists(angles, min_size=2, max_size=8), st.data())
+    @given(direction_sets(), st.data())
     @settings(max_examples=40, deadline=None)
-    def test_matches_mask_loop(self, ts, data):
-        table = solve_weights(DirectionSet.from_planar_angles(ts))
-        idx = data.draw(st.permutations(range(len(ts))))
-        idx = idx[:data.draw(st.integers(min_value=1, max_value=len(ts)))]
-        got, want = marginal(table, idx), mask_loop_marginal(table, idx)
-        assert list(got) == list(want)
-        for key, p in want.items():
-            assert got[key] == pytest.approx(p, abs=1e-14)
+    def test_matches_mask_loop(self, dirs, data):
+        """Any index order, the empty and the full set among them: the keys
+        of the mask loop and of the cell oracle in their order, each value
+        within 1e-14."""
+        n = len(dirs)
+        table = solve_weights(dirs)
+        idx = data.draw(st.permutations(range(n)))
+        idx = idx[:data.draw(st.integers(min_value=0, max_value=n))]
+        got = marginal(table, idx)
+        for want in (mask_loop_marginal(table, idx),
+                     sign_keyed(pattern_cells(table.weights, n, idx))):
+            assert list(got) == list(want)
+            assert max(abs(got[key] - p) for key, p in want.items()) <= 1e-14
 
     def test_unsorted_indices(self):
         ts = (0.1, 0.8, 1.9, 2.4, 3.3)
@@ -274,6 +356,27 @@ class TestMarginals:
             marginal(table, (0, 0))
         with pytest.raises(ValidationError):
             marginal(table, (0, 5))
+
+    @pytest.mark.parametrize("idx", [(1.0, 2), ("1",), (True,), (0, False), (None,),
+                                     (np.float64(1.0),), (np.bool_(True),)])
+    def test_non_integer_indices_are_refused(self, idx):
+        with pytest.raises(ValidationError, match="not an integer"):
+            marginal(solve_weights(golden_set()), idx)
+
+    def test_numpy_integer_indices(self):
+        table = solve_weights(golden_set())
+        assert marginal(table, (np.int64(2), np.int32(0))) == marginal(table, (2, 0))
+
+    def test_empty_and_full_index_sets(self):
+        dirs = random_directions(12)
+        table = solve_weights(dirs)
+        assert list(marginal(table, ())) == [()]
+        assert abs(marginal(table, ())[()] - 1.0) <= 1e-14
+        full = marginal(table, range(12))
+        assert list(full) == [pattern_from_index(k, 12) for k in range(1 << 12)]
+        assert list(full.values()) == table.weights.tolist()
+        backwards = marginal(table, range(11, -1, -1))
+        assert all(backwards[key[::-1]] == p for key, p in full.items())
 
 
 def einsum_born(dirs):
@@ -370,6 +473,12 @@ class TestBornTable:
     def test_nan_probability_is_refused(self):
         with pytest.raises(ValidationError, match="nan"):
             BornTable(DirectionSet.from_planar_angles([0.3]), np.array([math.nan, math.nan]))
+
+    def test_negative_zero_passes_and_a_negative_entry_is_named(self):
+        dirs = DirectionSet.from_planar_angles([0.3])
+        BornTable(dirs, np.array([-0.0, 1.0]))
+        with pytest.raises(ValidationError, match="min -0.25"):
+            BornTable(dirs, np.array([-0.25, 1.25]))
 
     def test_cap(self):
         with pytest.raises(ValidationError):
