@@ -1,7 +1,7 @@
 """Command line driver.
 
     hvqm run <config> [--seed N] [--trials N] [--out-dir DIR] [--workers N]
-    hvqm replay <trial log> <config> [--seed N] [--trials N]
+    hvqm replay <trial-log|report.json> <config> [--seed N] [--trials N]
     hvqm validate <config>
 
 Exit codes: 0 success / replay OK, 1 replay mismatch, 2 config parse or
@@ -63,8 +63,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--workers", type=int,
                      help="accepted for compatibility; changes nothing")
 
-    replay = sub.add_parser("replay", help="verify a trial log against its report")
-    replay.add_argument("log")
+    replay = sub.add_parser("replay", help="verify a run's files and report", description=(
+        "Run the config again: each file of the run, as listed in the report.json beside log, "
+        "must hold the same bytes, and the report the same results."))
+    replay.add_argument("log", help="the run's trial log or report.json")
     replay.add_argument("config")
     replay.add_argument("--seed", type=int)
     replay.add_argument("--trials", type=int)
@@ -106,7 +108,7 @@ def _cmd_replay(args) -> int:
     cfg = _load(args)
     verdict = replay_run(args.log, cfg)
     if not verdict.hash_ok:
-        print(f"log header hash does not match the supplied config "
+        print(f"report.json config hash does not match the supplied config "
               f"(expected {config_hash(cfg)})")
         _emit({"status": "hash_mismatch", "verdict": verdict.verdict})
         return EXIT_HASH_MISMATCH

@@ -5,8 +5,8 @@ few suffixes, picked per trial.  `join_lines` builds a whole block from the
 suffixes with numpy instead of formatting one record at a time; the
 suffixes come from the per-record encoders, so the bytes are theirs, and
 `index_counts` counts the trials of each suffix.  The module holds the
-byte formats of the files a run writes: `write_csv` writes every CSV, and
-every file a run writes is opened by `open_new`.
+byte formats of the files a run writes: `csv_blocks` gives every CSV's
+bytes, and every file a run writes is opened by `open_new`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import contextlib
 import functools
 import os
 import stat
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -113,31 +113,32 @@ def index_counts(k: np.ndarray, n: int) -> np.ndarray:
     return np.array([len(k) - sum(c), *c], dtype=np.int64)
 
 
-def open_new(path, mode: str = "w"):
-    """`path` opened for writing as a new file: an old regular file of that
-    name is unlinked first, not truncated.  On ext4 a file truncated to 0
-    and written again is flushed to disk when it is closed, which makes a
+def open_new(path):
+    """`path` opened for writing bytes as a new file: an old regular file of
+    that name is unlinked first, not truncated.  On ext4 a file truncated to
+    0 and written again is flushed to disk when it is closed, which makes a
     rewrite cost several times a new file.  Anything else at `path` (a
     symlink, a device such as /dev/null, a FIFO), or a file whose directory
-    refuses the unlink, is opened and written through as `open` does.
-    Text is UTF-8."""
+    refuses the unlink, is opened and written through as `open` does."""
     with contextlib.suppress(OSError):
         if stat.S_ISREG(os.lstat(path).st_mode):
             os.unlink(path)
-    return open(path, mode, encoding=None if "b" in mode else "utf-8")
+    return open(path, "wb")
+
+
+def csv_blocks(header: Sequence[str], columns: Sequence[np.ndarray]) -> Iterator[bytes]:
+    """A CSV's ASCII bytes, the header line, then blocks of _CSV_BLOCK rows,
+    so no file-sized string is built.  Row i is cell i of each column,
+    comma-joined: a float column's cells are the repr of each value as a
+    Python float (`tolist`); an int or str column's are its values as str."""
+    yield (",".join(header) + "\n").encode("ascii")
+    for lo in range(0, len(columns[0]), _CSV_BLOCK):
+        cells = [map(repr if column.dtype.kind == "f" else str,
+                     column[lo:lo + _CSV_BLOCK].tolist()) for column in columns]
+        yield ("\n".join(map(",".join, zip(*cells))) + "\n").encode("ascii")
 
 
 def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    """The header line, then row i: cell i of each column, comma-joined.
-
-    A float column's cells are the repr of each value as a Python float
-    (`tolist`); an int or str column's are its values as str.  Rows are
-    formatted and written in blocks of _CSV_BLOCK, so no file-sized string
-    is built.
-    """
+    """`csv_blocks(header, columns)` written to a new file at `path`."""
     with open_new(path) as f:
-        f.write(",".join(header) + "\n")
-        for lo in range(0, len(columns[0]), _CSV_BLOCK):
-            cells = [map(repr if column.dtype.kind == "f" else str,
-                         column[lo:lo + _CSV_BLOCK].tolist()) for column in columns]
-            f.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        f.writelines(csv_blocks(header, columns))

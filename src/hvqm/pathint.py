@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .interference import _cis_planes, _fft, _rotate, cis, pair_tables
-from .logcodec import write_csv
+from .logcodec import csv_blocks
 
 PATTERN_NORM_TOL = 1e-9
 
@@ -348,6 +348,6 @@ def four_hole_table(g: GeometryFourHole, y_coherent: bool) -> dict[tuple[int, in
             for i, sx in enumerate((1, -1)) for j, sa in enumerate((1, -1))}
 
 
-def write_pattern_csv(p: ScreenPattern, path) -> None:
-    write_csv(path, ("bin_center", "probability"), (p.bin_centers, p.probabilities))
+def pattern_csv(p: ScreenPattern):
+    return csv_blocks(("bin_center", "probability"), (p.bin_centers, p.probabilities))
 

@@ -31,7 +31,7 @@ import numpy as np
 from . import shares
 from .errors import ValidationError
 from .interference import _squared_modulus, cis
-from .logcodec import write_csv
+from .logcodec import csv_blocks
 
 NORMALIZATION_TOL = 1e-8
 
@@ -286,8 +286,8 @@ def plane_wave(m: int, dr: float, mode_index: int, hbar: float = 1.0) -> WaveFun
     return WaveFunction(np.exp(1j * p0 * r / hbar) / math.sqrt(m * dr), dr, hbar)
 
 
-def write_grid_csv(values: np.ndarray, path) -> None:
+def grid_csv(values: np.ndarray):
     """index, real, imag rows; the plain-text exchange format for grids."""
     values = np.asarray(values, dtype=complex)
-    write_csv(path, ("index", "real", "imag"),
+    return csv_blocks(("index", "real", "imag"),
               (np.arange(len(values)), values.real, values.imag))

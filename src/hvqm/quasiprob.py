@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .logcodec import write_csv
+from .logcodec import csv_blocks
 from .spin import DirectionSet, SignPattern, pattern_from_index, sign_matrix, signed_sum_tiles
 
 MARGINAL_TOL = 1e-10
@@ -229,15 +229,15 @@ def negativity_report(table: QuasiProbTable, tol: float = NEGATIVITY_TOL) -> Neg
     return NegativityReport(float(table.weights.min()), negatives)
 
 
-def _write_pattern_csv(path, values: np.ndarray, n: int, column: str) -> None:
+def _signs_csv(values: np.ndarray, n: int, column: str):
     """Rows in ascending pattern-integer order: s1..sN as +1/-1, value."""
     signs = np.where(sign_matrix(n) > 0, "+1", "-1").T
-    write_csv(path, [f"s{j + 1}" for j in range(n)] + [column], [*signs, values])
+    return csv_blocks([f"s{j + 1}" for j in range(n)] + [column], [*signs, values])
 
 
-def write_table_csv(table: QuasiProbTable, path) -> None:
-    _write_pattern_csv(path, table.weights, len(table.directions), "weight")
+def table_csv(table: QuasiProbTable):
+    return _signs_csv(table.weights, len(table.directions), "weight")
 
 
-def write_born_csv(table: BornTable, path) -> None:
-    _write_pattern_csv(path, table.probabilities, len(table.directions), "probability")
+def born_csv(table: BornTable):
+    return _signs_csv(table.probabilities, len(table.directions), "probability")

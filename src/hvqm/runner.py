@@ -1,14 +1,15 @@
-"""Config-driven experiment execution, trial logs, reports and replay.
+"""Config-driven experiment execution, reports and replay.
+
+What each experiment kind does is one `Kind` entry in `KINDS`.  Its run
+writes every file through `output(name)`, a block of bytes at a time, and
+returns the results.  A run's `output` writes a new file; a replay's
+requires the file already there to hold exactly those bytes and names its
+first bad line, and the replay then checks the results and the list of
+files against the stored report.
 
 Every Monte Carlo kind writes a JSON-lines log whose first line is a header
 carrying the canonical config hash; rerunning with the same seed produces a
-byte-identical log for any worker count.  `replay` samples the log again
-from the config, requires the file to hold exactly those bytes, and checks
-the summary statistics recomputed from them against the stored report.
-
-What each experiment kind does is one `Kind` entry in `KINDS`: a run and a
-replay walk its trial log through the same library walk and summarise it
-with the same function.
+byte-identical log for any worker count.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .config import (ExperimentConfig, config_hash, keyed_section, parse_directi
                      parse_float, parse_lhv_weights)
 from .errors import ValidationError
 from .interference import pair_tables
-from .logcodec import open_new
 from .spin import DirectionSet, pattern_label
 
 _SETTING_NAMES = {0: "a1", 1: "a2", 2: "b1", 3: "b2"}
@@ -120,40 +120,45 @@ def _check_workers(workers: int) -> None:
 # kind's walk is one call of its library walk (epr.pair_counts or
 # beamline.sequence_counts), which draws the trials rng.TILE at a time in
 # order as indices into a fixed table of line suffixes, counts them with
-# logcodec.index_counts and hands each piece's indices and suffixes to
-# `_on_block`.  That joins the lines in blocks of at most logcodec.LOG_BLOCK
-# and hands each block's bytes to `log.block`: a run writes them
-# (_Writer), a replay requires the log to hold exactly them (_Body).  The
-# kind's `summarize` maps the library's estimates of the counts onto the
-# reported statistics.
+# logcodec.index_counts and hands each piece's indices and suffixes to its
+# on_block.  `_logged` joins those lines in blocks of at most
+# logcodec.LOG_BLOCK and writes each block to the log's output; the kind's
+# `summarize` maps the library's estimates of the counts onto the reported
+# statistics.
 
 
-def _header_line(kind: str, cfg_hash: str, seed: int) -> bytes:
-    return json.dumps({"kind": kind, "config_hash": cfg_hash, "seed": seed,
-                       "version": __version__}, separators=(",", ":")).encode() + b"\n"
+def _logged(name: str, walk: Callable[[dict, Callable], np.ndarray],
+            summarize: Callable[[dict, np.ndarray], dict],
+            analytic: Callable[[dict], dict] | None = None):
+    """The run of a kind that logs its trials to the file `name`: the
+    header, then the lines of each piece of `walk(built, on_block)`, trial
+    first + i's '{"trial":N' + suffixes[k[i]]; returns the summary of the
+    counts the walk returns.  A chsh or epr config in an analytic mode has
+    no trials, and its run is `analytic(built)`, which writes no file."""
+
+    def run(built: dict, output) -> dict:
+        if "trials" not in built:
+            return analytic(built)
+        with output(name) as log:
+            log.write(json.dumps({"kind": built["kind"], "config_hash": built["config_hash"],
+                                  "seed": built["seed"], "version": __version__},
+                                 separators=(",", ":")).encode() + b"\n")
+
+            def on_block(first: int, k: np.ndarray, suffixes: tuple[bytes, ...]) -> None:
+                for lo in range(0, len(k), logcodec.LOG_BLOCK):
+                    log.write(logcodec.join_lines(first + lo, k[lo:lo + logcodec.LOG_BLOCK],
+                                                  suffixes))
+
+            return summarize(built, walk(built, on_block))
+
+    return run
 
 
-class _Writer:
-    """A log being written: each block's lines go to the file."""
-
-    def __init__(self, fh):
-        self._fh = fh
-
-    def block(self, data: bytes, lines: int) -> None:
-        self._fh.write(data)
-
-
-def _on_block(log):
-    """The on_block of a library walk that hands `log` the lines of each
-    piece, trial first + i's '{"trial":N' + suffixes[k[i]], joined in
-    blocks of at most logcodec.LOG_BLOCK lines."""
-
-    def on_block(first: int, k: np.ndarray, suffixes: tuple[bytes, ...]) -> None:
-        for lo in range(0, len(k), logcodec.LOG_BLOCK):
-            part = k[lo:lo + logcodec.LOG_BLOCK]
-            log.block(logcodec.join_lines(first + lo, part, suffixes), len(part))
-
-    return on_block
+def _write(output, name: str, blocks) -> None:
+    """The file `name` of a run: each of `blocks`, bytes, in turn."""
+    with output(name) as f:
+        for data in blocks:
+            f.write(data)
 
 
 def _chsh_report(res: epr.CHSHResult) -> dict:
@@ -196,19 +201,6 @@ def _sg_results(built: dict, counts: np.ndarray) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class TrialLog:
-    """A kind's trial log: its file name, `walk(built, on_block)`, the
-    library walk a run and a replay share, which returns the outcome
-    counts, the summary of those counts, and `roots`, the reported
-    statistics read straight from the outcomes (the rest derive from them)."""
-
-    name: str
-    walk: Callable[[dict, Callable], np.ndarray]
-    summarize: Callable[[dict, np.ndarray], dict]
-    roots: Callable[[dict], dict]
-
-
 # --- experiment kinds ---------------------------------------------------------
 
 def _singlet_setup(keys: tuple[str, ...], default_mode: str, trials_label: str):
@@ -231,14 +223,6 @@ def _singlet_setup(keys: tuple[str, ...], default_mode: str, trials_label: str):
     return setup
 
 
-def _run_chsh(built: dict, out_dir: Path):
-    return _chsh_report(epr.chsh(built["ensemble"])), []
-
-
-def _run_epr(built: dict, out_dir: Path):
-    return _epr_report(epr.correlation(built["ensemble"], 0, 1), None), []
-
-
 def _quasiprob_setup(cfg: ExperimentConfig, notes: list[str]) -> dict:
     keyed = keyed_section(cfg, "directions", "theta")
     if len(keyed) < 2:
@@ -249,19 +233,17 @@ def _quasiprob_setup(cfg: ExperimentConfig, notes: list[str]) -> dict:
     return {"directions": dirs}
 
 
-def _run_quasiprob(built: dict, out_dir: Path):
+def _run_quasiprob(built: dict, output) -> dict:
     dirs = built["directions"]
     table = quasiprob.solve_weights(dirs)
-    born = quasiprob.born_table(dirs)
     report = quasiprob.negativity_report(table)
-    quasiprob.write_table_csv(table, out_dir / "weights.csv")
-    quasiprob.write_born_csv(born, out_dir / "born.csv")
-    results = {
+    _write(output, "weights.csv", quasiprob.table_csv(table))
+    _write(output, "born.csv", quasiprob.born_csv(quasiprob.born_table(dirs)))
+    return {
         "n_directions": len(dirs),
         "min_weight": report.min_weight,
         "negative_patterns": [pattern_label(p) for p in report.negative_patterns],
     }
-    return results, ["weights.csv", "born.csv"]
 
 
 def _region_of(cfg: ExperimentConfig, key: str, default: pathint.Region) -> pathint.Region:
@@ -307,27 +289,25 @@ def _twoslit_setup(cfg: ExperimentConfig, notes: list[str]) -> dict:
     return {"geometry": g, "dark_eps": cfg.get_float("experiment", "dark_eps", 1e-3)}
 
 
-def _run_twoslit(built: dict, out_dir: Path):
+def _run_twoslit(built: dict, output) -> dict:
     g, eps = built["geometry"], built["dark_eps"]
     coherent, whichpath = pathint.screen_patterns(g)
     dark = pathint.dark_region_finder(coherent, whichpath, eps)
-    pathint.write_pattern_csv(coherent, out_dir / "coherent.csv")
-    pathint.write_pattern_csv(whichpath, out_dir / "whichpath.csv")
+    _write(output, "coherent.csv", pathint.pattern_csv(coherent))
+    _write(output, "whichpath.csv", pathint.pattern_csv(whichpath))
     centers = g.bin_centers()
-    with open_new(out_dir / "dark_regions.json") as f:
-        f.write(json.dumps({
-            "eps": eps,
-            "bins": dark,
-            "bin_centers": [float(centers[i]) for i in dark],
-        }, indent=2))
-    results = {
+    _write(output, "dark_regions.json", [json.dumps({
+        "eps": eps,
+        "bins": dark,
+        "bin_centers": [float(centers[i]) for i in dark],
+    }, indent=2).encode()])
+    return {
         "fringe_spacing": g.fringe_spacing,
         "wavelength": g.wavelength,
         "n_dark_bins": len(dark),
         "coherent_max": float(coherent.probabilities.max()),
         "whichpath_max": float(whichpath.probabilities.max()),
     }
-    return results, ["coherent.csv", "whichpath.csv", "dark_regions.json"]
 
 
 def _fourhole_setup(cfg: ExperimentConfig, notes: list[str]) -> dict:
@@ -337,7 +317,7 @@ def _fourhole_setup(cfg: ExperimentConfig, notes: list[str]) -> dict:
     return {"geometry": g}
 
 
-def _run_fourhole(built: dict, out_dir: Path):
+def _run_fourhole(built: dict, output) -> dict:
     # both tables from one set of amplitudes; axes (s_x, s_A), sign + first
     coherent, whichpath = pair_tables(pathint.four_hole_amplitudes(built["geometry"]))
     gap = float(np.abs(coherent - whichpath).max())
@@ -348,9 +328,8 @@ def _run_fourhole(built: dict, out_dir: Path):
 
     results = {"coherent": cells(coherent), "whichpath": cells(whichpath),
                "max_cell_gap": gap}
-    with open_new(out_dir / "fourhole.json") as f:
-        f.write(json.dumps(results, indent=2))
-    return results, ["fourhole.json"]
+    _write(output, "fourhole.json", [json.dumps(results, indent=2).encode()])
+    return results
 
 
 _INPUT_STATES = ("+x", "-x", "+y", "-y", "+z", "-z")
@@ -417,7 +396,7 @@ def _phasespace_setup(cfg: ExperimentConfig, notes: list[str]) -> dict:
     return {"wavefunction": wf}
 
 
-def _run_phasespace(built: dict, out_dir: Path):
+def _run_phasespace(built: dict, output) -> dict:
     wf = built["wavefunction"]
     lifted = phasespace.lift(wf)
     back = phasespace.project_r(lifted)
@@ -426,61 +405,62 @@ def _run_phasespace(built: dict, out_dir: Path):
     roundtrip = float(np.max(np.abs(back.values - wf.values)))
     parseval = abs(xi.norm_sq() - wf.norm_sq())
     overlap = phasespace.ray_overlap(ray.values, xi.values)
-    phasespace.write_grid_csv(wf.values, out_dir / "wavefunction.csv")
-    phasespace.write_grid_csv(xi.values, out_dir / "momentum.csv")
-    results = {"m": wf.m, "dr": wf.dr,
-               "roundtrip_error": roundtrip,
-               "parseval_gap": parseval,
-               "momentum_ray_overlap": overlap}
-    return results, ["wavefunction.csv", "momentum.csv"]
+    _write(output, "wavefunction.csv", phasespace.grid_csv(wf.values))
+    _write(output, "momentum.csv", phasespace.grid_csv(xi.values))
+    return {"m": wf.m, "dr": wf.dr,
+            "roundtrip_error": roundtrip,
+            "parseval_gap": parseval,
+            "momentum_ray_overlap": overlap}
 
 
 @dataclass(frozen=True)
 class Kind:
     """One experiment kind.  `setup(cfg, notes)` reads and checks the config,
     appends what `validate` prints and returns what the run is built from,
-    with "seed" and "trials" when the run logs trials; `run(built, out_dir)`
-    computes an analytic run and returns (results, output names);
-    `log` writes and verifies the trial log of a sampling run."""
+    with "seed" and "trials" when the run logs trials; `run(built, output)`
+    writes each file of the run through `output(name)` and returns the
+    results; `roots(results)` are the reported statistics read straight from
+    the outputs (the rest derive from them), by default all of them."""
 
     setup: Callable[[ExperimentConfig, list[str]], dict]
-    run: Callable | None = None
-    log: TrialLog | None = None
+    run: Callable[[dict, Callable], dict]
+    roots: Callable[[dict], dict] = lambda results: results
 
 
 KINDS = {
     "chsh": Kind(_singlet_setup(("a1", "a2", "b1", "b2"), "born_analytic",
-                                "trials per correlator"), _run_chsh, TrialLog(
+                                "trials per correlator"), _logged(
         "trials.jsonl",
         lambda b, on_block: epr.pair_counts(b["ensemble"], epr.CHSH_PAIRS, b["seed"],
                                             b["trials"], on_block),
         lambda b, counts: _chsh_report(epr.chsh_estimate(counts, b["mode"])),
-        lambda r: r.get("correlators") or {})),
-    "epr": Kind(_singlet_setup(("a", "b"), "born_sampling", "trials"), _run_epr, TrialLog(
+        lambda b: _chsh_report(epr.chsh(b["ensemble"]))),
+        lambda r: r.get("correlators") or {}),
+    "epr": Kind(_singlet_setup(("a", "b"), "born_sampling", "trials"), _logged(
         "trials.jsonl",
         lambda b, on_block: epr.pair_counts(b["ensemble"], ((0, 1),), b["seed"],
                                             b["trials"], on_block)[0],
         lambda b, counts: _epr_report(epr.pair_estimate(counts), counts),
-        lambda r: {"E": r.get("E"), "counts": r.get("counts")})),
+        lambda b: _epr_report(epr.correlation(b["ensemble"], 0, 1), None)),
+        lambda r: {"E": r.get("E"), "counts": r.get("counts")}),
     "quasiprob": Kind(_quasiprob_setup, _run_quasiprob),
     "twoslit": Kind(_twoslit_setup, _run_twoslit),
     "fourhole": Kind(_fourhole_setup, _run_fourhole),
-    "sterngerlach": Kind(_sg_setup, log=TrialLog(
+    "sterngerlach": Kind(_sg_setup, _logged(
         "events.jsonl",
         lambda b, on_block: beamline.sequence_counts(b["devices"], b["beam"], b["trials"],
                                                      b["seed"], b["analytic"], on_block),
-        _sg_results,
-        lambda r: {key: (r.get("monte_carlo") or {}).get(key)
-                   for key in ("survivor_fraction", "distribution")})),
+        _sg_results), lambda r: {key: (r.get("monte_carlo") or {}).get(key)
+                                 for key in ("survivor_fraction", "distribution")}),
     "phasespace": Kind(_phasespace_setup, _run_phasespace),
 }
 
 
-def _setup(cfg: ExperimentConfig) -> tuple[Kind, list[str], dict]:
+def _setup(cfg: ExperimentConfig, cfg_hash: str | None = None) -> tuple[Kind, list[str], dict]:
     """Full schema and physics validation, made once per run or replay.
 
     Returns the kind, the diagnostics `validate` prints and the objects the
-    run is built from.
+    run is built from, with the kind's name and `cfg_hash`.
     """
     if not cfg.kind:
         raise ValidationError("missing required field [experiment] kind")
@@ -490,7 +470,7 @@ def _setup(cfg: ExperimentConfig) -> tuple[Kind, list[str], dict]:
     _check_workers(cfg.get_int("experiment", "workers", 1))
     notes = [f"kind: {cfg.kind}"]
     spec = KINDS[cfg.kind]
-    return spec, notes, spec.setup(cfg, notes)
+    return spec, notes, {**spec.setup(cfg, notes), "kind": cfg.kind, "config_hash": cfg_hash}
 
 
 def validate_experiment(cfg: ExperimentConfig) -> list[str]:
@@ -500,23 +480,23 @@ def validate_experiment(cfg: ExperimentConfig) -> list[str]:
 
 def run_experiment(cfg: ExperimentConfig, out_dir, workers: int = 1) -> RunReport:
     _check_workers(workers)
-    spec, _, built = _setup(cfg)
+    cfg_hash = config_hash(cfg)
+    spec, _, built = _setup(cfg, cfg_hash)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cfg_hash = config_hash(cfg)
+    outputs = []
+
+    def output(name: str):
+        outputs.append(name)
+        return logcodec.open_new(out / name)
+
     t0 = time.perf_counter()
-    if "trials" in built:
-        with open_new(out / spec.log.name, "wb") as fh:
-            fh.write(_header_line(cfg.kind, cfg_hash, built["seed"]))
-            results = spec.log.summarize(built, spec.log.walk(built, _on_block(_Writer(fh))))
-        outputs = [spec.log.name]
-    else:
-        results, outputs = spec.run(built, out)
+    results = spec.run(built, output)
     report = RunReport(cfg.kind, cfg_hash, results, time.perf_counter() - t0,
                        tuple(outputs), built.get("seed"), built.get("trials"),
                        built.get("mode"), config={k: dict(v) for k, v in cfg.sections.items()})
-    with open_new(out / "report.json") as f:
-        f.write(report.to_json() + "\n")
+    with logcodec.open_new(out / "report.json") as f:
+        f.write((report.to_json() + "\n").encode())
     return report
 
 
@@ -527,7 +507,7 @@ class ReplayVerdict:
     ok: bool
     hash_ok: bool
     mismatches: tuple[str, ...]     # reported statistics that diverge
-    first_bad_line: int | None = None   # 1-based; the header is line 1
+    first_bad_line: int | None = None   # 1-based; a log's header is line 1
     reason: str | None = None
 
     @property
@@ -543,28 +523,40 @@ class _BadLine(Exception):
         self.line, self.reason = line, reason
 
 
-class _Body:
-    """A log body after its header, read one block at a time, so memory
-    stays bounded by the block size whatever the log holds."""
+class _Compare:
+    """A replay's `output`: each write must be the next bytes of the file
+    at `path`, and nothing may follow the last.  Memory stays one block
+    whatever the file holds; its lines are counted only on a mismatch."""
 
-    def __init__(self, fh):
-        self._fh = fh
-        self.lines = 1   # lines verified so far, the header included
+    def __init__(self, path: Path):
+        self._name, self._at = path.name, 0   # bytes verified
+        try:
+            self._fh = open(path, "rb")
+        except FileNotFoundError:
+            raise _BadLine(1, f"{self._name}: missing") from None
 
-    def block(self, want: bytes, lines: int) -> None:
-        """Require the next bytes of the log to be `want`, its next `lines`
-        lines."""
+    def write(self, want: bytes) -> None:
         got = self._fh.read(len(want))
         if got != want:
-            bad = self.lines + 1 + _first_diff_line(want, got)
+            bad = self._lines_verified() + 1 + _first_diff_line(want, got)
             if want.startswith(got) and got[-1:] in (b"", b"\n"):
-                raise _BadLine(bad, "missing: the log ends early")
-            raise _BadLine(bad, "not the canonical record of its trial")
-        self.lines += lines
+                raise _BadLine(bad, f"{self._name}: the file ends early")
+            raise _BadLine(bad, f"{self._name}: not what the run writes")
+        self._at += len(want)
 
-    def finish(self) -> None:
-        if self._fh.read(1):
-            raise _BadLine(self.lines + 1, "past the last trial")
+    def _lines_verified(self) -> int:
+        self._fh.seek(0)
+        return sum(self._fh.read(min(1 << 20, self._at - lo)).count(b"\n")
+                   for lo in range(0, self._at, 1 << 20))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, *_) -> None:
+        with self._fh:
+            if exc_type is None and self._fh.read(1):
+                raise _BadLine(self._lines_verified() + 1,
+                               f"{self._name}: past the end of what the run writes")
 
 
 def _first_diff_line(want: bytes, got: bytes) -> int:
@@ -581,7 +573,7 @@ def _first_diff_line(want: bytes, got: bytes) -> int:
 
 def _diverging(roots, want: dict, got: dict) -> list[str]:
     """Reported statistics that differ from the recomputed ones.  The roots
-    come straight from the outcomes; the rest are derived from them, so they
+    come straight from the outputs; the rest are derived from them, so they
     are compared only when the roots agree, and a mismatch names its cause."""
     got_roots = roots(got)
     bad = [name for name, value in roots(want).items() if got_roots.get(name) != value]
@@ -589,32 +581,33 @@ def _diverging(roots, want: dict, got: dict) -> list[str]:
 
 
 def replay_run(log_path, cfg: ExperimentConfig) -> ReplayVerdict:
-    """Check a trial log against its config hash and stored report.
+    """Check a run's files against its config and the report.json beside
+    `log_path`, which is that report or a file the run writes.
 
-    The body must be byte for byte what a run of the config writes, with
-    nothing missing or extra; every reported statistic must equal the one
-    recomputed from those outcomes.
+    The report's config hash must be the config's.  The run is made again:
+    each file it writes must be byte for byte what the directory holds,
+    with nothing missing or extra, the report must list exactly those
+    files, and every reported statistic must equal the one computed again.
     """
     log = Path(log_path)
-    with open(log, "rb") as fh:
-        head = fh.readline(1 << 16)   # a header is about 130 bytes
-        if not head:
-            raise ValidationError(f"log {log} is empty")
-        header = json.loads(head)
-        cfg_hash = config_hash(cfg)
-        if not isinstance(header, dict) or header.get("config_hash") != cfg_hash:
-            return ReplayVerdict(False, False, ("config_hash",))
-        spec, _, built = _setup(cfg)
-        if "trials" not in built:
-            raise ValidationError(f"cannot replay: this {cfg.kind} config writes no trial log")
-        report = json.loads((log.parent / "report.json").read_text(encoding="utf-8"))
-        body = _Body(fh)
-        try:
-            if head != _header_line(cfg.kind, cfg_hash, built["seed"]):
-                raise _BadLine(1, "not the canonical header")
-            want = spec.log.summarize(built, spec.log.walk(built, _on_block(body)))
-            body.finish()
-        except _BadLine as bad:
-            return ReplayVerdict(False, True, (), bad.line, bad.reason)
-    mismatches = _diverging(spec.log.roots, want, report["results"])
+    report = json.loads((log.parent / "report.json").read_bytes())
+    cfg_hash = config_hash(cfg)
+    if not isinstance(report, dict) or report.get("config_hash") != cfg_hash:
+        return ReplayVerdict(False, False, ("config_hash",))
+    spec, _, built = _setup(cfg, cfg_hash)
+    opened = []
+
+    def output(name: str) -> _Compare:
+        opened.append(name)
+        return _Compare(log.parent / name)
+
+    try:
+        want = spec.run(built, output)
+    except _BadLine as bad:
+        return ReplayVerdict(False, True, (), bad.line, bad.reason)
+    if log.name not in ("report.json", *opened):
+        raise ValidationError(f"{log.name} is neither report.json nor a file this config writes")
+    if report.get("outputs") != opened:
+        return ReplayVerdict(False, True, ("outputs",))
+    mismatches = _diverging(spec.roots, want, report["results"])
     return ReplayVerdict(not mismatches, True, tuple(mismatches))

@@ -9,7 +9,7 @@ from hvqm import interference
 from hvqm.errors import ValidationError
 from hvqm.pathint import (Geometry2Slit, GeometryFourHole, Region,
                           ScreenPattern, dark_region_finder, four_hole_table,
-                          screen_pattern, slit_pair, write_pattern_csv)
+                          pattern_csv, screen_pattern, slit_pair)
 
 
 def fraunhofer_dark_positions(g: Geometry2Slit):
@@ -238,7 +238,7 @@ class TestGeometryValidation:
     def test_csv_export(self, tmp_path):
         g = Geometry2Slit(bins=16)
         p = screen_pattern(g, "coherent")
-        write_pattern_csv(p, tmp_path / "coherent.csv")
+        (tmp_path / "coherent.csv").write_bytes(b"".join(pattern_csv(p)))
         lines = (tmp_path / "coherent.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "bin_center,probability"
         assert len(lines) == 17

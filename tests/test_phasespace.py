@@ -8,7 +8,7 @@ from conftest import centred_grid, from_momentum
 from hvqm.errors import ValidationError
 from hvqm.phasespace import (ExtendedState, MomentumFunction, WaveFunction,
                              gaussian_wavefunction, lift, plane_wave, project_p,
-                             project_r, ray_overlap, to_momentum, write_grid_csv)
+                             project_r, ray_overlap, to_momentum, grid_csv)
 
 M = 256
 DR = 1.0
@@ -252,7 +252,7 @@ class TestValidationAndIo:
         rng = np.random.default_rng(14)
         wf = random_normalized(rng, m=64)
         path = tmp_path / "grid.csv"
-        write_grid_csv(wf.values, path)
+        path.write_bytes(b"".join(grid_csv(wf.values)))
         back = read_grid_csv(path)
         assert np.array_equal(back, wf.values)
         assert path.read_text().splitlines()[0] == "index,real,imag"

@@ -17,7 +17,7 @@ from hvqm.cli import main
 from hvqm.errors import SolverError
 from hvqm.errors import ValidationError
 from hvqm.quasiprob import (BornTable, QuasiProbTable, born_table, marginal, negativity_report,
-                            solve_weights, write_born_csv, write_table_csv)
+                            solve_weights, born_csv, table_csv)
 from hvqm.quasiprob import check_pair_law
 from hvqm.spin import Direction, DirectionSet, pattern_from_index, sign_matrix, signed_sums
 
@@ -559,18 +559,17 @@ class TestCsvExport:
         "+1,+1,+1,0.18750000000000006\n"
     )
 
-    def test_golden_bytes_and_row_order(self, tmp_path):
+    def test_golden_bytes_and_row_order(self):
         # rows ascend by pattern integer (bit j set <=> s_{j+1} = +1)
         dirs = golden_set()
         w = np.array([closed_form_w3(pattern_from_index(k, 3), GOLDEN)
                       for k in range(8)])
-        write_table_csv(QuasiProbTable(dirs, w), tmp_path / "weights.csv")
-        assert (tmp_path / "weights.csv").read_bytes() == self.GOLDEN_CSV.encode()
+        assert b"".join(table_csv(QuasiProbTable(dirs, w))) == self.GOLDEN_CSV.encode()
 
     def test_write_roundtrip(self, tmp_path):
         table = solve_weights(golden_set())
         path = tmp_path / "w.csv"
-        write_table_csv(table, path)
+        path.write_bytes(b"".join(table_csv(table)))
         lines = path.read_text().splitlines()
         assert lines[0] == "s1,s2,s3,weight"
         assert len(lines) == 9
@@ -579,9 +578,8 @@ class TestCsvExport:
             assert tuple(int(c) for c in cells[:3]) == pattern_from_index(k, 3)
             assert float(cells[3]) == table.weights[k]
 
-    def test_born_csv_header(self, tmp_path):
-        write_born_csv(born_table(golden_set()), tmp_path / "born.csv")
-        out = (tmp_path / "born.csv").read_text(encoding="utf-8")
+    def test_born_csv_header(self):
+        out = b"".join(born_csv(born_table(golden_set()))).decode("ascii")
         assert out.splitlines()[0] == "s1,s2,s3,probability"
 
 
