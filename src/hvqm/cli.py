@@ -7,8 +7,8 @@
 Exit codes: 0 success / replay OK, 1 replay mismatch, 2 config parse or
 command-line usage error, 3 validation error (a config number that is NaN
 or infinite included), 4 runtime or solver error (an arithmetic overflow
-included), 5 replay hash mismatch.  The last stdout line of every command
-is a single JSON object.
+included), 5 replay hash mismatch (a report.json with no hash to read
+included).  The last stdout line of every command is a single JSON object.
 """
 
 from __future__ import annotations
@@ -64,8 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="accepted for compatibility; changes nothing")
 
     replay = sub.add_parser("replay", help="verify a run's files and report", description=(
-        "Run the config again: each file of the run, as listed in the report.json beside log, "
-        "must hold the same bytes, and the report the same results."))
+        "Run the config again: each file of the run beside log, report.json included, "
+        "must hold the bytes the run writes; telemetry.json is not read."))
     replay.add_argument("log", help="the run's trial log or report.json")
     replay.add_argument("config")
     replay.add_argument("--seed", type=int)
@@ -116,10 +116,7 @@ def _cmd_replay(args) -> int:
         print("replay verdict: OK")
         _emit({"status": "ok", "verdict": "OK"})
         return EXIT_OK
-    if verdict.first_bad_line is not None:
-        print(f"replay verdict: MISMATCH at line {verdict.first_bad_line}: {verdict.reason}")
-    else:
-        print("replay verdict: MISMATCH in " + ", ".join(verdict.mismatches))
+    print(f"replay verdict: MISMATCH at line {verdict.first_bad_line}: {verdict.reason}")
     _emit({"status": "mismatch", "verdict": "MISMATCH",
            "statistics": list(verdict.mismatches),
            "first_bad_line": verdict.first_bad_line})
@@ -159,8 +156,8 @@ def main(argv=None) -> int:
         print(f"runtime error: {exc}", file=sys.stderr)
         _emit({"status": "runtime_error", "error": str(exc)})
         return EXIT_RUNTIME
-    # ValueError also covers a JSONDecodeError and math's "math domain
-    # error" on an infinite argument; ArithmeticError a float overflow
+    # ValueError also covers math's "math domain error" on an infinite
+    # argument; ArithmeticError a float overflow
     except (OSError, ArithmeticError, ValueError, KeyError) as exc:
         print(f"runtime error: {exc!r}", file=sys.stderr)
         _emit({"status": "runtime_error", "error": repr(exc)})

@@ -146,11 +146,20 @@ def apply_overrides(cfg: ExperimentConfig, seed: int | None = None,
 _UNHASHED = {("experiment", "out_dir"), ("experiment", "workers")}
 
 
+def hashed_sections(cfg: ExperimentConfig) -> dict[str, dict[str, str]]:
+    """What the hash covers: every key but the _UNHASHED ones, its value
+    stripped, sections and keys sorted and sections left empty dropped, so
+    two configs that hash alike give the same mapping."""
+    hashed = {section: {key: value.strip() for key, value in sorted(kv.items())
+                        if (section, key) not in _UNHASHED}
+              for section, kv in sorted(cfg.sections.items())}
+    return {section: kv for section, kv in hashed.items() if kv}
+
+
 def canonical_bytes(cfg: ExperimentConfig) -> bytes:
-    lines = [f"{section}.{key}={value.strip()}"
-             for section, kv in cfg.sections.items()
-             for key, value in kv.items()
-             if (section, key) not in _UNHASHED]
+    # the lines sort as text, where w10 comes before w2 only because "1" < "="
+    lines = [f"{section}.{key}={value}"
+             for section, kv in hashed_sections(cfg).items() for key, value in kv.items()]
     return ("\n".join(sorted(lines)) + "\n").encode("utf-8")
 
 

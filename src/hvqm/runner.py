@@ -2,10 +2,10 @@
 
 What each experiment kind does is one `Kind` entry in `KINDS`.  Its run
 writes every file through `output(name)`, a block of bytes at a time, and
-returns the results.  A run's `output` writes a new file; a replay's
-requires the file already there to hold exactly those bytes and names its
-first bad line, and the replay then checks the results and the list of
-files against the stored report.
+returns the results, which `report.json` then carries through the same
+`output`.  A run's `output` writes a new file; a replay's requires the file
+already there to hold exactly those bytes and names its first bad line.  A
+run's wall time goes to `telemetry.json`, which replay does not read.
 
 Every Monte Carlo kind writes a JSON-lines log whose first line is a header
 carrying the canonical config hash; rerunning with the same seed produces a
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,8 +25,8 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, beamline, epr, logcodec, pathint, phasespace, quasiprob
-from .config import (ExperimentConfig, config_hash, keyed_section, parse_direction,
-                     parse_float, parse_lhv_weights)
+from .config import (ExperimentConfig, config_hash, hashed_sections, keyed_section,
+                     parse_direction, parse_float, parse_lhv_weights)
 from .errors import ValidationError
 from .interference import pair_tables
 from .spin import DirectionSet, pattern_label
@@ -39,29 +40,21 @@ def _pair_name(ai: int, bi: int) -> str:
 
 @dataclass(frozen=True)
 class RunReport:
+    """What report.json holds, in its order, with the version after the kind."""
+
     kind: str
     config_hash: str
+    seed: int | None
+    trials: int | None
+    mode: str | None
+    config: dict                 # config.hashed_sections, overrides applied
     results: dict
-    duration_s: float
-    outputs: tuple[str, ...]
-    seed: int | None = None
-    trials: int | None = None
-    mode: str | None = None
-    config: dict | None = None   # effective config echo, overrides applied
+    outputs: tuple[str, ...]     # the kind's files, report.json not among them
 
     def to_json(self) -> str:
-        return json.dumps({
-            "kind": self.kind,
-            "version": __version__,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "trials": self.trials,
-            "mode": self.mode,
-            "config": self.config,
-            "results": self.results,
-            "duration_s": self.duration_s,
-            "outputs": list(self.outputs),
-        }, indent=2)
+        fields = dict(vars(self))
+        return json.dumps({"kind": fields.pop("kind"), "version": __version__, **fields},
+                          indent=2)
 
 
 # per setting pair: a chsh log of 4 x 10^7 lines takes about 3.6 GB
@@ -419,12 +412,10 @@ class Kind:
     appends what `validate` prints and returns what the run is built from,
     with "seed" and "trials" when the run logs trials; `run(built, output)`
     writes each file of the run through `output(name)` and returns the
-    results; `roots(results)` are the reported statistics read straight from
-    the outputs (the rest derive from them), by default all of them."""
+    results."""
 
     setup: Callable[[ExperimentConfig, list[str]], dict]
     run: Callable[[dict, Callable], dict]
-    roots: Callable[[dict], dict] = lambda results: results
 
 
 KINDS = {
@@ -434,15 +425,13 @@ KINDS = {
         lambda b, on_block: epr.pair_counts(b["ensemble"], epr.CHSH_PAIRS, b["seed"],
                                             b["trials"], on_block),
         lambda b, counts: _chsh_report(epr.chsh_estimate(counts, b["mode"])),
-        lambda b: _chsh_report(epr.chsh(b["ensemble"]))),
-        lambda r: r.get("correlators") or {}),
+        lambda b: _chsh_report(epr.chsh(b["ensemble"])))),
     "epr": Kind(_singlet_setup(("a", "b"), "born_sampling", "trials"), _logged(
         "trials.jsonl",
         lambda b, on_block: epr.pair_counts(b["ensemble"], ((0, 1),), b["seed"],
                                             b["trials"], on_block)[0],
         lambda b, counts: _epr_report(epr.pair_estimate(counts), counts),
-        lambda b: _epr_report(epr.correlation(b["ensemble"], 0, 1), None)),
-        lambda r: {"E": r.get("E"), "counts": r.get("counts")}),
+        lambda b: _epr_report(epr.correlation(b["ensemble"], 0, 1), None))),
     "quasiprob": Kind(_quasiprob_setup, _run_quasiprob),
     "twoslit": Kind(_twoslit_setup, _run_twoslit),
     "fourhole": Kind(_fourhole_setup, _run_fourhole),
@@ -450,8 +439,7 @@ KINDS = {
         "events.jsonl",
         lambda b, on_block: beamline.sequence_counts(b["devices"], b["beam"], b["trials"],
                                                      b["seed"], b["analytic"], on_block),
-        _sg_results), lambda r: {key: (r.get("monte_carlo") or {}).get(key)
-                                 for key in ("survivor_fraction", "distribution")}),
+        _sg_results)),
     "phasespace": Kind(_phasespace_setup, _run_phasespace),
 }
 
@@ -478,25 +466,31 @@ def validate_experiment(cfg: ExperimentConfig) -> list[str]:
     return _setup(cfg)[1]
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir, workers: int = 1) -> RunReport:
-    _check_workers(workers)
-    cfg_hash = config_hash(cfg)
-    spec, _, built = _setup(cfg, cfg_hash)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def _reported(cfg: ExperimentConfig, spec: Kind, built: dict, output) -> RunReport:
+    """The kind's run through `output`, then its report.json through the
+    same `output`, whether it writes the files or compares them."""
     outputs = []
 
-    def output(name: str):
+    def named(name: str):
         outputs.append(name)
-        return logcodec.open_new(out / name)
+        return output(name)
 
+    results = spec.run(built, named)
+    report = RunReport(cfg.kind, built["config_hash"], built.get("seed"), built.get("trials"),
+                       built.get("mode"), hashed_sections(cfg), results, tuple(outputs))
+    _write(output, "report.json", [(report.to_json() + "\n").encode()])
+    return report
+
+
+def run_experiment(cfg: ExperimentConfig, out_dir, workers: int = 1) -> RunReport:
+    _check_workers(workers)
+    spec, _, built = _setup(cfg, config_hash(cfg))
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    results = spec.run(built, output)
-    report = RunReport(cfg.kind, cfg_hash, results, time.perf_counter() - t0,
-                       tuple(outputs), built.get("seed"), built.get("trials"),
-                       built.get("mode"), config={k: dict(v) for k, v in cfg.sections.items()})
-    with logcodec.open_new(out / "report.json") as f:
-        f.write((report.to_json() + "\n").encode())
+    report = _reported(cfg, spec, built, lambda name: logcodec.open_new(out / name))
+    with logcodec.open_new(out / "telemetry.json") as f:
+        f.write(json.dumps({"duration_s": time.perf_counter() - t0}).encode() + b"\n")
     return report
 
 
@@ -506,7 +500,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, workers: int = 1) -> RunRepor
 class ReplayVerdict:
     ok: bool
     hash_ok: bool
-    mismatches: tuple[str, ...]     # reported statistics that diverge
+    mismatches: tuple[str, ...]     # the key on the run's first bad line, if it has one
     first_bad_line: int | None = None   # 1-based; a log's header is line 1
     reason: str | None = None
 
@@ -518,9 +512,14 @@ class ReplayVerdict:
 
 
 class _BadLine(Exception):
-    def __init__(self, line: int, reason: str):
+    def __init__(self, line: int, reason: str, key: tuple[str, ...] = ()):
         super().__init__(reason)
-        self.line, self.reason = line, reason
+        self.line, self.reason, self.key = line, reason, key
+
+
+# the key a line of indented JSON opens with: `json.dumps(indent=2)` puts
+# every scalar on a line of its own, after its key
+_KEY = re.compile(rb'\s*"([^"]*)":')
 
 
 class _Compare:
@@ -538,10 +537,12 @@ class _Compare:
     def write(self, want: bytes) -> None:
         got = self._fh.read(len(want))
         if got != want:
-            bad = self._lines_verified() + 1 + _first_diff_line(want, got)
-            if want.startswith(got) and got[-1:] in (b"", b"\n"):
-                raise _BadLine(bad, f"{self._name}: the file ends early")
-            raise _BadLine(bad, f"{self._name}: not what the run writes")
+            k = _first_diff_line(want, got)
+            key = _KEY.match(want.split(b"\n", k + 1)[k])
+            early = want.startswith(got) and got[-1:] in (b"", b"\n")
+            raise _BadLine(self._lines_verified() + 1 + k, f"{self._name}: " + (
+                "the file ends early" if early else "not what the run writes"),
+                (key[1].decode(),) if key else ())
         self._at += len(want)
 
     def _lines_verified(self) -> int:
@@ -571,43 +572,29 @@ def _first_diff_line(want: bytes, got: bytes) -> int:
     return want.count(b"\n", 0, first if m and diff[first] else m)
 
 
-def _diverging(roots, want: dict, got: dict) -> list[str]:
-    """Reported statistics that differ from the recomputed ones.  The roots
-    come straight from the outputs; the rest are derived from them, so they
-    are compared only when the roots agree, and a mismatch names its cause."""
-    got_roots = roots(got)
-    bad = [name for name, value in roots(want).items() if got_roots.get(name) != value]
-    return bad or [key for key, value in want.items() if got.get(key) != value]
-
-
 def replay_run(log_path, cfg: ExperimentConfig) -> ReplayVerdict:
-    """Check a run's files against its config and the report.json beside
-    `log_path`, which is that report or a file the run writes.
+    """Check a run's files against its config, given `log_path`, the run's
+    report.json or a file the run writes.
 
-    The report's config hash must be the config's.  The run is made again:
-    each file it writes must be byte for byte what the directory holds,
-    with nothing missing or extra, the report must list exactly those
-    files, and every reported statistic must equal the one computed again.
+    The config hash of the report.json beside `log_path` must be the
+    config's; a report that is not a JSON object has none.  The run is made
+    again through the comparing `output`: each file it writes, report.json
+    last, must be byte for byte what the directory holds, with nothing
+    missing or extra.  telemetry.json is not read.
     """
     log = Path(log_path)
-    report = json.loads((log.parent / "report.json").read_bytes())
+    try:
+        stored = json.loads((log.parent / "report.json").read_bytes())
+    except ValueError:
+        stored = None
     cfg_hash = config_hash(cfg)
-    if not isinstance(report, dict) or report.get("config_hash") != cfg_hash:
+    if not isinstance(stored, dict) or stored.get("config_hash") != cfg_hash:
         return ReplayVerdict(False, False, ("config_hash",))
     spec, _, built = _setup(cfg, cfg_hash)
-    opened = []
-
-    def output(name: str) -> _Compare:
-        opened.append(name)
-        return _Compare(log.parent / name)
-
     try:
-        want = spec.run(built, output)
+        report = _reported(cfg, spec, built, lambda name: _Compare(log.parent / name))
     except _BadLine as bad:
-        return ReplayVerdict(False, True, (), bad.line, bad.reason)
-    if log.name not in ("report.json", *opened):
+        return ReplayVerdict(False, True, bad.key, bad.line, bad.reason)
+    if log.name not in ("report.json", *report.outputs):
         raise ValidationError(f"{log.name} is neither report.json nor a file this config writes")
-    if report.get("outputs") != opened:
-        return ReplayVerdict(False, True, ("outputs",))
-    mismatches = _diverging(spec.roots, want, report["results"])
-    return ReplayVerdict(not mismatches, True, tuple(mismatches))
+    return ReplayVerdict(True, True, ())

@@ -128,9 +128,8 @@ class TestRunCommand:
         def run(argv):
             assert run_cli(capsys, "run", *argv, "--out-dir", out)[0] == 0
             files = {p.name: p.read_bytes() for p in out.iterdir()}
-            report = json.loads(files.pop("report.json"))
-            report.pop("duration_s")
-            return files, report
+            assert list(json.loads(files.pop("telemetry.json"))) == ["duration_s"]
+            return files, json.loads(files.pop("report.json"))
 
         before = run(first)
         links.mkdir()

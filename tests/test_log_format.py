@@ -227,12 +227,14 @@ def test_twoslit_builds_the_slit_pair_once(tmp_path, monkeypatch):
 
 # --- the analytic configs' outputs ---------------------------------------------
 
-# sha256 of every CSV and JSON data file `run` writes for the shipped
-# analytic configs; report.json is left out (its out_dir and duration vary)
-# and its results are pinned below instead
+# sha256 of every CSV and JSON file `run` writes for the shipped analytic
+# configs, report.json included (its config echo leaves out out_dir and
+# workers, and the run's duration is in telemetry.json); the results are
+# also pinned below, so a moved report names its statistic
 ANALYTIC_OUTPUT_SHA256 = {
     "quasiprob3": {
         "born.csv": "f307ded7a179cebe6f7014588274571fae94bf0a96bd5d48b160c95aeaf6c420",
+        "report.json": "efdca6660556391c38c436a569d0261bfc2f700c2e3c5469e2711a79ad3af353",
     },
     "twoslit": {
         # the slit waves' and the patterns' bits follow from cos, sin and
@@ -244,14 +246,17 @@ ANALYTIC_OUTPUT_SHA256 = {
         "whichpath.csv": "f933d6eb6f8e6fbd000c0f72f44383c3ace62c36d71ce1b2f3d9df064426e780",
         "dark_regions.json":
             "7be24219577f04ae2b8d8ce7fca08133b38620c2bb80c2a0971eb527a2c17d30",
+        "report.json": "935309b9f30818042fb22c84b52890a275b09dd2c2414eb1e0e49398a9674487",
     },
     "fourhole": {
         "fourhole.json": "abadc56ba77d2d275d449eeb46675a2daeac8a2032aa97cdfb96092fc7bf468e",
+        "report.json": "0d319867f4b3b6326a4592c578e7c12e614a4dce125af1677114d6c8b0b247e9",
     },
     "phasespace": {
         "wavefunction.csv":
             "a2f70ed660a2271899b91158cb08939a9fa2ddf04b287bd67db42213513a058d",
         "momentum.csv": "0737766ce820cc1e79fb313b761cc7484d8e96b022ce0407f5ee142fba37528e",
+        "report.json": "1e3878ea237c871461344a2239ce6ee322a37b5856d964c645ebc1202808e0fb",
     },
 }
 

@@ -1,21 +1,27 @@
-"""Replay checks every file a run writes, whatever its kind.
+"""Replay checks every file a run writes, report.json included, whatever
+its kind.
 
 In the style of test_replay_tamper.py: the outputs of a clean run are
 changed, and `hvqm replay`, given the run's report.json (or a file the
 run writes), must exit 1 with a JSON last line naming the first bad line, and
-name the file on its verdict line.  An edited report names the statistic;
-a wrong config exits 5.
+name the file on its verdict line.  An edited report also names the key on
+that line; a wrong config, or a report with no config hash to read, exits 5.
 """
 
+import contextlib
+import io
 import json
+import re
+import shutil
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from conftest import nudge_reported
 from hvqm import logcodec, pathint, runner
 from hvqm.cli import main
-from hvqm.config import parse_config
+from hvqm.config import config_hash, parse_config
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -24,23 +30,21 @@ CHSH_ANALYTIC = ("[experiment]\nkind = chsh\nmode = born_analytic\n[directions]\
                  "b2 = 2.356194490192345\n")
 
 # kind -> (config text, its outputs, a config edit that changes its hash,
-#          a results key to edit, the statistic that edit is named as)
+#          the path of a number under the report's results)
 KINDS = {
     "quasiprob": ((CONFIG_DIR / "quasiprob3.cfg").read_text(encoding="utf-8"),
                   ["weights.csv", "born.csv"], ("theta3 = 2.0", "theta3 = 2.1"),
-                  ("min_weight",), "min_weight"),
+                  ("min_weight",)),
     "twoslit": ((CONFIG_DIR / "twoslit.cfg").read_text(encoding="utf-8"),
                 ["coherent.csv", "whichpath.csv", "dark_regions.json"],
-                ("wavelength = 0.01", "wavelength = 0.011"), ("coherent_max",),
-                "coherent_max"),
+                ("wavelength = 0.01", "wavelength = 0.011"), ("coherent_max",)),
     "fourhole": ((CONFIG_DIR / "fourhole.cfg").read_text(encoding="utf-8"),
                  ["fourhole.json"], ("region_grid = 24", "region_grid = 25"),
-                 ("coherent", "(+x0,+A)"), "coherent"),
+                 ("coherent", "(+x0,+A)")),
     "phasespace": ((CONFIG_DIR / "phasespace.cfg").read_text(encoding="utf-8"),
                    ["wavefunction.csv", "momentum.csv"], ("momentum = 0.3", "momentum = 0.2"),
-                   ("roundtrip_error",), "roundtrip_error"),
-    "chsh analytic": (CHSH_ANALYTIC, [], ("b2 = 2.356194490192345", "b2 = 2.3"),
-                      ("S",), "S"),
+                   ("roundtrip_error",)),
+    "chsh analytic": (CHSH_ANALYTIC, [], ("b2 = 2.356194490192345", "b2 = 2.3"), ("S",)),
 }
 WITH_FILES = sorted(k for k in KINDS if KINDS[k][1])
 
@@ -134,28 +138,39 @@ def test_missing_output_names_the_file(capsys, tmp_path, kind):
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_edited_result_is_named(capsys, tmp_path, kind):
+    """A number of the results changed in place is named by its own key,
+    a leaf under a nested object too, at its line of report.json."""
     out, cfg = _run(tmp_path, kind)
-    report = json.loads((out / "report.json").read_bytes())
-    *path, key = KINDS[kind][3]
-    holder = report["results"]
-    for step in path:
-        holder = holder[step]
-    holder[key] += 1e-12
-    (out / "report.json").write_text(json.dumps(report), encoding="utf-8")
-    code, payload, _ = _replay(capsys, out / "report.json", cfg)
-    assert code == 1
-    assert payload["statistics"] == [KINDS[kind][4]]
-    assert payload["first_bad_line"] is None
+    line = nudge_reported(out / "report.json", KINDS[kind][3])
+    code, payload, verdict = _replay(capsys, out / "report.json", cfg)
+    assert (code, payload["first_bad_line"]) == (1, line)
+    assert payload["statistics"] == [KINDS[kind][3][-1]]
+    assert verdict == (f"replay verdict: MISMATCH at line {line}: report.json: "
+                       "not what the run writes")
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_edited_output_list_is_named(capsys, tmp_path, kind):
+    """A report that lists a file the run does not write."""
     out, cfg = _run(tmp_path, kind)
-    report = json.loads((out / "report.json").read_bytes())
-    report["outputs"] = report["outputs"][:-1] if report["outputs"] else ["trials.jsonl"]
-    (out / "report.json").write_text(json.dumps(report), encoding="utf-8")
-    code, payload, _ = _replay(capsys, out / "report.json", cfg)
+    path = out / "report.json"
+    text = path.read_text(encoding="utf-8")
+    at = text.index('"outputs": [') + len('"outputs": [')
+    extra = '"trials.jsonl"' + ("," if KINDS[kind][1] else "")
+    path.write_text(text[:at] + extra + text[at:], encoding="utf-8")
+    json.loads(path.read_bytes())   # still a JSON report
+    code, payload, _ = _replay(capsys, path, cfg)
     assert (code, payload["statistics"]) == (1, ["outputs"])
+    assert payload["first_bad_line"] == text[:at].count("\n") + 1
+
+
+@pytest.mark.parametrize("text", [b"", b"not json\n", b"[1]\n", b'"x"\n', b"\xff\n"],
+                         ids=["empty", "not JSON", "list", "string", "not UTF-8"])
+def test_report_with_no_hash_to_read_is_hash_mismatch(capsys, tmp_path, text):
+    out, cfg = _run(tmp_path, "twoslit")
+    (out / "report.json").write_bytes(text)
+    code, payload, _ = _replay(capsys, out / "coherent.csv", cfg)
+    assert (code, payload) == (5, {"status": "hash_mismatch", "verdict": "HASH_MISMATCH"})
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -235,3 +250,131 @@ def test_twoslit_replay_peaks_within_one_csv_block_of_its_run(tmp_path):
     block = max(map(len, pathint.pattern_csv(pattern)))
     assert len(pattern.probabilities) > 2 * logcodec._CSV_BLOCK
     assert peaks[1] <= peaks[0] + block
+
+
+# --- every edit of report.json ----------------------------------------------
+
+# kind -> its shipped config; the logged kinds' say 300 trials here
+SWEEP = {"chsh": "chsh_mc", "epr": "epr_sampling", "sterngerlach": "sterngerlach",
+         "quasiprob": "quasiprob3", "twoslit": "twoslit", "fourhole": "fourhole",
+         "phasespace": "phasespace"}
+SWEEP_VALUES = (None, [], {}, 0, -1, 1.5, "x", [1], {"a": 1}, True)
+OK = (0, {"status": "ok", "verdict": "OK"})
+
+
+def _main(*argv):
+    """`cli.main` in process: its exit code and its last stdout line, which
+    must be JSON."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([str(a) for a in argv])
+    return code, json.loads(out.getvalue().splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def swept_runs(tmp_path_factory):
+    """One clean run of each kind: its directory and its config."""
+    root = tmp_path_factory.mktemp("sweep")
+    runs = {}
+    for kind, name in SWEEP.items():
+        cfg = root / f"{name}.cfg"
+        cfg.write_text(re.sub(r"(?m)^trials = \d+$", "trials = 300",
+                              (CONFIG_DIR / f"{name}.cfg").read_text(encoding="utf-8")),
+                       encoding="utf-8")
+        assert _main("run", cfg, "--out-dir", root / name)[0] == 0
+        runs[kind] = root / name, cfg
+    return runs
+
+
+def _keys_in(value) -> set:
+    """The keys of every object in a JSON value."""
+    if isinstance(value, dict):
+        return set(value).union(*map(_keys_in, value.values()))
+    if isinstance(value, list):
+        return set().union(*map(_keys_in, value))
+    return set()
+
+
+def _edits(report: dict):
+    """(object, key, value): each top-level key of the report and each key
+    of its results set to each of SWEEP_VALUES it does not already hold."""
+    for holder in (report, report["results"]):
+        for key, old in holder.items():
+            for value in SWEEP_VALUES:
+                if json.dumps(value) != json.dumps(old):
+                    yield holder, key, value
+
+
+@pytest.mark.parametrize("kind", sorted(SWEEP))
+def test_every_report_edit_gets_a_verdict(swept_runs, kind):
+    """No edit of report.json replays OK or ends without a JSON verdict: a
+    config_hash edit exits 5 and any other 1, at a line that names no key
+    or one the clean report holds at or under the edited key.  Each edited
+    report is written as a run writes one."""
+    out, cfg = swept_runs[kind]
+    path = out / "report.json"
+    clean = path.read_bytes()
+    report = json.loads(clean)
+    assert _main("replay", path, cfg) == OK
+    try:
+        for holder, key, value in _edits(report):
+            old, holder[key] = holder[key], value
+            path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+            holder[key] = old
+            code, payload = _main("replay", path, cfg)
+            if key == "config_hash":
+                assert (code, payload["verdict"]) == (5, "HASH_MISMATCH"), value
+                continue
+            assert (code, payload["verdict"]) == (1, "MISMATCH"), (key, value)
+            assert payload["first_bad_line"] > 1, (key, value)
+            assert set(payload["statistics"]) <= {key} | _keys_in(old), (key, value)
+    finally:
+        path.write_bytes(clean)
+    assert _main("replay", path, cfg) == OK
+
+
+@pytest.mark.parametrize("kind", sorted(SWEEP))
+def test_telemetry_is_not_read(swept_runs, kind):
+    out, cfg = swept_runs[kind]
+    path = out / "telemetry.json"
+    clean = path.read_bytes()
+    assert list(json.loads(clean)) == ["duration_s"]
+    try:
+        for value in SWEEP_VALUES:
+            path.write_text(json.dumps({"duration_s": value}), encoding="utf-8")
+            assert _main("replay", out / "report.json", cfg) == OK
+        path.write_bytes(b"not json")
+        assert _main("replay", out / "report.json", cfg) == OK
+        path.unlink()
+        assert _main("replay", out / "report.json", cfg) == OK
+    finally:
+        path.write_bytes(clean)
+
+
+def test_copied_run_through_out_dir_and_workers_replays_ok(tmp_path):
+    """--out-dir and --workers are not hashed, so the report does not echo
+    them, and the run's directory replays OK wherever it is."""
+    cfg = CONFIG_DIR / "chsh_mc.cfg"
+    first, moved = tmp_path / "A", tmp_path / "elsewhere" / "B"
+    assert _main("run", cfg, "--trials", 300, "--workers", 2, "--out-dir", first)[0] == 0
+    assert "out_dir" not in json.loads((first / "report.json").read_bytes())["config"]["experiment"]
+    shutil.copytree(first, moved)
+    shutil.rmtree(first)
+    for path in (moved / "report.json", moved / "trials.jsonl"):
+        assert _main("replay", path, cfg, "--trials", 300) == OK
+
+
+def test_reordered_config_replays_ok(tmp_path):
+    """A config with its sections and keys in reverse order hashes alike and
+    gets the same report.json, byte for byte."""
+    cfg = CONFIG_DIR / "chsh_lhv.cfg"
+    sections = parse_config(cfg).sections
+    reordered = tmp_path / "reordered.cfg"
+    reordered.write_text("".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in reversed(kv.items()))
+        for name, kv in reversed(sections.items())), encoding="utf-8")
+    assert config_hash(parse_config(reordered)) == config_hash(parse_config(cfg))
+    for name, run_cfg, replay_cfg in (("a", cfg, reordered), ("b", reordered, cfg)):
+        assert _main("run", run_cfg, "--trials", 300, "--out-dir", tmp_path / name)[0] == 0
+        assert _main("replay", tmp_path / name / "report.json", replay_cfg, "--trials", 300) == OK
+    assert (tmp_path / "a" / "report.json").read_bytes() == (tmp_path / "b" / "report.json").read_bytes()

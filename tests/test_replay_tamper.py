@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from conftest import flatnonzero_first_diff_line
+from conftest import flatnonzero_first_diff_line, nudge_reported
 from hvqm import logcodec, rng
 from hvqm.cli import main
 from hvqm.runner import _first_diff_line
@@ -191,15 +191,13 @@ def test_canonical_edit_names_its_line(capsys, tmp_path, edit):
 
 
 def test_edited_report_names_derived_statistic(capsys, tmp_path):
-    """With the correlators intact, a changed S is named on its own."""
+    """With the log and the correlators intact, a changed S is named with
+    its line of report.json."""
     log, cfg = _run(tmp_path, "chsh")
-    report_path = log.parent / "report.json"
-    report = json.loads(report_path.read_text(encoding="utf-8"))
-    report["results"]["S"] += 1e-12
-    report_path.write_text(json.dumps(report), encoding="utf-8")
+    line = nudge_reported(log.parent / "report.json", ("S",))
     code, payload = _replay(capsys, log, cfg)
     assert code == 1
-    assert payload["statistics"] == ["S"]
+    assert (payload["statistics"], payload["first_bad_line"]) == (["S"], line)
 
 
 BLOCK = b"".join(b'{"trial": %d, "a": 1, "b": -1}\n' % i for i in range(40))
