@@ -27,7 +27,7 @@ def main():
     reports = [negativity_report(solve_weights(
         DirectionSet.from_planar_angles([0.0, theta, 2 * theta]))) for theta in thetas]
     min_weight = np.array([rep.min_weight for rep in reports])
-    n_negative = np.array([len(rep.negative_patterns) for rep in reports])
+    n_negative = np.array([rep.n_negative for rep in reports])
     write_csv(args.out, ["theta", "min_weight", "n_negative"],
               [thetas, min_weight, n_negative])
 

@@ -108,7 +108,8 @@ def _cmd_replay(args) -> int:
     cfg = _load(args)
     verdict = replay_run(args.log, cfg)
     if not verdict.hash_ok:
-        print(f"report.json config hash does not match the supplied config "
+        print(f"no config hash to read: {verdict.reason}" if verdict.reason else
+              f"report.json config hash does not match the supplied config "
               f"(expected {config_hash(cfg)})")
         _emit({"status": "hash_mismatch", "verdict": verdict.verdict})
         return EXIT_HASH_MISMATCH

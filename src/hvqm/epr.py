@@ -435,15 +435,3 @@ def chsh_s(correlators) -> float:
     """S from the four correlators in CHSH_PAIRS order."""
     e11, e12, e21, e22 = correlators
     return e11 + e12 + e21 - e22
-
-
-def tsirelson_settings() -> tuple[Direction, Direction, Direction, Direction]:
-    """Planar settings reaching |S| = 2 sqrt(2) with this S combination.
-
-    Angles: a1 = pi/2, a2 = 0, b1 = pi/4, b2 = 3 pi/4.
-    """
-    return (Direction.from_planar_angle(math.pi / 2),
-            Direction.from_planar_angle(0.0),
-            Direction.from_planar_angle(math.pi / 4),
-            Direction.from_planar_angle(3 * math.pi / 4))
-

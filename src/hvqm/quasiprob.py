@@ -16,20 +16,19 @@ table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .logcodec import csv_blocks
-from .spin import DirectionSet, SignPattern, pattern_from_index, sign_matrix, signed_sum_tiles
+from .logcodec import _CSV_BLOCK, csv_blocks
+from .spin import DirectionSet, signed_sum_tiles
 
 MARGINAL_TOL = 1e-10
-# The closed forms cost O(2^N), so the caps bound table sizes: the signed
-# table is written as 2^N CSV rows (4096 at N = 12), and the Born table
-# is 2^N probabilities (8 MiB at N = 20), built a tile at a time.
-# test_caps and test_cap pin both.
-MAX_SOLVE_N = 12
-MAX_BORN_N = 20
+# Both tables cost O(2^N) from one intensity, so one cap bounds their size:
+# 2^N float64 entries (8 MiB at N = 20), built a tile at a time, and 2^N
+# CSV rows, written a block at a time.  test_caps and test_cap pin it.
+MAX_N = 20
 NEGATIVITY_TOL = 1e-12
 
 
@@ -133,13 +132,11 @@ def solve_weights(dirs: DirectionSet) -> QuasiProbTable:
     uniform table, negative exactly where I(s) < N - 2.  check_pair_law
     then reads every pair's cells from the table's Walsh sums of degree two
     or less, N butterfly passes over a copy, and raises SolverError if
-    rounding ever broke the law; N is capped at MAX_SOLVE_N.
+    rounding ever broke the law; N is capped at MAX_N.
     """
     n = len(dirs)
     if n < 2:
         raise ValidationError("need at least two directions")
-    if n > MAX_SOLVE_N:
-        raise ValidationError(f"N={n} exceeds the solver cap of {MAX_SOLVE_N}")
     w = (1.0 + (_intensity(dirs) - n) / 2.0) / (1 << n)
     check_pair_law(dirs, w)
     return QuasiProbTable(dirs, w)
@@ -184,9 +181,6 @@ def born_table(dirs: DirectionSet) -> BornTable:
     Works for arbitrary (not only planar) direction sets; the sum over all
     patterns is 2^N * N, so normalization never divides by zero.
     """
-    n = len(dirs)
-    if n > MAX_BORN_N:
-        raise ValidationError(f"N={n} exceeds the Born-table cap of {MAX_BORN_N}")
     intensity = _intensity(dirs)
     intensity /= intensity.sum()
     return BornTable(dirs, intensity)
@@ -199,8 +193,10 @@ def _intensity(dirs: DirectionSet) -> np.ndarray:
     squares is also written backwards into the complement rows, since
     I(-s) = I(s).  The complement's sums are the tile's negated, up to the
     sign of an exact zero, which squaring erases, so every row keeps the
-    bits it would have from its own sums.
+    bits it would have from its own sums.  N is capped at MAX_N.
     """
+    if len(dirs) > MAX_N:
+        raise ValidationError(f"N={len(dirs)} exceeds the table cap of {MAX_N}")
     size = 1 << len(dirs)
     intensity = np.empty(size)
     # one tile of summed spin vectors per coordinate at a time; |sum|^2 as
@@ -218,21 +214,32 @@ def _intensity(dirs: DirectionSet) -> np.ndarray:
 @dataclass(frozen=True)
 class NegativityReport:
     min_weight: float
-    negative_patterns: tuple[SignPattern, ...]
+    n_negative: int
 
 
 def negativity_report(table: QuasiProbTable, tol: float = NEGATIVITY_TOL) -> NegativityReport:
-    """Exact scan: minimum weight and every pattern with weight < -tol."""
-    n = len(table.directions)
-    negatives = tuple(pattern_from_index(int(k), n)
-                      for k in np.flatnonzero(table.weights < -tol))
-    return NegativityReport(float(table.weights.min()), negatives)
+    """Exact scan: minimum weight and the number of weights below -tol."""
+    w = table.weights
+    return NegativityReport(float(w.min()), int(np.count_nonzero(w < -tol)))
 
 
 def _signs_csv(values: np.ndarray, n: int, column: str):
-    """Rows in ascending pattern-integer order: s1..sN as +1/-1, value."""
-    signs = np.where(sign_matrix(n) > 0, "+1", "-1").T
-    return csv_blocks([f"s{j + 1}" for j in range(n)] + [column], [*signs, values])
+    """Rows in ascending pattern-integer order: s1..sN as +1/-1, value.
+
+    A block of 2^b rows, b = min(N, 14), is one csv_blocks block whose sign
+    fields are two comma-joined cells: the low b signs, those of rows
+    0 .. 2^b - 1 in every block, and the high signs, those of its first row."""
+    b = min(n, _CSV_BLOCK.bit_length() - 1)
+    low = ["-1", "+1"]   # row k: the signs of the bits of k, lowest first
+    for _ in range(1, b):
+        low = [row + ",-1" for row in low] + [row + ",+1" for row in low]
+    low = np.array(low, dtype=object)
+    header = [f"s{j + 1}" for j in range(n)] + [column]
+    for lo in range(0, 1 << n, 1 << b):
+        high = ",".join("+1" if lo >> j & 1 else "-1" for j in range(b, n))
+        cells = [low, np.full(1 << b, high, dtype=object)] if high else [low]
+        blocks = csv_blocks(header, [*cells, values[lo:lo + (1 << b)]])
+        yield from islice(blocks, 1 if lo else 0, None)   # the header before row 0 only
 
 
 def table_csv(table: QuasiProbTable):

@@ -27,9 +27,9 @@ import numpy as np
 from . import __version__, beamline, epr, logcodec, pathint, phasespace, quasiprob
 from .config import (ExperimentConfig, config_hash, hashed_sections, keyed_section,
                      parse_direction, parse_float, parse_lhv_weights)
-from .errors import ValidationError
+from .errors import HvqmError, ValidationError
 from .interference import pair_tables
-from .spin import DirectionSet, pattern_label
+from .spin import DirectionSet
 
 _SETTING_NAMES = {0: "a1", 1: "a2", 2: "b1", 3: "b2"}
 
@@ -220,6 +220,7 @@ def _quasiprob_setup(cfg: ExperimentConfig, notes: list[str]) -> dict:
     keyed = keyed_section(cfg, "directions", "theta")
     if len(keyed) < 2:
         raise ValidationError("quasiprob needs at least [directions] theta1, theta2")
+    _check_cap("[directions] keys", len(keyed), quasiprob.MAX_N)
     dirs = DirectionSet.of(*(parse_direction(cfg.require("directions", key),
                                              f"[directions] {key}") for _, key in keyed))
     notes.append(f"directions: {len(dirs)}")
@@ -235,7 +236,7 @@ def _run_quasiprob(built: dict, output) -> dict:
     return {
         "n_directions": len(dirs),
         "min_weight": report.min_weight,
-        "negative_patterns": [pattern_label(p) for p in report.negative_patterns],
+        "n_negative": report.n_negative,
     }
 
 
@@ -577,14 +578,20 @@ def replay_run(log_path, cfg: ExperimentConfig) -> ReplayVerdict:
     report.json or a file the run writes.
 
     The config hash of the report.json beside `log_path` must be the
-    config's; a report that is not a JSON object has none.  The run is made
-    again through the comparing `output`: each file it writes, report.json
-    last, must be byte for byte what the directory holds, with nothing
-    missing or extra.  telemetry.json is not read.
+    config's; a report that is missing (named in `reason`, or by HvqmError
+    if `log_path` is missing too) or not a JSON object has none.  The run is
+    made again through the comparing `output`: each file it writes,
+    report.json last, must be byte for byte what the directory holds, with
+    nothing missing or extra.  telemetry.json is not read.
     """
     log = Path(log_path)
+    path = log.parent / "report.json"
     try:
-        stored = json.loads((log.parent / "report.json").read_bytes())
+        stored = json.loads(path.read_bytes())
+    except FileNotFoundError:
+        if not log.exists():
+            raise HvqmError(f"{log}: no such file, and no report.json beside it") from None
+        return ReplayVerdict(False, False, ("config_hash",), reason=f"{path}: missing")
     except ValueError:
         stored = None
     cfg_hash = config_hash(cfg)

@@ -27,8 +27,6 @@ from .quaternion import Quaternion
 UNIT_TOL = 1e-12
 _TINY_SCALE = 2.0 ** 600   # brings the square of any nonzero double below 2^-511 to a normal one
 
-SignPattern = tuple[int, ...]
-
 # cap on the free indices of marginal_amplitude; the closed form does not
 # need it, but it is a published input limit (ValidationError past it,
 # pinned by test_free_index_cap)
@@ -119,7 +117,7 @@ def check_sign(s: int) -> int:
     return s
 
 
-def pattern_from_index(k: int, n: int) -> SignPattern:
+def pattern_from_index(k: int, n: int) -> tuple[int, ...]:
     """Pattern for table row k: s_j = +1 iff bit j of k is set."""
     if not 0 <= k < (1 << n):
         raise ValidationError(f"pattern index {k} out of range for N={n}")
@@ -131,22 +129,15 @@ def pattern_label(pattern: Sequence[int]) -> str:
     return "(" + ",".join("+" if s > 0 else "-" for s in pattern) + ")"
 
 
-def sign_matrix(n: int) -> np.ndarray:
-    """(2^n, n) matrix of +/-1 signs, row k = pattern_from_index(k, n)."""
-    k = np.arange(1 << n, dtype=np.int64)
-    bits = (k[:, None] >> np.arange(n)[None, :]) & 1
-    return (2 * bits - 1).astype(np.float64)
-
-
 def signed_sums(v: np.ndarray) -> np.ndarray:
     """Row k = sum_j s_j v[j] with s = pattern_from_index(k, len(v)).
 
     Built by doubling, one index at a time: the 2^j rows so far are copied
     with + v[j] into the next 2^j rows (bit j of k set, s_j = +1) and get
-    - v[j] where they are.  The sums accumulate in index order, as
-    `sign_matrix(n) @ v` does, in one (2^n, ...) array in place of its
-    (2^n, n) sign matrix; `signed_sum_tiles` gives half of the same rows,
-    the other half's negations, a tile at a time.
+    - v[j] where they are.  The sums accumulate in index order, as the
+    product of the (2^n, n) sign matrix with v does, in one (2^n, ...)
+    array; `signed_sum_tiles` gives half of the same rows, the other half's
+    negations, a tile at a time.
     """
     v = np.asarray(v)
     out = np.zeros((1 << len(v),) + v.shape[1:], dtype=v.dtype)

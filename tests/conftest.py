@@ -50,6 +50,25 @@ def directions(draw):
     return Direction.normalized(s * math.cos(phi), s * math.sin(phi), u)
 
 
+def sign_matrix(n: int) -> np.ndarray:
+    """(2^n, n) matrix of +/-1 signs, row k = pattern_from_index(k, n): the
+    oracle of the sign cells quasiprob's CSVs write from the pattern bits."""
+    k = np.arange(1 << n, dtype=np.int64)
+    bits = (k[:, None] >> np.arange(n)[None, :]) & 1
+    return (2 * bits - 1).astype(np.float64)
+
+
+def tsirelson_settings() -> tuple[Direction, Direction, Direction, Direction]:
+    """Planar settings reaching |S| = 2 sqrt(2) with epr.chsh_s's S combination.
+
+    Angles: a1 = pi/2, a2 = 0, b1 = pi/4, b2 = 3 pi/4.
+    """
+    return (Direction.from_planar_angle(math.pi / 2),
+            Direction.from_planar_angle(0.0),
+            Direction.from_planar_angle(math.pi / 4),
+            Direction.from_planar_angle(3 * math.pi / 4))
+
+
 def random_directions(n):
     """N fixed 3-D directions, none of them planar."""
     rng = np.random.default_rng(1000 + n)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from conftest import (born_pair_marginal, closed_form_w3, four_hole_x_marginal, joint_outcomes,
-                      pattern_to_index, planar_amplitudes)
+                      pattern_to_index, planar_amplitudes, tsirelson_settings)
 from hvqm import beamline, epr, pathint, phasespace, quasiprob, spin
 from hvqm.config import apply_overrides, parse_config
 from hvqm.runner import run_experiment
@@ -80,7 +80,7 @@ def test_03_born_pair_law_thousand_triples():
 
 def test_04_chsh_analytic_montecarlo_and_classical_bound():
     with Budget(60.0):
-        settings = epr.tsirelson_settings()
+        settings = tsirelson_settings()
         analytic = epr.chsh(epr.chsh_ensemble(epr.Mode.BORN_ANALYTIC, *settings))
         assert abs(abs(analytic.s) - 2 * math.sqrt(2)) < 1e-12
 

@@ -1,6 +1,6 @@
-"""Usage errors, the trials, grid and workers limits, the v/wavelength rule,
-non-finite config numbers, empty direction fields, arithmetic errors and
-the single analytic walk of a run."""
+"""Usage errors, the trials, grid, directions and workers limits, the
+v/wavelength rule, non-finite config numbers, empty direction fields,
+arithmetic errors and the single analytic walk of a run."""
 
 import json
 import math
@@ -68,6 +68,39 @@ def test_grid_past_cap_is_exit_3(capsys, tmp_path, name, shipped, past):
         assert payload["status"] == "validation_error"
         assert "past the cap" in payload["error"]
     assert not (tmp_path / "out").exists()
+
+
+def _quasiprob_cfg(tmp_path, n):
+    cfg = tmp_path / f"quasiprob{n}.cfg"
+    cfg.write_text("[experiment]\nkind = quasiprob\n[directions]\n"
+                   + "".join(f"theta{k} = {0.3 * k}\n" for k in range(1, n + 1)),
+                   encoding="utf-8")
+    return cfg
+
+
+def test_directions_past_cap_is_exit_3(capsys, tmp_path):
+    """One cap for both spin tables, checked by validate before anything
+    is allocated."""
+    cfg = _quasiprob_cfg(tmp_path, 21)
+    for argv in (["validate", cfg], ["run", cfg, "--out-dir", tmp_path / "out"]):
+        code, payload = run_cli(capsys, *argv)
+        assert code == 3
+        assert payload == {"status": "validation_error",
+                           "error": "[directions] keys = 21 is past the cap of 20"}
+    assert not (tmp_path / "out").exists()
+
+
+def test_directions_past_the_old_solver_cap_run_and_replay(capsys, tmp_path):
+    """13 directions validate, run and replay: the signed table's cap is
+    the Born table's."""
+    cfg = _quasiprob_cfg(tmp_path, 13)
+    assert run_cli(capsys, "validate", cfg)[0] == 0
+    code, payload = run_cli(capsys, "run", cfg, "--out-dir", tmp_path / "out")
+    assert code == 0
+    assert payload["results"]["n_directions"] == 13
+    assert run_cli(capsys, "replay", tmp_path / "out" / "report.json", cfg) == (
+        0, {"status": "ok", "verdict": "OK"})
+    assert run_cli(capsys, "validate", _quasiprob_cfg(tmp_path, 20))[0] == 0
 
 
 def test_trials_at_cap_validate(tmp_path):

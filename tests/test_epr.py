@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (angles, closed_form_w3, directions, joint_outcomes,
-                      quaternion_pair_probability, sample_trial)
-from hvqm import beamline, epr, quasiprob, rng, runner, shares, spin
+                      quaternion_pair_probability, sample_trial, sign_matrix,
+                      tsirelson_settings)
+from hvqm import beamline, epr, quasiprob, rng, runner, shares
 from hvqm.config import apply_overrides, parse_config, parse_direction
 from hvqm.epr import (CHSH_PAIRS, OUTCOME_PAIRS, Mode, SingletEnsemble, TrialRecord, chsh,
                       chsh_ensemble, correlation, pair_joint_probability, sample_trials,
-                      trial_record_json, tsirelson_settings)
+                      trial_record_json)
 from hvqm.errors import NotSampleableError, ValidationError
 from hvqm.logcodec import join_lines
 from hvqm.spin import Direction, DirectionSet
@@ -206,7 +207,7 @@ class TestChsh:
         assert chsh(e).s == -1.414213562373095
         assert chsh(chsh_ensemble(Mode.BORN_ANALYTIC, *dirs)).s == -2.82842712474619
         signed = quasiprob.solve_weights(DirectionSet.of(*dirs))
-        assert quasiprob.negativity_report(signed).negative_patterns
+        assert quasiprob.negativity_report(signed).n_negative == 8
 
     def test_quasiprob_table_off_the_xy_plane(self):
         # settings in the xz-plane: the signed table takes any directions
@@ -281,7 +282,7 @@ class TestAnalyticChshTable:
     @staticmethod
     def _sign_matrix_correlator(weights, ai, bi):
         """The per-correlator route: -(s_a s_b) summed over a sign matrix."""
-        signs = spin.sign_matrix(4)
+        signs = sign_matrix(4)
         return float(-(signs[:, ai] * signs[:, bi]) @ weights)
 
     @given(st.lists(angles, min_size=4, max_size=4))
@@ -289,22 +290,18 @@ class TestAnalyticChshTable:
     def test_quasiprob_solves_once(self, thetas):
         with pytest.MonkeyPatch.context() as mp:
             solves = self._counted(mp, quasiprob, "solve_weights")
-            signs = self._counted(mp, spin, "sign_matrix")
             dirs = [Direction.from_planar_angle(t) for t in thetas]
             res = chsh(chsh_ensemble(Mode.QUASIPROB_ANALYTIC, *dirs))
             assert len(solves) == 1
-            assert not signs
         weights = quasiprob.solve_weights(DirectionSet.of(*dirs)).weights
         for ai, bi in CHSH_PAIRS:
             assert abs(res.correlators[(ai, bi)]
                        - self._sign_matrix_correlator(weights, ai, bi)) <= 1e-15
 
-    def test_classical_reads_the_weights_without_a_sign_matrix(self, monkeypatch):
-        signs = self._counted(monkeypatch, spin, "sign_matrix")
+    def test_classical_reads_the_weights_without_a_sign_matrix(self):
         w = np.random.default_rng(4).random(16)
         w /= w.sum()
         res = chsh(chsh_ensemble(Mode.CLASSICAL_LHV, *tsirelson_settings(), lhv_weights=w))
-        assert not signs
         for ai, bi in CHSH_PAIRS:
             assert abs(res.correlators[(ai, bi)]
                        - self._sign_matrix_correlator(w, ai, bi)) <= 1e-15

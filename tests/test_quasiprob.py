@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from conftest import angles
 from conftest import (born_pair_marginal, closed_form_w3, directions, interference_gap,
                       joint_outcomes, pair_cells, pair_law_residual, pair_marginal_probability,
-                      pattern_cells, pattern_to_index, random_directions, sign_keyed)
+                      pattern_cells, pattern_to_index, random_directions, sign_keyed,
+                      sign_matrix)
 from hvqm import quasiprob, spin
 from hvqm.cli import main
 from hvqm.errors import SolverError
@@ -19,7 +20,7 @@ from hvqm.errors import ValidationError
 from hvqm.quasiprob import (BornTable, QuasiProbTable, born_table, marginal, negativity_report,
                             solve_weights, born_csv, table_csv)
 from hvqm.quasiprob import check_pair_law
-from hvqm.spin import Direction, DirectionSet, pattern_from_index, sign_matrix, signed_sums
+from hvqm.spin import Direction, DirectionSet, pattern_from_index, signed_sums
 
 GOLDEN = (0.0, math.pi / 3, 2 * math.pi / 3)
 
@@ -86,7 +87,7 @@ def direction_sets(draw, min_size=2, max_size=12):
 
 
 def stretched_born(dirs):
-    """The signed table W = (N/2) B + (1 - N/2) 2^-N, past MAX_SOLVE_N too."""
+    """The signed table W = (N/2) B + (1 - N/2) 2^-N, without solve_weights' check."""
     n = len(dirs)
     return n / 2 * born_table(dirs).probabilities + (1 - n / 2) / (1 << n)
 
@@ -227,8 +228,11 @@ class TestSolveWeights:
         check_pair_law(dirs, solve_weights(dirs).weights)
         with pytest.raises(ValidationError):
             solve_weights(DirectionSet.from_planar_angles([0.0]))
-        with pytest.raises(ValidationError):
-            solve_weights(DirectionSet.from_planar_angles([0.01 * i for i in range(13)]))
+        # one cap for both tables: the signed table is solved up to N = 20
+        assert quasiprob.MAX_N == 20
+        assert len(solve_weights(random_directions(20)).weights) == 1 << 20
+        with pytest.raises(ValidationError, match="table cap of 20"):
+            solve_weights(DirectionSet.from_planar_angles([0.01 * i for i in range(21)]))
 
     def test_table_validation(self):
         dirs = DirectionSet.from_planar_angles(GOLDEN)
@@ -481,7 +485,7 @@ class TestBornTable:
             BornTable(dirs, np.array([-0.25, 1.25]))
 
     def test_cap(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="table cap of 20"):
             born_table(DirectionSet.from_planar_angles([0.01 * i for i in range(21)]))
 
 
@@ -516,25 +520,27 @@ class TestBornPairMarginal:
         # any table matching the pairwise law at these angles has a
         # negative entry; check it on the solver's minimum-norm solution
         table = solve_weights(golden_set())
-        assert negativity_report(table).negative_patterns
+        assert negativity_report(table).n_negative == 2
 
 
 class TestNegativity:
     def test_golden_report(self):
-        report = negativity_report(solve_weights(golden_set()))
+        table = solve_weights(golden_set())
+        report = negativity_report(table)
         assert report.min_weight == pytest.approx(-1 / 16, abs=1e-10)
-        assert set(report.negative_patterns) == {(1, -1, 1), (-1, 1, -1)}
+        assert report.n_negative == 2
+        negative = np.flatnonzero(table.weights < 0)
+        assert [pattern_from_index(int(k), 3) for k in negative] == [(-1, 1, -1), (1, -1, 1)]
 
     def test_pairwise_table_nonnegative(self):
         report = negativity_report(solve_weights(
             DirectionSet.from_planar_angles([0.2, 1.9])))
-        assert not report.negative_patterns
-        assert report.negative_patterns == ()
+        assert report.n_negative == 0
 
     def test_exactly_collinear_nonnegative(self):
         report = negativity_report(solve_weights(
             DirectionSet.from_planar_angles([0.0, 0.0, 0.0])))
-        assert not report.negative_patterns
+        assert report.n_negative == 0
 
     def test_near_collinear_negativity_is_second_order(self):
         # W(+,-,+) at (0, h, 2h) expands to -h^2/8: negativity never quite
@@ -542,7 +548,7 @@ class TestNegativity:
         h = 0.01
         report = negativity_report(solve_weights(
             DirectionSet.from_planar_angles([0.0, h, 2 * h])))
-        assert report.negative_patterns
+        assert report.n_negative == 2
         assert report.min_weight == pytest.approx(-h * h / 8, rel=1e-3)
 
 
@@ -581,6 +587,45 @@ class TestCsvExport:
     def test_born_csv_header(self):
         out = b"".join(born_csv(born_table(golden_set()))).decode("ascii")
         assert out.splitlines()[0] == "s1,s2,s3,probability"
+
+    @staticmethod
+    def sign_matrix_csv(values, column):
+        """In-test oracle: every row's sign cells from the whole sign matrix."""
+        n = len(values).bit_length() - 1
+        cells = np.where(sign_matrix(n) > 0, "+1", "-1").tolist()
+        lines = [",".join([f"s{j + 1}" for j in range(n)] + [column])]
+        lines += [",".join(row + [repr(v)]) for row, v in zip(cells, values.tolist())]
+        return ("\n".join(lines) + "\n").encode("ascii")
+
+    # N = 15 is the first table of two blocks of 2^14 rows
+    @pytest.mark.parametrize("n", [1, 2, 3, 13, 14, 15, 16])
+    def test_sign_cells_are_the_sign_matrix(self, n):
+        dirs = random_directions(n)
+        born = born_table(dirs)
+        assert b"".join(born_csv(born)) == self.sign_matrix_csv(born.probabilities,
+                                                                "probability")
+        if n >= 2:
+            table = solve_weights(dirs)
+            assert b"".join(table_csv(table)) == self.sign_matrix_csv(table.weights, "weight")
+
+    @staticmethod
+    def written_peak(path, n):
+        """Traced peak while born.csv of N directions is written to `path`,
+        as logcodec.write_csv writes a CSV."""
+        table = born_table(random_directions(n))
+        with open(path, "wb") as f:
+            tracemalloc.start()
+            try:
+                f.writelines(born_csv(table))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    def test_memory_is_a_block_whatever_the_rows(self, tmp_path):
+        """Eight blocks of rows cost about what one block costs: the sign
+        cells are written a block at a time, never the whole sign matrix."""
+        path = tmp_path / "born.csv"
+        assert self.written_peak(path, 17) <= 1.5 * self.written_peak(path, 14)
 
 
 class TestQuasiprobKind:

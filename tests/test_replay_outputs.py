@@ -173,6 +173,14 @@ def test_report_with_no_hash_to_read_is_hash_mismatch(capsys, tmp_path, text):
     assert (code, payload) == (5, {"status": "hash_mismatch", "verdict": "HASH_MISMATCH"})
 
 
+def test_missing_report_is_hash_mismatch_naming_its_path(capsys, tmp_path):
+    out, cfg = _run(tmp_path, "fourhole")
+    (out / "report.json").unlink()
+    code, payload, line = _replay(capsys, out / "fourhole.json", cfg)
+    assert (code, payload) == (5, {"status": "hash_mismatch", "verdict": "HASH_MISMATCH"})
+    assert line == f"no config hash to read: {out / 'report.json'}: missing"
+
+
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_wrong_config_is_hash_mismatch(capsys, tmp_path, kind):
     out, cfg = _run(tmp_path, kind)

@@ -19,7 +19,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import _CountedThread, categorical, directions, index_events, sample_trial
+from conftest import (_CountedThread, categorical, directions, index_events, sample_trial,
+                      tsirelson_settings)
 from hvqm import beamline, epr, rng, runner, shares
 from hvqm.beamline import BeamState, analyze, event_json, recombine, split
 from hvqm.cli import main
@@ -180,7 +181,7 @@ class TestSampleTrials:
         assert_bits_equal(b, want_b)
 
     def test_single_trial_matches_the_block(self):
-        e = epr.chsh_ensemble(epr.Mode.BORN_SAMPLING, *epr.tsirelson_settings())
+        e = epr.chsh_ensemble(epr.Mode.BORN_SAMPLING, *tsirelson_settings())
         a, b = epr.sample_trials(e, 0, 2, 77, TILE + 3, start=TILE - 2)
         for i in (0, 1, 2, TILE + 2):
             rec = sample_trial(e, 0, 2, 77, TILE - 2 + i)
@@ -305,7 +306,7 @@ class TestBornBoundaries:
     def test_matches_searchsorted_and_gather(self, monkeypatch, probs):
         cum = np.cumsum(probs)
         cum[-1] = 1.0
-        e = epr.chsh_ensemble(epr.Mode.BORN_SAMPLING, *epr.tsirelson_settings())
+        e = epr.chsh_ensemble(epr.Mode.BORN_SAMPLING, *tsirelson_settings())
         pairs, trials = epr.CHSH_PAIRS, BOUNDARY_TRIALS
         u = reference_uniforms(BOUNDARY_SEED, np.arange(len(pairs) * trials))
         for edges in _boundary_variants(cum, u):
@@ -400,7 +401,7 @@ _LHV_WEIGHTS = np.array([0.125, 0.0, 0.0, 0.25, 0.0, 0.0, 0.125, 0.0,
 
 
 def _ensembles():
-    return [epr.chsh_ensemble(epr.Mode.BORN_SAMPLING, *epr.tsirelson_settings()),
+    return [epr.chsh_ensemble(epr.Mode.BORN_SAMPLING, *tsirelson_settings()),
             epr.SingletEnsemble(DirectionSet.from_planar_angles(np.linspace(0.0, 3.0, 4)),
                                 epr.Mode.CLASSICAL_LHV, _LHV_WEIGHTS)]
 

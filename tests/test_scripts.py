@@ -44,4 +44,5 @@ def test_negativity_floor_at_pi_over_3(tmp_path):
     at = min(rows, key=lambda r: abs(float(r["theta"]) - math.pi / 3))
     assert abs(float(at["theta"]) - math.pi / 3) <= 1e-12
     assert abs(float(at["min_weight"]) - (-1 / 16)) <= 1e-12
+    assert at["n_negative"] == "2"
     assert min(float(r["min_weight"]) for r in rows) >= -1 / 16 - 1e-12

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import angles, directions, pattern_to_index, planar_amplitudes, signs
+from conftest import (angles, directions, pattern_to_index, planar_amplitudes, sign_matrix,
+                      signs)
 from hvqm.errors import ValidationError
 from hvqm import epr, quasiprob, spin
 from hvqm.quaternion import Quaternion
 from hvqm.spin import (Direction, DirectionSet, marginal_amplitude, pattern_from_index,
-                       sign_matrix, signed_sum_tiles, signed_sums)
+                       signed_sum_tiles, signed_sums)
 
 GOLDEN_ANGLES = (0.0, math.pi / 3, 2 * math.pi / 3)
 
