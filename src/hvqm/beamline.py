@@ -9,9 +9,9 @@ survival weight by the kept branch's share and turning r into the kept
 branch's axis.  The final device is an analyzer returning Born
 probabilities on whatever survived.
 
-Monte Carlo trials draw one uniform per blocked stage they reach plus one
-for the analyzer if they survive, all counter-based, so event logs replay
-bit-identically.
+Every Monte Carlo trial draws once per blocking stage and once for the
+analyzer, a counter-based state compared with a share's rng.thresholds,
+so event logs replay bit-identically.
 """
 
 from __future__ import annotations
@@ -176,32 +176,36 @@ def monte_carlo_sequence(devices: Sequence[SGDevice], beam: BeamState,
 
     Returns the event index of trials start, start + 1, ..., into
     event_suffixes(analytic), in the smallest unsigned dtype that holds
-    them.  Stage thresholds come from the analytic walk, since the
-    conditional state is deterministic given survival; pass it as
-    `analytic` when it is already known.  A caller that needs only the
-    statistics counts through sequence_counts, which holds one rng.TILE
-    block of indices at a time.
+    them; pass the analytic walk, whose stage shares the draws use, as
+    `analytic` when it is already known.  Each stage draws for every trial
+    from rng.mixed_tiles of its substream, in a pooled workspace: k starts
+    at S, the analyzer writes S + 1 where the state is at or past
+    rng.thresholds of P(+1), then each blocking stage, last first, its j
+    where the state is at or past its kept share's, so a trial keeps the
+    first stage that absorbs it.  sequence_counts walks a block at a time.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     if analytic is None:
         analytic = run_sequence(devices, beam)   # also validates the sequence
 
-    # each stage draws only for the trials still alive at it: a draw is a pure
-    # function of (seed, counter, substream), so skipping the others changes
-    # no event
     stages = len(analytic.stage_survivals)
-    k = np.empty(trials, dtype=np.min_scalar_type(stages + 1))
-    live = np.arange(trials)
-    for j, (idx, p_keep) in enumerate(analytic.stage_survivals):
-        hit = rng.uniforms(seed, live + start, substream=idx) >= p_keep
-        k[live[hit]] = j
-        live = live[~hit]
-    # an extinguished beam's last stage keeps nothing (p_keep = 0), so only
-    # a beam with an analyzer reading has survivors here
-    if live.size:
-        u = rng.uniforms(seed, live + start, substream=len(devices) - 1)
-        k[live] = stages + (u >= analytic.probabilities[1])
+    draws = [(len(devices) - 1, stages + 1, (analytic.probabilities or {1: 1.0})[1])]
+    draws += [(idx, j, p) for j, (idx, p) in reversed(list(enumerate(analytic.stage_survivals)))]
+    k = np.full(trials, stages, dtype=np.min_scalar_type(stages + 1))
+    ws = rng.take_workspace()
+    try:
+        hit, keep = ws.buffer("above", np.bool_), ws.buffer("keep", k.dtype)
+        for substream, event, share in draws:
+            for t in rng.thresholds([share]):   # none at a share of 1: nothing written
+                for lo, z in rng.mixed_tiles(seed, start, trials, ws, substream):
+                    # k = event where hit: ((k ^ event) & (hit - 1)) ^ event, not a masked store
+                    kt, m = k[lo:lo + len(z)], keep[:len(z)]
+                    np.subtract(np.greater_equal(z, t, hit[:len(z)]), 1, m, dtype=k.dtype)
+                    np.bitwise_and(np.bitwise_xor(kt, event, kt), m, kt)
+                    np.bitwise_xor(kt, event, kt)
+    finally:
+        rng.give_workspace(ws)
     return k
 
 

@@ -153,16 +153,16 @@ def _stride(m: int) -> np.ndarray:
     return s[:m]
 
 
-def mixed_tiles(seed: int, start: int, n: int, ws: Workspace):
-    """The mixed states z of counters start, ..., start + n - 1 of substream
-    0, TILE at a time: an iterator of (lo, z) with z[i] the state of counter
-    start + lo + i, the one `uniforms` draws (z >> 11) 2^-53 from.
+def mixed_tiles(seed: int, start: int, n: int, ws: Workspace, substream: int = 0):
+    """The mixed states z of counters start, ..., start + n - 1 of
+    `substream`, TILE at a time: an iterator of (lo, z) with z[i] the state
+    of counter start + lo + i, the one `uniforms` draws (z >> 11) 2^-53 from.
     Consecutive counters' states before the mix are one stride i M1 apart,
     so a tile's is one add; z is ws.z, overwritten by the next tile, and
     ws.t the mix's scratch.  The seed is checked at the call; the tiles are
     mixed as the iterator is read, on whichever thread reads it.
     """
-    offset = _offset(seed, 0)
+    offset = _offset(seed, substream)
     stride = _stride(min(n, TILE))
 
     def tiles():

@@ -152,6 +152,7 @@ def _write(output, name: str, blocks) -> None:
     with output(name) as f:
         for data in blocks:
             f.write(data)
+            del data   # not held while the next block is made
 
 
 def _chsh_report(res: epr.CHSHResult) -> dict:

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -305,9 +306,11 @@ class TestMonteCarlo:
 
     def test_walk_memory_stays_one_block(self):
         """The walk holds one block of trials at a time: its traced peak at
-        2^20 trials is within 1 MiB of the peak at 2^16."""
+        2^20 trials is within 1 MiB of the peak at 2^16.  An untraced walk
+        first fills the workspace pool, whose workspace outlives the walk."""
         seq, beam = reconstruction_sequence(block=-1), BeamState.eigenstate(Z, 1)
         analytic = run_sequence(seq, beam)
+        sequence_counts(seq, beam, 1 << 16, 8, analytic)
 
         def peak(trials):
             tracemalloc.start()
@@ -318,6 +321,32 @@ class TestMonteCarlo:
                 tracemalloc.stop()
 
         assert peak(1 << 20) - peak(1 << 16) <= 1 << 20
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="counts Linux minor faults")
+    def test_repeated_walks_fault_in_no_buffers(self):
+        """After a first walk, each 100 000-trial walk takes fewer than 50
+        minor faults: its tile buffers come from rng's workspace pool and
+        are not faulted in again."""
+        import resource   # Unix only
+
+        seq, beam = reconstruction_sequence(block=-1), BeamState.eigenstate(Z, 1)
+        analytic = run_sequence(seq, beam)
+        sequence_counts(seq, beam, 100_000, 1, analytic)
+        for seed in range(5):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            sequence_counts(seq, beam, 100_000, seed, analytic)
+            assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 50
+
+    def test_walk_memory_is_its_output(self):
+        """Besides its one-byte event indices, a 2^22-trial walk holds one
+        tile's buffers: its traced peak is under 8 MiB."""
+        seq, beam = reconstruction_sequence(block=-1), BeamState.eigenstate(Z, 1)
+        tracemalloc.start()
+        try:
+            monte_carlo_sequence(seq, beam, 1 << 22, 8)
+            assert tracemalloc.get_traced_memory()[1] < 8 << 20
+        finally:
+            tracemalloc.stop()
 
     def test_event_json_format(self):
         assert event_json(TrialEvent(4, None, 1)) == \

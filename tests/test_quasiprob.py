@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import json
 import math
@@ -13,7 +14,7 @@ from conftest import (born_pair_marginal, closed_form_w3, directions, interferen
                       joint_outcomes, pair_cells, pair_law_residual, pair_marginal_probability,
                       pattern_cells, pattern_to_index, random_directions, sign_keyed,
                       sign_matrix)
-from hvqm import quasiprob, spin
+from hvqm import quasiprob, runner, spin
 from hvqm.cli import main
 from hvqm.errors import SolverError
 from hvqm.errors import ValidationError
@@ -609,14 +610,14 @@ class TestCsvExport:
             assert b"".join(table_csv(table)) == self.sign_matrix_csv(table.weights, "weight")
 
     @staticmethod
-    def written_peak(path, n):
+    def written_peak(path, n, write=lambda f, blocks: f.writelines(blocks)):
         """Traced peak while born.csv of N directions is written to `path`,
-        as logcodec.write_csv writes a CSV."""
+        by default as logcodec.write_csv writes a CSV."""
         table = born_table(random_directions(n))
         with open(path, "wb") as f:
             tracemalloc.start()
             try:
-                f.writelines(born_csv(table))
+                write(f, born_csv(table))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -626,6 +627,15 @@ class TestCsvExport:
         cells are written a block at a time, never the whole sign matrix."""
         path = tmp_path / "born.csv"
         assert self.written_peak(path, 17) <= 1.5 * self.written_peak(path, 14)
+
+    def test_a_run_holds_one_block_at_a_time(self, tmp_path):
+        """runner._write, through which a run writes and a replay compares
+        every file, lets go of each block before the next is made: at
+        N = 17 it peaks no higher than f.writelines, within 64 KiB."""
+        path = tmp_path / "born.csv"
+        peak = self.written_peak(path, 17, lambda f, blocks: runner._write(
+            lambda name: contextlib.nullcontext(f), "born.csv", blocks))
+        assert peak <= self.written_peak(path, 17) + (64 << 10)
 
 
 class TestQuasiprobKind:

@@ -4,8 +4,8 @@ The oracles below are the straightforward whole-array forms of the draw:
 the SplitMix64 uniforms computed over the full counter array at once, the
 inverse CDF by `searchsorted(side="right")` followed by a gather, and a
 Stern-Gerlach walk that draws every stage for every trial.  Whatever the
-sampler does internally (tiles, fused comparisons, drawing only for live
-trials), its values and dtypes must equal these exactly.
+sampler does internally (tiles, fused comparisons, integer thresholds on
+the mixed states), its values and dtypes must equal these exactly.
 """
 
 import gc
@@ -99,6 +99,22 @@ class TestUniforms:
             got = rng.uniforms(seed, counters, substream)
             assert got.shape == counters.shape
             assert_bits_equal(got, reference_uniforms(seed, counters, substream))
+
+    @given(seeds, substreams, st.sampled_from(LENGTHS),
+           st.integers(min_value=1, max_value=2 ** 64 - 4 * TILE))
+    @example(seed=7, substream=3, n=TILE + 1, start=TILE - 1)
+    @settings(max_examples=40, deadline=None)
+    def test_mixed_tiles_are_the_states_uniforms_read(self, seed, substream, n, start):
+        """(z >> 11) 2^-53 of the mixed tiles of any substream, from starts
+        whose tiles cross rng.TILE boundaries, is the uniform draw."""
+        got = np.empty(n)
+        ws = rng.take_workspace()
+        try:
+            for lo, z in rng.mixed_tiles(seed, start, n, ws, substream):
+                got[lo:lo + len(z)] = (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+        finally:
+            rng.give_workspace(ws)
+        assert_bits_equal(got, reference_uniforms(seed, _counter_range(start, n), substream))
 
     def test_list_and_python_int_counters(self):
         assert_bits_equal(rng.uniforms(3, [5, 0, 2 ** 64 - 1]),
@@ -208,6 +224,9 @@ def reference_indices(devices, beam, trials, seed, start):
     return k
 
 
+X, Z = Direction(1.0, 0.0, 0.0), Direction(0.0, 0.0, 1.0)
+
+
 @st.composite
 def sequences(draw):
     devices = [split(draw(directions()), block=draw(st.sampled_from([1, -1])))
@@ -229,6 +248,22 @@ class TestSternGerlach:
         k = beamline.monte_carlo_sequence(devices, beam, trials, seed, start=start)
         assert np.array_equal(k, reference_indices(devices, beam, trials, seed, start))
         assert k.dtype == np.uint8
+
+    @pytest.mark.parametrize("devices, s, events", [
+        # a blocked split along the Bloch axis keeps every trial (share 1)
+        ([split(Z, block=-1), analyze(X)], 1, {1, 2}),
+        ([split(Z, block=-1), analyze(-Z)], 1, {2}),
+        # the second stage keeps none of what the first keeps (share 0)
+        ([split(X, block=-1), split(X, block=1), analyze(Z)], 1, {0, 1}),
+        # analyzer readings with P(+1) = 1 and P(+1) = 0
+        ([split(X), recombine(-X), analyze(Z)], 1, {0}),
+        ([split(X), recombine(-X), analyze(Z)], -1, {1}),
+    ])
+    def test_shares_of_zero_and_one(self, devices, s, events):
+        beam = BeamState.eigenstate(Z, s)
+        k = beamline.monte_carlo_sequence(devices, beam, TILE + 9, 5, start=TILE - 4)
+        assert np.array_equal(k, reference_indices(devices, beam, TILE + 9, 5, TILE - 4))
+        assert set(k.tolist()) == events
 
     def test_more_than_254_blocking_stages(self, tmp_path):
         """300 blocking stages put the survivors' indices, 300 and 301, past
